@@ -25,6 +25,7 @@ from .cgm import (
     Cpt,
     InvalidModelError,
     Intervention,
+    check_assignment,
     parent_configurations,
     validate_graph,
 )
@@ -98,18 +99,8 @@ def update(beliefs: BeliefState, intervention: Intervention, observed: Assignmen
     graph = beliefs.graph
     if not intervention:
         raise ValueError("empty-intervention: at least one variable must be forced")
-    for name, state in intervention.items():
-        spec = graph.variable_map.get(name)
-        if spec is None:
-            raise ValueError(f"unknown-variable: intervention names {name!r}")
-        if state not in spec.state_index:
-            raise ValueError(f"illegal-state: intervention assigns {name}={state!r}")
-    for name, state in observed.items():
-        spec = graph.variable_map.get(name)
-        if spec is None:
-            raise ValueError(f"unknown-variable: observation names {name!r}")
-        if state not in spec.state_index:
-            raise ValueError(f"illegal-state: observation assigns {name}={state!r}")
+    check_assignment(graph, intervention, "intervention")
+    check_assignment(graph, observed, "observation")
     missing = [n for n in graph.names if n not in observed]
     if missing:
         raise ValueError(f"partial-observation: missing {', '.join(missing)}")

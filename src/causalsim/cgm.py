@@ -9,10 +9,21 @@ Interventional queries are then ordinary conditional queries against the
 mutilated model, which makes forcing a variable observably different
 from conditioning on it whenever confounding is present.
 
-Inference here is exact enumeration over the full joint. That keeps the
-semantics obvious and auditable; the price is exponential cost, so
-enumeration refuses joints larger than ``MAX_JOINT_STATES`` states.
-Sampling is ancestral and does not enumerate, so it has no such cap.
+Inference is exact variable elimination on a compiled array form of the
+model: one ndarray per CPT, with one axis per parent and a last axis for
+the variable itself, indexed by the state codes of
+:attr:`VariableSpec.state_index`. Every query goes through one
+sum-product kernel. Forced variables drop their own factors and, like
+evidence, have their axes pinned (the truncated factorization); factors
+of variables that are not ancestors of the targets or the evidence are
+dropped, since they sum to one; the rest are contracted with
+``np.einsum``, one variable at a time in min-fill order. The
+elimination plan depends only on the graph and on which variables are
+forced, evidenced and targeted, so it is cached on the graph object and
+shared by every model built on it. Queries still refuse models whose
+full joint exceeds ``MAX_JOINT_STATES`` states (or the ``max_states``
+given), whatever the width of the graph. Sampling is ancestral, has no
+such cap and works on the dict-based tables.
 
 Models are plain dataclasses. Construction is permissive so that
 :func:`validate` can report every problem in one pass; the query and
@@ -23,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import string
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -42,6 +54,7 @@ __all__ = [
     "InvalidModelError",
     "validate",
     "validate_graph",
+    "check_assignment",
     "ensure_valid",
     "parent_configurations",
     "joint_size",
@@ -56,8 +69,12 @@ __all__ = [
 # A CPT row must sum to 1 within this tolerance to count as normalized.
 ROW_SUM_TOL = 1e-9
 
-# Enumeration refuses models whose full joint exceeds this many states.
+# Queries refuse models whose full joint exceeds this many states.
 MAX_JOINT_STATES = 2**20
+
+# Axis labels for one einsum call. An elimination step over more
+# variables would build a factor of at least 2^53 entries.
+_EINSUM_LETTERS = string.ascii_letters
 
 # A (possibly partial) mapping from variable name to state label.
 Assignment = Mapping[str, str]
@@ -85,8 +102,9 @@ class CausalGraph:
 
     ``parents`` maps a variable name to the ordered tuple of its parent
     names; variables absent from the mapping have no parents. The
-    declared variable order is significant: it fixes enumeration order,
-    tie-breaking in the topological order, and serialization order.
+    declared variable order is significant: it fixes the order of the
+    compiled tables, tie-breaking in the topological and elimination
+    orders, and serialization order.
     """
 
     variables: tuple[VariableSpec, ...]
@@ -115,6 +133,25 @@ class CausalGraph:
             raise InvalidModelError([issue])
         return tuple(order)
 
+    @cached_property
+    def _joint_size(self) -> int:
+        return math.prod(len(v.states) for v in self.variables)
+
+    @cached_property
+    def _table_layout(self) -> tuple[tuple[str, tuple[tuple[str, ...], ...], tuple[int, ...], int], ...]:
+        # Per variable: (name, parent configurations in row order, table
+        # shape, table size).
+        layout = []
+        for v in self.variables:
+            shape = tuple(len(self.variable_map[p].states) for p in self.parents_of(v.name)) + (len(v.states),)
+            layout.append((v.name, tuple(parent_configurations(self, v.name)), shape, math.prod(shape)))
+        return tuple(layout)
+
+    @cached_property
+    def _plans(self) -> dict[tuple[frozenset[str], frozenset[str], tuple[str, ...]], _Plan]:
+        # Elimination plans by (forced, evidenced, targeted) variables.
+        return {}
+
 
 @dataclass(frozen=True)
 class Cpt:
@@ -140,6 +177,23 @@ class CausalModel:
     @cached_property
     def topological_order(self) -> tuple[str, ...]:
         return self.graph.topological_order
+
+    @cached_property
+    def _compiled(self) -> dict[int, np.ndarray]:
+        # Compiled CPTs by variable position, filled in by :meth:`table`.
+        return {}
+
+    def table(self, position: int) -> np.ndarray:
+        """The compiled CPT of the variable at ``position`` in declaration
+        order: shape (parent cardinalities..., own cardinality), axes in
+        parent-list order, states in declared order. Built on first use,
+        once per model; the model must be valid."""
+        table = self._compiled.get(position)
+        if table is None:
+            name, configs, shape, size = self.graph._table_layout[position]
+            entries = itertools.chain.from_iterable(map(self.cpts[name].rows.__getitem__, configs))
+            table = self._compiled[position] = np.fromiter(entries, float, size).reshape(shape)
+        return table
 
     @cached_property
     def _sampler_plan(self) -> tuple[tuple[str, tuple[str, ...], tuple[str, ...], Mapping[tuple[str, ...], tuple[float, ...]]], ...]:
@@ -309,20 +363,141 @@ def ensure_valid(model: CausalModel) -> None:
 
 def joint_size(model: CausalModel) -> int:
     """Number of full assignments in the model's joint distribution."""
-    n = 1
-    for v in model.graph.variables:
-        n *= len(v.states)
-    return n
+    return model.graph._joint_size
 
 
-def _check_names_and_states(model: CausalModel, mapping: Assignment, role: str) -> None:
-    vmap = model.graph.variable_map
-    for name, state in mapping.items():
+def check_assignment(graph: CausalGraph, assignment: Assignment, role: str) -> None:
+    """Raise ``unknown-variable`` or ``illegal-state`` unless every entry
+    of ``assignment`` names a declared variable and one of its states.
+    ``role`` names the assignment in the message."""
+    vmap = graph.variable_map
+    for name, state in assignment.items():
         spec = vmap.get(name)
         if spec is None:
             raise ValueError(f"unknown-variable: {role} names {name!r}, which is not in the model")
         if state not in spec.state_index:
             raise ValueError(f"illegal-state: {role} assigns {name}={state!r}, not one of its states")
+
+
+def _check_joint_cap(model: CausalModel, max_states: int) -> None:
+    n = model.graph._joint_size
+    if n > max_states:
+        raise ValueError(f"joint too large: {n} states exceeds the cap of {max_states}")
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """How to answer one shape of query on one graph, values aside.
+
+    ``factors`` lists the CPTs taking part, as (variable position, one
+    entry per table axis: the name of the variable pinned on that axis,
+    or None for a free axis; or None in place of the tuple when no axis
+    is pinned). ``steps`` are einsum contractions; each consumes the
+    slots it names and appends its result as a new slot. The last slot
+    holds the answer, with the target axes in target order.
+    """
+
+    factors: tuple[tuple[int, tuple[str | None, ...] | None], ...]
+    steps: tuple[tuple[tuple[int, ...], str], ...]
+
+
+def _plan(graph: CausalGraph, forced: frozenset[str], evidence: frozenset[str], targets: tuple[str, ...]) -> _Plan:
+    pinned = forced | evidence
+    # Ancestors of targets and evidence in the mutilated graph, where a
+    # forced variable has no parents. Every other factor sums to one.
+    relevant: set[str] = set()
+    stack = [*targets, *evidence]
+    while stack:
+        name = stack.pop()
+        if name not in relevant:
+            relevant.add(name)
+            if name not in forced:
+                stack.extend(graph.parents_of(name))
+    factors = []
+    scopes: list[tuple[str, ...]] = []
+    for pos, v in enumerate(graph.variables):
+        if v.name in relevant and v.name not in forced:
+            axes = graph.parents_of(v.name) + (v.name,)
+            factors.append((pos, tuple(a if a in pinned else None for a in axes) if pinned & set(axes) else None))
+            scopes.append(tuple(a for a in axes if a not in pinned))
+
+    cards = {v.name: len(v.states) for v in graph.variables}
+    position = {n: i for i, n in enumerate(graph.names)}
+    live = list(range(len(scopes)))
+    hidden = {a for s in scopes for a in s} - set(targets)
+    steps = []
+    while hidden:
+        var = _min_fill(hidden, [scopes[i] for i in live], cards, position)
+        used = [i for i in live if var in scopes[i]]
+        out = tuple(dict.fromkeys(a for i in used for a in scopes[i] if a != var))
+        steps.append((tuple(used), _subscripts([scopes[i] for i in used], out)))
+        live = [i for i in live if i not in used] + [len(scopes)]
+        scopes.append(out)
+        hidden.discard(var)
+    if len(live) > 1 or scopes[live[0]] != targets:
+        steps.append((tuple(live), _subscripts([scopes[i] for i in live], targets)))
+    return _Plan(tuple(factors), tuple(steps))
+
+
+def _min_fill(
+    hidden: set[str], scopes: list[tuple[str, ...]], cards: Mapping[str, int], position: Mapping[str, int]
+) -> str:
+    """The variable to eliminate next: fewest fill-in edges, then the
+    smallest factor it creates, then declaration order."""
+    adjacent: dict[str, set[str]] = {}
+    for scope in scopes:
+        for a in scope:
+            adjacent.setdefault(a, set()).update(scope)
+
+    def cost(var: str) -> tuple[int, int, int]:
+        neighbours = adjacent[var] - {var}
+        fill = sum(b not in adjacent[a] for a, b in itertools.combinations(neighbours, 2))
+        return fill, math.prod(cards[a] for a in adjacent[var]), position[var]
+
+    return min(hidden, key=cost)
+
+
+def _subscripts(inputs: list[tuple[str, ...]], output: tuple[str, ...]) -> str:
+    letters = dict(zip(dict.fromkeys(a for axes in inputs for a in axes), _EINSUM_LETTERS))
+    lhs = ",".join("".join(letters[a] for a in axes) for axes in inputs)
+    return lhs + "->" + "".join(letters[a] for a in output)
+
+
+def _contract(model: CausalModel, forced: Assignment, evidence: Assignment, targets: tuple[str, ...]) -> np.ndarray:
+    """Unnormalized mass over the target axes, in target order, of the
+    truncated factorization under ``forced`` restricted to ``evidence``.
+
+    The plan depends only on which variables are forced, evidenced and
+    targeted, so it is cached on the graph and shared by every model
+    built on that graph object.
+    """
+    graph = model.graph
+    key = (frozenset(forced), frozenset(evidence), targets)
+    plan = graph._plans.get(key)
+    if plan is None:
+        plan = graph._plans[key] = _plan(graph, *key)
+    vmap = graph.variable_map
+    codes: dict[str | None, int | slice] = {None: slice(None)}
+    for pins in (forced, evidence):
+        for name, state in pins.items():
+            codes[name] = vmap[name].state_index[state]
+    compiled = model._compiled
+    slots = []
+    for pos, axes in plan.factors:
+        table = compiled.get(pos)
+        if table is None:
+            table = model.table(pos)
+        slots.append(table if axes is None else table[tuple([codes[a] for a in axes])])
+    for used, subscripts in plan.steps:
+        slots.append(np.einsum(subscripts, *[slots[i] for i in used]))
+    return slots[-1]
+
+
+def _total(mass: list[float]) -> float:
+    total = sum(mass)
+    if total <= 0.0:
+        raise ValueError("zero-probability-evidence: the evidence has probability zero")
+    return total
 
 
 def joint_probability(model: CausalModel, assignment: Assignment) -> float:
@@ -332,24 +507,28 @@ def joint_probability(model: CausalModel, assignment: Assignment) -> float:
     assignment is rejected because its probability is a marginal, not a
     joint entry.
     """
-    _check_names_and_states(model, assignment, "assignment")
+    check_assignment(model.graph, assignment, "assignment")
     missing = [n for n in model.graph.names if n not in assignment]
     if missing:
         raise ValueError(f"partial-assignment: missing {', '.join(missing)}")
-    p = 1.0
-    graph = model.graph
-    for v in graph.variables:
-        config = tuple(assignment[q] for q in graph.parents_of(v.name))
-        p *= model.cpts[v.name].rows[config][v.state_index[assignment[v.name]]]
-    return p
+    return float(_contract(model, {}, assignment, ()))
 
 
-def _check_enumerable(model: CausalModel, max_states: int) -> None:
-    n = joint_size(model)
-    if n > max_states:
-        raise ValueError(
-            f"joint too large to enumerate: {n} states exceeds the cap of {max_states}"
-        )
+def _conditional(
+    model: CausalModel, target: Assignment, forced: Assignment, evidence: Assignment, max_states: int
+) -> float:
+    if not target:
+        raise ValueError("empty-target: at least one target variable is required")
+    check_assignment(model.graph, target, "target")
+    check_assignment(model.graph, evidence, "evidence")
+    overlap = sorted(set(target) & set(evidence))
+    if overlap:
+        raise ValueError(f"overlapping-target-evidence: {', '.join(overlap)}")
+    _check_joint_cap(model, max_states)
+    targets = tuple(target)
+    vmap = model.graph.variable_map
+    mass = _contract(model, forced, evidence, targets)
+    return float(mass[tuple(vmap[n].state_index[target[n]] for n in targets)]) / _total(mass.ravel().tolist())
 
 
 def query(
@@ -359,44 +538,13 @@ def query(
     *,
     max_states: int = MAX_JOINT_STATES,
 ) -> float:
-    """Exact conditional probability P(target | evidence) by enumeration.
+    """Exact conditional probability P(target | evidence).
 
     ``target`` must be non-empty and disjoint from ``evidence``; empty
     evidence asks for a marginal. Evidence of probability zero has no
     conditional and is rejected.
     """
-    evidence = {} if evidence is None else evidence
-    if not target:
-        raise ValueError("empty-target: at least one target variable is required")
-    _check_names_and_states(model, target, "target")
-    _check_names_and_states(model, evidence, "evidence")
-    overlap = sorted(set(target) & set(evidence))
-    if overlap:
-        raise ValueError(f"overlapping-target-evidence: {', '.join(overlap)}")
-    _check_enumerable(model, max_states)
-
-    graph = model.graph
-    names = graph.names
-    position = {n: i for i, n in enumerate(names)}
-    choices = [(evidence[n],) if n in evidence else graph.variable_map[n].states for n in names]
-    factors = []
-    for v in graph.variables:
-        ppos = tuple(position[q] for q in graph.parents_of(v.name))
-        factors.append((position[v.name], v.state_index, ppos, model.cpts[v.name].rows))
-    target_pos = [(position[n], s) for n, s in target.items()]
-
-    numerator = 0.0
-    denominator = 0.0
-    for assignment in itertools.product(*choices):
-        w = 1.0
-        for pos, sindex, ppos, rows in factors:
-            w *= rows[tuple(assignment[i] for i in ppos)][sindex[assignment[pos]]]
-        denominator += w
-        if all(assignment[i] == s for i, s in target_pos):
-            numerator += w
-    if denominator <= 0.0:
-        raise ValueError("zero-probability-evidence: the evidence has probability zero")
-    return numerator / denominator
+    return _conditional(model, target, {}, {} if evidence is None else evidence, max_states)
 
 
 def intervene(model: CausalModel, intervention: Intervention) -> CausalModel:
@@ -410,7 +558,7 @@ def intervene(model: CausalModel, intervention: Intervention) -> CausalModel:
     """
     if not intervention:
         raise ValueError("empty-intervention: at least one variable must be forced")
-    _check_names_and_states(model, intervention, "intervention")
+    check_assignment(model.graph, intervention, "intervention")
     new_parents = dict(model.graph.parents)
     new_cpts = dict(model.cpts)
     for name, state in intervention.items():
@@ -428,15 +576,20 @@ def interventional_query(
     *,
     max_states: int = MAX_JOINT_STATES,
 ) -> float:
-    """P(target | do(intervention)): query the surgically mutilated model.
+    """P(target | do(intervention)) by the truncated factorization.
 
-    A variable cannot be both forced and queried; forcing fixes it by
-    fiat, so the query would be trivial or contradictory.
+    Equals a plain query on ``intervene(model, intervention)``, without
+    building that model. A variable cannot be both forced and queried;
+    forcing fixes it by fiat, so the query would be trivial or
+    contradictory.
     """
     overlap = sorted(set(target) & set(intervention))
     if overlap:
         raise ValueError(f"target-is-intervened: {', '.join(overlap)}")
-    return query(intervene(model, intervention), target, {}, max_states=max_states)
+    if not intervention:
+        raise ValueError("empty-intervention: at least one variable must be forced")
+    check_assignment(model.graph, intervention, "intervention")
+    return _conditional(model, target, intervention, {}, max_states)
 
 
 def interventional_marginal(
@@ -448,44 +601,19 @@ def interventional_marginal(
 ) -> tuple[float, ...]:
     """Distribution of one variable under an intervention, in state order.
 
-    Evaluates the truncated factorization directly: intervened variables
-    are pinned to their forced states and their factors dropped. Agrees
-    with calling :func:`interventional_query` once per state, but does
-    the enumeration in a single pass and never builds the mutilated
-    model. An empty intervention yields the plain marginal.
+    Agrees with calling :func:`interventional_query` once per state, but
+    contracts once for the whole distribution. An empty intervention
+    yields the plain marginal.
     """
-    if intervention:
-        _check_names_and_states(model, intervention, "intervention")
+    check_assignment(model.graph, intervention, "intervention")
     if variable in intervention:
         raise ValueError(f"target-is-intervened: {variable}")
-    graph = model.graph
-    spec = graph.variable_map.get(variable)
-    if spec is None:
+    if variable not in model.graph.variable_map:
         raise ValueError(f"unknown-variable: target names {variable!r}, which is not in the model")
-    _check_enumerable(model, max_states)
-
-    names = graph.names
-    position = {n: i for i, n in enumerate(names)}
-    choices = [(intervention[n],) if n in intervention else graph.variable_map[n].states for n in names]
-    factors = []
-    for v in graph.variables:
-        if v.name in intervention:
-            continue
-        ppos = tuple(position[q] for q in graph.parents_of(v.name))
-        factors.append((position[v.name], v.state_index, ppos, model.cpts[v.name].rows))
-    vpos = position[variable]
-    vindex = spec.state_index
-
-    totals = [0.0] * len(spec.states)
-    for assignment in itertools.product(*choices):
-        w = 1.0
-        for pos, sindex, ppos, rows in factors:
-            w *= rows[tuple(assignment[i] for i in ppos)][sindex[assignment[pos]]]
-        totals[vindex[assignment[vpos]]] += w
-    mass = sum(totals)
-    if mass <= 0.0:
-        raise ValueError("zero-probability-evidence: the intervened joint has no mass")
-    return tuple(t / mass for t in totals)
+    _check_joint_cap(model, max_states)
+    mass = _contract(model, intervention, {}, (variable,)).tolist()
+    total = _total(mass)
+    return tuple(p / total for p in mass)
 
 
 def sample(model: CausalModel, rng: np.random.Generator) -> dict[str, str]:
@@ -500,11 +628,13 @@ def sample(model: CausalModel, rng: np.random.Generator) -> dict[str, str]:
         row = rows[tuple(out[p] for p in pnames)]
         u = rng.random()
         acc = 0.0
-        idx = len(states) - 1  # guard against rounding in the row sum
         for i, p in enumerate(row):
             acc += p
             if u < acc:
-                idx = i
                 break
-        out[name] = states[idx]
+        else:
+            # The draw lies beyond the row's float sum: take the last
+            # state with positive mass, never an impossible one.
+            i = max(j for j, p in enumerate(row) if p > 0.0)
+        out[name] = states[i]
     return out

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalsim import (
     CausalGraph,
@@ -23,6 +25,7 @@ from causalsim import (
     validate,
 )
 from causalsim import model_from_dict
+from causalsim.beliefs import init_uniform, posterior_mean, update
 
 import oracle
 
@@ -450,3 +453,125 @@ def test_sampler_visits_parents_first_even_when_declared_backwards():
         }
     )
     assert sample(model, np.random.default_rng(0)) == {"A": "1", "Y": "1"}
+
+
+def test_sample_falls_back_to_the_last_state_with_mass():
+    # The row sums to 1 - 5e-10, within tolerance; a draw above that sum
+    # must not land on the zero-mass last state.
+    graph = CausalGraph((VariableSpec("A", ("x", "y", "z")),), {"A": ()})
+    model = CausalModel(graph, {"A": Cpt("A", {(): (0.5, 0.4999999995, 0.0)})})
+    assert validate(model) == []
+
+    class Draw:
+        def random(self):
+            return 0.9999999999
+
+    assert sample(model, Draw()) == {"A": "y"}
+    positive = CausalModel(graph, {"A": Cpt("A", {(): (0.5, 0.2499999995, 0.25)})})
+    assert sample(positive, Draw()) == {"A": "z"}
+
+
+# the compiled kernel against the brute-force oracle
+
+
+@st.composite
+def _models(draw) -> CausalModel:
+    """Small valid models with 2-4 states per variable, rows that may
+    hold zeros or be deterministic, declared in a shuffled order."""
+    n = draw(st.integers(2, 5))
+    names = [f"X{i}" for i in range(n)]
+    cards = {v: draw(st.integers(2, 4)) for v in names}
+    parents = {
+        v: tuple(draw(st.lists(st.sampled_from(names[:i]), unique=True, max_size=3)) if i else ())
+        for i, v in enumerate(names)
+    }
+    states = {v: tuple(f"s{j}" for j in range(cards[v])) for v in names}
+    cpts = {}
+    for v in names:
+        rows = {}
+        for config in itertools.product(*(states[p] for p in parents[v])):
+            weights = draw(st.lists(st.integers(0, 3), min_size=cards[v], max_size=cards[v]))
+            if sum(weights) == 0:
+                weights[draw(st.integers(0, cards[v] - 1))] = 1
+            rows[config] = tuple(w / sum(weights) for w in weights)
+        cpts[v] = Cpt(v, rows)
+    declared = draw(st.permutations(names))
+    model = CausalModel(CausalGraph(tuple(VariableSpec(v, states[v]) for v in declared), parents), cpts)
+    assert validate(model) == []
+    return model
+
+
+def _pick(draw, model: CausalModel, names: list[str]) -> dict[str, str]:
+    return {n: draw(st.sampled_from(model.graph.variable_map[n].states)) for n in names}
+
+
+@st.composite
+def _split(draw, model: CausalModel) -> tuple[dict[str, str], dict[str, str]]:
+    """Two disjoint assignments: a non-empty first one and a second one."""
+    names = draw(st.permutations([v.name for v in model.graph.variables]))
+    k = draw(st.integers(1, len(names) - 1))
+    j = draw(st.integers(0, min(2, len(names) - k)))
+    return _pick(draw, model, names[:k][:2]), _pick(draw, model, names[k : k + j])
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_query_and_joint_match_the_oracle(data):
+    model = data.draw(_models())
+    target, evidence = data.draw(_split(model))
+    table = oracle.joint_table(model)
+    seen = oracle.mass(model, table, evidence)
+    if seen == 0.0:
+        with pytest.raises(ValueError, match="zero-probability-evidence"):
+            query(model, target, evidence)
+    else:
+        assert query(model, target, evidence) == pytest.approx(oracle.conditional(model, target, evidence), abs=1e-9)
+    full = _pick(data.draw, model, list(model.graph.names))
+    names = [v.name for v in model.graph.variables]
+    assert joint_probability(model, full) == pytest.approx(table[tuple(full[n] for n in names)], abs=1e-9)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_interventions_match_the_oracle(data):
+    model = data.draw(_models())
+    target, forced = data.draw(_split(model))
+    variable = next(iter(target))
+    spec = model.graph.variable_map[variable]
+    want = [oracle.do_probability(model, forced, {variable: s}) for s in spec.states]
+    assert interventional_marginal(model, forced, variable) == pytest.approx(want, abs=1e-9)
+    plain = [oracle.conditional(model, {variable: s}, {}) for s in spec.states]
+    assert interventional_marginal(model, {}, variable) == pytest.approx(plain, abs=1e-9)
+    if forced:
+        want_joint = oracle.do_probability(model, forced, target)
+        assert interventional_query(model, forced, target) == pytest.approx(want_joint, abs=1e-9)
+
+
+def test_inference_cost_follows_width_not_joint_size():
+    # A 64-variable binary chain: 2^64 joint states, treewidth one.
+    n = 64
+    variables = tuple(VariableSpec(f"X{i}", ("0", "1")) for i in range(n))
+    parents = {f"X{i}": (f"X{i - 1}",) for i in range(1, n)}
+    flip = {("0",): (0.9, 0.1), ("1",): (0.2, 0.8)}
+    cpts = {"X0": Cpt("X0", {(): (0.5, 0.5)}), **{f"X{i}": Cpt(f"X{i}", flip) for i in range(1, n)}}
+    model = CausalModel(CausalGraph(variables, parents), cpts)
+    with pytest.raises(ValueError, match="joint too large"):
+        interventional_marginal(model, {"X1": "1"}, "X63")
+    step = np.array([[0.9, 0.1], [0.2, 0.8]])
+    want = np.linalg.matrix_power(step, 62)[1]
+    got = interventional_marginal(model, {"X1": "1"}, "X63", max_states=2**n)
+    assert got == pytest.approx(tuple(want), abs=1e-12)
+    evidence = {"X63": "1"}
+    posterior = query(model, {"X0": "1"}, evidence, max_states=2**n)
+    prior = np.array([0.5, 0.5]) @ np.linalg.matrix_power(step, 63)
+    assert posterior == pytest.approx(0.5 * np.linalg.matrix_power(step, 63)[1, 1] / prior[1], abs=1e-12)
+
+
+def test_posterior_models_share_their_graphs_plan(medic_model):
+    graph = CausalGraph(medic_model.graph.variables, dict(medic_model.graph.parents))
+    beliefs = init_uniform(graph)
+    for observed in ({"D": "0", "T": "1", "Y": "1"}, {"D": "1", "T": "1", "Y": "0"}):
+        beliefs = update(beliefs, {"T": "1"}, observed)
+        for t in "01":
+            interventional_marginal(posterior_mean(beliefs), {"T": t}, "Y")
+    assert len(graph._plans) == 1
