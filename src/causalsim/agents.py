@@ -10,18 +10,28 @@ value estimate per action. The random policy is the control.
 All argmax operations break ties toward the lowest action index, which
 keeps every policy deterministic given its inputs and its random
 stream.
+
+The scalar functions act on one frozen state. The experiment engine
+runs each policy for a whole block of replications at once through
+:class:`BatchPolicy`, whose three implementations keep their state in
+arrays with a leading replication axis and are tested against the
+scalar functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .beliefs import BeliefState, posterior_mean, update
-from .cgm import Assignment, CausalModel, Intervention, interventional_marginal
+from .beliefs import BeliefState, CountBeliefs, posterior_mean, update
+from .cgm import Assignment, CausalModel, Intervention, ReplicatedQuery, interventional_marginal
+
+if TYPE_CHECKING:
+    from .environment import Environment
+    from .experiment import CausalAgentConfig, QLearningConfig
 
 __all__ = [
     "Action",
@@ -36,6 +46,11 @@ __all__ = [
     "q_choose",
     "q_learn",
     "random_choose",
+    "CHOICE_DRAWS",
+    "BatchPolicy",
+    "CausalBatch",
+    "QBatch",
+    "RandomBatch",
 ]
 
 # Maps each target-variable state label to a finite real utility.
@@ -213,3 +228,100 @@ def random_choose(actions: Sequence[Action], rng: np.random.Generator) -> int:
     if not actions:
         raise ValueError("empty-action-set: at least one action is required")
     return int(rng.integers(len(actions)))
+
+
+# Uniforms a batched choice reads per replication and round: column 0
+# decides whether to explore, column 1 picks the action explored.
+CHOICE_DRAWS = 2
+
+
+class BatchPolicy(Protocol):
+    """One policy run for n replications at once.
+
+    The constructor takes ``(env, cfg, n)``. Each round, ``choose``
+    reads an (n, CHOICE_DRAWS) array of uniforms and returns one action
+    index per replication; ``learn`` then folds in the actions taken
+    and the realized outcomes, an (n, variables) array of state codes
+    in the truth's declaration order, in place.
+    """
+
+    def choose(self, u: np.ndarray) -> np.ndarray: ...
+
+    def learn(self, actions: np.ndarray, x: np.ndarray) -> None: ...
+
+
+def _uniform_action(u: np.ndarray, n_actions: int) -> np.ndarray:
+    return np.minimum((u * n_actions).astype(np.intp), n_actions - 1)
+
+
+def _epsilon_greedy(greedy: np.ndarray, u: np.ndarray, epsilon: float, n_actions: int) -> np.ndarray:
+    """``greedy``, except a uniformly drawn action where u[:, 0] < epsilon."""
+    return np.where(u[:, 0] < epsilon, _uniform_action(u[:, 1], n_actions), greedy)
+
+
+class CausalBatch:
+    """The greedy causal policy with optional uniform exploration.
+
+    Per replication: Dirichlet counts over the truth's graph, scored
+    each round on their posterior mean like :func:`causal_choose`, and
+    updated like :func:`causal_learn`.
+    """
+
+    def __init__(self, env: Environment, cfg: CausalAgentConfig, n: int):
+        graph = env.truth.graph
+        self.beliefs = CountBeliefs(graph, cfg.prior_alpha, n)
+        self.epsilon = cfg.epsilon
+        self.queries = [ReplicatedQuery(graph, a.intervention, env.target) for a in env.actions]
+        self.payoff = env._payoff
+        # free[a, i]: 1.0 unless action a forces the variable at position i.
+        self.free = np.array([[float(v.name not in a.intervention) for v in graph.variables] for a in env.actions])
+        self.updatable = np.flatnonzero(self.free.any(axis=0)).tolist()
+        self.scored = sorted(frozenset().union(*(q.positions for q in self.queries)))
+        self._tables: list[np.ndarray | None] = [None] * len(graph.variables)
+
+    def choose(self, u: np.ndarray) -> np.ndarray:
+        tables = self._tables
+        for pos in self.scored:
+            tables[pos] = self.beliefs.posterior(pos)
+        eu = np.empty((len(u), len(self.queries)))
+        for i, query in enumerate(self.queries):
+            mass = query(tables)
+            eu[:, i] = (mass / mass.sum(axis=1, keepdims=True) * self.payoff).sum(axis=1)
+        return _epsilon_greedy(eu.argmax(axis=1), u, self.epsilon, len(self.queries))
+
+    def learn(self, actions: np.ndarray, x: np.ndarray) -> None:
+        self.beliefs.update(x, self.free[actions], self.updatable)
+
+
+class QBatch:
+    """Epsilon-greedy stateless Q-learning: an (n, actions) value array,
+    chosen from like :func:`q_choose` and updated like :func:`q_learn`."""
+
+    def __init__(self, env: Environment, cfg: QLearningConfig, n: int):
+        self.q = np.full((n, len(env.actions)), float(cfg.q0))
+        self.alpha = cfg.alpha
+        self.epsilon = cfg.epsilon
+        self.payoff = env._payoff
+        self.target = env._target_position
+        self._rows = np.arange(n)
+
+    def choose(self, u: np.ndarray) -> np.ndarray:
+        return _epsilon_greedy(self.q.argmax(axis=1), u, self.epsilon, self.q.shape[1])
+
+    def learn(self, actions: np.ndarray, x: np.ndarray) -> None:
+        reward = self.payoff[x[:, self.target]]
+        old = self.q[self._rows, actions]
+        self.q[self._rows, actions] = old + self.alpha * (reward - old)
+
+
+class RandomBatch:
+    """Uniform choice over the action menu; learns nothing."""
+
+    def __init__(self, env: Environment, cfg: Any, n: int):
+        self.n_actions = len(env.actions)
+
+    def choose(self, u: np.ndarray) -> np.ndarray:
+        return _uniform_action(u[:, 1], self.n_actions)
+
+    def learn(self, actions: np.ndarray, x: np.ndarray) -> None:
+        pass

@@ -11,12 +11,22 @@ the observation therefore says nothing about them.
 
 The posterior mean of the rows assembles into an ordinary causal model,
 which downstream decision code treats as if it were the truth.
+
+:class:`CountBeliefs` holds the same pseudo-counts for a batch of
+replications as arrays, one per CPT, laid out like the compiled tables
+of :meth:`~causalsim.cgm.CausalModel.table` behind a leading
+replication axis. Its posterior mean is one division per table and its
+update one indexed increment per variable. The dict-based
+:class:`BeliefState` stays the document form and the reference the
+arrays are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
+
+import numpy as np
 
 from .cgm import (
     Assignment,
@@ -37,6 +47,7 @@ __all__ = [
     "init_uniform",
     "posterior_mean",
     "update",
+    "CountBeliefs",
     "total_pseudo_count",
     "beliefs_to_dict",
     "beliefs_from_dict",
@@ -121,6 +132,42 @@ def update(beliefs: BeliefState, intervention: Intervention, observed: Assignmen
         rows[config] = row[:i] + (row[i] + 1.0,) + row[i + 1 :]
         new_counts[v.name] = rows
     return BeliefState(graph, new_counts)
+
+
+class CountBeliefs:
+    """Dirichlet pseudo-counts of n replications, updated in place.
+
+    ``counts[i]`` belongs to the variable at position i in declaration
+    order and has shape (n, parent cardinalities..., cardinality), so
+    ``counts[i][r]`` is replication r's table of rows.
+    """
+
+    def __init__(self, graph: CausalGraph, alpha0: float, n: int):
+        if not alpha0 > 0.0:
+            raise ValueError(f"nonpositive-alpha: prior weight must be positive, got {alpha0!r}")
+        positions = graph._positions
+        self.counts = [np.full((n, *shape), float(alpha0)) for _, _, shape, _ in graph._table_layout]
+        self._rows = np.arange(n)
+        self._axes = [
+            tuple(positions[p] for p in graph.parents_of(v.name)) + (i,) for i, v in enumerate(graph.variables)
+        ]
+
+    def posterior(self, position: int) -> np.ndarray:
+        """The posterior-mean tables of one variable, replications first."""
+        counts = self.counts[position]
+        return counts / counts.sum(axis=-1, keepdims=True)
+
+    def update(self, x: np.ndarray, free: np.ndarray, positions: Iterable[int]) -> None:
+        """Fold one full outcome per replication into the counts.
+
+        ``x`` holds state codes, shape (n, variables); ``free`` has the
+        same shape and holds 1.0 where the replication's action left the
+        variable free and 0.0 where it forced it, so forced variables'
+        counts keep their values. Only the variables at ``positions``
+        are visited.
+        """
+        for pos in positions:
+            self.counts[pos][(self._rows, *[x[:, a] for a in self._axes[pos]])] += free[:, pos]
 
 
 def total_pseudo_count(beliefs: BeliefState) -> float:

@@ -20,10 +20,16 @@ dropped, since they sum to one; the rest are contracted with
 ``np.einsum``, one variable at a time in min-fill order. The
 elimination plan depends only on the graph and on which variables are
 forced, evidenced and targeted, so it is cached on the graph object and
-shared by every model built on it. Queries still refuse models whose
-full joint exceeds ``MAX_JOINT_STATES`` states (or the ``max_states``
-given), whatever the width of the graph. Sampling is ancestral, has no
-such cap and works on the dict-based tables.
+shared by every model built on it. :class:`ReplicatedQuery` runs the
+same plan over tables with a leading replication axis, which is how a
+batch of belief states scores its actions at once. Queries still refuse
+models whose full joint exceeds ``MAX_JOINT_STATES`` states (or the
+``max_states`` given), whatever the width of the graph.
+
+Sampling is ancestral and has no such cap. A variable's state is drawn
+by inverse CDF from its cumulative table (:func:`cumulative`): the state
+is the first whose cumulative entry exceeds a uniform draw. The scalar
+:func:`sample` and the batched :func:`draw_codes` share that rule.
 
 Models are plain dataclasses. Construction is permissive so that
 :func:`validate` can report every problem in one pass; the query and
@@ -32,6 +38,7 @@ sampling operations assume a model that passes validation.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import string
@@ -64,6 +71,9 @@ __all__ = [
     "interventional_query",
     "interventional_marginal",
     "sample",
+    "cumulative",
+    "draw_codes",
+    "ReplicatedQuery",
 ]
 
 # A CPT row must sum to 1 within this tolerance to count as normalized.
@@ -134,6 +144,11 @@ class CausalGraph:
         return tuple(order)
 
     @cached_property
+    def _positions(self) -> dict[str, int]:
+        """Each variable's position in declaration order."""
+        return {n: i for i, n in enumerate(self.names)}
+
+    @cached_property
     def _joint_size(self) -> int:
         return math.prod(len(v.states) for v in self.variables)
 
@@ -196,12 +211,16 @@ class CausalModel:
         return table
 
     @cached_property
-    def _sampler_plan(self) -> tuple[tuple[str, tuple[str, ...], tuple[str, ...], Mapping[tuple[str, ...], tuple[float, ...]]], ...]:
-        # Per variable in topological order: (name, states, parent names, rows).
+    def _sampler(self) -> tuple[tuple[str, tuple[str, ...], int, tuple[int, ...], list], ...]:
+        # Per variable in topological order: (name, states, position,
+        # parent positions, cumulative table as nested lists).
+        graph = self.graph
+        positions = graph._positions
         plan = []
         for name in self.topological_order:
-            spec = self.graph.variable_map[name]
-            plan.append((name, spec.states, self.graph.parents_of(name), self.cpts[name].rows))
+            pos = positions[name]
+            parents = tuple(positions[p] for p in graph.parents_of(name))
+            plan.append((name, graph.variable_map[name].states, pos, parents, cumulative(self.table(pos)).tolist()))
         return tuple(plan)
 
 
@@ -422,7 +441,7 @@ def _plan(graph: CausalGraph, forced: frozenset[str], evidence: frozenset[str], 
             scopes.append(tuple(a for a in axes if a not in pinned))
 
     cards = {v.name: len(v.states) for v in graph.variables}
-    position = {n: i for i, n in enumerate(graph.names)}
+    position = graph._positions
     live = list(range(len(scopes)))
     hidden = {a for s in scopes for a in s} - set(targets)
     steps = []
@@ -616,25 +635,91 @@ def interventional_marginal(
     return tuple(p / total for p in mass)
 
 
+def cumulative(table: np.ndarray) -> np.ndarray:
+    """Row-wise cumulative sums of a table, for inverse-CDF draws.
+
+    From each row's last state with positive mass on, the entries are
+    +inf. The state drawn for a uniform u in [0, 1) is the first whose
+    entry exceeds u (equally, the number of entries at or below u), so
+    a draw beyond the row's float sum lands on the last state with
+    mass, and a zero-mass state is never drawn.
+    """
+    cum = np.cumsum(table, axis=-1)
+    card = table.shape[-1]
+    last = card - 1 - np.argmax(table[..., ::-1] > 0.0, axis=-1)
+    cum[np.arange(card) >= last[..., None]] = np.inf
+    return cum
+
+
 def sample(model: CausalModel, rng: np.random.Generator) -> dict[str, str]:
     """Draw one full assignment by ancestral sampling.
 
     Variables are visited in the cached topological order; each is drawn
-    from its CPT row given the already-sampled parents. All randomness
-    comes from ``rng``, so a given generator state fixes the draw.
+    from its CPT row given the already-sampled parents, with one
+    ``rng.random()`` per variable. All randomness comes from ``rng``, so
+    a given generator state fixes the draw.
     """
+    codes = [0] * len(model.graph.variables)
     out: dict[str, str] = {}
-    for name, states, pnames, rows in model._sampler_plan:
-        row = rows[tuple(out[p] for p in pnames)]
-        u = rng.random()
-        acc = 0.0
-        for i, p in enumerate(row):
-            acc += p
-            if u < acc:
-                break
-        else:
-            # The draw lies beyond the row's float sum: take the last
-            # state with positive mass, never an impossible one.
-            i = max(j for j, p in enumerate(row) if p > 0.0)
+    for name, states, pos, parents, row in model._sampler:
+        for p in parents:
+            row = row[codes[p]]
+        codes[pos] = i = bisect.bisect_right(row, rng.random())
         out[name] = states[i]
     return out
+
+
+def draw_codes(
+    sampler: tuple[tuple[int, tuple[int, ...], np.ndarray], ...], u: np.ndarray, lead: tuple[np.ndarray, ...] = ()
+) -> np.ndarray:
+    """Ancestral draws for a batch, as state codes.
+
+    ``sampler`` lists, per variable in topological order, its position,
+    its parents' positions and its :func:`cumulative` table, which may
+    carry leading axes indexed by the arrays in ``lead`` (one entry per
+    draw, such as the action each replication took). ``u`` has shape
+    (n, variables): column k is the uniform for the k-th variable in
+    that order. The result has shape (n, variables), columns in
+    declaration order. Each variable costs one gather and one compare.
+    """
+    x = np.empty(u.shape, np.intp)
+    for k, (pos, parents, cum) in enumerate(sampler):
+        rows = cum[(*lead, *[x[:, p] for p in parents])]
+        x[:, pos] = (rows > u[:, k, None]).argmax(axis=1)
+    return x
+
+
+class ReplicatedQuery:
+    """The unnormalized interventional marginal of one target for a
+    batch: the :func:`interventional_marginal` kernel, run with one
+    extra leading replication axis on every table.
+
+    Built once per (graph, intervention, target) from the cached plan;
+    calling it with one table per variable position, each of shape
+    (n, parent cardinalities..., cardinality), returns an (n, target
+    cardinality) array of masses. Only the tables at
+    :attr:`positions` are read.
+    """
+
+    def __init__(self, graph: CausalGraph, intervention: Intervention, target: str):
+        key = (frozenset(intervention), frozenset(), (target,))
+        plan = graph._plans.get(key)
+        if plan is None:
+            plan = graph._plans[key] = _plan(graph, *key)
+        vmap = graph.variable_map
+        codes: dict[str | None, int | slice] = {None: slice(None)}
+        codes.update((name, vmap[name].state_index[state]) for name, state in intervention.items())
+        self.factors = tuple(
+            (pos, None if axes is None else (slice(None), *[codes[a] for a in axes])) for pos, axes in plan.factors
+        )
+        self.steps = tuple(
+            (used, ",".join("..." + term for term in lhs.split(",")) + "->..." + rhs)
+            for used, (lhs, rhs) in ((used, sub.split("->")) for used, sub in plan.steps)
+        )
+        self.positions = frozenset(pos for pos, _ in plan.factors)
+
+    def __call__(self, tables: list[np.ndarray]) -> np.ndarray:
+        slots = [tables[pos] if index is None else tables[pos][index] for pos, index in self.factors]
+        for used, subscripts in self.steps:
+            slots.append(np.einsum(subscripts, *[slots[i] for i in used]))
+        return slots[-1]

@@ -4,7 +4,10 @@ interventions, and a utility over one target variable.
 Stepping the environment applies the chosen action's surgery to the
 truth, draws one full outcome by ancestral sampling, and pays the
 utility of the realized target state. The truth model itself is never
-modified; surgeries act on cached mutilated copies.
+modified; surgeries act on cached mutilated copies. :func:`draw` is the
+batched step: one outcome per replication, each under its own action,
+from cumulative tables cached once per environment with a leading
+action axis (a forced variable's rows are one-hot on its forced state).
 
 ``medic_scenario`` builds the running example used throughout the test
 suite and documentation: a binary confounder D (disease severity)
@@ -15,18 +18,20 @@ reward of not treating looks better than its interventional reward.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
 
 import numpy as np
 
 from .agents import Action, UtilityFunction, _check_action_set, _check_utility
-from .cgm import CausalModel, ensure_valid, intervene, sample
+from .cgm import CausalModel, cumulative, draw_codes, ensure_valid, intervene, sample
 from . import model_io
 
 __all__ = [
     "Environment",
     "StepRecord",
     "step",
+    "draw",
     "medic_scenario",
     "load_environment",
     "environment_block_to_dict",
@@ -70,6 +75,41 @@ class Environment:
             self._mutilated[a.label] = intervene(self.truth, a.intervention)
             self._action_by_label[a.label] = a
 
+    @cached_property
+    def _sampler(self) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
+        # Per variable in topological order: (position, parent positions,
+        # cumulative table of shape (actions, parent cardinalities...,
+        # cardinality)). Under an action that forces the variable, every
+        # row is one-hot on the forced state.
+        graph = self.truth.graph
+        positions = graph._positions
+        plan = []
+        for name in graph.topological_order:
+            pos = positions[name]
+            table = self.truth.table(pos)
+            per_action = []
+            for a in self.actions:
+                forced = a.intervention.get(name)
+                if forced is None:
+                    per_action.append(table)
+                else:
+                    one_hot = np.zeros_like(table)
+                    one_hot[..., graph.variable_map[name].state_index[forced]] = 1.0
+                    per_action.append(one_hot)
+            parents = tuple(positions[p] for p in graph.parents_of(name))
+            plan.append((pos, parents, cumulative(np.stack(per_action))))
+        return tuple(plan)
+
+    @cached_property
+    def _payoff(self) -> np.ndarray:
+        """The utility of each target state, indexed by state code."""
+        return np.array([self.utility[s] for s in self.truth.graph.variable_map[self.target].states])
+
+    @cached_property
+    def _target_position(self) -> int:
+        """The target's position in the model's declaration order."""
+        return self.truth.graph._positions[self.target]
+
 
 def step(env: Environment, action: Action, rng: np.random.Generator) -> StepRecord:
     """Take one action: surgically force it, sample a world, pay out."""
@@ -78,6 +118,20 @@ def step(env: Environment, action: Action, rng: np.random.Generator) -> StepReco
         raise ValueError(f"unknown-action: {action.label!r} is not in this environment")
     realized = sample(env._mutilated[action.label], rng)
     return StepRecord(action.label, realized, env.utility[realized[env.target]])
+
+
+def draw(env: Environment, actions: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Batched step: one full outcome per replication, as state codes.
+
+    ``actions`` holds one action index per replication; ``u`` has shape
+    (replications, variables) and supplies, per replication, one
+    uniform per variable in the truth's topological order. Returns an
+    (replications, variables) array of state codes, columns in the
+    truth's declaration order. Given the same uniform for each
+    variable, a replication's outcome is the one :func:`step` draws
+    for the same action.
+    """
+    return draw_codes(env._sampler, u, (actions,))
 
 
 def medic_scenario() -> Environment:

@@ -6,35 +6,40 @@ worlds: per round, each one chooses an action, the environment steps
 once for that agent alone, and the agent learns from its own outcome.
 Nothing is shared between agents or between replications.
 
-Randomness is carved into substreams keyed by (master seed, replication
-index, agent label), so any execution order over replications, serial
-or process-parallel, yields bit-identical trajectories. Aggregation
-then averages rewards per round across replications and also reports
-the running cumulative mean, which is what the convergence check and
-the reports consume.
+The engine runs replications in blocks of ``BLOCK_SIZE``. Within a
+block, each agent advances all of its replications together, one array
+step per stage of a round: a vectorized choice
+(:class:`~causalsim.agents.BatchPolicy`), one batched ancestral draw
+from the truth under each replication's action
+(:func:`~causalsim.environment.draw`), and a vectorized update. Agents
+never interact, so running them one after another inside a block is
+equivalent to interleaving them round by round.
+
+Randomness is carved into streams keyed by (master seed, block index,
+agent label). Each stream is drawn once per block, replication-major,
+as an array of uniforms of shape (replications in the block, rounds,
+2 + variables); see :func:`_run_block` for how the columns are used. A
+replication's trajectory therefore depends neither on roster order,
+nor on whether blocks run serially or in worker processes, nor on how
+many replications the run has in total. The trial log keeps every
+agent's action indices and rewards as (replications, rounds) arrays.
+Aggregation averages rewards per round across replications and also
+reports the running cumulative mean, which is what the convergence
+check and the reports consume.
 """
 
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import repeat
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .agents import (
-    AgentRecord,
-    CausalAgentState,
-    QAgentState,
-    causal_choose,
-    causal_learn,
-    q_choose,
-    q_learn,
-    random_choose,
-)
-from .beliefs import init_uniform
-from .environment import Environment, step
+from .agents import CHOICE_DRAWS, AgentRecord, CausalBatch, QBatch, RandomBatch
+from .environment import Environment, draw
 from . import model_io
 
 __all__ = [
@@ -58,6 +63,14 @@ __all__ = [
 MAX_SEED = 2**64 - 1
 
 
+class _FieldError(ValueError):
+    """An out-of-range config value; ``field`` names the offending key."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class CausalAgentConfig:
     """Causal expected-utility agent: uniform Dirichlet prior weight and
@@ -68,9 +81,9 @@ class CausalAgentConfig:
 
     def __post_init__(self) -> None:
         if not self.prior_alpha > 0.0:
-            raise ValueError(f"nonpositive-alpha: prior weight must be positive, got {self.prior_alpha!r}")
+            raise _FieldError("prior_alpha", f"nonpositive-alpha: prior weight must be positive, got {self.prior_alpha!r}")
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"exploration rate must lie in [0, 1], got {self.epsilon!r}")
+            raise _FieldError("epsilon", f"exploration rate must lie in [0, 1], got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -83,11 +96,11 @@ class QLearningConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"learning rate must lie in (0, 1], got {self.alpha!r}")
+            raise _FieldError("alpha", f"learning rate must lie in (0, 1], got {self.alpha!r}")
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"exploration rate must lie in [0, 1], got {self.epsilon!r}")
+            raise _FieldError("epsilon", f"exploration rate must lie in [0, 1], got {self.epsilon!r}")
         if not np.isfinite(self.q0):
-            raise ValueError(f"initial value must be finite, got {self.q0!r}")
+            raise _FieldError("q0", f"initial value must be finite, got {self.q0!r}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +115,9 @@ _AGENT_KINDS: dict[str, type] = {
     "qlearning": QLearningConfig,
     "random": RandomConfig,
 }
+
+
+_POLICIES = {"causal": CausalBatch, "qlearning": QBatch, "random": RandomBatch}
 
 
 def default_agents() -> dict[str, AgentConfig]:
@@ -132,19 +148,19 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if not isinstance(self.rounds, int) or isinstance(self.rounds, bool) or self.rounds < 1:
-            raise ValueError(f"rounds must be a positive integer, got {self.rounds!r}")
+            raise _FieldError("rounds", f"rounds must be a positive integer, got {self.rounds!r}")
         if (
             not isinstance(self.replications, int)
             or isinstance(self.replications, bool)
             or self.replications < 1
         ):
-            raise ValueError(f"replications must be a positive integer, got {self.replications!r}")
+            raise _FieldError("replications", f"replications must be a positive integer, got {self.replications!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed <= MAX_SEED:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+            raise _FieldError("seed", f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"convergence epsilon must be positive, got {self.epsilon!r}")
+            raise _FieldError("epsilon", f"convergence epsilon must be positive, got {self.epsilon!r}")
         if not self.agents:
-            raise ValueError("at least one agent must be configured")
+            raise _FieldError("agents", "at least one agent must be configured")
         for label, acfg in self.agents.items():
             kind = _AGENT_KINDS.get(label)
             if kind is None:
@@ -180,11 +196,46 @@ class ReplicationLog:
         return tuple(AgentRecord(t, a, r) for t, (a, r) in enumerate(pairs, start=1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialLog:
-    """Every replication's full history, ordered by replication index."""
+    """Every replication's full history, as arrays.
 
-    replications: tuple[ReplicationLog, ...]
+    ``actions[label]`` holds one agent's action indices into
+    ``action_labels`` and ``rewards[label]`` its rewards, both of shape
+    (replications, rounds), replications in index order and agents in
+    roster order.
+    """
+
+    action_labels: tuple[str, ...]
+    actions: Mapping[str, np.ndarray]
+    rewards: Mapping[str, np.ndarray]
+
+    @cached_property
+    def replications(self) -> tuple[ReplicationLog, ...]:
+        """The same history as one :class:`ReplicationLog` per replication."""
+        names = np.array(self.action_labels, dtype=object)
+        actions = {label: names[a].tolist() for label, a in self.actions.items()}
+        rewards = {label: r.tolist() for label, r in self.rewards.items()}
+        count = len(next(iter(self.rewards.values())))
+        return tuple(
+            ReplicationLog(
+                i,
+                {label: tuple(rows[i]) for label, rows in actions.items()},
+                {label: tuple(rows[i]) for label, rows in rewards.items()},
+            )
+            for i in range(count)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrialLog):
+            return NotImplemented
+        return (
+            self.action_labels == other.action_labels
+            and list(self.actions) == list(other.actions)
+            and list(self.rewards) == list(other.rewards)
+            and all(np.array_equal(a, other.actions[k]) for k, a in self.actions.items())
+            and all(np.array_equal(r, other.rewards[k]) for k, r in self.rewards.items())
+        )
 
 
 @dataclass(frozen=True)
@@ -266,9 +317,15 @@ def config_from_dict(data: Any, *, doc: str = "$") -> ExperimentConfig:
                 if not isinstance(pval, (int, float)) or isinstance(pval, bool):
                     raise model_io.FormatError(f"{where}.{pkey}", "expected a number")
                 params[pkey] = float(pval)
-            agents[label] = kind(**params)
+            try:
+                agents[label] = kind(**params)
+            except _FieldError as e:
+                raise model_io.FormatError(f"{where}.{e.field}", str(e)) from None
         kwargs["agents"] = agents
-    return ExperimentConfig(**kwargs)
+    try:
+        return ExperimentConfig(**kwargs)
+    except _FieldError as e:
+        raise model_io.FormatError(f"{doc}.{e.field}", str(e)) from None
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
@@ -276,89 +333,46 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     return config_from_dict(model_io.read_json(path), doc=path)
 
 
-class _CausalDriver:
-    """Wraps the functional causal-agent ops in a mutable per-run shell."""
-
-    def __init__(self, cfg: CausalAgentConfig, env: Environment):
-        beliefs = init_uniform(env.truth.graph, cfg.prior_alpha)
-        self.state = CausalAgentState(beliefs, env.actions, env.target, env.utility)
-        self.epsilon = cfg.epsilon
-
-    def choose(self, rng: np.random.Generator) -> int:
-        if self.epsilon > 0.0 and rng.random() < self.epsilon:
-            return int(rng.integers(len(self.state.actions)))
-        return causal_choose(self.state)
-
-    def learn(self, index: int, realized: Mapping[str, str], reward: float) -> None:
-        self.state = causal_learn(self.state, self.state.actions[index], realized)
+# Replications are simulated in blocks of this many. A block's random
+# streams are keyed by its index, so changing it changes trajectories.
+BLOCK_SIZE = 256
 
 
-class _QDriver:
-    def __init__(self, cfg: QLearningConfig, env: Environment):
-        self.state = QAgentState({a.label: cfg.q0 for a in env.actions}, cfg.alpha, cfg.epsilon)
+def _block_stream(seed: int, block: int, label: str) -> np.random.Generator:
+    """The stream one agent draws from within one block of replications.
 
-    def choose(self, rng: np.random.Generator) -> int:
-        return q_choose(self.state, rng)
-
-    def learn(self, index: int, realized: Mapping[str, str], reward: float) -> None:
-        self.state = q_learn(self.state, index, reward)
-
-
-class _RandomDriver:
-    def __init__(self, cfg: RandomConfig, env: Environment):
-        self.actions = env.actions
-
-    def choose(self, rng: np.random.Generator) -> int:
-        return random_choose(self.actions, rng)
-
-    def learn(self, index: int, realized: Mapping[str, str], reward: float) -> None:
-        pass
-
-
-_DRIVERS = {"causal": _CausalDriver, "qlearning": _QDriver, "random": _RandomDriver}
-
-
-def _agent_stream(seed: int, rep: int, label: str) -> np.random.Generator:
-    """The substream owned by one agent within one replication.
-
-    Keyed by (master seed, replication, hashed label), so trajectories
-    do not depend on roster order or on which replications run where.
+    Keyed by (master seed, block, hashed label), so trajectories do not
+    depend on roster order or on which blocks run where.
     """
     key = zlib.crc32(label.encode("utf-8"))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, rep, key))))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block, key))))
 
 
-def _run_replication(env: Environment, cfg: ExperimentConfig, rep: int) -> ReplicationLog:
-    # Agents never interact, so running them one after another inside a
-    # replication is equivalent to interleaving them round by round.
-    actions_out: dict[str, tuple[str, ...]] = {}
-    rewards_out: dict[str, tuple[float, ...]] = {}
-    env_actions = env.actions
+def _run_block(env: Environment, cfg: ExperimentConfig, block: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Every agent's (actions, rewards), each (replications, rounds), for
+    the replications of one block."""
+    n = min(BLOCK_SIZE, cfg.replications - block * BLOCK_SIZE)
+    width = CHOICE_DRAWS + len(env.truth.graph.variables)
+    payoff, target = env._payoff, env._target_position
+    out = {}
     for label, acfg in cfg.agents.items():
-        driver = _DRIVERS[label](acfg, env)
-        rng = _agent_stream(cfg.seed, rep, label)
-        acts: list[str] = []
-        rews: list[float] = []
-        for _ in range(cfg.rounds):
-            i = driver.choose(rng)
-            rec = step(env, env_actions[i], rng)
-            driver.learn(i, rec.realized, rec.reward)
-            acts.append(rec.action)
-            rews.append(rec.reward)
-        actions_out[label] = tuple(acts)
-        rewards_out[label] = tuple(rews)
-    return ReplicationLog(rep, actions_out, rewards_out)
-
-
-def _run_chunk(args: tuple[Environment, ExperimentConfig, list[int]]) -> list[ReplicationLog]:
-    env, cfg, reps = args
-    return [_run_replication(env, cfg, r) for r in reps]
-
-
-def _chunk_indices(n: int, workers: int) -> list[list[int]]:
-    chunks = max(1, min(n, workers * 4))
-    bounds = np.linspace(0, n, chunks + 1, dtype=int)
-    return [list(range(bounds[i], bounds[i + 1])) for i in range(chunks) if bounds[i] < bounds[i + 1]]
+        # Replication-major, so a replication's uniforms do not depend on
+        # how many replications follow it in the block. Per round, the
+        # first CHOICE_DRAWS columns feed the choice and the rest the
+        # draw, one per variable in the truth's topological order.
+        u = _block_stream(cfg.seed, block, label).random((n, cfg.rounds, width))
+        policy = _POLICIES[label](env, acfg, n)
+        actions = np.empty((n, cfg.rounds), np.min_scalar_type(len(env.actions) - 1))
+        rewards = np.empty((n, cfg.rounds))
+        for t in range(cfg.rounds):
+            ut = u[:, t]
+            a = policy.choose(ut[:, :CHOICE_DRAWS])
+            x = draw(env, a, ut[:, CHOICE_DRAWS:])
+            policy.learn(a, x)
+            actions[:, t] = a
+            rewards[:, t] = payoff[x[:, target]]
+        out[label] = (actions, rewards)
+    return out
 
 
 def run_experiment(
@@ -366,33 +380,36 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every configured agent for the configured replications.
 
-    ``workers`` > 1 spreads replications over that many processes.
-    Because every replication owns its substreams and results are
-    merged by replication index, the output is identical to a serial
-    run, byte for byte once written.
+    ``workers`` > 1 spreads the blocks of replications over at most that
+    many processes. Because every block owns its streams and results
+    are merged in block order, the output is identical to a serial run,
+    byte for byte once written.
     """
     if workers is not None and (not isinstance(workers, int) or workers < 1):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    if workers is not None and workers > 1 and cfg.replications > 1:
-        tasks = [(env, cfg, chunk) for chunk in _chunk_indices(cfg.replications, workers)]
-        logs: list[ReplicationLog] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk_logs in pool.map(_run_chunk, tasks):
-                logs.extend(chunk_logs)
-        logs.sort(key=lambda log: log.replication)
+    blocks = range(-(-cfg.replications // BLOCK_SIZE))
+    if workers is not None and workers > 1 and len(blocks) > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(min(workers, len(blocks)), mp_context=context) as pool:
+            parts = list(pool.map(_run_block, repeat(env), repeat(cfg), blocks))
     else:
-        logs = [_run_replication(env, cfg, r) for r in range(cfg.replications)]
+        parts = [_run_block(env, cfg, b) for b in blocks]
+    log = TrialLog(
+        tuple(a.label for a in env.actions),
+        {label: np.concatenate([p[label][0] for p in parts]) for label in cfg.agents},
+        {label: np.concatenate([p[label][1] for p in parts]) for label in cfg.agents},
+    )
 
     series = []
     denominators = np.arange(1, cfg.rounds + 1, dtype=np.float64)
     for label in cfg.agents:
-        arr = np.array([log.rewards[label] for log in logs], dtype=np.float64)
-        values = arr.mean(axis=0)
+        values = log.rewards[label].mean(axis=0)
         cumulative = np.cumsum(values) / denominators
-        series.append(
-            RoundSeries(label, tuple(float(v) for v in values), tuple(float(c) for c in cumulative))
-        )
-    return ExperimentResult(tuple(series), TrialLog(tuple(logs)))
+        series.append(RoundSeries(label, tuple(values.tolist()), tuple(cumulative.tolist())))
+    return ExperimentResult(tuple(series), log)
 
 
 def _series_values(series: RoundSeries | Sequence[float] | Iterable[float]) -> tuple[float, ...]:

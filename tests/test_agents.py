@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 
 from causalsim import (
     Action,
+    BeliefState,
+    CausalAgentConfig,
     CausalAgentState,
+    Environment,
     QAgentState,
+    QLearningConfig,
     best_action,
     causal_choose,
     causal_learn,
@@ -22,6 +26,9 @@ from causalsim import (
     random_choose,
     update,
 )
+from causalsim.agents import CHOICE_DRAWS, CausalBatch, QBatch, RandomBatch
+from causalsim.beliefs import CountBeliefs
+from causalsim.environment import draw
 
 import oracle
 
@@ -230,3 +237,118 @@ def test_posterior_mean_feeds_choice_like_a_real_model(medic_model):
     truth_choice = best_action(medic_model, state.actions, "Y", WIN)
     mean_choice = best_action(posterior_mean(b), state.actions, "Y", WIN)
     assert truth_choice == 1 and mean_choice == 0  # prior hides the gap
+
+
+# batched policies against the scalar functions
+
+
+def _count_arrays(beliefs):
+    """The dict-based pseudo-counts as one array per CPT, in table layout."""
+    return [
+        np.array([beliefs.counts[name][c] for c in configs]).reshape(shape)
+        for name, configs, shape, _ in beliefs.graph._table_layout
+    ]
+
+
+def _realized(graph, codes):
+    return {v.name: v.states[c] for v, c in zip(graph.variables, codes)}
+
+
+def test_batched_causal_agent_matches_causal_choose_and_causal_learn():
+    # Same counts, same argmax, exact ties included: uniform priors tie
+    # every action, and the repeated last intervention ties with itself.
+    rnd = random.Random(404)
+    rng = np.random.default_rng(404)
+    greedy = np.ones((6, CHOICE_DRAWS))
+    for _ in range(12):
+        model, target, interventions = oracle.random_decision_problem(rnd)
+        interventions.append(interventions[-1])
+        actions = tuple(Action(f"a{i}", iv) for i, iv in enumerate(interventions))
+        states = model.graph.variable_map[target].states
+        utility = {states[0]: 0.0, states[1]: 1.0}
+        env = Environment(model, actions, target, utility)
+        alpha = rnd.choice((1.0, 0.5, 2.0))
+        batch = CausalBatch(env, CausalAgentConfig(prior_alpha=alpha), len(greedy))
+        scalar = [CausalAgentState(init_uniform(model.graph, alpha), actions, target, utility)] * len(greedy)
+        for _ in range(10):
+            assert batch.choose(greedy).tolist() == [causal_choose(s) for s in scalar]
+            taken = rng.integers(len(actions), size=len(greedy))
+            x = draw(env, taken, rng.random((len(greedy), len(model.graph.variables))))
+            batch.learn(taken, x)
+            scalar = [causal_learn(s, actions[a], _realized(model.graph, c)) for s, a, c in zip(scalar, taken, x)]
+            for r, s in enumerate(scalar):
+                for pos, counts in enumerate(_count_arrays(s.beliefs)):
+                    assert np.array_equal(batch.beliefs.counts[pos][r], counts)
+
+
+def test_batched_causal_choice_equals_best_action_on_the_posterior_mean(medic_env):
+    rng = np.random.default_rng(5)
+    batch = CausalBatch(medic_env, CausalAgentConfig(), 40)
+    # Small integer counts make near and exact ties between the arms common.
+    for counts in batch.beliefs.counts:
+        counts[...] = rng.integers(1, 4, size=counts.shape)
+    chosen = batch.choose(np.ones((40, CHOICE_DRAWS)))
+    for r in range(40):
+        beliefs = init_uniform(medic_env.truth.graph)
+        rows = {
+            name: dict(zip(configs, map(tuple, batch.beliefs.counts[pos][r].reshape(-1, shape[-1]).tolist())))
+            for pos, (name, configs, shape, _) in enumerate(beliefs.graph._table_layout)
+        }
+        model = posterior_mean(BeliefState(beliefs.graph, rows))
+        assert chosen[r] == best_action(model, medic_env.actions, medic_env.target, medic_env.utility)
+
+
+def test_batched_q_learner_matches_q_choose_and_q_learn(medic_env):
+    rng = np.random.default_rng(77)
+    n = 8
+    batch = QBatch(medic_env, QLearningConfig(alpha=0.3, epsilon=0.0, q0=0.5), n)
+    labels = [a.label for a in medic_env.actions]
+    scalar = [QAgentState(dict.fromkeys(labels, 0.5), alpha=0.3, epsilon=0.0)] * n
+    for _ in range(40):
+        assert batch.choose(np.ones((n, CHOICE_DRAWS))).tolist() == [q_choose(s, rng) for s in scalar]
+        taken = rng.integers(len(labels), size=n)
+        x = draw(medic_env, taken, rng.random((n, 3)))
+        batch.learn(taken, x)
+        graph = medic_env.truth.graph
+        rewards = [medic_env.utility[_realized(graph, c)["Y"]] for c in x]
+        scalar = [q_learn(s, int(a), r) for s, a, r in zip(scalar, taken, rewards)]
+        assert batch.q.tolist() == [list(s.q.values()) for s in scalar]
+
+
+def test_batched_exploration_is_uniform_over_the_menu(medic_env):
+    u = np.random.default_rng(3).random((20_000, CHOICE_DRAWS))
+    for policy in (
+        CausalBatch(medic_env, CausalAgentConfig(epsilon=1.0), len(u)),
+        QBatch(medic_env, QLearningConfig(epsilon=1.0), len(u)),
+        RandomBatch(medic_env, None, len(u)),
+    ):
+        chosen = policy.choose(u)
+        assert chosen.mean() == pytest.approx(0.5, abs=0.02)
+    # Exploring exactly where u[:, 0] < epsilon.
+    q = QBatch(medic_env, QLearningConfig(epsilon=0.25, q0=1.0), len(u))
+    explored = q.choose(u) != 0
+    assert np.array_equal(explored, (u[:, 0] < 0.25) & (u[:, 1] >= 0.5))
+
+
+def test_batched_updates_never_touch_the_forced_variable(medic_env):
+    # Gate criterion 6's property for the engine's beliefs: round-robin
+    # treatment and no-treatment outcomes, T's counts stay at the prior.
+    truth = medic_env.truth
+    batch = CausalBatch(medic_env, CausalAgentConfig(), 4)
+    prior = [c.copy() for c in batch.beliefs.counts]
+    rng = np.random.default_rng(20240817)
+    for k in range(2_500):
+        taken = np.full(4, k % 2)
+        batch.learn(taken, draw(medic_env, taken, rng.random((4, 3))))
+    t = truth.graph._positions["T"]
+    assert np.array_equal(batch.beliefs.counts[t], prior[t])
+    added = sum((c - p).sum() for c, p in zip(batch.beliefs.counts, prior))
+    assert added == 4 * 2_500 * 2  # variables minus forced, per update
+    for name in ("D", "Y"):
+        pos = truth.graph._positions[name]
+        assert np.abs(batch.beliefs.posterior(pos) - truth.table(pos)).max() <= 0.05
+
+
+def test_count_beliefs_reject_nonpositive_prior(medic_model):
+    with pytest.raises(ValueError, match="nonpositive-alpha"):
+        CountBeliefs(medic_model.graph, 0.0, 3)

@@ -24,8 +24,10 @@ from causalsim import (
     sample,
     validate,
 )
-from causalsim import model_from_dict
+from causalsim import Action, Environment, model_from_dict
 from causalsim.beliefs import init_uniform, posterior_mean, update
+from causalsim.cgm import ReplicatedQuery
+from causalsim.environment import draw
 
 import oracle
 
@@ -575,3 +577,52 @@ def test_posterior_models_share_their_graphs_plan(medic_model):
         for t in "01":
             interventional_marginal(posterior_mean(beliefs), {"T": t}, "Y")
     assert len(graph._plans) == 1
+
+
+class _Uniforms:
+    """Stands in for a generator: hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_batched_draw_matches_scalar_sampling_on_the_same_uniforms(data):
+    # Zero entries and deterministic rows included: the batched draw
+    # and the scalar sampler pick the same state for the same uniform,
+    # and neither ever picks a state of zero probability.
+    model = data.draw(_models())
+    forced, _ = data.draw(_split(model))
+    target = data.draw(st.sampled_from([n for n in model.graph.names if n not in forced]))
+    states = model.graph.variable_map[target].states
+    env = Environment(model, (Action("act", forced),), target, {s: float(i) for i, s in enumerate(states)})
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    u = rng.random((32, len(model.graph.names)))
+    u[0] = 0.0
+    u[1] = 1.0 - 2.0**-53
+    x = draw(env, np.zeros(len(u), dtype=np.intp), u)
+    cut = intervene(model, forced)
+    for row, codes in zip(u, x):
+        by_name = dict(zip(model.topological_order, row))
+        got = sample(cut, _Uniforms([by_name[n] for n in cut.topological_order]))
+        assert got == {v.name: v.states[c] for v, c in zip(model.graph.variables, codes)}
+        assert joint_probability(cut, got) > 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_replicated_query_matches_interventional_marginal(data):
+    model = data.draw(_models())
+    target, forced = data.draw(_split(model))
+    variable = next(iter(target))
+    flat = posterior_mean(init_uniform(model.graph))
+    models = (model, flat, model)
+    positions = range(len(model.graph.variables))
+    tables = [np.stack([m.table(pos) for m in models]) for pos in positions]
+    mass = ReplicatedQuery(model.graph, forced, variable)(tables)
+    for got, m in zip(mass, models):
+        assert tuple(got / got.sum()) == pytest.approx(interventional_marginal(m, forced, variable), abs=1e-12)

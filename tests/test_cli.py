@@ -1,6 +1,9 @@
 """Command-line behavior: outputs, overrides, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -188,6 +191,35 @@ def test_simulate_rejects_zero_rounds(capsys, tmp_path):
     )
     assert code == 1
     assert "positive integer" in err
+
+
+def test_simulate_in_worker_processes_writes_the_serial_bytes(capsys, tmp_path):
+    # 300 replications span two blocks, so --workers 2 starts two processes.
+    args = ["simulate", "--model", MODEL, "--experiment", EXPERIMENT, "--rounds", "5", "--reps", "300"]
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    assert run_cli(capsys, *args, "--out", str(serial))[0] == 0
+    assert run_cli(capsys, *args, "--out", str(parallel), "--workers", "2")[0] == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_simulate_reports_the_path_of_an_out_of_range_value(capsys, tmp_path):
+    doc = json.loads(Path(EXPERIMENT).read_text(encoding="utf-8"))
+    doc["agents"]["qlearning"]["alpha"] = 5
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(
+        capsys, "simulate", "--model", MODEL, "--experiment", str(exp), "--out", str(tmp_path / "x.csv")
+    )
+    assert code == 2
+    assert f"{exp}.agents.qlearning.alpha: learning rate must lie in (0, 1], got 5.0" in err
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # The pool is imported only by a run that spreads blocks over workers.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, causalsim.cli; print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_module_entry_point_matches_cli(capsys):

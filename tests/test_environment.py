@@ -1,6 +1,7 @@
 """The simulated world: stepping, the confounded medic example, loading."""
 
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -8,15 +9,23 @@ import pytest
 
 from causalsim import (
     Action,
+    CausalGraph,
+    CausalModel,
+    Cpt,
     Environment,
+    VariableSpec,
     FormatError,
     environment_block_to_dict,
+    interventional_marginal,
     interventional_query,
     load_environment,
     query,
     save_model,
     step,
 )
+from causalsim.environment import draw
+
+import oracle
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample"
 
@@ -82,6 +91,46 @@ def test_step_long_run_means_match_the_interventional_truth(medic_env):
     for action, want in ((medic_env.actions[1], 0.87), (medic_env.actions[0], 0.52)):
         total = sum(step(medic_env, action, rng).reward for _ in range(n))
         assert total / n == pytest.approx(want, abs=0.01)
+
+
+def _one_row_env(row):
+    # A is the target, drawn from ``row``; the only action forces B.
+    graph = CausalGraph((VariableSpec("A", ("x", "y", "z")), VariableSpec("B", ("0", "1"))), {})
+    truth = CausalModel(graph, {"A": Cpt("A", {(): row}), "B": Cpt("B", {(): (0.5, 0.5)})})
+    return Environment(truth, (Action("set-b", {"B": "1"}),), "A", {"x": 0.0, "y": 1.0, "z": 2.0})
+
+
+def test_batched_draw_falls_back_to_the_last_state_with_mass():
+    # The row sums to 1 - 5e-10, within tolerance; a draw above that sum
+    # must not land on the zero-mass last state.
+    u = np.array([[0.9999999999, 0.25]])
+    env = _one_row_env((0.5, 0.4999999995, 0.0))
+    assert draw(env, np.array([0]), u).tolist() == [[1, 1]]
+    positive = _one_row_env((0.5, 0.2499999995, 0.25))
+    assert draw(positive, np.array([0]), u).tolist() == [[2, 1]]
+
+
+def test_batched_draw_frequencies_match_the_interventional_marginals(medic_env):
+    rnd = random.Random(12)
+    envs = [medic_env]
+    for _ in range(3):
+        model, target, interventions = oracle.random_decision_problem(rnd)
+        states = model.graph.variable_map[target].states
+        actions = tuple(Action(f"a{i}", iv) for i, iv in enumerate(interventions))
+        envs.append(Environment(model, actions, target, {states[0]: 0.0, states[1]: 1.0}))
+    rng = np.random.default_rng(12)
+    n = 20_000
+    for env in envs:
+        variables = env.truth.graph.variables
+        for i, action in enumerate(env.actions):
+            x = draw(env, np.full(n, i), rng.random((n, len(variables))))
+            for pos, v in enumerate(variables):
+                freq = np.bincount(x[:, pos], minlength=len(v.states)) / n
+                if v.name in action.intervention:
+                    assert freq.tolist() == [float(s == action.intervention[v.name]) for s in v.states]
+                else:
+                    want = interventional_marginal(env.truth, action.intervention, v.name)
+                    assert freq == pytest.approx(want, abs=0.02)
 
 
 def test_environment_validation(medic_env):

@@ -22,6 +22,7 @@ from causalsim import (
     load_experiment_config,
     run_experiment,
 )
+from causalsim.experiment import BLOCK_SIZE
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample"
 
@@ -118,6 +119,27 @@ def test_config_from_dict_rejects_garbage():
         config_from_dict(17)
 
 
+@pytest.mark.parametrize(
+    "doc, path, message",
+    [
+        ({"agents": {"qlearning": {"alpha": 5}}}, "$.agents.qlearning.alpha", "learning rate must lie in (0, 1], got 5.0"),
+        ({"rounds": 0}, "$.rounds", "rounds must be a positive integer, got 0"),
+        ({"replications": -2}, "$.replications", "replications must be a positive integer, got -2"),
+        ({"seed": 2**64}, "$.seed", f"seed must be a 64-bit unsigned integer, got {2**64}"),
+        ({"epsilon": 0}, "$.epsilon", "convergence epsilon must be positive, got 0.0"),
+        ({"agents": {}}, "$.agents", "at least one agent must be configured"),
+        ({"agents": {"causal": {"prior_alpha": 0}}}, "$.agents.causal.prior_alpha", "nonpositive-alpha"),
+        ({"agents": {"causal": {"epsilon": 2}}}, "$.agents.causal.epsilon", "exploration rate must lie in [0, 1]"),
+        ({"agents": {"qlearning": {"epsilon": -1}}}, "$.agents.qlearning.epsilon", "exploration rate must lie"),
+    ],
+)
+def test_config_from_dict_names_the_path_of_an_out_of_range_value(doc, path, message):
+    with pytest.raises(FormatError) as caught:
+        config_from_dict(doc)
+    assert caught.value.path == path
+    assert str(caught.value).startswith(f"{path}: {message}")
+
+
 def test_load_experiment_config_reads_the_shipped_sample():
     cfg = load_experiment_config(str(SAMPLE_DIR / "medic_experiment.json"))
     assert cfg.rounds == 200
@@ -198,6 +220,36 @@ def test_parallel_run_matches_serial_run(medic_env):
     serial = run_experiment(medic_env, cfg)
     parallel = run_experiment(medic_env, cfg, workers=3)
     assert serial == parallel
+
+
+def test_blocks_in_worker_processes_match_a_serial_run(medic_env):
+    # More replications than one block, so two worker processes start.
+    cfg = small_config(rounds=5, replications=BLOCK_SIZE + 44)
+    assert run_experiment(medic_env, cfg) == run_experiment(medic_env, cfg, workers=2)
+
+
+def test_leading_replications_do_not_depend_on_the_replication_count(medic_env):
+    full = run_experiment(medic_env, small_config(rounds=6, replications=BLOCK_SIZE + 20)).trial_log
+    for count in (3, BLOCK_SIZE + 5):
+        part = run_experiment(medic_env, small_config(rounds=6, replications=count)).trial_log
+        for label in full.actions:
+            assert np.array_equal(part.actions[label], full.actions[label][:count])
+            assert np.array_equal(part.rewards[label], full.rewards[label][:count])
+
+
+def test_trial_log_arrays_and_replication_views_agree(medic_env):
+    result = run_experiment(medic_env, small_config(rounds=7, replications=3))
+    log = result.trial_log
+    assert log.action_labels == ("no-treatment", "treatment")
+    assert list(log.actions) == list(log.rewards) == ["causal", "qlearning", "random"]
+    for label in log.actions:
+        assert log.actions[label].shape == log.rewards[label].shape == (3, 7)
+        assert log.actions[label].itemsize == 1
+        for rep in log.replications:
+            names = [log.action_labels[i] for i in log.actions[label][rep.replication]]
+            assert rep.actions[label] == tuple(names)
+            assert rep.rewards[label] == tuple(log.rewards[label][rep.replication].tolist())
+        assert result.series_for(label).values == tuple(log.rewards[label].mean(axis=0).tolist())
 
 
 def test_workers_argument_is_checked(medic_env):
