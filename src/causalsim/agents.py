@@ -27,7 +27,15 @@ from typing import TYPE_CHECKING, Any, Mapping, Protocol, Sequence
 import numpy as np
 
 from .beliefs import BeliefState, CountBeliefs, posterior_mean, update
-from .cgm import Assignment, CausalModel, Intervention, ReplicatedQuery, interventional_marginal
+from .cgm import (
+    MAX_JOINT_STATES,
+    Assignment,
+    CausalModel,
+    Intervention,
+    ReplicatedQuery,
+    _check_joint_cap,
+    interventional_marginal,
+)
 
 if TYPE_CHECKING:
     from .environment import Environment
@@ -264,10 +272,13 @@ class CausalBatch:
 
     Per replication: Dirichlet counts over the truth's graph, scored
     each round on their posterior mean like :func:`causal_choose`, and
-    updated like :func:`causal_learn`.
+    updated like :func:`causal_learn`. Like :func:`causal_choose`, it refuses
+    a model whose full joint exceeds ``MAX_JOINT_STATES`` states.
     """
 
     def __init__(self, env: Environment, cfg: CausalAgentConfig, n: int):
+        # The same refusal as causal_choose's queries on the truth's graph.
+        _check_joint_cap(env.truth, MAX_JOINT_STATES)
         graph = env.truth.graph
         self.beliefs = CountBeliefs(graph, cfg.prior_alpha, n)
         self.epsilon = cfg.epsilon

@@ -29,7 +29,8 @@ models whose full joint exceeds ``MAX_JOINT_STATES`` states (or the
 Sampling is ancestral and has no such cap. A variable's state is drawn
 by inverse CDF from its cumulative table (:func:`cumulative`): the state
 is the first whose cumulative entry exceeds a uniform draw. The scalar
-:func:`sample` and the batched :func:`draw_codes` share that rule.
+:func:`sample` and the batched :func:`~causalsim.environment.draw` share
+that rule.
 
 Models are plain dataclasses. Construction is permissive so that
 :func:`validate` can report every problem in one pass; the query and
@@ -72,7 +73,6 @@ __all__ = [
     "interventional_marginal",
     "sample",
     "cumulative",
-    "draw_codes",
     "ReplicatedQuery",
 ]
 
@@ -213,7 +213,8 @@ class CausalModel:
     @cached_property
     def _sampler(self) -> tuple[tuple[str, tuple[str, ...], int, tuple[int, ...], list], ...]:
         # Per variable in topological order: (name, states, position,
-        # parent positions, cumulative table as nested lists).
+        # parent positions, cumulative table as nested lists). The
+        # environment's batched sampler adds an action axis to this plan.
         graph = self.graph
         positions = graph._positions
         plan = []
@@ -667,26 +668,6 @@ def sample(model: CausalModel, rng: np.random.Generator) -> dict[str, str]:
         codes[pos] = i = bisect.bisect_right(row, rng.random())
         out[name] = states[i]
     return out
-
-
-def draw_codes(
-    sampler: tuple[tuple[int, tuple[int, ...], np.ndarray], ...], u: np.ndarray, lead: tuple[np.ndarray, ...] = ()
-) -> np.ndarray:
-    """Ancestral draws for a batch, as state codes.
-
-    ``sampler`` lists, per variable in topological order, its position,
-    its parents' positions and its :func:`cumulative` table, which may
-    carry leading axes indexed by the arrays in ``lead`` (one entry per
-    draw, such as the action each replication took). ``u`` has shape
-    (n, variables): column k is the uniform for the k-th variable in
-    that order. The result has shape (n, variables), columns in
-    declaration order. Each variable costs one gather and one compare.
-    """
-    x = np.empty(u.shape, np.intp)
-    for k, (pos, parents, cum) in enumerate(sampler):
-        rows = cum[(*lead, *[x[:, p] for p in parents])]
-        x[:, pos] = (rows > u[:, k, None]).argmax(axis=1)
-    return x
 
 
 class ReplicatedQuery:

@@ -24,7 +24,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .agents import Action, UtilityFunction, _check_action_set, _check_utility
-from .cgm import CausalModel, cumulative, draw_codes, ensure_valid, intervene, sample
+from .cgm import CausalModel, ensure_valid, intervene, sample
 from . import model_io
 
 __all__ = [
@@ -77,27 +77,25 @@ class Environment:
 
     @cached_property
     def _sampler(self) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
-        # Per variable in topological order: (position, parent positions,
-        # cumulative table of shape (actions, parent cardinalities...,
-        # cardinality)). Under an action that forces the variable, every
-        # row is one-hot on the forced state.
-        graph = self.truth.graph
-        positions = graph._positions
+        # The truth's sampling plan with a leading action axis on every
+        # cumulative table: per variable in topological order, (position,
+        # parent positions, table of shape (actions, parent
+        # cardinalities..., cardinality)). Under an action that forces the
+        # variable, every row is the cumulative table of a one-hot row on
+        # the forced state: 0 before it, +inf from it on.
         plan = []
-        for name in graph.topological_order:
-            pos = positions[name]
-            table = self.truth.table(pos)
+        for name, states, pos, parents, cum in self.truth._sampler:
+            free = np.asarray(cum)
+            codes = np.arange(len(states))
             per_action = []
             for a in self.actions:
                 forced = a.intervention.get(name)
                 if forced is None:
-                    per_action.append(table)
+                    per_action.append(free)
                 else:
-                    one_hot = np.zeros_like(table)
-                    one_hot[..., graph.variable_map[name].state_index[forced]] = 1.0
-                    per_action.append(one_hot)
-            parents = tuple(positions[p] for p in graph.parents_of(name))
-            plan.append((pos, parents, cumulative(np.stack(per_action))))
+                    one_hot = np.where(codes >= states.index(forced), np.inf, 0.0)
+                    per_action.append(np.broadcast_to(one_hot, free.shape))
+            plan.append((pos, parents, np.stack(per_action)))
         return tuple(plan)
 
     @cached_property
@@ -129,9 +127,14 @@ def draw(env: Environment, actions: np.ndarray, u: np.ndarray) -> np.ndarray:
     (replications, variables) array of state codes, columns in the
     truth's declaration order. Given the same uniform for each
     variable, a replication's outcome is the one :func:`step` draws
-    for the same action.
+    for the same action. Each variable costs one gather of its
+    cumulative rows and one compare against its uniforms.
     """
-    return draw_codes(env._sampler, u, (actions,))
+    x = np.empty(u.shape, np.intp)
+    for k, (pos, parents, cum) in enumerate(env._sampler):
+        rows = cum[(actions, *[x[:, p] for p in parents])]
+        x[:, pos] = (rows > u[:, k, None]).argmax(axis=1)
+    return x
 
 
 def medic_scenario() -> Environment:

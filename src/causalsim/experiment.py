@@ -34,11 +34,11 @@ import zlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .agents import CHOICE_DRAWS, AgentRecord, CausalBatch, QBatch, RandomBatch
+from .agents import CHOICE_DRAWS, AgentRecord, BatchPolicy, CausalBatch, QBatch, RandomBatch
 from .environment import Environment, draw
 from . import model_io
 
@@ -117,7 +117,7 @@ _AGENT_KINDS: dict[str, type] = {
 }
 
 
-_POLICIES = {"causal": CausalBatch, "qlearning": QBatch, "random": RandomBatch}
+_POLICIES: dict[str, Callable[..., BatchPolicy]] = {"causal": CausalBatch, "qlearning": QBatch, "random": RandomBatch}
 
 
 def default_agents() -> dict[str, AgentConfig]:
@@ -389,11 +389,9 @@ def run_experiment(
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     blocks = range(-(-cfg.replications // BLOCK_SIZE))
     if workers is not None and workers > 1 and len(blocks) > 1:
-        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(min(workers, len(blocks)), mp_context=context) as pool:
+        with ProcessPoolExecutor(min(workers, len(blocks))) as pool:
             parts = list(pool.map(_run_block, repeat(env), repeat(cfg), blocks))
     else:
         parts = [_run_block(env, cfg, b) for b in blocks]

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalsim import (
+    Action,
     CausalAgentConfig,
+    CausalGraph,
+    CausalModel,
+    Cpt,
+    Environment,
     ExperimentConfig,
     FormatError,
     QLearningConfig,
@@ -20,6 +25,7 @@ from causalsim import (
     convergence_index,
     default_agents,
     load_experiment_config,
+    VariableSpec,
     run_experiment,
 )
 from causalsim.experiment import BLOCK_SIZE
@@ -255,6 +261,21 @@ def test_trial_log_arrays_and_replication_views_agree(medic_env):
 def test_workers_argument_is_checked(medic_env):
     with pytest.raises(ValueError, match="workers"):
         run_experiment(medic_env, small_config(), workers=0)
+
+
+def test_causal_agent_refuses_an_oversized_joint_and_the_others_run():
+    # 2^21 joint states, one past the default cap. The causal agent's
+    # queries refuse such a model, as causal_choose does; sampling and the
+    # model-free agents have no cap.
+    variables = tuple(VariableSpec(f"X{i}", ("0", "1")) for i in range(21))
+    graph = CausalGraph(variables, {v.name: () for v in variables})
+    truth = CausalModel(graph, {v.name: Cpt(v.name, {(): (0.5, 0.5)}) for v in variables})
+    actions = (Action("low", {"X0": "0"}), Action("high", {"X0": "1"}))
+    env = Environment(truth, actions, "X1", {"0": 0.0, "1": 1.0})
+    with pytest.raises(ValueError, match="joint too large"):
+        run_experiment(env, small_config(agents={"causal": CausalAgentConfig()}))
+    result = run_experiment(env, small_config(agents={"random": RandomConfig(), "qlearning": QLearningConfig()}))
+    assert result.trial_log.rewards["random"].shape == (4, 10)
 
 
 def test_causal_exploration_rate_reaches_the_driver(medic_env):
