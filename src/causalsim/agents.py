@@ -27,15 +27,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Protocol, Sequence
 import numpy as np
 
 from .beliefs import BeliefState, CountBeliefs, posterior_mean, update
-from .cgm import (
-    MAX_JOINT_STATES,
-    Assignment,
-    CausalModel,
-    Intervention,
-    ReplicatedQuery,
-    _check_joint_cap,
-    interventional_marginal,
-)
+from .cgm import Assignment, CausalModel, ReplicatedQuery, interventional_marginal
 
 if TYPE_CHECKING:
     from .environment import Environment
@@ -277,12 +269,11 @@ class CausalBatch:
     """
 
     def __init__(self, env: Environment, cfg: CausalAgentConfig, n: int):
-        # The same refusal as causal_choose's queries on the truth's graph.
-        _check_joint_cap(env.truth, MAX_JOINT_STATES)
         graph = env.truth.graph
+        # Raises joint too large before any counts are allocated.
+        self.queries = [ReplicatedQuery(graph, a.intervention, env.target) for a in env.actions]
         self.beliefs = CountBeliefs(graph, cfg.prior_alpha, n)
         self.epsilon = cfg.epsilon
-        self.queries = [ReplicatedQuery(graph, a.intervention, env.target) for a in env.actions]
         self.payoff = env._payoff
         # free[a, i]: 1.0 unless action a forces the variable at position i.
         self.free = np.array([[float(v.name not in a.intervention) for v in graph.variables] for a in env.actions])

@@ -73,10 +73,10 @@ def init_uniform(graph: CausalGraph, alpha0: float = 1.0) -> BeliefState:
     """Symmetric prior: every pseudo-count in every row is ``alpha0``.
 
     The graph must be well formed (acyclic, known parents); the prior
-    weight must be positive, since a Dirichlet requires it.
+    weight must be positive and finite, since a Dirichlet requires it.
     """
-    if not alpha0 > 0.0:
-        raise ValueError(f"nonpositive-alpha: prior weight must be positive, got {alpha0!r}")
+    if not (np.isfinite(alpha0) and alpha0 > 0.0):
+        raise ValueError(f"nonpositive-alpha: prior weight must be positive and finite, got {alpha0!r}")
     issues = validate_graph(graph)
     if issues:
         raise InvalidModelError(issues)
@@ -143,8 +143,8 @@ class CountBeliefs:
     """
 
     def __init__(self, graph: CausalGraph, alpha0: float, n: int):
-        if not alpha0 > 0.0:
-            raise ValueError(f"nonpositive-alpha: prior weight must be positive, got {alpha0!r}")
+        if not (np.isfinite(alpha0) and alpha0 > 0.0):
+            raise ValueError(f"nonpositive-alpha: prior weight must be positive and finite, got {alpha0!r}")
         positions = graph._positions
         self.counts = [np.full((n, *shape), float(alpha0)) for _, _, shape, _ in graph._table_layout]
         self._rows = np.arange(n)
@@ -194,7 +194,7 @@ def beliefs_to_dict(beliefs: BeliefState) -> dict[str, Any]:
 
 
 def beliefs_from_dict(data: Any) -> BeliefState:
-    """Inverse of :func:`beliefs_to_dict`; counts must be positive."""
+    """Inverse of :func:`beliefs_to_dict`; counts must be positive and finite."""
     graph = model_io.graph_from_dict(data)
     issues = validate_graph(graph)
     if issues:
@@ -214,9 +214,9 @@ def beliefs_from_dict(data: Any) -> BeliefState:
             raw[v.name], graph, v.name, section="cpts", value_key="counts", normalize=False
         )
         for config, row in rows.items():
-            if any(not c > 0.0 for c in row):
+            if any(not 0.0 < c < np.inf for c in row):
                 raise model_io.FormatError(
-                    f"cpts.{v.name}", "pseudo-counts must be positive in every entry"
+                    f"cpts.{v.name}", "pseudo-counts must be positive and finite in every entry"
                 )
         counts[v.name] = rows
     return BeliefState(graph, counts)

@@ -20,17 +20,20 @@ dropped, since they sum to one; the rest are contracted with
 ``np.einsum``, one variable at a time in min-fill order. The
 elimination plan depends only on the graph and on which variables are
 forced, evidenced and targeted, so it is cached on the graph object and
-shared by every model built on it. :class:`ReplicatedQuery` runs the
-same plan over tables with a leading replication axis, which is how a
-batch of belief states scores its actions at once. Queries still refuse
-models whose full joint exceeds ``MAX_JOINT_STATES`` states (or the
-``max_states`` given), whatever the width of the graph.
+shared by every model built on it. One plan runner executes it, both
+for the scalar queries and, with a leading replication axis on every
+table, for :class:`ReplicatedQuery`, which is how a batch of belief
+states scores its actions at once. The plan lookup is the one place
+that refuses a model whose full joint exceeds ``MAX_JOINT_STATES``
+states (or the ``max_states`` given), whatever the width of the graph;
+:func:`joint_probability` has no cap.
 
-Sampling is ancestral and has no such cap. A variable's state is drawn
-by inverse CDF from its cumulative table (:func:`cumulative`): the state
+Sampling is ancestral and has no cap. A variable's state is drawn by
+inverse CDF from its cumulative table (:func:`cumulative`): the state
 is the first whose cumulative entry exceeds a uniform draw. The scalar
-:func:`sample` and the batched :func:`~causalsim.environment.draw` share
-that rule.
+:func:`sample`, the environment's ``step`` (the same walk over the
+same tables, with forced states pinned) and the batched
+:func:`~causalsim.environment.draw` share that rule.
 
 Models are plain dataclasses. Construction is permissive so that
 :func:`validate` can report every problem in one pass; the query and
@@ -167,6 +170,17 @@ class CausalGraph:
         # Elimination plans by (forced, evidenced, targeted) variables.
         return {}
 
+    def _plan_for(self, forced: Assignment, evidence: Assignment, targets: tuple[str, ...], max_states: float) -> _Plan:
+        # The plan for one shape of query, shared by every model on this
+        # graph, and the one place that refuses a joint over the cap.
+        if self._joint_size > max_states:
+            raise ValueError(f"joint too large: {self._joint_size} states exceeds the cap of {max_states}")
+        key = (frozenset(forced), frozenset(evidence), targets)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = _plan(self, *key)
+        return plan
+
 
 @dataclass(frozen=True)
 class Cpt:
@@ -223,6 +237,29 @@ class CausalModel:
             parents = tuple(positions[p] for p in graph.parents_of(name))
             plan.append((name, graph.variable_map[name].states, pos, parents, cumulative(self.table(pos)).tolist()))
         return tuple(plan)
+
+    def _walk(self, rng: np.random.Generator, forced: Assignment) -> dict[str, str]:
+        # ``sample(intervene(self, forced), rng)`` without building that
+        # model. Topological order is by depth, then declaration; surgery
+        # makes forced variables roots, so the walk re-sorts by the
+        # surgered depths. A forced variable still takes its uniform.
+        plan = self._sampler
+        codes = [0] * len(plan)
+        if forced:
+            depth = codes[:]
+            for name, _, pos, parents, _ in plan:
+                if parents and name not in forced:
+                    depth[pos] = 1 + max([depth[p] for p in parents])
+            plan = sorted(plan, key=lambda entry: (depth[entry[2]], entry[2]))
+        for name, states, pos, parents, row in plan:
+            u = rng.random()
+            if name in forced:
+                codes[pos] = states.index(forced[name])
+            else:
+                for p in parents:
+                    row = row[codes[p]]
+                codes[pos] = bisect.bisect_right(row, u)
+        return {name: states[codes[pos]] for name, states, pos, _, _ in plan}
 
 
 @dataclass(frozen=True)
@@ -399,12 +436,6 @@ def check_assignment(graph: CausalGraph, assignment: Assignment, role: str) -> N
             raise ValueError(f"illegal-state: {role} assigns {name}={state!r}, not one of its states")
 
 
-def _check_joint_cap(model: CausalModel, max_states: int) -> None:
-    n = model.graph._joint_size
-    if n > max_states:
-        raise ValueError(f"joint too large: {n} states exceeds the cap of {max_states}")
-
-
 @dataclass(frozen=True)
 class _Plan:
     """How to answer one shape of query on one graph, values aside.
@@ -419,6 +450,12 @@ class _Plan:
 
     factors: tuple[tuple[int, tuple[str | None, ...] | None], ...]
     steps: tuple[tuple[tuple[int, ...], str], ...]
+
+    def run(self, slots: list[np.ndarray]) -> np.ndarray:
+        """Contract the pinned factors in ``slots``, in plan order."""
+        for used, subscripts in self.steps:
+            slots.append(np.einsum(subscripts, *[slots[i] for i in used]))
+        return slots[-1]
 
 
 def _plan(graph: CausalGraph, forced: frozenset[str], evidence: frozenset[str], targets: tuple[str, ...]) -> _Plan:
@@ -478,24 +515,20 @@ def _min_fill(
 
 
 def _subscripts(inputs: list[tuple[str, ...]], output: tuple[str, ...]) -> str:
+    # Every term starts with "...", so the same step contracts tables
+    # with or without leading replication axes.
     letters = dict(zip(dict.fromkeys(a for axes in inputs for a in axes), _EINSUM_LETTERS))
-    lhs = ",".join("".join(letters[a] for a in axes) for axes in inputs)
-    return lhs + "->" + "".join(letters[a] for a in output)
+    lhs = ",".join("..." + "".join(letters[a] for a in axes) for axes in inputs)
+    return lhs + "->..." + "".join(letters[a] for a in output)
 
 
-def _contract(model: CausalModel, forced: Assignment, evidence: Assignment, targets: tuple[str, ...]) -> np.ndarray:
+def _contract(
+    model: CausalModel, forced: Assignment, evidence: Assignment, targets: tuple[str, ...], max_states: float
+) -> np.ndarray:
     """Unnormalized mass over the target axes, in target order, of the
-    truncated factorization under ``forced`` restricted to ``evidence``.
-
-    The plan depends only on which variables are forced, evidenced and
-    targeted, so it is cached on the graph and shared by every model
-    built on that graph object.
-    """
+    truncated factorization under ``forced`` restricted to ``evidence``."""
     graph = model.graph
-    key = (frozenset(forced), frozenset(evidence), targets)
-    plan = graph._plans.get(key)
-    if plan is None:
-        plan = graph._plans[key] = _plan(graph, *key)
+    plan = graph._plan_for(forced, evidence, targets, max_states)
     vmap = graph.variable_map
     codes: dict[str | None, int | slice] = {None: slice(None)}
     for pins in (forced, evidence):
@@ -508,9 +541,7 @@ def _contract(model: CausalModel, forced: Assignment, evidence: Assignment, targ
         if table is None:
             table = model.table(pos)
         slots.append(table if axes is None else table[tuple([codes[a] for a in axes])])
-    for used, subscripts in plan.steps:
-        slots.append(np.einsum(subscripts, *[slots[i] for i in used]))
-    return slots[-1]
+    return plan.run(slots)
 
 
 def _total(mass: list[float]) -> float:
@@ -531,7 +562,7 @@ def joint_probability(model: CausalModel, assignment: Assignment) -> float:
     missing = [n for n in model.graph.names if n not in assignment]
     if missing:
         raise ValueError(f"partial-assignment: missing {', '.join(missing)}")
-    return float(_contract(model, {}, assignment, ()))
+    return float(_contract(model, {}, assignment, (), math.inf))
 
 
 def _conditional(
@@ -544,10 +575,9 @@ def _conditional(
     overlap = sorted(set(target) & set(evidence))
     if overlap:
         raise ValueError(f"overlapping-target-evidence: {', '.join(overlap)}")
-    _check_joint_cap(model, max_states)
     targets = tuple(target)
     vmap = model.graph.variable_map
-    mass = _contract(model, forced, evidence, targets)
+    mass = _contract(model, forced, evidence, targets, max_states)
     return float(mass[tuple(vmap[n].state_index[target[n]] for n in targets)]) / _total(mass.ravel().tolist())
 
 
@@ -630,8 +660,7 @@ def interventional_marginal(
         raise ValueError(f"target-is-intervened: {variable}")
     if variable not in model.graph.variable_map:
         raise ValueError(f"unknown-variable: target names {variable!r}, which is not in the model")
-    _check_joint_cap(model, max_states)
-    mass = _contract(model, intervention, {}, (variable,)).tolist()
+    mass = _contract(model, intervention, {}, (variable,), max_states).tolist()
     total = _total(mass)
     return tuple(p / total for p in mass)
 
@@ -660,14 +689,7 @@ def sample(model: CausalModel, rng: np.random.Generator) -> dict[str, str]:
     ``rng.random()`` per variable. All randomness comes from ``rng``, so
     a given generator state fixes the draw.
     """
-    codes = [0] * len(model.graph.variables)
-    out: dict[str, str] = {}
-    for name, states, pos, parents, row in model._sampler:
-        for p in parents:
-            row = row[codes[p]]
-        codes[pos] = i = bisect.bisect_right(row, rng.random())
-        out[name] = states[i]
-    return out
+    return model._walk(rng, {})
 
 
 class ReplicatedQuery:
@@ -675,32 +697,24 @@ class ReplicatedQuery:
     batch: the :func:`interventional_marginal` kernel, run with one
     extra leading replication axis on every table.
 
-    Built once per (graph, intervention, target) from the cached plan;
-    calling it with one table per variable position, each of shape
-    (n, parent cardinalities..., cardinality), returns an (n, target
-    cardinality) array of masses. Only the tables at
-    :attr:`positions` are read.
+    Built once per (graph, intervention, target) from the cached plan,
+    under the same joint-size cap as the queries; calling it with one
+    table per variable position, each of shape (n, parent
+    cardinalities..., cardinality), returns an (n, target cardinality)
+    array of masses. Only the tables at :attr:`positions` are read.
     """
 
     def __init__(self, graph: CausalGraph, intervention: Intervention, target: str):
-        key = (frozenset(intervention), frozenset(), (target,))
-        plan = graph._plans.get(key)
-        if plan is None:
-            plan = graph._plans[key] = _plan(graph, *key)
+        self.plan = graph._plan_for(intervention, {}, (target,), MAX_JOINT_STATES)
         vmap = graph.variable_map
         codes: dict[str | None, int | slice] = {None: slice(None)}
         codes.update((name, vmap[name].state_index[state]) for name, state in intervention.items())
         self.factors = tuple(
-            (pos, None if axes is None else (slice(None), *[codes[a] for a in axes])) for pos, axes in plan.factors
+            (pos, None if axes is None else (slice(None), *[codes[a] for a in axes]))
+            for pos, axes in self.plan.factors
         )
-        self.steps = tuple(
-            (used, ",".join("..." + term for term in lhs.split(",")) + "->..." + rhs)
-            for used, (lhs, rhs) in ((used, sub.split("->")) for used, sub in plan.steps)
-        )
-        self.positions = frozenset(pos for pos, _ in plan.factors)
+        self.positions = frozenset(pos for pos, _ in self.plan.factors)
 
     def __call__(self, tables: list[np.ndarray]) -> np.ndarray:
         slots = [tables[pos] if index is None else tables[pos][index] for pos, index in self.factors]
-        for used, subscripts in self.steps:
-            slots.append(np.einsum(subscripts, *[slots[i] for i in used]))
-        return slots[-1]
+        return self.plan.run(slots)

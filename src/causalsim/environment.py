@@ -1,13 +1,14 @@
 """The world the agents act in: a ground-truth causal model, a menu of
 interventions, and a utility over one target variable.
 
-Stepping the environment applies the chosen action's surgery to the
-truth, draws one full outcome by ancestral sampling, and pays the
-utility of the realized target state. The truth model itself is never
-modified; surgeries act on cached mutilated copies. :func:`draw` is the
-batched step: one outcome per replication, each under its own action,
-from cumulative tables cached once per environment with a leading
-action axis (a forced variable's rows are one-hot on its forced state).
+Stepping the environment draws one full outcome by ancestral sampling
+on the truth's own tables with the action's forced states pinned, as
+``sample(intervene(truth, intervention), rng)`` would, and pays the
+utility of the realized target state; no surgered model is built.
+:func:`draw` is the batched step: one outcome per replication, each
+under its own action, from cumulative tables cached once per
+environment with a leading action axis (a forced variable's rows are
+one-hot on its forced state).
 
 ``medic_scenario`` builds the running example used throughout the test
 suite and documentation: a binary confounder D (disease severity)
@@ -17,14 +18,14 @@ reward of not treating looks better than its interventional reward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Mapping
 
 import numpy as np
 
 from .agents import Action, UtilityFunction, _check_action_set, _check_utility
-from .cgm import CausalModel, ensure_valid, intervene, sample
+from .cgm import CausalModel, check_assignment, ensure_valid
 from . import model_io
 
 __all__ = [
@@ -56,12 +57,6 @@ class Environment:
     actions: tuple[Action, ...]
     target: str
     utility: Mapping[str, float]
-    _mutilated: dict[str, CausalModel] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _action_by_label: dict[str, Action] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         ensure_valid(self.truth)
@@ -71,9 +66,7 @@ class Environment:
         _check_action_set(self.actions, self.target)
         _check_utility(self.utility, spec.states, self.target)
         for a in self.actions:
-            # Raises on unknown variables or illegal states in the action.
-            self._mutilated[a.label] = intervene(self.truth, a.intervention)
-            self._action_by_label[a.label] = a
+            check_assignment(self.truth.graph, a.intervention, "intervention")
 
     @cached_property
     def _sampler(self) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
@@ -110,11 +103,10 @@ class Environment:
 
 
 def step(env: Environment, action: Action, rng: np.random.Generator) -> StepRecord:
-    """Take one action: surgically force it, sample a world, pay out."""
-    known = env._action_by_label.get(action.label)
-    if known is None or known != action:
+    """Take one action: force it, sample a world, pay out."""
+    if action not in env.actions:
         raise ValueError(f"unknown-action: {action.label!r} is not in this environment")
-    realized = sample(env._mutilated[action.label], rng)
+    realized = env.truth._walk(rng, action.intervention)
     return StepRecord(action.label, realized, env.utility[realized[env.target]])
 
 

@@ -80,8 +80,9 @@ class CausalAgentConfig:
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.prior_alpha > 0.0:
-            raise _FieldError("prior_alpha", f"nonpositive-alpha: prior weight must be positive, got {self.prior_alpha!r}")
+        if not (np.isfinite(self.prior_alpha) and self.prior_alpha > 0.0):
+            message = f"nonpositive-alpha: prior weight must be positive and finite, got {self.prior_alpha!r}"
+            raise _FieldError("prior_alpha", message)
         if not 0.0 <= self.epsilon <= 1.0:
             raise _FieldError("epsilon", f"exploration rate must lie in [0, 1], got {self.epsilon!r}")
 

@@ -19,6 +19,7 @@ from causalsim import (
     total_pseudo_count,
     update,
 )
+from causalsim.beliefs import CountBeliefs
 
 import oracle
 
@@ -145,6 +146,23 @@ def test_beliefs_from_dict_rejects_nonpositive_counts(medic_model):
     doc["cpts"]["D"] = [{"counts": [0.0, 2.0]}]
     with pytest.raises(FormatError, match="pseudo-counts must be positive"):
         beliefs_from_dict(doc)
+
+
+@pytest.mark.parametrize("alpha0", [float("inf"), float("nan")])
+def test_non_finite_prior_weights_are_refused(medic_model, alpha0):
+    # An infinite weight would make every posterior row inf / inf = nan.
+    with pytest.raises(ValueError, match="nonpositive-alpha"):
+        init_uniform(medic_model.graph, alpha0=alpha0)
+    with pytest.raises(ValueError, match="nonpositive-alpha"):
+        CountBeliefs(medic_model.graph, alpha0, 3)
+
+
+def test_beliefs_from_dict_rejects_infinite_counts(medic_model):
+    doc = beliefs_to_dict(init_uniform(medic_model.graph))
+    doc["cpts"]["D"] = [{"counts": [float("inf"), 1.0]}]
+    with pytest.raises(FormatError, match="pseudo-counts must be positive and finite") as caught:
+        beliefs_from_dict(doc)
+    assert caught.value.path == "cpts.D"
 
 
 def test_beliefs_from_dict_rejects_missing_rows(medic_model):

@@ -227,6 +227,19 @@ def test_query_refuses_oversized_joint():
     assert query(model, {"X0": "1"}, max_states=2**22) == pytest.approx(0.5)
 
 
+def test_joint_probability_has_no_joint_size_cap():
+    # The queries and the batched query refuse a 2^21 joint; a single
+    # joint entry is still answered.
+    variables = tuple(VariableSpec(f"X{i}", ("0", "1")) for i in range(21))
+    graph = CausalGraph(variables, {v.name: () for v in variables})
+    model = CausalModel(graph, {v.name: Cpt(v.name, {(): (0.5, 0.5)}) for v in variables})
+    assert joint_probability(model, {v.name: "1" for v in variables}) == pytest.approx(0.5**21, rel=1e-12)
+    with pytest.raises(ValueError, match="joint too large"):
+        interventional_marginal(model, {"X0": "1"}, "X1")
+    with pytest.raises(ValueError, match="joint too large"):
+        ReplicatedQuery(graph, {"X0": "1"}, "X1")
+
+
 def test_query_agrees_with_oracle_on_random_models():
     rnd = random.Random(31)
     for _ in range(30):
@@ -576,6 +589,9 @@ def test_posterior_models_share_their_graphs_plan(medic_model):
         beliefs = update(beliefs, {"T": "1"}, observed)
         for t in "01":
             interventional_marginal(posterior_mean(beliefs), {"T": t}, "Y")
+    # The batched query of the same shape runs the same plan.
+    mean = posterior_mean(beliefs)
+    ReplicatedQuery(graph, {"T": "0"}, "Y")([mean.table(pos)[None] for pos in range(3)])
     assert len(graph._plans) == 1
 
 

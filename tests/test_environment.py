@@ -16,10 +16,12 @@ from causalsim import (
     VariableSpec,
     FormatError,
     environment_block_to_dict,
+    intervene,
     interventional_marginal,
     interventional_query,
     load_environment,
     query,
+    sample,
     save_model,
     step,
 )
@@ -91,6 +93,30 @@ def test_step_long_run_means_match_the_interventional_truth(medic_env):
     for action, want in ((medic_env.actions[1], 0.87), (medic_env.actions[0], 0.52)):
         total = sum(step(medic_env, action, rng).reward for _ in range(n))
         assert total / n == pytest.approx(want, abs=0.01)
+
+
+def test_step_draws_what_sampling_the_surgered_truth_draws(medic_env):
+    # In the last problem, surgery on B makes it a root, so the surgered
+    # model visits A, B, C where the truth visits A, C, B; a forced
+    # variable still takes its uniform.
+    rnd = random.Random(4)
+    envs = [medic_env]
+    for _ in range(4):
+        model, target, interventions = oracle.random_decision_problem(rnd)
+        states = model.graph.variable_map[target].states
+        actions = tuple(Action(f"a{i}", iv) for i, iv in enumerate(interventions))
+        envs.append(Environment(model, actions, target, {states[0]: 0.0, states[1]: 1.0}))
+    abc = CausalGraph(tuple(VariableSpec(n, ("0", "1")) for n in "ABC"), {"B": ("A",)})
+    rows = {"A": {(): (0.3, 0.7)}, "B": {("0",): (0.6, 0.4), ("1",): (0.2, 0.8)}, "C": {(): (0.5, 0.5)}}
+    truth = CausalModel(abc, {n: Cpt(n, r) for n, r in rows.items()})
+    assert intervene(truth, {"B": "1"}).topological_order != truth.topological_order
+    envs.append(Environment(truth, (Action("set-b", {"B": "1"}),), "C", {"0": 0.0, "1": 1.0}))
+    for env in envs:
+        for i, action in enumerate(env.actions):
+            cut = intervene(env.truth, action.intervention)
+            ours, theirs = np.random.default_rng(i), np.random.default_rng(i)
+            for _ in range(50):
+                assert list(step(env, action, ours).realized.items()) == list(sample(cut, theirs).items())
 
 
 def _one_row_env(row):

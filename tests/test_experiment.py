@@ -11,22 +11,31 @@ from hypothesis import strategies as st
 from causalsim import (
     Action,
     CausalAgentConfig,
+    CausalAgentState,
     CausalGraph,
     CausalModel,
     Cpt,
     Environment,
     ExperimentConfig,
     FormatError,
+    QAgentState,
     QLearningConfig,
     RandomConfig,
     RoundSeries,
     apply_overrides,
+    causal_choose,
+    causal_learn,
     config_from_dict,
     convergence_index,
     default_agents,
+    init_uniform,
     load_experiment_config,
+    q_choose,
+    q_learn,
+    random_choose,
     VariableSpec,
     run_experiment,
+    step,
 )
 from causalsim.experiment import BLOCK_SIZE
 
@@ -137,6 +146,7 @@ def test_config_from_dict_rejects_garbage():
         ({"agents": {"causal": {"prior_alpha": 0}}}, "$.agents.causal.prior_alpha", "nonpositive-alpha"),
         ({"agents": {"causal": {"epsilon": 2}}}, "$.agents.causal.epsilon", "exploration rate must lie in [0, 1]"),
         ({"agents": {"qlearning": {"epsilon": -1}}}, "$.agents.qlearning.epsilon", "exploration rate must lie"),
+        ({"agents": {"causal": {"prior_alpha": float("inf")}}}, "$.agents.causal.prior_alpha", "nonpositive-alpha"),
     ],
 )
 def test_config_from_dict_names_the_path_of_an_out_of_range_value(doc, path, message):
@@ -276,6 +286,40 @@ def test_causal_agent_refuses_an_oversized_joint_and_the_others_run():
         run_experiment(env, small_config(agents={"causal": CausalAgentConfig()}))
     result = run_experiment(env, small_config(agents={"random": RandomConfig(), "qlearning": QLearningConfig()}))
     assert result.trial_log.rewards["random"].shape == (4, 10)
+
+
+def test_engine_per_round_means_agree_with_a_scalar_reference_loop(medic_env):
+    # The scalar policies and step, one replication at a time on their
+    # own stream, against the engine on its streams. Rewards lie in
+    # [0, 1], so by Hoeffding's inequality the difference of two means
+    # of n independent rewards exceeds t with probability at most
+    # 2 exp(-n t^2). The bound below holds for all per-round comparisons
+    # at once with probability at least 1 - 1e-3 (about 0.20 here). The
+    # seed and the bound were fixed before the test first ran.
+    n, rounds, seed = 300, 30, 2024
+    cfg = ExperimentConfig(rounds=rounds, replications=n, seed=seed)
+    engine = run_experiment(medic_env, cfg)
+    actions, causal_cfg, q_cfg = medic_env.actions, cfg.agents["causal"], cfg.agents["qlearning"]
+    reference = {label: np.empty((n, rounds)) for label in ("causal", "qlearning", "random")}
+    rng = np.random.default_rng(seed)
+    for rep in range(n):
+        beliefs = init_uniform(medic_env.truth.graph, causal_cfg.prior_alpha)
+        causal = CausalAgentState(beliefs, actions, medic_env.target, medic_env.utility)
+        q = QAgentState(dict.fromkeys((a.label for a in actions), q_cfg.q0), q_cfg.alpha, q_cfg.epsilon)
+        for t in range(rounds):
+            action = actions[causal_choose(causal)]
+            record = step(medic_env, action, rng)
+            causal = causal_learn(causal, action, record.realized)
+            reference["causal"][rep, t] = record.reward
+            i = q_choose(q, rng)
+            record = step(medic_env, actions[i], rng)
+            q = q_learn(q, i, record.reward)
+            reference["qlearning"][rep, t] = record.reward
+            reference["random"][rep, t] = step(medic_env, actions[random_choose(actions, rng)], rng).reward
+    bound = math.sqrt(math.log(2 * len(reference) * rounds / 1e-3) / n)
+    for label, rewards in reference.items():
+        gap = np.abs(np.array(engine.series_for(label).values) - rewards.mean(axis=0))
+        assert gap.max() <= bound, (label, gap.max(), bound)
 
 
 def test_causal_exploration_rate_reaches_the_driver(medic_env):
