@@ -15,7 +15,11 @@ The scalar functions act on one frozen state. The experiment engine
 runs each policy for a whole block of replications at once through
 :class:`BatchPolicy`, whose three implementations keep their state in
 arrays with a leading replication axis and are tested against the
-scalar functions.
+scalar functions. A batched policy only proposes its greedy actions
+and learns; exploration is the engine's: each round it replaces a
+replication's greedy action by a uniformly drawn one at the policy's
+``epsilon`` rate, for every agent of the block in one step (the random
+policy is the one whose rate is 1).
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ __all__ = [
     "q_choose",
     "q_learn",
     "random_choose",
-    "CHOICE_DRAWS",
     "BatchPolicy",
     "CausalBatch",
     "QBatch",
@@ -230,37 +233,27 @@ def random_choose(actions: Sequence[Action], rng: np.random.Generator) -> int:
     return int(rng.integers(len(actions)))
 
 
-# Uniforms a batched choice reads per replication and round: column 0
-# decides whether to explore, column 1 picks the action explored.
-CHOICE_DRAWS = 2
-
-
 class BatchPolicy(Protocol):
     """One policy run for n replications at once.
 
-    The constructor takes ``(env, cfg, n)``. Each round, ``choose``
-    reads an (n, CHOICE_DRAWS) array of uniforms and returns one action
-    index per replication; ``learn`` then folds in the actions taken
-    and the realized outcomes, an (n, variables) array of state codes
-    in the truth's declaration order, in place.
+    The constructor takes ``(env, cfg, n)``. Each round, ``greedy``
+    returns one action index per replication, an (n,) array, from the
+    current state alone; ``learn`` then folds in the actions taken and
+    the realized outcomes, an (n, variables) array of state codes in the
+    truth's declaration order, in place. ``epsilon`` is the rate at
+    which the engine replaces the greedy action by a uniformly drawn one;
+    policies never explore themselves.
     """
 
-    def choose(self, u: np.ndarray) -> np.ndarray: ...
+    epsilon: float
+
+    def greedy(self) -> np.ndarray: ...
 
     def learn(self, actions: np.ndarray, x: np.ndarray) -> None: ...
 
 
-def _uniform_action(u: np.ndarray, n_actions: int) -> np.ndarray:
-    return np.minimum((u * n_actions).astype(np.intp), n_actions - 1)
-
-
-def _epsilon_greedy(greedy: np.ndarray, u: np.ndarray, epsilon: float, n_actions: int) -> np.ndarray:
-    """``greedy``, except a uniformly drawn action where u[:, 0] < epsilon."""
-    return np.where(u[:, 0] < epsilon, _uniform_action(u[:, 1], n_actions), greedy)
-
-
 class CausalBatch:
-    """The greedy causal policy with optional uniform exploration.
+    """The greedy causal policy.
 
     Per replication: Dirichlet counts over the truth's graph, scored
     each round on their posterior mean like :func:`causal_choose`, and
@@ -281,23 +274,21 @@ class CausalBatch:
         self.scored = sorted(frozenset().union(*(q.positions for q in self.queries)))
         self._tables: list[np.ndarray | None] = [None] * len(graph.variables)
 
-    def choose(self, u: np.ndarray) -> np.ndarray:
+    def greedy(self) -> np.ndarray:
         tables = self._tables
         for pos in self.scored:
             tables[pos] = self.beliefs.posterior(pos)
-        eu = np.empty((len(u), len(self.queries)))
-        for i, query in enumerate(self.queries):
-            mass = query(tables)
-            eu[:, i] = (mass / mass.sum(axis=1, keepdims=True) * self.payoff).sum(axis=1)
-        return _epsilon_greedy(eu.argmax(axis=1), u, self.epsilon, len(self.queries))
+        # (n, actions, target cardinality), normalized per action.
+        mass = np.stack([query(tables) for query in self.queries], axis=1)
+        return (mass / mass.sum(axis=2, keepdims=True) * self.payoff).sum(axis=2).argmax(axis=1)
 
     def learn(self, actions: np.ndarray, x: np.ndarray) -> None:
         self.beliefs.update(x, self.free[actions], self.updatable)
 
 
 class QBatch:
-    """Epsilon-greedy stateless Q-learning: an (n, actions) value array,
-    chosen from like :func:`q_choose` and updated like :func:`q_learn`."""
+    """Stateless Q-learning: an (n, actions) value array, chosen from
+    like :func:`q_choose` and updated like :func:`q_learn`."""
 
     def __init__(self, env: Environment, cfg: QLearningConfig, n: int):
         self.q = np.full((n, len(env.actions)), float(cfg.q0))
@@ -307,8 +298,8 @@ class QBatch:
         self.target = env._target_position
         self._rows = np.arange(n)
 
-    def choose(self, u: np.ndarray) -> np.ndarray:
-        return _epsilon_greedy(self.q.argmax(axis=1), u, self.epsilon, self.q.shape[1])
+    def greedy(self) -> np.ndarray:
+        return self.q.argmax(axis=1)
 
     def learn(self, actions: np.ndarray, x: np.ndarray) -> None:
         reward = self.payoff[x[:, self.target]]
@@ -317,13 +308,16 @@ class QBatch:
 
 
 class RandomBatch:
-    """Uniform choice over the action menu; learns nothing."""
+    """Uniform choice over the action menu: always explores, learns nothing."""
+
+    epsilon = 1.0
 
     def __init__(self, env: Environment, cfg: Any, n: int):
-        self.n_actions = len(env.actions)
+        # Never taken: at rate 1 every replication explores.
+        self._greedy = np.zeros(n, np.intp)
 
-    def choose(self, u: np.ndarray) -> np.ndarray:
-        return _uniform_action(u[:, 1], self.n_actions)
+    def greedy(self) -> np.ndarray:
+        return self._greedy
 
     def learn(self, actions: np.ndarray, x: np.ndarray) -> None:
         pass

@@ -194,7 +194,8 @@ def beliefs_to_dict(beliefs: BeliefState) -> dict[str, Any]:
 
 
 def beliefs_from_dict(data: Any) -> BeliefState:
-    """Inverse of :func:`beliefs_to_dict`; counts must be positive and finite."""
+    """Inverse of :func:`beliefs_to_dict`; counts must be positive and
+    finite, and so must each row's sum."""
     graph = model_io.graph_from_dict(data)
     issues = validate_graph(graph)
     if issues:
@@ -218,5 +219,8 @@ def beliefs_from_dict(data: Any) -> BeliefState:
                 raise model_io.FormatError(
                     f"cpts.{v.name}", "pseudo-counts must be positive and finite in every entry"
                 )
+            # posterior_mean divides by the row total, which must be finite too.
+            if not sum(row) < np.inf:
+                raise model_io.FormatError(f"cpts.{v.name}", "pseudo-counts must have a finite sum in every row")
         counts[v.name] = rows
     return BeliefState(graph, counts)

@@ -6,26 +6,33 @@ worlds: per round, each one chooses an action, the environment steps
 once for that agent alone, and the agent learns from its own outcome.
 Nothing is shared between agents or between replications.
 
-The engine runs replications in blocks of ``BLOCK_SIZE``. Within a
-block, each agent advances all of its replications together, one array
-step per stage of a round: a vectorized choice
-(:class:`~causalsim.agents.BatchPolicy`), one batched ancestral draw
-from the truth under each replication's action
-(:func:`~causalsim.environment.draw`), and a vectorized update. Agents
-never interact, so running them one after another inside a block is
-equivalent to interleaving them round by round.
+The engine runs replications in blocks of ``BLOCK_SIZE`` and advances
+every agent of a block in lockstep, one row per (agent, replication).
+A round is one step for the whole roster: each policy
+(:class:`~causalsim.agents.BatchPolicy`) writes its greedy actions into
+its rows, one ``np.where`` swaps in the explored actions, one batched
+ancestral draw from the truth gives every row its outcome under its
+own action (:func:`~causalsim.environment.draw`), each policy learns
+from its rows, and one gather pays every reward. Exploration belongs
+to the engine: the schedule, where each row explores and what it
+takes, comes from the choice uniforms and each policy's ``epsilon`` in
+one place, :func:`_exploration`, once per chunk of rounds. Rows never
+read each other, so sharing the draw is equivalent to stepping the
+agents one after another.
 
 Randomness is carved into streams keyed by (master seed, block index,
-agent label). Each stream is drawn once per block, replication-major,
-as an array of uniforms of shape (replications in the block, rounds,
-2 + variables); see :func:`_run_block` for how the columns are used. A
-replication's trajectory therefore depends neither on roster order,
-nor on whether blocks run serially or in worker processes, nor on how
-many replications the run has in total. The trial log keeps every
-agent's action indices and rewards as (replications, rounds) arrays.
-Aggregation averages rewards per round across replications and also
-reports the running cumulative mean, which is what the convergence
-check and the reports consume.
+agent label). Each stream is read replication-major, as if drawn as
+one array of uniforms of shape (replications in the block, rounds,
+2 + variables), but a fixed number of rounds at a time, so a block's
+memory does not grow with the number of rounds; see
+:func:`_uniform_chunks` and :func:`_run_block` for how the columns are
+used. A replication's trajectory therefore depends neither on roster
+order, nor on whether blocks run serially or in worker processes, nor
+on how many replications the run has in total. The trial log keeps
+every agent's action indices and rewards as (replications, rounds)
+arrays. Aggregation averages rewards per round across replications and
+also reports the running cumulative mean, which is what the
+convergence check and the reports consume.
 """
 
 from __future__ import annotations
@@ -34,11 +41,11 @@ import zlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .agents import CHOICE_DRAWS, AgentRecord, BatchPolicy, CausalBatch, QBatch, RandomBatch
+from .agents import AgentRecord, BatchPolicy, CausalBatch, QBatch, RandomBatch
 from .environment import Environment, draw
 from . import model_io
 
@@ -338,6 +345,14 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 # streams are keyed by its index, so changing it changes trajectories.
 BLOCK_SIZE = 256
 
+# Uniforms a replication reads per round before its draw: column 0
+# decides whether to explore, column 1 picks the action explored.
+CHOICE_DRAWS = 2
+
+# Rounds of uniforms a block holds at once. Only memory depends on it:
+# every chunk reads the same stream positions.
+_CHUNK_ROUNDS = 256
+
 
 def _block_stream(seed: int, block: int, label: str) -> np.random.Generator:
     """The stream one agent draws from within one block of replications.
@@ -349,31 +364,77 @@ def _block_stream(seed: int, block: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block, key))))
 
 
+def _uniform_chunks(cfg: ExperimentConfig, block: int, n: int, width: int) -> Iterator[np.ndarray]:
+    """Every agent's uniforms for one block, ``_CHUNK_ROUNDS`` rounds at a time.
+
+    Each chunk has shape (agents * n, rounds in the chunk, width), agents
+    in roster order. The values are those of
+    ``_block_stream(seed, block, label).random((n, rounds, width))``:
+    replication-major, so a replication's uniforms do not depend on how
+    many replications follow it in the block. Replication r's round t
+    starts at draw (r * rounds + t) * width of its agent's stream, and
+    each read first advances the stream to there (PCG64 spends one step
+    per double, so advancing by k skips k uniforms).
+    """
+    streams = [_block_stream(cfg.seed, block, label) for label in cfg.agents]
+    at = [0] * len(streams)
+    for t0 in range(0, cfg.rounds, _CHUNK_ROUNDS):
+        u = np.empty((len(streams) * n, min(_CHUNK_ROUNDS, cfg.rounds - t0), width))
+        for i, stream in enumerate(streams):
+            for r in range(n):
+                start = (r * cfg.rounds + t0) * width
+                stream.bit_generator.advance((start - at[i]) % 2**128)
+                stream.random(out=u[i * n + r])
+                at[i] = start + u[0].size
+        yield u
+
+
+def _exploration(u: np.ndarray, epsilon: float | np.ndarray, n_actions: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exploration schedule: where a row explores, and what.
+
+    ``u`` holds choice uniforms, (..., CHOICE_DRAWS); a row explores
+    where ``u[..., 0] < epsilon`` (``epsilon`` broadcasts against it)
+    and then takes the action ``u[..., 1]`` picks uniformly from the
+    menu. This is the only place anything explores.
+    """
+    uniform = np.minimum((u[..., 1] * n_actions).astype(np.intp), n_actions - 1)
+    return u[..., 0] < epsilon, uniform
+
+
 def _run_block(env: Environment, cfg: ExperimentConfig, block: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Every agent's (actions, rewards), each (replications, rounds), for
-    the replications of one block."""
+    the replications of one block.
+
+    All agents advance in lockstep on one row per (agent, replication),
+    agent-major. Per round: each policy writes its greedy actions into
+    its rows, one ``np.where`` applies the exploration schedule, one
+    draw gives every row's outcome from its own uniforms, one per
+    variable in the truth's topological order, and each policy learns
+    from its rows.
+    """
     n = min(BLOCK_SIZE, cfg.replications - block * BLOCK_SIZE)
-    width = CHOICE_DRAWS + len(env.truth.graph.variables)
+    n_actions = len(env.actions)
     payoff, target = env._payoff, env._target_position
-    out = {}
-    for label, acfg in cfg.agents.items():
-        # Replication-major, so a replication's uniforms do not depend on
-        # how many replications follow it in the block. Per round, the
-        # first CHOICE_DRAWS columns feed the choice and the rest the
-        # draw, one per variable in the truth's topological order.
-        u = _block_stream(cfg.seed, block, label).random((n, cfg.rounds, width))
-        policy = _POLICIES[label](env, acfg, n)
-        actions = np.empty((n, cfg.rounds), np.min_scalar_type(len(env.actions) - 1))
-        rewards = np.empty((n, cfg.rounds))
-        for t in range(cfg.rounds):
-            ut = u[:, t]
-            a = policy.choose(ut[:, :CHOICE_DRAWS])
-            x = draw(env, a, ut[:, CHOICE_DRAWS:])
-            policy.learn(a, x)
+    policies = [_POLICIES[label](env, acfg, n) for label, acfg in cfg.agents.items()]
+    spans = [slice(i * n, (i + 1) * n) for i in range(len(policies))]
+    epsilon = np.repeat([p.epsilon for p in policies], n)[:, None]
+    greedy = np.empty(len(policies) * n, np.intp)
+    actions = np.empty((len(greedy), cfg.rounds), np.min_scalar_type(n_actions - 1))
+    rewards = np.empty((len(greedy), cfg.rounds))
+    t = 0
+    for u in _uniform_chunks(cfg, block, n, CHOICE_DRAWS + len(env.truth.graph.variables)):
+        explore, uniform = _exploration(u[..., :CHOICE_DRAWS], epsilon, n_actions)
+        for c in range(u.shape[1]):
+            for policy, span in zip(policies, spans):
+                greedy[span] = policy.greedy()
+            a = np.where(explore[:, c], uniform[:, c], greedy)
+            x = draw(env, a, u[:, c, CHOICE_DRAWS:])
+            for policy, span in zip(policies, spans):
+                policy.learn(a[span], x[span])
             actions[:, t] = a
             rewards[:, t] = payoff[x[:, target]]
-        out[label] = (actions, rewards)
-    return out
+            t += 1
+    return {label: (actions[span], rewards[span]) for label, span in zip(cfg.agents, spans)}
 
 
 def run_experiment(

@@ -26,9 +26,10 @@ from causalsim import (
     random_choose,
     update,
 )
-from causalsim.agents import CHOICE_DRAWS, CausalBatch, QBatch, RandomBatch
+from causalsim.agents import CausalBatch, QBatch, RandomBatch
 from causalsim.beliefs import CountBeliefs
 from causalsim.environment import draw
+from causalsim.experiment import CHOICE_DRAWS, _exploration
 
 import oracle
 
@@ -259,7 +260,6 @@ def test_batched_causal_agent_matches_causal_choose_and_causal_learn():
     # every action, and the repeated last intervention ties with itself.
     rnd = random.Random(404)
     rng = np.random.default_rng(404)
-    greedy = np.ones((6, CHOICE_DRAWS))
     for _ in range(12):
         model, target, interventions = oracle.random_decision_problem(rnd)
         interventions.append(interventions[-1])
@@ -268,12 +268,12 @@ def test_batched_causal_agent_matches_causal_choose_and_causal_learn():
         utility = {states[0]: 0.0, states[1]: 1.0}
         env = Environment(model, actions, target, utility)
         alpha = rnd.choice((1.0, 0.5, 2.0))
-        batch = CausalBatch(env, CausalAgentConfig(prior_alpha=alpha), len(greedy))
-        scalar = [CausalAgentState(init_uniform(model.graph, alpha), actions, target, utility)] * len(greedy)
+        batch = CausalBatch(env, CausalAgentConfig(prior_alpha=alpha), 6)
+        scalar = [CausalAgentState(init_uniform(model.graph, alpha), actions, target, utility)] * 6
         for _ in range(10):
-            assert batch.choose(greedy).tolist() == [causal_choose(s) for s in scalar]
-            taken = rng.integers(len(actions), size=len(greedy))
-            x = draw(env, taken, rng.random((len(greedy), len(model.graph.variables))))
+            assert batch.greedy().tolist() == [causal_choose(s) for s in scalar]
+            taken = rng.integers(len(actions), size=6)
+            x = draw(env, taken, rng.random((6, len(model.graph.variables))))
             batch.learn(taken, x)
             scalar = [causal_learn(s, actions[a], _realized(model.graph, c)) for s, a, c in zip(scalar, taken, x)]
             for r, s in enumerate(scalar):
@@ -287,7 +287,7 @@ def test_batched_causal_choice_equals_best_action_on_the_posterior_mean(medic_en
     # Small integer counts make near and exact ties between the arms common.
     for counts in batch.beliefs.counts:
         counts[...] = rng.integers(1, 4, size=counts.shape)
-    chosen = batch.choose(np.ones((40, CHOICE_DRAWS)))
+    chosen = batch.greedy()
     for r in range(40):
         beliefs = init_uniform(medic_env.truth.graph)
         rows = {
@@ -305,7 +305,7 @@ def test_batched_q_learner_matches_q_choose_and_q_learn(medic_env):
     labels = [a.label for a in medic_env.actions]
     scalar = [QAgentState(dict.fromkeys(labels, 0.5), alpha=0.3, epsilon=0.0)] * n
     for _ in range(40):
-        assert batch.choose(np.ones((n, CHOICE_DRAWS))).tolist() == [q_choose(s, rng) for s in scalar]
+        assert batch.greedy().tolist() == [q_choose(s, rng) for s in scalar]
         taken = rng.integers(len(labels), size=n)
         x = draw(medic_env, taken, rng.random((n, 3)))
         batch.learn(taken, x)
@@ -316,17 +316,24 @@ def test_batched_q_learner_matches_q_choose_and_q_learn(medic_env):
 
 
 def test_batched_exploration_is_uniform_over_the_menu(medic_env):
+    # The engine's schedule, applied as the engine applies it each round.
     u = np.random.default_rng(3).random((20_000, CHOICE_DRAWS))
+    n_actions = len(medic_env.actions)
+
+    def choose(policy):
+        explore, uniform = _exploration(u, policy.epsilon, n_actions)
+        return np.where(explore, uniform, policy.greedy())
+
     for policy in (
         CausalBatch(medic_env, CausalAgentConfig(epsilon=1.0), len(u)),
         QBatch(medic_env, QLearningConfig(epsilon=1.0), len(u)),
         RandomBatch(medic_env, None, len(u)),
     ):
-        chosen = policy.choose(u)
+        chosen = choose(policy)
         assert chosen.mean() == pytest.approx(0.5, abs=0.02)
     # Exploring exactly where u[:, 0] < epsilon.
     q = QBatch(medic_env, QLearningConfig(epsilon=0.25, q0=1.0), len(u))
-    explored = q.choose(u) != 0
+    explored = choose(q) != 0
     assert np.array_equal(explored, (u[:, 0] < 0.25) & (u[:, 1] >= 0.5))
 
 

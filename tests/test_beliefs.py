@@ -165,6 +165,15 @@ def test_beliefs_from_dict_rejects_infinite_counts(medic_model):
     assert caught.value.path == "cpts.D"
 
 
+def test_beliefs_from_dict_rejects_rows_whose_sum_overflows(medic_model):
+    # Each entry is finite, but the posterior mean would divide by inf.
+    doc = beliefs_to_dict(init_uniform(medic_model.graph))
+    doc["cpts"]["D"] = [{"counts": [1e308, 1e308]}]
+    with pytest.raises(FormatError, match="finite sum") as caught:
+        beliefs_from_dict(doc)
+    assert caught.value.path == "cpts.D"
+
+
 def test_beliefs_from_dict_rejects_missing_rows(medic_model):
     doc = beliefs_to_dict(init_uniform(medic_model.graph))
     del doc["cpts"]["Y"]

@@ -1,6 +1,8 @@
 """Replicated runs: configuration, determinism, aggregation, convergence."""
 
+import hashlib
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,7 @@ from causalsim import (
     run_experiment,
     step,
 )
-from causalsim.experiment import BLOCK_SIZE
+from causalsim.experiment import BLOCK_SIZE, _CHUNK_ROUNDS, _block_stream, _uniform_chunks
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample"
 
@@ -229,6 +231,44 @@ def test_trajectories_do_not_depend_on_roster_order(medic_env):
     alone = run_experiment(medic_env, small_config(agents={"qlearning": full["qlearning"]}))
     for ra, rb in zip(a.trial_log.replications, alone.trial_log.replications):
         assert ra.rewards["qlearning"] == rb.rewards["qlearning"]
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_each_agent_alone_runs_as_in_the_full_roster(medic_env, workers):
+    # All agents of a block share one draw per round; no agent's rows may
+    # see another agent's actions, uniforms or exploration rate.
+    agents = {
+        "causal": CausalAgentConfig(epsilon=0.2),
+        "qlearning": QLearningConfig(epsilon=0.3),
+        "random": RandomConfig(),
+    }
+    cfg = small_config(rounds=12, replications=BLOCK_SIZE + 20, seed=11, agents=agents)
+    full = run_experiment(medic_env, cfg, workers=workers).trial_log
+    for label, acfg in agents.items():
+        alone = run_experiment(medic_env, replace(cfg, agents={label: acfg}), workers=workers).trial_log
+        assert np.array_equal(alone.actions[label], full.actions[label])
+        assert np.array_equal(alone.rewards[label], full.rewards[label])
+
+
+def test_a_small_run_reproduces_its_pinned_trial_log(medic_env):
+    # SHA-256 over each agent's action indices (uint8) and then its
+    # rewards (little-endian float64), in roster order. Any change to the
+    # streams, their column use, exploration or the draw changes it.
+    log = run_experiment(medic_env, small_config(rounds=30, replications=8, seed=7)).trial_log
+    digest = hashlib.sha256()
+    for label in log.actions:
+        digest.update(log.actions[label].astype(np.uint8).tobytes())
+        digest.update(log.rewards[label].astype("<f8").tobytes())
+    assert digest.hexdigest() == "fa00d3c4ce945b14edaf56ad45636a14f13b11c2e9f72e800e2828d4ed3ca80f"
+
+
+def test_uniform_chunks_read_the_one_draw_layout():
+    # Chunked reads give each replication the uniforms it would get from
+    # one replication-major draw per agent, across chunk boundaries too.
+    cfg = small_config(rounds=2 * _CHUNK_ROUNDS + 3, seed=5)
+    chunks = np.concatenate(list(_uniform_chunks(cfg, 1, 3, 4)), axis=1)
+    whole = np.concatenate([_block_stream(5, 1, label).random((3, cfg.rounds, 4)) for label in cfg.agents])
+    assert np.array_equal(chunks, whole)
 
 
 def test_parallel_run_matches_serial_run(medic_env):
