@@ -30,10 +30,10 @@ states (or the ``max_states`` given), whatever the width of the graph;
 
 Sampling is ancestral and has no cap. A variable's state is drawn by
 inverse CDF from its cumulative table (:func:`cumulative`): the state
-is the first whose cumulative entry exceeds a uniform draw. The scalar
-:func:`sample`, the environment's ``step`` (the same walk over the
-same tables, with forced states pinned) and the batched
-:func:`~causalsim.environment.draw` share that rule.
+is the first whose cumulative entry exceeds a uniform draw. Actions
+reach sampling only through :func:`intervene`: the environment's
+``step`` is :func:`sample` on a surgered truth, and the batched
+:func:`~causalsim.environment.draw` reads the surgered truths' tables.
 
 Models are plain dataclasses. Construction is permissive so that
 :func:`validate` can report every problem in one pass; the query and
@@ -227,8 +227,7 @@ class CausalModel:
     @cached_property
     def _sampler(self) -> tuple[tuple[str, tuple[str, ...], int, tuple[int, ...], list], ...]:
         # Per variable in topological order: (name, states, position,
-        # parent positions, cumulative table as nested lists). The
-        # environment's batched sampler adds an action axis to this plan.
+        # parent positions, cumulative table as nested lists).
         graph = self.graph
         positions = graph._positions
         plan = []
@@ -237,29 +236,6 @@ class CausalModel:
             parents = tuple(positions[p] for p in graph.parents_of(name))
             plan.append((name, graph.variable_map[name].states, pos, parents, cumulative(self.table(pos)).tolist()))
         return tuple(plan)
-
-    def _walk(self, rng: np.random.Generator, forced: Assignment) -> dict[str, str]:
-        # ``sample(intervene(self, forced), rng)`` without building that
-        # model. Topological order is by depth, then declaration; surgery
-        # makes forced variables roots, so the walk re-sorts by the
-        # surgered depths. A forced variable still takes its uniform.
-        plan = self._sampler
-        codes = [0] * len(plan)
-        if forced:
-            depth = codes[:]
-            for name, _, pos, parents, _ in plan:
-                if parents and name not in forced:
-                    depth[pos] = 1 + max([depth[p] for p in parents])
-            plan = sorted(plan, key=lambda entry: (depth[entry[2]], entry[2]))
-        for name, states, pos, parents, row in plan:
-            u = rng.random()
-            if name in forced:
-                codes[pos] = states.index(forced[name])
-            else:
-                for p in parents:
-                    row = row[codes[p]]
-                codes[pos] = bisect.bisect_right(row, u)
-        return {name: states[codes[pos]] for name, states, pos, _, _ in plan}
 
 
 @dataclass(frozen=True)
@@ -451,6 +427,16 @@ class _Plan:
     factors: tuple[tuple[int, tuple[str | None, ...] | None], ...]
     steps: tuple[tuple[tuple[int, ...], str], ...]
 
+    def pinned(self, graph: CausalGraph, *pins: Assignment) -> tuple[tuple[int, tuple | None], ...]:
+        """Per factor: (variable position, the index that pins its table
+        to the states in ``pins``, or None). Each index leads with
+        ``...``, so it pins a table with or without a replication axis."""
+        vmap = graph.variable_map
+        codes: dict[str | None, int | slice] = {None: slice(None)}
+        for assignment in pins:
+            codes.update((name, vmap[name].state_index[state]) for name, state in assignment.items())
+        return tuple((pos, None if axes is None else (..., *[codes[a] for a in axes])) for pos, axes in self.factors)
+
     def run(self, slots: list[np.ndarray]) -> np.ndarray:
         """Contract the pinned factors in ``slots``, in plan order."""
         for used, subscripts in self.steps:
@@ -529,18 +515,10 @@ def _contract(
     truncated factorization under ``forced`` restricted to ``evidence``."""
     graph = model.graph
     plan = graph._plan_for(forced, evidence, targets, max_states)
-    vmap = graph.variable_map
-    codes: dict[str | None, int | slice] = {None: slice(None)}
-    for pins in (forced, evidence):
-        for name, state in pins.items():
-            codes[name] = vmap[name].state_index[state]
-    compiled = model._compiled
     slots = []
-    for pos, axes in plan.factors:
-        table = compiled.get(pos)
-        if table is None:
-            table = model.table(pos)
-        slots.append(table if axes is None else table[tuple([codes[a] for a in axes])])
+    for pos, index in plan.pinned(graph, forced, evidence):
+        table = model.table(pos)
+        slots.append(table if index is None else table[index])
     return plan.run(slots)
 
 
@@ -687,9 +665,17 @@ def sample(model: CausalModel, rng: np.random.Generator) -> dict[str, str]:
     Variables are visited in the cached topological order; each is drawn
     from its CPT row given the already-sampled parents, with one
     ``rng.random()`` per variable. All randomness comes from ``rng``, so
-    a given generator state fixes the draw.
+    a given generator state fixes the draw. A forced variable of a
+    surgered model still takes its uniform.
     """
-    return model._walk(rng, {})
+    plan = model._sampler
+    codes = [0] * len(plan)
+    for _, _, pos, parents, row in plan:
+        u = rng.random()
+        for p in parents:
+            row = row[codes[p]]
+        codes[pos] = bisect.bisect_right(row, u)
+    return {name: states[codes[pos]] for name, states, pos, _, _ in plan}
 
 
 class ReplicatedQuery:
@@ -706,14 +692,8 @@ class ReplicatedQuery:
 
     def __init__(self, graph: CausalGraph, intervention: Intervention, target: str):
         self.plan = graph._plan_for(intervention, {}, (target,), MAX_JOINT_STATES)
-        vmap = graph.variable_map
-        codes: dict[str | None, int | slice] = {None: slice(None)}
-        codes.update((name, vmap[name].state_index[state]) for name, state in intervention.items())
-        self.factors = tuple(
-            (pos, None if axes is None else (slice(None), *[codes[a] for a in axes]))
-            for pos, axes in self.plan.factors
-        )
-        self.positions = frozenset(pos for pos, _ in self.plan.factors)
+        self.factors = self.plan.pinned(graph, intervention)
+        self.positions = frozenset(pos for pos, _ in self.factors)
 
     def __call__(self, tables: list[np.ndarray]) -> np.ndarray:
         slots = [tables[pos] if index is None else tables[pos][index] for pos, index in self.factors]

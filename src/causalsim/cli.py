@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .agents import best_action
 from .cgm import InvalidModelError, interventional_query
@@ -53,24 +53,20 @@ def _assignment_pair(text: str) -> tuple[str, str]:
     return name, state
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
+    """An argparse type for integers of at least ``low``; ``kind`` names
+    that range in the error message."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -82,10 +78,11 @@ def _build_parser() -> _Parser:
     sim.add_argument("--experiment", required=True, help="experiment JSON file")
     sim.add_argument("--out", required=True, help="CSV output path")
     sim.add_argument("--svg", help="optional SVG chart path")
-    sim.add_argument("--seed", type=_nonnegative_int, help="override the master seed")
-    sim.add_argument("--rounds", type=_positive_int, help="override rounds per replication")
-    sim.add_argument("--reps", type=_positive_int, help="override the replication count")
-    sim.add_argument("--workers", type=_positive_int, help="run replications in this many processes")
+    positive = _int_at_least(1, "positive")
+    sim.add_argument("--seed", type=_int_at_least(0, "non-negative"), help="override the master seed")
+    sim.add_argument("--rounds", type=positive, help="override rounds per replication")
+    sim.add_argument("--reps", type=positive, help="override the replication count")
+    sim.add_argument("--workers", type=positive, help="run replications in this many processes")
 
     qry = sub.add_parser("query", help="print an interventional probability")
     qry.add_argument("--model", required=True, help="model JSON file")

@@ -1,14 +1,13 @@
 """The world the agents act in: a ground-truth causal model, a menu of
 interventions, and a utility over one target variable.
 
-Stepping the environment draws one full outcome by ancestral sampling
-on the truth's own tables with the action's forced states pinned, as
-``sample(intervene(truth, intervention), rng)`` would, and pays the
-utility of the realized target state; no surgered model is built.
-:func:`draw` is the batched step: one outcome per replication, each
-under its own action, from cumulative tables cached once per
-environment with a leading action axis (a forced variable's rows are
-one-hot on its forced state).
+An action reaches the truth only by graph surgery
+(:func:`~causalsim.cgm.intervene`), and the environment caches one
+surgered truth per action. Stepping the environment samples the
+action's surgered truth and pays the utility of the realized target
+state. :func:`draw` is the batched step: one outcome per replication,
+each under its own action, from the surgered truths' cumulative
+tables, stacked on a leading action axis once per environment.
 
 ``medic_scenario`` builds the running example used throughout the test
 suite and documentation: a binary confounder D (disease severity)
@@ -25,7 +24,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .agents import Action, UtilityFunction, _check_action_set, _check_utility
-from .cgm import CausalModel, check_assignment, ensure_valid
+from .cgm import CausalModel, cumulative, ensure_valid, intervene, sample
 from . import model_io
 
 __all__ = [
@@ -65,30 +64,22 @@ class Environment:
             raise ValueError(f"unknown-target: {self.target!r} is not in the model")
         _check_action_set(self.actions, self.target)
         _check_utility(self.utility, spec.states, self.target)
-        for a in self.actions:
-            check_assignment(self.truth.graph, a.intervention, "intervention")
+        self._surgered  # surgery checks each intervention against the truth
+
+    @cached_property
+    def _surgered(self) -> tuple[CausalModel, ...]:
+        """The truth after each action's surgery, in menu order."""
+        return tuple(intervene(self.truth, a.intervention) for a in self.actions)
 
     @cached_property
     def _sampler(self) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
-        # The truth's sampling plan with a leading action axis on every
-        # cumulative table: per variable in topological order, (position,
-        # parent positions, table of shape (actions, parent
-        # cardinalities..., cardinality)). Under an action that forces the
-        # variable, every row is the cumulative table of a one-hot row on
-        # the forced state: 0 before it, +inf from it on.
+        # The truth's sampling plan, each variable's table replaced by the
+        # cumulative tables of the surgered truths, broadcast to the
+        # truth's table shape and stacked on a leading action axis.
         plan = []
-        for name, states, pos, parents, cum in self.truth._sampler:
-            free = np.asarray(cum)
-            codes = np.arange(len(states))
-            per_action = []
-            for a in self.actions:
-                forced = a.intervention.get(name)
-                if forced is None:
-                    per_action.append(free)
-                else:
-                    one_hot = np.where(codes >= states.index(forced), np.inf, 0.0)
-                    per_action.append(np.broadcast_to(one_hot, free.shape))
-            plan.append((pos, parents, np.stack(per_action)))
+        for _, _, pos, parents, _ in self.truth._sampler:
+            cum = [np.broadcast_to(cumulative(m.table(pos)), self.truth.table(pos).shape) for m in self._surgered]
+            plan.append((pos, parents, np.stack(cum)))
         return tuple(plan)
 
     @cached_property
@@ -106,7 +97,7 @@ def step(env: Environment, action: Action, rng: np.random.Generator) -> StepReco
     """Take one action: force it, sample a world, pay out."""
     if action not in env.actions:
         raise ValueError(f"unknown-action: {action.label!r} is not in this environment")
-    realized = env.truth._walk(rng, action.intervention)
+    realized = sample(env._surgered[env.actions.index(action)], rng)
     return StepRecord(action.label, realized, env.utility[realized[env.target]])
 
 

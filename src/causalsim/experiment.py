@@ -118,23 +118,17 @@ class RandomConfig:
 
 AgentConfig = CausalAgentConfig | QLearningConfig | RandomConfig
 
-_AGENT_KINDS: dict[str, type] = {
-    "causal": CausalAgentConfig,
-    "qlearning": QLearningConfig,
-    "random": RandomConfig,
+# Every agent label, with its config class and its batch policy class.
+_AGENTS: dict[str, tuple[type, Callable[..., BatchPolicy]]] = {
+    "causal": (CausalAgentConfig, CausalBatch),
+    "qlearning": (QLearningConfig, QBatch),
+    "random": (RandomConfig, RandomBatch),
 }
-
-
-_POLICIES: dict[str, Callable[..., BatchPolicy]] = {"causal": CausalBatch, "qlearning": QBatch, "random": RandomBatch}
 
 
 def default_agents() -> dict[str, AgentConfig]:
     """All three agents with their default hyperparameters."""
-    return {
-        "causal": CausalAgentConfig(),
-        "qlearning": QLearningConfig(),
-        "random": RandomConfig(),
-    }
+    return {label: kind() for label, (kind, _) in _AGENTS.items()}
 
 
 @dataclass(frozen=True)
@@ -170,9 +164,9 @@ class ExperimentConfig:
         if not self.agents:
             raise _FieldError("agents", "at least one agent must be configured")
         for label, acfg in self.agents.items():
-            kind = _AGENT_KINDS.get(label)
-            if kind is None:
-                raise ValueError(f"unknown agent {label!r}; known: {', '.join(_AGENT_KINDS)}")
+            if label not in _AGENTS:
+                raise ValueError(f"unknown agent {label!r}; known: {', '.join(_AGENTS)}")
+            kind = _AGENTS[label][0]
             if not isinstance(acfg, kind):
                 raise ValueError(f"agent {label!r} requires a {kind.__name__}, got {type(acfg).__name__}")
 
@@ -287,13 +281,8 @@ def config_from_dict(data: Any, *, doc: str = "$") -> ExperimentConfig:
     if unknown:
         raise model_io.FormatError(doc, f"unknown keys: {', '.join(unknown)}")
 
-    kwargs: dict[str, Any] = {}
-    for key in ("rounds", "replications", "seed"):
-        if key in data:
-            value = data[key]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise model_io.FormatError(f"{doc}.{key}", "expected an integer")
-            kwargs[key] = value
+    # ExperimentConfig checks rounds, replications and seed itself.
+    kwargs: dict[str, Any] = {key: data[key] for key in ("rounds", "replications", "seed") if key in data}
     if "epsilon" in data:
         value = data["epsilon"]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -311,9 +300,9 @@ def config_from_dict(data: Any, *, doc: str = "$") -> ExperimentConfig:
         agents: dict[str, AgentConfig] = {}
         for label, block in raw_agents.items():
             where = f"{doc}.agents.{label}"
-            kind = _AGENT_KINDS.get(label)
-            if kind is None:
-                raise model_io.FormatError(where, f"unknown agent; known: {', '.join(_AGENT_KINDS)}")
+            if label not in _AGENTS:
+                raise model_io.FormatError(where, f"unknown agent; known: {', '.join(_AGENTS)}")
+            kind = _AGENTS[label][0]
             if not isinstance(block, dict):
                 raise model_io.FormatError(where, "expected an object")
             fields = {f for f in kind.__dataclass_fields__}
@@ -401,9 +390,18 @@ def _exploration(u: np.ndarray, epsilon: float | np.ndarray, n_actions: int) -> 
     return u[..., 0] < epsilon, uniform
 
 
-def _run_block(env: Environment, cfg: ExperimentConfig, block: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Every agent's (actions, rewards), each (replications, rounds), for
-    the replications of one block.
+def _trial_arrays(env: Environment, cfg: ExperimentConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialized (actions, rewards) arrays, each (agents, n, rounds)."""
+    shape = (len(cfg.agents), n, cfg.rounds)
+    return np.empty(shape, np.min_scalar_type(len(env.actions) - 1)), np.empty(shape)
+
+
+def _run_block(
+    env: Environment, cfg: ExperimentConfig, block: int, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every agent's (actions, rewards), each (agents, replications,
+    rounds), for the replications of one block, written into ``out``
+    when given.
 
     All agents advance in lockstep on one row per (agent, replication),
     agent-major. Per round: each policy writes its greedy actions into
@@ -413,17 +411,15 @@ def _run_block(env: Environment, cfg: ExperimentConfig, block: int) -> dict[str,
     from its rows.
     """
     n = min(BLOCK_SIZE, cfg.replications - block * BLOCK_SIZE)
-    n_actions = len(env.actions)
     payoff, target = env._payoff, env._target_position
-    policies = [_POLICIES[label](env, acfg, n) for label, acfg in cfg.agents.items()]
+    policies = [_AGENTS[label][1](env, acfg, n) for label, acfg in cfg.agents.items()]
     spans = [slice(i * n, (i + 1) * n) for i in range(len(policies))]
     epsilon = np.repeat([p.epsilon for p in policies], n)[:, None]
     greedy = np.empty(len(policies) * n, np.intp)
-    actions = np.empty((len(greedy), cfg.rounds), np.min_scalar_type(n_actions - 1))
-    rewards = np.empty((len(greedy), cfg.rounds))
+    actions, rewards = _trial_arrays(env, cfg, n) if out is None else out
     t = 0
     for u in _uniform_chunks(cfg, block, n, CHOICE_DRAWS + len(env.truth.graph.variables)):
-        explore, uniform = _exploration(u[..., :CHOICE_DRAWS], epsilon, n_actions)
+        explore, uniform = _exploration(u[..., :CHOICE_DRAWS], epsilon, len(env.actions))
         for c in range(u.shape[1]):
             for policy, span in zip(policies, spans):
                 greedy[span] = policy.greedy()
@@ -431,10 +427,10 @@ def _run_block(env: Environment, cfg: ExperimentConfig, block: int) -> dict[str,
             x = draw(env, a, u[:, c, CHOICE_DRAWS:])
             for policy, span in zip(policies, spans):
                 policy.learn(a[span], x[span])
-            actions[:, t] = a
-            rewards[:, t] = payoff[x[:, target]]
+            actions[:, :, t] = a.reshape(len(policies), n)
+            rewards[:, :, t] = payoff[x[:, target]].reshape(len(policies), n)
             t += 1
-    return {label: (actions[span], rewards[span]) for label, span in zip(cfg.agents, spans)}
+    return actions, rewards
 
 
 def run_experiment(
@@ -443,24 +439,29 @@ def run_experiment(
     """Run every configured agent for the configured replications.
 
     ``workers`` > 1 spreads the blocks of replications over at most that
-    many processes. Because every block owns its streams and results
-    are merged in block order, the output is identical to a serial run,
-    byte for byte once written.
+    many processes. Every block owns its streams and its rows of the
+    trial log, which is allocated once: a serial block writes its rows
+    in place, a worker's block is copied there as it arrives, and the
+    output is identical to a serial run, byte for byte once written.
     """
     if workers is not None and (not isinstance(workers, int) or workers < 1):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     blocks = range(-(-cfg.replications // BLOCK_SIZE))
+    actions, rewards = _trial_arrays(env, cfg, cfg.replications)
+    rows = [slice(b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE) for b in blocks]
     if workers is not None and workers > 1 and len(blocks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(min(workers, len(blocks))) as pool:
-            parts = list(pool.map(_run_block, repeat(env), repeat(cfg), blocks))
+            for b, (a, r) in zip(blocks, pool.map(_run_block, repeat(env), repeat(cfg), blocks)):
+                actions[:, rows[b]], rewards[:, rows[b]] = a, r
     else:
-        parts = [_run_block(env, cfg, b) for b in blocks]
+        for b in blocks:
+            _run_block(env, cfg, b, (actions[:, rows[b]], rewards[:, rows[b]]))
     log = TrialLog(
         tuple(a.label for a in env.actions),
-        {label: np.concatenate([p[label][0] for p in parts]) for label in cfg.agents},
-        {label: np.concatenate([p[label][1] for p in parts]) for label in cfg.agents},
+        dict(zip(cfg.agents, actions)),
+        dict(zip(cfg.agents, rewards)),
     )
 
     series = []

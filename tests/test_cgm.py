@@ -608,21 +608,34 @@ class _Uniforms:
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_batched_draw_matches_scalar_sampling_on_the_same_uniforms(data):
-    # Zero entries and deterministic rows included: the batched draw
-    # and the scalar sampler pick the same state for the same uniform,
-    # and neither ever picks a state of zero probability.
-    model = data.draw(_models())
-    forced, _ = data.draw(_split(model))
-    target = data.draw(st.sampled_from([n for n in model.graph.names if n not in forced]))
+    # Zero entries and deterministic rows included, two or three actions
+    # that force different sets of variables with up to four states, and
+    # rows that mix the actions: each row's batched draw is what the
+    # scalar sampler draws on that row's surgered truth for the same
+    # uniforms, and neither ever picks a state of zero probability.
+    model = data.draw(_models().filter(lambda m: len(m.graph.variables) >= 3))
+    names = list(model.graph.names)
+    target = data.draw(st.sampled_from(names))
+    others = [n for n in names if n != target]
+    subsets = st.lists(st.sampled_from(others), min_size=1, max_size=2, unique=True).map(frozenset)
+    forced_sets = data.draw(st.lists(subsets, min_size=2, max_size=3, unique=True))
+    actions = tuple(
+        Action(f"a{i}", _pick(data.draw, model, [n for n in names if n in forced]))
+        for i, forced in enumerate(forced_sets)
+    )
     states = model.graph.variable_map[target].states
-    env = Environment(model, (Action("act", forced),), target, {s: float(i) for i, s in enumerate(states)})
+    env = Environment(model, actions, target, {s: float(i) for i, s in enumerate(states)})
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
-    u = rng.random((32, len(model.graph.names)))
-    u[0] = 0.0
-    u[1] = 1.0 - 2.0**-53
-    x = draw(env, np.zeros(len(u), dtype=np.intp), u)
-    cut = intervene(model, forced)
-    for row, codes in zip(u, x):
+    u = rng.random((36, len(names)))
+    # Rows 0-5 put each extreme uniform under every action.
+    u[:3] = 0.0
+    u[3:6] = 1.0 - 2.0**-53
+    a = np.arange(len(u)) % len(actions)
+    rng.shuffle(a[6:])
+    x = draw(env, a, u)
+    cuts = [intervene(model, action.intervention) for action in actions]
+    for row, k, codes in zip(u, a, x):
+        cut = cuts[k]
         by_name = dict(zip(model.topological_order, row))
         got = sample(cut, _Uniforms([by_name[n] for n in cut.topological_order]))
         assert got == {v.name: v.states[c] for v, c in zip(model.graph.variables, codes)}
