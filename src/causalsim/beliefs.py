@@ -177,50 +177,23 @@ def total_pseudo_count(beliefs: BeliefState) -> float:
 
 def beliefs_to_dict(beliefs: BeliefState) -> dict[str, Any]:
     """Document form: the model JSON layout with "counts" rows."""
-    out = model_io.graph_to_dict(beliefs.graph)
-    cpts: dict[str, Any] = {}
-    for v in beliefs.graph.variables:
-        parents = beliefs.graph.parents_of(v.name)
-        rows = []
-        for config in parent_configurations(beliefs.graph, v.name):
-            entry: dict[str, Any] = {}
-            if parents:
-                entry["given"] = dict(zip(parents, config))
-            entry["counts"] = list(beliefs.counts[v.name][config])
-            rows.append(entry)
-        cpts[v.name] = rows
-    out["cpts"] = cpts
-    return out
+    return model_io.tables_to_dict(beliefs.graph, beliefs.counts, "counts")
 
 
 def beliefs_from_dict(data: Any) -> BeliefState:
     """Inverse of :func:`beliefs_to_dict`; counts must be positive and
     finite, and so must each row's sum."""
-    graph = model_io.graph_from_dict(data)
+    graph, counts = model_io.tables_from_dict(data, value_key="counts", normalize=False)
     issues = validate_graph(graph)
     if issues:
         raise InvalidModelError(issues)
-    raw = data.get("cpts")
-    if not isinstance(raw, dict):
-        raise model_io.FormatError("cpts", "expected an object")
-    declared = set(graph.names)
-    for name in raw:
-        if name not in declared:
-            raise model_io.FormatError(f"cpts.{name}", "rows for an undeclared variable")
-    counts: dict[str, dict[tuple[str, ...], DirichletRow]] = {}
-    for v in graph.variables:
-        if v.name not in raw:
-            raise model_io.FormatError("cpts", f"missing rows for {v.name}")
-        rows = model_io.parse_rows(
-            raw[v.name], graph, v.name, section="cpts", value_key="counts", normalize=False
-        )
-        for config, row in rows.items():
+    for name, rows in counts.items():
+        for row in rows.values():
             if any(not 0.0 < c < np.inf for c in row):
                 raise model_io.FormatError(
-                    f"cpts.{v.name}", "pseudo-counts must be positive and finite in every entry"
+                    f"cpts.{name}", "pseudo-counts must be positive and finite in every entry"
                 )
             # posterior_mean divides by the row total, which must be finite too.
             if not sum(row) < np.inf:
-                raise model_io.FormatError(f"cpts.{v.name}", "pseudo-counts must have a finite sum in every row")
-        counts[v.name] = rows
+                raise model_io.FormatError(f"cpts.{name}", "pseudo-counts must have a finite sum in every row")
     return BeliefState(graph, counts)

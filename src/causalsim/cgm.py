@@ -580,7 +580,8 @@ def intervene(model: CausalModel, intervention: Intervention) -> CausalModel:
 
     Returns a new model in which every intervened variable has no
     parents and a point-mass CPT on its forced state; everything else is
-    shared with the input, which is left untouched. Applying the same
+    shared with the input, which is left untouched, compiled tables
+    included (so the input must be valid). Applying the same
     intervention twice is a no-op, and a later surgery on the same
     variable simply replaces the earlier one.
     """
@@ -594,7 +595,10 @@ def intervene(model: CausalModel, intervention: Intervention) -> CausalModel:
         new_parents[name] = ()
         row = tuple(1.0 if s == state else 0.0 for s in spec.states)
         new_cpts[name] = Cpt(name, {(): row})
-    return CausalModel(CausalGraph(model.graph.variables, new_parents), new_cpts)
+    surgered = CausalModel(CausalGraph(model.graph.variables, new_parents), new_cpts)
+    forced = {model.graph._positions[name] for name in intervention}
+    surgered._compiled.update((i, model.table(i)) for i in range(len(model.graph.variables)) if i not in forced)
+    return surgered
 
 
 def interventional_query(

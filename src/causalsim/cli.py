@@ -144,6 +144,7 @@ def _cmd_query(ns: argparse.Namespace) -> int:
 
 def _cmd_best_action(ns: argparse.Namespace) -> int:
     env = load_environment(ns.model, ns.experiment)
+    load_experiment_config(ns.experiment)  # the same file simulate accepts, run half included
     index = best_action(env.truth, env.actions, env.target, env.utility)
     print(env.actions[index].label)
     return 0

@@ -7,7 +7,8 @@ surgered truth per action. Stepping the environment samples the
 action's surgered truth and pays the utility of the realized target
 state. :func:`draw` is the batched step: one outcome per replication,
 each under its own action, from the surgered truths' cumulative
-tables, stacked on a leading action axis once per environment.
+tables, stacked on a leading action axis once per environment. Surgery
+shares every unforced compiled table with the truth.
 
 ``medic_scenario`` builds the running example used throughout the test
 suite and documentation: a binary confounder D (disease severity)
@@ -74,12 +75,14 @@ class Environment:
     @cached_property
     def _sampler(self) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
         # The truth's sampling plan, each variable's table replaced by the
-        # cumulative tables of the surgered truths, broadcast to the
-        # truth's table shape and stacked on a leading action axis.
+        # surgered truths' tables, broadcast to the truth's table shape,
+        # stacked on a leading action axis, then made cumulative at once.
         plan = []
         for _, _, pos, parents, _ in self.truth._sampler:
-            cum = [np.broadcast_to(cumulative(m.table(pos)), self.truth.table(pos).shape) for m in self._surgered]
-            plan.append((pos, parents, np.stack(cum)))
+            stacked = np.empty((len(self._surgered), *self.truth.table(pos).shape))
+            for k, m in enumerate(self._surgered):
+                stacked[k] = m.table(pos)
+            plan.append((pos, parents, cumulative(stacked)))
         return tuple(plan)
 
     @cached_property
@@ -187,9 +190,8 @@ def _environment_block(
             raise model_io.FormatError(f"{where}.label", "expected a non-empty string")
         if not isinstance(do, dict) or not do:
             raise model_io.FormatError(f"{where}.do", "expected a non-empty object")
-        for k, v in do.items():
-            if not isinstance(k, str) or not isinstance(v, str):
-                raise model_io.FormatError(f"{where}.do", "expected string-to-string entries")
+        if not all(isinstance(v, str) for v in do.values()):
+            raise model_io.FormatError(f"{where}.do", "expected string-to-string entries")
         actions.append(Action(label, dict(do)))
 
     utility = None
@@ -197,11 +199,7 @@ def _environment_block(
     if raw_utility is not None:
         if not isinstance(raw_utility, dict):
             raise model_io.FormatError(f"{doc}: utility", "expected an object")
-        utility = {}
-        for k, v in raw_utility.items():
-            if not isinstance(k, str) or not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise model_io.FormatError(f"{doc}: utility", "expected string-to-number entries")
-            utility[k] = float(v)
+        utility = {k: model_io.number(v, f"{doc}: utility.{k}") for k, v in raw_utility.items()}
 
     desired = data.get("desired")
     if desired is not None and not isinstance(desired, str):

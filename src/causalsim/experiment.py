@@ -284,10 +284,7 @@ def config_from_dict(data: Any, *, doc: str = "$") -> ExperimentConfig:
     # ExperimentConfig checks rounds, replications and seed itself.
     kwargs: dict[str, Any] = {key: data[key] for key in ("rounds", "replications", "seed") if key in data}
     if "epsilon" in data:
-        value = data["epsilon"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise model_io.FormatError(f"{doc}.epsilon", "expected a number")
-        kwargs["epsilon"] = float(value)
+        kwargs["epsilon"] = model_io.number(data["epsilon"], f"{doc}.epsilon")
     for key in ("out_csv", "out_svg"):
         if key in data:
             if not isinstance(data[key], str):
@@ -309,11 +306,7 @@ def config_from_dict(data: Any, *, doc: str = "$") -> ExperimentConfig:
             bad = sorted(set(block) - fields)
             if bad:
                 raise model_io.FormatError(where, f"unknown keys: {', '.join(bad)}")
-            params = {}
-            for pkey, pval in block.items():
-                if not isinstance(pval, (int, float)) or isinstance(pval, bool):
-                    raise model_io.FormatError(f"{where}.{pkey}", "expected a number")
-                params[pkey] = float(pval)
+            params = {pkey: model_io.number(pval, f"{where}.{pkey}") for pkey, pval in block.items()}
             try:
                 agents[label] = kind(**params)
             except _FieldError as e:

@@ -1,4 +1,4 @@
-"""Read and write causal models as JSON documents.
+"""Read and write causal models and belief documents as JSON.
 
 The document layout mirrors the in-memory model:
 
@@ -16,10 +16,14 @@ The document layout mirrors the in-memory model:
 Each "p" vector aligns with the variable's declared state order, every
 parent configuration appears exactly once, and "given" is omitted (or
 empty) for parentless variables. Variables missing from "parents" have
-no parents.
+no parents. A belief document has the same layout with "counts" rows in
+place of "p" rows, and both go through one table codec,
+:func:`tables_from_dict` and :func:`tables_to_dict`. Every JSON number
+is read by :func:`number`.
 
 Structural problems raise :class:`FormatError` at the first violation,
-with a path into the document such as ``cpts.Y[2].p``. Row sums within
+with a path into the document such as ``cpts.Y[2].p``; so do numbers
+beyond float range, such as a 400-digit integer. Row sums within
 ``ROW_SUM_TOL`` of one are renormalized on load; rows further out are
 rejected. After parsing, the assembled model is validated semantically
 and any violations raise :class:`~causalsim.cgm.InvalidModelError`.
@@ -28,7 +32,7 @@ and any violations raise :class:`~causalsim.cgm.InvalidModelError`.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Mapping, Sequence
 
 from .cgm import (
     ROW_SUM_TOL,
@@ -121,21 +125,25 @@ def graph_to_dict(graph: CausalGraph) -> dict[str, Any]:
     }
 
 
-def parse_rows(
-    raw_rows: Any,
-    graph: CausalGraph,
-    name: str,
-    *,
-    section: str,
-    value_key: str,
-    normalize: bool,
+def number(value: Any, path: str) -> float:
+    """A JSON number as a float. Non-numbers, booleans and integers
+    beyond float range raise :class:`FormatError` at ``path``."""
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError(path, "number beyond float range") from None
+
+
+def _parse_rows(
+    raw_rows: Any, graph: CausalGraph, name: str, *, value_key: str, normalize: bool
 ) -> dict[tuple[str, ...], tuple[float, ...]]:
-    """Parse one variable's row list; shared by model and belief loaders.
+    """Parse one variable's row list under ``cpts.<name>``.
 
     ``value_key`` selects the per-row vector ("p" for probabilities,
     "counts" for pseudo-counts); only probability rows are normalized.
     """
-    where = f"{section}.{name}"
+    where = f"cpts.{name}"
     spec = graph.variable_map[name]
     parents = graph.parents_of(name)
     _expect(isinstance(raw_rows, list), where, "expected a list of rows")
@@ -170,14 +178,7 @@ def parse_rows(
             f"{rw}.{value_key}",
             f"{len(vec)} entries for {len(spec.states)} states",
         )
-        values = []
-        for j, x in enumerate(vec):
-            _expect(
-                isinstance(x, (int, float)) and not isinstance(x, bool),
-                f"{rw}.{value_key}[{j}]",
-                "expected a number",
-            )
-            values.append(float(x))
+        values = [number(x, f"{rw}.{value_key}[{j}]") for j, x in enumerate(vec)]
         if normalize:
             for j, x in enumerate(values):
                 _expect(0.0 <= x <= 1.0, f"{rw}.{value_key}[{j}]", "probabilities must lie in [0, 1]")
@@ -198,48 +199,56 @@ def parse_rows(
     return rows
 
 
-def model_from_dict(data: Any) -> CausalModel:
-    """Assemble and validate a model from its document form."""
+def tables_from_dict(
+    data: Any, *, value_key: str, normalize: bool
+) -> tuple[CausalGraph, dict[str, dict[tuple[str, ...], tuple[float, ...]]]]:
+    """Parse a CPT-shaped document: its graph, and each variable's rows
+    keyed by parent configuration, with ``value_key`` naming the row
+    vector. Structure only; the caller validates the semantics."""
     graph = graph_from_dict(data)
     _expect(set(data) <= {"variables", "parents", "cpts"}, "$", "unknown top-level keys present")
     _expect("cpts" in data, "$", "missing key 'cpts'")
     raw_cpts = data["cpts"]
     _expect(isinstance(raw_cpts, dict), "cpts", "expected an object")
-    declared = set(graph.names)
     for name in raw_cpts:
-        _expect(name in declared, f"cpts.{name}", "table for an undeclared variable")
-    cpts: dict[str, Cpt] = {}
+        _expect(name in graph.variable_map, f"cpts.{name}", "table for an undeclared variable")
+    tables = {}
     for v in graph.variables:
         _expect(v.name in raw_cpts, "cpts", f"missing table for {v.name}")
-        rows = parse_rows(
-            raw_cpts[v.name], graph, v.name, section="cpts", value_key="p", normalize=True
-        )
-        cpts[v.name] = Cpt(v.name, rows)
-    model = CausalModel(graph, cpts)
+        tables[v.name] = _parse_rows(raw_cpts[v.name], graph, v.name, value_key=value_key, normalize=normalize)
+    return graph, tables
+
+
+def tables_to_dict(
+    graph: CausalGraph, tables: Mapping[str, Mapping[tuple[str, ...], Sequence[float]]], value_key: str
+) -> dict[str, Any]:
+    """Document form of a graph and its rows; inverse of :func:`tables_from_dict`.
+    Rows come in cross-product order; "given" is omitted for parentless variables."""
+    out = graph_to_dict(graph)
+    cpts: dict[str, Any] = {}
+    for v in graph.variables:
+        parents = graph.parents_of(v.name)
+        rows = []
+        for config in parent_configurations(graph, v.name):
+            entry: dict[str, Any] = {"given": dict(zip(parents, config))} if parents else {}
+            entry[value_key] = list(tables[v.name][config])
+            rows.append(entry)
+        cpts[v.name] = rows
+    out["cpts"] = cpts
+    return out
+
+
+def model_from_dict(data: Any) -> CausalModel:
+    """Assemble and validate a model from its document form."""
+    graph, tables = tables_from_dict(data, value_key="p", normalize=True)
+    model = CausalModel(graph, {name: Cpt(name, rows) for name, rows in tables.items()})
     ensure_valid(model)
     return model
 
 
 def model_to_dict(model: CausalModel) -> dict[str, Any]:
-    """Document form of a model; inverse of :func:`model_from_dict`.
-
-    Rows are emitted in cross-product order; "given" is omitted for
-    parentless variables.
-    """
-    out = graph_to_dict(model.graph)
-    cpts: dict[str, Any] = {}
-    for v in model.graph.variables:
-        parents = model.graph.parents_of(v.name)
-        rows = []
-        for config in parent_configurations(model.graph, v.name):
-            entry: dict[str, Any] = {}
-            if parents:
-                entry["given"] = dict(zip(parents, config))
-            entry["p"] = list(model.cpts[v.name].rows[config])
-            rows.append(entry)
-        cpts[v.name] = rows
-    out["cpts"] = cpts
-    return out
+    """Document form of a model; inverse of :func:`model_from_dict`."""
+    return tables_to_dict(model.graph, {name: cpt.rows for name, cpt in model.cpts.items()}, "p")
 
 
 def load_model(path: str) -> CausalModel:

@@ -177,8 +177,16 @@ def test_beliefs_from_dict_rejects_rows_whose_sum_overflows(medic_model):
 def test_beliefs_from_dict_rejects_missing_rows(medic_model):
     doc = beliefs_to_dict(init_uniform(medic_model.graph))
     del doc["cpts"]["Y"]
-    with pytest.raises(FormatError, match="missing rows for Y"):
+    with pytest.raises(FormatError, match="missing table for Y"):
         beliefs_from_dict(doc)
+
+
+def test_beliefs_from_dict_rejects_unknown_top_level_keys(medic_model):
+    doc = beliefs_to_dict(init_uniform(medic_model.graph))
+    doc["bogus"] = 1
+    with pytest.raises(FormatError, match="unknown top-level keys") as caught:
+        beliefs_from_dict(doc)
+    assert caught.value.path == "$"
 
 
 def test_posterior_mean_rows_normalize_on_random_graphs():

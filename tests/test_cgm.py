@@ -24,7 +24,7 @@ from causalsim import (
     sample,
     validate,
 )
-from causalsim import Action, Environment, model_from_dict
+from causalsim import Action, Environment, medic_scenario, model_from_dict
 from causalsim.beliefs import init_uniform, posterior_mean, update
 from causalsim.cgm import ReplicatedQuery
 from causalsim.environment import draw
@@ -281,6 +281,19 @@ def test_intervene_leaves_input_untouched(medic_model):
     intervene(medic_model, {"T": "1", "D": "0"})
     after = (dict(medic_model.graph.parents), {n: dict(c.rows) for n, c in medic_model.cpts.items()})
     assert before == after
+
+
+def test_intervene_shares_the_compiled_tables_of_unforced_variables(chain_model):
+    medic = medic_scenario().truth  # fresh, so nothing is compiled yet
+    for model, do in ((chain_model, {"A": "1"}), (medic, {"T": "1"}), (medic, {"T": "0", "D": "1"})):
+        cut = intervene(model, do)
+        forced = {model.graph._positions[name] for name in do}
+        for pos in range(len(model.graph.variables)):
+            if pos in forced:
+                assert cut.table(pos) is not model.table(pos)
+                assert cut.table(pos).tolist() == list(cut.cpts[model.graph.names[pos]].rows[()])
+            else:
+                assert cut.table(pos) is model.table(pos)
 
 
 def test_intervene_is_idempotent(medic_model):

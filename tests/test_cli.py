@@ -62,6 +62,24 @@ def test_best_action_prints_treatment(capsys):
     assert out.strip() == "treatment"
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"rounds": "many", "bogus": 1}, ": unknown keys: bogus"),
+        ({"rounds": "many"}, ".rounds: rounds must be a positive integer, got 'many'"),
+    ],
+)
+def test_best_action_rejects_the_experiment_files_simulate_rejects(capsys, tmp_path, extra, message):
+    doc = {**json.loads(Path(EXPERIMENT).read_text(encoding="utf-8")), **extra}
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps(doc), encoding="utf-8")
+    for command in (["best-action"], ["simulate", "--out", str(tmp_path / "x.csv")]):
+        code, out, err = run_cli(capsys, *command, "--model", MODEL, "--experiment", str(exp))
+        assert code == 2
+        assert f"{exp}{message}" in err
+        assert out == ""
+
+
 def test_missing_required_flag_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "query", "--do", "T=1", "--target", "Y=1")
     assert code == 1
@@ -178,6 +196,24 @@ def test_simulate_seed_override_changes_the_output(capsys, tmp_path):
     run_cli(capsys, *base, "--seed", "1", "--out", str(a))
     run_cli(capsys, *base, "--seed", "2", "--out", str(b))
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_query_reports_the_path_of_a_number_beyond_float_range(tmp_path):
+    doc = json.loads(Path(MODEL).read_text(encoding="utf-8"))
+    doc["cpts"]["D"][0]["p"][0] = 10**400
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = ["query", "--model", str(bad), "--do", "T=1", "--target", "Y=1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "causalsim", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2
+    assert "cpts.D[0].p[0]" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_simulate_rejects_zero_rounds(capsys, tmp_path):
