@@ -152,6 +152,15 @@ class CausalGraph:
         return {n: i for i, n in enumerate(self.names)}
 
     @cached_property
+    def _sampling_order(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(position, parent positions) of each variable, in topological
+        order: the visiting order of ancestral sampling."""
+        positions = self._positions
+        return tuple(
+            (positions[name], tuple(positions[p] for p in self.parents_of(name))) for name in self.topological_order
+        )
+
+    @cached_property
     def _joint_size(self) -> int:
         return math.prod(len(v.states) for v in self.variables)
 
@@ -228,14 +237,11 @@ class CausalModel:
     def _sampler(self) -> tuple[tuple[str, tuple[str, ...], int, tuple[int, ...], list], ...]:
         # Per variable in topological order: (name, states, position,
         # parent positions, cumulative table as nested lists).
-        graph = self.graph
-        positions = graph._positions
-        plan = []
-        for name in self.topological_order:
-            pos = positions[name]
-            parents = tuple(positions[p] for p in graph.parents_of(name))
-            plan.append((name, graph.variable_map[name].states, pos, parents, cumulative(self.table(pos)).tolist()))
-        return tuple(plan)
+        variables = self.graph.variables
+        return tuple(
+            (variables[pos].name, variables[pos].states, pos, parents, cumulative(self.table(pos)).tolist())
+            for pos, parents in self.graph._sampling_order
+        )
 
 
 @dataclass(frozen=True)

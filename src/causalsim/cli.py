@@ -14,6 +14,12 @@ Three subcommands:
 
 Exit codes: 0 on success, 1 on usage errors (bad flags or arguments),
 2 on validation errors (unreadable or contract-violating inputs).
+
+Only ``cgm`` and ``model_io`` are imported by name here: ``query`` and
+the exceptions :func:`cli_main` catches need them. The other modules
+are package submodules that run on first attribute access, and the
+handlers reach them through module attributes, so ``query`` executes no
+other module and ``best-action`` never executes ``reporting``.
 """
 
 from __future__ import annotations
@@ -22,17 +28,9 @@ import argparse
 import sys
 from typing import Callable, Sequence
 
-from .agents import best_action
+from . import agents, environment, experiment, model_io, reporting
 from .cgm import InvalidModelError, interventional_query
-from .environment import load_environment
-from .experiment import (
-    apply_overrides,
-    convergence_index,
-    load_experiment_config,
-    run_experiment,
-)
 from .model_io import FormatError, load_model
-from .reporting import write_csv, write_svg
 
 __all__ = ["cli_main", "main"]
 
@@ -102,17 +100,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _load_experiment(ns: argparse.Namespace) -> tuple[environment.Environment, experiment.ExperimentConfig]:
+    """The environment and the run shape of ``--model`` and ``--experiment``,
+    reading each file once: the environment block is checked first."""
+    truth = load_model(ns.model)
+    data = model_io.read_json(ns.experiment)
+    env = environment.environment_from_dict(truth, data, doc=ns.experiment)
+    return env, experiment.config_from_dict(data, doc=ns.experiment)
+
+
 def _cmd_simulate(ns: argparse.Namespace) -> int:
-    env = load_environment(ns.model, ns.experiment)
-    cfg = load_experiment_config(ns.experiment)
-    cfg = apply_overrides(
+    env, cfg = _load_experiment(ns)
+    cfg = experiment.apply_overrides(
         cfg, seed=ns.seed, rounds=ns.rounds, replications=ns.reps, out_csv=ns.out, out_svg=ns.svg
     )
-    result = run_experiment(env, cfg, workers=ns.workers)
-    write_csv(result.series, cfg.out_csv)
+    result = experiment.run_experiment(env, cfg, workers=ns.workers)
+    reporting.write_csv(result.series, cfg.out_csv)
     written = [cfg.out_csv]
     if cfg.out_svg:
-        write_svg(result.series, cfg.out_svg)
+        reporting.write_svg(result.series, cfg.out_svg)
         written.append(cfg.out_svg)
 
     for s in result.series:
@@ -120,7 +126,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         print(f"{s.label}: overall mean reward {overall:.4f}, final round mean {s.values[-1]:.4f}")
     labels = {s.label for s in result.series}
     if {"causal", "qlearning"} <= labels:
-        n = convergence_index(
+        n = experiment.convergence_index(
             result.series_for("causal"), result.series_for("qlearning"), cfg.epsilon
         )
         shown = "none" if n is None else str(n)
@@ -143,9 +149,8 @@ def _cmd_query(ns: argparse.Namespace) -> int:
 
 
 def _cmd_best_action(ns: argparse.Namespace) -> int:
-    env = load_environment(ns.model, ns.experiment)
-    load_experiment_config(ns.experiment)  # the same file simulate accepts, run half included
-    index = best_action(env.truth, env.actions, env.target, env.utility)
+    env, _ = _load_experiment(ns)  # the same file simulate accepts, run half included
+    index = agents.best_action(env.truth, env.actions, env.target, env.utility)
     print(env.actions[index].label)
     return 0
 

@@ -34,6 +34,7 @@ __all__ = [
     "step",
     "draw",
     "medic_scenario",
+    "environment_from_dict",
     "load_environment",
     "environment_block_to_dict",
 ]
@@ -74,11 +75,12 @@ class Environment:
 
     @cached_property
     def _sampler(self) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
-        # The truth's sampling plan, each variable's table replaced by the
-        # surgered truths' tables, broadcast to the truth's table shape,
-        # stacked on a leading action axis, then made cumulative at once.
+        # Per variable in topological order: its position, its parent
+        # positions, and the surgered truths' tables, broadcast to the
+        # truth's table shape, stacked on a leading action axis, then
+        # made cumulative at once.
         plan = []
-        for _, _, pos, parents, _ in self.truth._sampler:
+        for pos, parents in self.truth.graph._sampling_order:
             stacked = np.empty((len(self._surgered), *self.truth.table(pos).shape))
             for k, m in enumerate(self._surgered):
                 stacked[k] = m.table(pos)
@@ -209,18 +211,18 @@ def _environment_block(
     return target, tuple(actions), utility, desired
 
 
-def load_environment(model_path: str, experiment_path: str) -> Environment:
-    """Assemble an environment from a model file and an experiment file.
+def environment_from_dict(truth: CausalModel, data: Any, *, doc: str = "$") -> Environment:
+    """Assemble an environment from a truth model and the environment
+    half of a parsed experiment document; ``doc`` prefixes error paths.
 
-    The experiment file contributes the target, the action menu, and
-    the utility. The utility is either explicit under "utility" or, as
-    a shorthand, a "desired" target state paying 1 with every other
-    state paying 0. Unknown targets, actions that force the target, and
-    malformed documents are all rejected.
+    The document contributes the target, the action menu, and the
+    utility. The utility is either explicit under "utility" or, as a
+    shorthand, a "desired" target state paying 1 with every other state
+    paying 0. Unknown targets, actions that force the target, and
+    malformed documents are all rejected. The run-shape keys are
+    parsed by :func:`~causalsim.experiment.config_from_dict`.
     """
-    truth = model_io.load_model(model_path)
-    data = model_io.read_json(experiment_path)
-    target, actions, utility, desired = _environment_block(data, experiment_path)
+    target, actions, utility, desired = _environment_block(data, doc)
     spec = truth.graph.variable_map.get(target)
     if spec is None:
         raise ValueError(f"unknown-target: {target!r} is not in the model")
@@ -229,6 +231,13 @@ def load_environment(model_path: str, experiment_path: str) -> Environment:
     if utility is None:
         utility = {s: (1.0 if s == desired else 0.0) for s in spec.states}
     return Environment(truth=truth, actions=actions, target=target, utility=utility)
+
+
+def load_environment(model_path: str, experiment_path: str) -> Environment:
+    """Assemble an environment from a model file and an experiment file
+    (:func:`environment_from_dict`)."""
+    truth = model_io.load_model(model_path)
+    return environment_from_dict(truth, model_io.read_json(experiment_path), doc=experiment_path)
 
 
 def environment_block_to_dict(env: Environment) -> dict[str, Any]:

@@ -258,7 +258,7 @@ def config_from_dict(data: Any, *, doc: str = "$") -> ExperimentConfig:
     """Parse the run-shape half of an experiment document.
 
     Environment keys (target, desired, actions, utility) are parsed by
-    :func:`~causalsim.environment.load_environment`; they are tolerated
+    :func:`~causalsim.environment.environment_from_dict`; they are tolerated
     here so one file can carry both halves. Anything else unknown is
     rejected.
     """

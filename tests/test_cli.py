@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, overrides, exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import causalsim
+import causalsim.model_io
 from causalsim import cli_main
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample"
@@ -54,6 +57,18 @@ def test_query_rejects_unknown_state(capsys):
     code, _, err = run_cli(capsys, "query", "--model", MODEL, "--do", "T=9", "--target", "Y=1")
     assert code == 2
     assert "illegal-state" in err
+
+
+@pytest.mark.parametrize("command", ["best-action", "simulate"])
+def test_each_input_file_is_read_once(capsys, monkeypatch, tmp_path, command):
+    read = causalsim.model_io.read_json
+    paths = []
+    monkeypatch.setattr(causalsim.model_io, "read_json", lambda path: paths.append(path) or read(path))
+    argv = [command, "--model", MODEL, "--experiment", EXPERIMENT]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "x.csv"), "--rounds", "3", "--reps", "2"]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert paths == [MODEL, EXPERIMENT]
 
 
 def test_best_action_prints_treatment(capsys):
@@ -256,6 +271,63 @@ def test_importing_the_cli_loads_no_process_pool():
     code = "import sys, causalsim.cli; print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _modules_after(statement):
+    """Run ``statement`` in a fresh interpreter. Returns each registered
+    causalsim module with whether its body ran (one registered but not
+    yet run is still a lazy module, not a plain ``types.ModuleType``),
+    and whether ``xml.etree`` was loaded."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "\n".join([
+        "import contextlib, io, sys, types",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    {statement}",
+        "print({n: type(m) is types.ModuleType for n, m in sys.modules.items() if n.split('.')[0] == 'causalsim'})",
+        "print('xml.etree' in sys.modules)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    modules, xml = out.stdout.splitlines()
+    return ast.literal_eval(modules), xml == "True"
+
+
+def test_query_runs_only_cgm_model_io_and_cli():
+    argv = ["query", "--model", MODEL, "--do", "T=1", "--target", "Y=1"]
+    modules, xml = _modules_after(f"import causalsim; causalsim.cli_main({argv!r})")
+    assert {n for n, ran in modules.items() if ran} == {"causalsim", "causalsim.cgm", "causalsim.cli", "causalsim.model_io"}
+    assert not xml
+
+
+def test_best_action_never_runs_reporting():
+    argv = ["best-action", "--model", MODEL, "--experiment", EXPERIMENT]
+    modules, xml = _modules_after(f"import causalsim; causalsim.cli_main({argv!r})")
+    assert modules["causalsim.experiment"]
+    assert not modules["causalsim.reporting"]
+    assert not xml
+
+
+def test_importing_the_package_registers_every_submodule_and_runs_none():
+    # A tool that reads sys.modules["causalsim.<module>"] after
+    # ``import causalsim`` finds every module of the package there.
+    modules, xml = _modules_after("import causalsim")
+    assert modules == {"causalsim": True, **{f"causalsim.{m}": False for m in causalsim._EXPORTS}}
+    assert not xml
+
+
+def test_every_public_name_resolves_to_its_home_module():
+    assert sorted(causalsim.__all__) == sorted(n for names in causalsim._EXPORTS.values() for n in names)
+    star: dict = {}
+    exec("from causalsim import *", star)
+    for module, names in causalsim._EXPORTS.items():
+        home = sys.modules[f"causalsim.{module}"]
+        for name in names:
+            assert getattr(causalsim, name) is getattr(home, name)
+            assert star[name] is getattr(home, name)
+    assert set(causalsim.__all__) <= set(dir(causalsim))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        causalsim.no_such_name
+    with pytest.raises(ImportError):
+        from causalsim import no_such_name  # noqa: F401
 
 
 def test_module_entry_point_matches_cli(capsys):

@@ -20,6 +20,7 @@ from causalsim import (
     interventional_marginal,
     interventional_query,
     load_environment,
+    medic_scenario,
     query,
     sample,
     save_model,
@@ -134,6 +135,14 @@ def test_batched_draw_falls_back_to_the_last_state_with_mass():
     assert draw(env, np.array([0]), u).tolist() == [[1, 1]]
     positive = _one_row_env((0.5, 0.2499999995, 0.25))
     assert draw(positive, np.array([0]), u).tolist() == [[2, 1]]
+
+
+def test_draw_builds_no_sampling_tables_on_the_truth():
+    # The environment takes only the visiting order from the truth's graph;
+    # the truth's own cumulative tables serve ``sample`` and ``step`` alone.
+    env = medic_scenario()
+    draw(env, np.array([0, 1]), np.full((2, 3), 0.5))
+    assert "_sampler" not in env.truth.__dict__
 
 
 def test_batched_draw_frequencies_match_the_interventional_marginals(medic_env):
