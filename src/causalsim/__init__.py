@@ -19,7 +19,7 @@ import sys
 # Each submodule and the public names it contributes to the package.
 _EXPORTS = {
     "cgm": (
-        "MAX_JOINT_STATES",
+        "MAX_FACTOR_STATES",
         "ROW_SUM_TOL",
         "Assignment",
         "CausalGraph",

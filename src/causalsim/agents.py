@@ -258,12 +258,13 @@ class CausalBatch:
     Per replication: Dirichlet counts over the truth's graph, scored
     each round on their posterior mean like :func:`causal_choose`, and
     updated like :func:`causal_learn`. Like :func:`causal_choose`, it refuses
-    a model whose full joint exceeds ``MAX_JOINT_STATES`` states.
+    a truth whose exact scoring would build a factor of more than
+    ``MAX_FACTOR_STATES`` states, whatever the size of its joint.
     """
 
     def __init__(self, env: Environment, cfg: CausalAgentConfig, n: int):
         graph = env.truth.graph
-        # Raises joint too large before any counts are allocated.
+        # Raises factor too large before any counts are allocated.
         self.queries = [ReplicatedQuery(graph, a.intervention, env.target) for a in env.actions]
         self.beliefs = CountBeliefs(graph, cfg.prior_alpha, n)
         self.epsilon = cfg.epsilon

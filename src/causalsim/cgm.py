@@ -23,10 +23,14 @@ forced, evidenced and targeted, so it is cached on the graph object and
 shared by every model built on it. One plan runner executes it, both
 for the scalar queries and, with a leading replication axis on every
 table, for :class:`ReplicatedQuery`, which is how a batch of belief
-states scores its actions at once. The plan lookup is the one place
-that refuses a model whose full joint exceeds ``MAX_JOINT_STATES``
-states (or the ``max_states`` given), whatever the width of the graph;
-:func:`joint_probability` has no cap.
+states scores its actions at once. The one cap is on the work: building
+a plan refuses a query whose elimination would create a factor of more
+than ``MAX_FACTOR_STATES`` states, before the plan is cached or any
+table is contracted. What a query may cost thus follows the induced
+width of its elimination order, not the size of the joint: a
+64-variable chain has a 2^64-state joint and no factor of more than
+four entries. :func:`joint_probability` is no special case, since a
+fully pinned plan builds only scalars.
 
 Sampling is ancestral and has no cap. A variable's state is drawn by
 inverse CDF from its cumulative table (:func:`cumulative`): the state
@@ -48,12 +52,12 @@ import math
 import string
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 __all__ = [
-    "MAX_JOINT_STATES",
+    "MAX_FACTOR_STATES",
     "ROW_SUM_TOL",
     "Assignment",
     "Intervention",
@@ -82,12 +86,15 @@ __all__ = [
 # A CPT row must sum to 1 within this tolerance to count as normalized.
 ROW_SUM_TOL = 1e-9
 
-# Queries refuse models whose full joint exceeds this many states.
-MAX_JOINT_STATES = 2**20
+# Queries refuse a plan that would build a factor of more states.
+MAX_FACTOR_STATES = 2**20
 
-# Axis labels for one einsum call. An elimination step over more
-# variables would build a factor of at least 2^53 entries.
+# Axis labels for one einsum call. Every variable has at least two
+# states, so under the factor cap a step spans at most 21 variables.
 _EINSUM_LETTERS = string.ascii_letters
+
+# np.einsum takes at most 31 operands on numpy 1.x (63 on 2.x).
+_MAX_OPERANDS = 31
 
 # A (possibly partial) mapping from variable name to state label.
 Assignment = Mapping[str, str]
@@ -138,12 +145,9 @@ class CausalGraph:
     def topological_order(self) -> tuple[str, ...]:
         """Variable names, parents before children, declaration order as
         the tie-break. Raises :class:`InvalidModelError` on a cycle."""
-        order, leftover = _kahn_order(self)
-        if leftover:
-            issue = ValidationIssue(
-                "cycle-detected", ", ".join(leftover), "these variables lie on or depend on a directed cycle"
-            )
-            raise InvalidModelError([issue])
+        order, cycles = _kahn_order(self)
+        if cycles:
+            raise InvalidModelError(cycles)
         return tuple(order)
 
     @cached_property
@@ -161,10 +165,6 @@ class CausalGraph:
         )
 
     @cached_property
-    def _joint_size(self) -> int:
-        return math.prod(len(v.states) for v in self.variables)
-
-    @cached_property
     def _table_layout(self) -> tuple[tuple[str, tuple[tuple[str, ...], ...], tuple[int, ...], int], ...]:
         # Per variable: (name, parent configurations in row order, table
         # shape, table size).
@@ -179,11 +179,9 @@ class CausalGraph:
         # Elimination plans by (forced, evidenced, targeted) variables.
         return {}
 
-    def _plan_for(self, forced: Assignment, evidence: Assignment, targets: tuple[str, ...], max_states: float) -> _Plan:
+    def _plan_for(self, forced: Assignment, evidence: Assignment, targets: tuple[str, ...]) -> _Plan:
         # The plan for one shape of query, shared by every model on this
-        # graph, and the one place that refuses a joint over the cap.
-        if self._joint_size > max_states:
-            raise ValueError(f"joint too large: {self._joint_size} states exceeds the cap of {max_states}")
+        # graph. A plan over the factor cap raises and is not cached.
         key = (frozenset(forced), frozenset(evidence), targets)
         plan = self._plans.get(key)
         if plan is None:
@@ -268,8 +266,9 @@ class InvalidModelError(ValueError):
         super().__init__("; ".join(str(i) for i in self.issues))
 
 
-def _kahn_order(graph: CausalGraph) -> tuple[list[str], list[str]]:
-    """Kahn topological sort. Returns (ordered names, names on cycles).
+def _kahn_order(graph: CausalGraph) -> tuple[list[str], list[ValidationIssue]]:
+    """Kahn topological sort. Returns (ordered names, the one
+    ``cycle-detected`` issue naming the variables left over, or nothing).
 
     Parent references to undeclared variables are ignored here; they are
     reported separately by :func:`validate_graph`.
@@ -292,8 +291,9 @@ def _kahn_order(graph: CausalGraph) -> tuple[list[str], list[str]]:
         for n in ready:
             order.append(n)
             placed.add(n)
-    leftover = [n for n in graph.names if n not in placed]
-    return order, leftover
+    leftover = ", ".join(n for n in graph.names if n not in placed)
+    detail = "these variables lie on or depend on a directed cycle"
+    return order, [ValidationIssue("cycle-detected", leftover, detail)] if leftover else []
 
 
 def parent_configurations(graph: CausalGraph, name: str) -> Iterator[tuple[str, ...]]:
@@ -337,11 +337,7 @@ def validate_graph(graph: CausalGraph) -> list[ValidationIssue]:
                 issues.append(ValidationIssue("unknown-parent", name, f"parent {p!r} is not a declared variable"))
         if len(set(plist)) != len(plist):
             issues.append(ValidationIssue("duplicate-parent", name, "parent list repeats a variable"))
-    _, leftover = _kahn_order(graph)
-    if leftover:
-        issues.append(
-            ValidationIssue("cycle-detected", ", ".join(leftover), "these variables lie on or depend on a directed cycle")
-        )
+    issues.extend(_kahn_order(graph)[1])
     return issues
 
 
@@ -402,7 +398,7 @@ def ensure_valid(model: CausalModel) -> None:
 
 def joint_size(model: CausalModel) -> int:
     """Number of full assignments in the model's joint distribution."""
-    return model.graph._joint_size
+    return math.prod(len(v.states) for v in model.graph.variables)
 
 
 def check_assignment(graph: CausalGraph, assignment: Assignment, role: str) -> None:
@@ -443,8 +439,10 @@ class _Plan:
             codes.update((name, vmap[name].state_index[state]) for name, state in assignment.items())
         return tuple((pos, None if axes is None else (..., *[codes[a] for a in axes])) for pos, axes in self.factors)
 
-    def run(self, slots: list[np.ndarray]) -> np.ndarray:
-        """Contract the pinned factors in ``slots``, in plan order."""
+    def run(self, factors: tuple[tuple[int, tuple | None], ...], table: Callable[[int], np.ndarray]) -> np.ndarray:
+        """Contract ``factors``, as :meth:`pinned` gives them, reading
+        the table at each position with ``table``, in plan order."""
+        slots = [table(pos) if index is None else table(pos)[index] for pos, index in factors]
         for used, subscripts in self.steps:
             slots.append(np.einsum(subscripts, *[slots[i] for i in used]))
         return slots[-1]
@@ -471,20 +469,34 @@ def _plan(graph: CausalGraph, forced: frozenset[str], evidence: frozenset[str], 
             scopes.append(tuple(a for a in axes if a not in pinned))
 
     cards = {v.name: len(v.states) for v in graph.variables}
-    position = graph._positions
+    steps = []
+
+    def contract(used: list[int], out: tuple[str, ...], what: str) -> None:
+        # Append steps that contract the slots ``used`` into one new last
+        # slot over ``out``, first multiplying batches of _MAX_OPERANDS
+        # inputs over all their axes. Each new factor must fit the cap.
+        while True:
+            batch, used = used[:_MAX_OPERANDS], used[_MAX_OPERANDS:]
+            scope = tuple(dict.fromkeys(a for i in batch for a in scopes[i])) if used else out
+            size = math.prod(cards[a] for a in scope)
+            if size > MAX_FACTOR_STATES:
+                raise ValueError(f"factor too large: {what} builds {size} states, over the cap of {MAX_FACTOR_STATES}")
+            steps.append((tuple(batch), _subscripts([scopes[i] for i in batch], scope)))
+            scopes.append(scope)
+            if not used:
+                return
+            used.append(len(scopes) - 1)
+
     live = list(range(len(scopes)))
     hidden = {a for s in scopes for a in s} - set(targets)
-    steps = []
     while hidden:
-        var = _min_fill(hidden, [scopes[i] for i in live], cards, position)
+        var = _min_fill(hidden, [scopes[i] for i in live], cards, graph._positions)
         used = [i for i in live if var in scopes[i]]
-        out = tuple(dict.fromkeys(a for i in used for a in scopes[i] if a != var))
-        steps.append((tuple(used), _subscripts([scopes[i] for i in used], out)))
-        live = [i for i in live if i not in used] + [len(scopes)]
-        scopes.append(out)
+        contract(used, tuple(dict.fromkeys(a for i in used for a in scopes[i] if a != var)), f"eliminating {var}")
+        live = [i for i in live if i not in used] + [len(scopes) - 1]
         hidden.discard(var)
     if len(live) > 1 or scopes[live[0]] != targets:
-        steps.append((tuple(live), _subscripts([scopes[i] for i in live], targets)))
+        contract(live, targets, f"the answer over {', '.join(targets)}")
     return _Plan(tuple(factors), tuple(steps))
 
 
@@ -514,18 +526,12 @@ def _subscripts(inputs: list[tuple[str, ...]], output: tuple[str, ...]) -> str:
     return lhs + "->..." + "".join(letters[a] for a in output)
 
 
-def _contract(
-    model: CausalModel, forced: Assignment, evidence: Assignment, targets: tuple[str, ...], max_states: float
-) -> np.ndarray:
+def _contract(model: CausalModel, forced: Assignment, evidence: Assignment, targets: tuple[str, ...]) -> np.ndarray:
     """Unnormalized mass over the target axes, in target order, of the
     truncated factorization under ``forced`` restricted to ``evidence``."""
     graph = model.graph
-    plan = graph._plan_for(forced, evidence, targets, max_states)
-    slots = []
-    for pos, index in plan.pinned(graph, forced, evidence):
-        table = model.table(pos)
-        slots.append(table if index is None else table[index])
-    return plan.run(slots)
+    plan = graph._plan_for(forced, evidence, targets)
+    return plan.run(plan.pinned(graph, forced, evidence), model.table)
 
 
 def _total(mass: list[float]) -> float:
@@ -546,12 +552,10 @@ def joint_probability(model: CausalModel, assignment: Assignment) -> float:
     missing = [n for n in model.graph.names if n not in assignment]
     if missing:
         raise ValueError(f"partial-assignment: missing {', '.join(missing)}")
-    return float(_contract(model, {}, assignment, (), math.inf))
+    return float(_contract(model, {}, assignment, ()))
 
 
-def _conditional(
-    model: CausalModel, target: Assignment, forced: Assignment, evidence: Assignment, max_states: int
-) -> float:
+def _conditional(model: CausalModel, target: Assignment, forced: Assignment, evidence: Assignment) -> float:
     if not target:
         raise ValueError("empty-target: at least one target variable is required")
     check_assignment(model.graph, target, "target")
@@ -561,24 +565,18 @@ def _conditional(
         raise ValueError(f"overlapping-target-evidence: {', '.join(overlap)}")
     targets = tuple(target)
     vmap = model.graph.variable_map
-    mass = _contract(model, forced, evidence, targets, max_states)
+    mass = _contract(model, forced, evidence, targets)
     return float(mass[tuple(vmap[n].state_index[target[n]] for n in targets)]) / _total(mass.ravel().tolist())
 
 
-def query(
-    model: CausalModel,
-    target: Assignment,
-    evidence: Assignment | None = None,
-    *,
-    max_states: int = MAX_JOINT_STATES,
-) -> float:
+def query(model: CausalModel, target: Assignment, evidence: Assignment | None = None) -> float:
     """Exact conditional probability P(target | evidence).
 
     ``target`` must be non-empty and disjoint from ``evidence``; empty
     evidence asks for a marginal. Evidence of probability zero has no
     conditional and is rejected.
     """
-    return _conditional(model, target, {}, {} if evidence is None else evidence, max_states)
+    return _conditional(model, target, {}, {} if evidence is None else evidence)
 
 
 def intervene(model: CausalModel, intervention: Intervention) -> CausalModel:
@@ -607,13 +605,7 @@ def intervene(model: CausalModel, intervention: Intervention) -> CausalModel:
     return surgered
 
 
-def interventional_query(
-    model: CausalModel,
-    intervention: Intervention,
-    target: Assignment,
-    *,
-    max_states: int = MAX_JOINT_STATES,
-) -> float:
+def interventional_query(model: CausalModel, intervention: Intervention, target: Assignment) -> float:
     """P(target | do(intervention)) by the truncated factorization.
 
     Equals a plain query on ``intervene(model, intervention)``, without
@@ -627,16 +619,10 @@ def interventional_query(
     if not intervention:
         raise ValueError("empty-intervention: at least one variable must be forced")
     check_assignment(model.graph, intervention, "intervention")
-    return _conditional(model, target, intervention, {}, max_states)
+    return _conditional(model, target, intervention, {})
 
 
-def interventional_marginal(
-    model: CausalModel,
-    intervention: Intervention,
-    variable: str,
-    *,
-    max_states: int = MAX_JOINT_STATES,
-) -> tuple[float, ...]:
+def interventional_marginal(model: CausalModel, intervention: Intervention, variable: str) -> tuple[float, ...]:
     """Distribution of one variable under an intervention, in state order.
 
     Agrees with calling :func:`interventional_query` once per state, but
@@ -648,7 +634,7 @@ def interventional_marginal(
         raise ValueError(f"target-is-intervened: {variable}")
     if variable not in model.graph.variable_map:
         raise ValueError(f"unknown-variable: target names {variable!r}, which is not in the model")
-    mass = _contract(model, intervention, {}, (variable,), max_states).tolist()
+    mass = _contract(model, intervention, {}, (variable,)).tolist()
     total = _total(mass)
     return tuple(p / total for p in mass)
 
@@ -694,17 +680,19 @@ class ReplicatedQuery:
     extra leading replication axis on every table.
 
     Built once per (graph, intervention, target) from the cached plan,
-    under the same joint-size cap as the queries; calling it with one
-    table per variable position, each of shape (n, parent
-    cardinalities..., cardinality), returns an (n, target cardinality)
-    array of masses. Only the tables at :attr:`positions` are read.
+    so it refuses, at construction, the graphs the queries refuse: those
+    whose elimination would build a factor of more than
+    ``MAX_FACTOR_STATES`` states. Calling it with one table per variable
+    position, each of shape (n, parent cardinalities..., cardinality),
+    returns an (n, target cardinality) array of masses; the replication
+    axis multiplies the cost of each factor by n. Only the tables at
+    :attr:`positions` are read.
     """
 
     def __init__(self, graph: CausalGraph, intervention: Intervention, target: str):
-        self.plan = graph._plan_for(intervention, {}, (target,), MAX_JOINT_STATES)
+        self.plan = graph._plan_for(intervention, {}, (target,))
         self.factors = self.plan.pinned(graph, intervention)
         self.positions = frozenset(pos for pos, _ in self.factors)
 
     def __call__(self, tables: list[np.ndarray]) -> np.ndarray:
-        slots = [tables[pos] if index is None else tables[pos][index] for pos, index in self.factors]
-        return self.plan.run(slots)
+        return self.plan.run(self.factors, tables.__getitem__)

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
-from causalsim import medic_scenario, model_from_dict
+from causalsim import load_model, medic_scenario, model_from_dict
+
+SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample"
 
 
 @pytest.fixture(scope="session")
@@ -11,6 +15,14 @@ def medic_env():
 @pytest.fixture(scope="session")
 def medic_model(medic_env):
     return medic_env.truth
+
+
+@pytest.fixture(scope="session")
+def chain64_model():
+    """The shipped 64-variable binary chain X0 -> ... -> X63: P(X0=1) =
+    0.5, and each later variable keeps its parent's state with
+    probability 0.9 from "0" and 0.8 from "1"."""
+    return load_model(str(SAMPLE_DIR / "chain64_model.json"))
 
 
 @pytest.fixture()

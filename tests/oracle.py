@@ -1,5 +1,6 @@
 """Slow, independent reference implementations used to cross-check the
-library, plus generators for random model corpora.
+library, plus generators for random model corpora and for a grid
+whose elimination needs wide factors.
 
 Everything here recomputes probabilities from first principles on
 explicit whole-joint tables: build the table, then sum cells. None of
@@ -90,7 +91,7 @@ def ancestors(model: CausalModel, name: str) -> set[str]:
 def random_model(
     rnd: random.Random,
     max_vars: int = 5,
-    max_states: int = 3,
+    max_card: int = 3,
     binary_sink: bool = False,
 ) -> CausalModel:
     """A random valid model: random DAG, strictly positive random rows.
@@ -110,7 +111,7 @@ def random_model(
         k = min(len(pool), 3)
         chosen = [p for p in pool[:k] if rnd.random() < 0.6]
         parents[name] = tuple(chosen)
-        n_states[name] = 2 if (binary_sink and i == n - 1) else rnd.randint(2, max_states)
+        n_states[name] = 2 if (binary_sink and i == n - 1) else rnd.randint(2, max_card)
 
     declared = list(gen_names)
     rnd.shuffle(declared)
@@ -154,3 +155,22 @@ def random_decision_problem(rnd: random.Random):
             }
         )
     return model, target, interventions
+
+
+def grid_model(side: int) -> CausalModel:
+    """A side x side grid of binary variables ``G{row}_{col}`` whose
+    parents are the cells above and to the left, declared row by row.
+
+    Every CPT has at most four rows, each (0.3, 0.7), so every marginal
+    is (0.3, 0.7) exactly; yet every cell is an ancestor of the corner
+    ``G{side-1}_{side-1}``, and eliminating the rest builds factors that
+    grow exponentially with ``side``.
+    """
+    cells = [(r, c) for r in range(side) for c in range(side)]
+    specs = tuple(VariableSpec(f"G{r}_{c}", ("0", "1")) for r, c in cells)
+    parents = {f"G{r}_{c}": tuple(f"G{a}_{b}" for a, b in ((r - 1, c), (r, c - 1)) if min(a, b) >= 0) for r, c in cells}
+    cpts = {
+        name: Cpt(name, {config: (0.3, 0.7) for config in itertools.product(("0", "1"), repeat=len(plist))})
+        for name, plist in parents.items()
+    }
+    return CausalModel(CausalGraph(specs, parents), cpts)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalsim import (
+    MAX_FACTOR_STATES,
     CausalGraph,
     CausalModel,
     Cpt,
@@ -215,29 +216,64 @@ def test_query_rejects_empty_target(medic_model):
 
 
 def test_query_refuses_oversized_joint():
-    n = 21  # 2^21 states, one past the default cap
+    # The cap bounds the largest factor a plan builds, not the joint: 21
+    # independent roots (2^21 joint states) are answered, while the
+    # 14 x 14 grid, whose CPTs have at most four rows, is refused because
+    # its elimination needs a 2^21-state factor.
+    n = 21
     variables = tuple(VariableSpec(f"X{i}", ("0", "1")) for i in range(n))
     graph = CausalGraph(variables, {v.name: () for v in variables})
     cpts = {v.name: Cpt(v.name, {(): (0.5, 0.5)}) for v in variables}
     model = CausalModel(graph, cpts)
     assert joint_size(model) == 2**21
-    with pytest.raises(ValueError, match="joint too large"):
-        query(model, {"X0": "1"})
-    # a raised cap is allowed through
-    assert query(model, {"X0": "1"}, max_states=2**22) == pytest.approx(0.5)
+    assert query(model, {"X0": "1"}) == pytest.approx(0.5)
+    with pytest.raises(ValueError, match="factor too large: eliminating G"):
+        query(oracle.grid_model(14), {"G13_13": "1"})
 
 
 def test_joint_probability_has_no_joint_size_cap():
-    # The queries and the batched query refuse a 2^21 joint; a single
-    # joint entry is still answered.
-    variables = tuple(VariableSpec(f"X{i}", ("0", "1")) for i in range(21))
-    graph = CausalGraph(variables, {v.name: () for v in variables})
-    model = CausalModel(graph, {v.name: Cpt(v.name, {(): (0.5, 0.5)}) for v in variables})
-    assert joint_probability(model, {v.name: "1" for v in variables}) == pytest.approx(0.5**21, rel=1e-12)
-    with pytest.raises(ValueError, match="joint too large"):
-        interventional_marginal(model, {"X0": "1"}, "X1")
-    with pytest.raises(ValueError, match="joint too large"):
-        ReplicatedQuery(graph, {"X0": "1"}, "X1")
+    # joint_probability is no special case: a fully pinned plan builds
+    # only scalars, so the one factor cap admits it on the 14 x 14 grid,
+    # where the queries and the batched query are refused.
+    model = oracle.grid_model(14)
+    graph = model.graph
+    assert joint_probability(model, {name: "1" for name in graph.names}) == pytest.approx(0.7**196, rel=1e-12)
+    with pytest.raises(ValueError, match="factor too large"):
+        interventional_marginal(model, {"G0_0": "1"}, "G13_13")
+    with pytest.raises(ValueError, match="factor too large"):
+        ReplicatedQuery(graph, {"G0_0": "1"}, "G13_13")
+
+
+def test_factor_cap_admits_a_factor_of_exactly_the_cap():
+    # The 13 x 13 grid's corner marginal needs a factor of exactly
+    # MAX_FACTOR_STATES states and is answered; the 14 x 14 grid's needs
+    # twice that and is refused before its plan is cached. Every row is
+    # (0.3, 0.7), so every marginal is (0.3, 0.7).
+    model = oracle.grid_model(13)
+    assert interventional_marginal(model, {}, "G12_12") == pytest.approx((0.3, 0.7), abs=1e-12)
+    widest = max(len(sub.split("->...")[1]) for plan in model.graph._plans.values() for _, sub in plan.steps)
+    assert 2**widest == MAX_FACTOR_STATES
+    wider = oracle.grid_model(14)
+    with pytest.raises(ValueError, match=f"builds {2 * MAX_FACTOR_STATES} states, over the cap of {MAX_FACTOR_STATES}"):
+        query(wider, {"G13_13": "1"})
+    assert wider.graph._plans == {}
+
+
+def test_more_factors_than_einsum_takes_are_contracted_in_batches(chain64_model):
+    # np.einsum takes at most 63 operands (31 on numpy 1.x). A full
+    # assignment of the 64-chain multiplies 64 pinned factors, and a root
+    # with 70 observed children has 71 factors to multiply or eliminate.
+    codes = {name: "1" for name in chain64_model.graph.names}
+    assert joint_probability(chain64_model, codes) == pytest.approx(0.5 * 0.8**63, rel=1e-12)
+    children = [f"C{i}" for i in range(70)]
+    variables = tuple(VariableSpec(name, ("0", "1")) for name in ["R", *children])
+    row = {("0",): (0.6, 0.4), ("1",): (0.2, 0.8)}
+    cpts = {"R": Cpt("R", {(): (0.5, 0.5)}), **{c: Cpt(c, row) for c in children}}
+    star = CausalModel(CausalGraph(variables, {c: ("R",) for c in children}), cpts)
+    evidence = {c: "1" for c in children[1:]}
+    assert query(star, {"R": "1"}, evidence) == pytest.approx(0.8**69 / (0.8**69 + 0.4**69), rel=1e-12)
+    want = (0.8**70 + 0.4**70) / (0.8**69 + 0.4**69)
+    assert query(star, {"C0": "1"}, evidence) == pytest.approx(want, rel=1e-12)
 
 
 def test_query_agrees_with_oracle_on_random_models():
@@ -575,22 +611,17 @@ def test_interventions_match_the_oracle(data):
         assert interventional_query(model, forced, target) == pytest.approx(want_joint, abs=1e-9)
 
 
-def test_inference_cost_follows_width_not_joint_size():
-    # A 64-variable binary chain: 2^64 joint states, treewidth one.
-    n = 64
-    variables = tuple(VariableSpec(f"X{i}", ("0", "1")) for i in range(n))
-    parents = {f"X{i}": (f"X{i - 1}",) for i in range(1, n)}
-    flip = {("0",): (0.9, 0.1), ("1",): (0.2, 0.8)}
-    cpts = {"X0": Cpt("X0", {(): (0.5, 0.5)}), **{f"X{i}": Cpt(f"X{i}", flip) for i in range(1, n)}}
-    model = CausalModel(CausalGraph(variables, parents), cpts)
-    with pytest.raises(ValueError, match="joint too large"):
-        interventional_marginal(model, {"X1": "1"}, "X63")
+def test_inference_cost_follows_width_not_joint_size(chain64_model):
+    # A 64-variable binary chain: 2^64 joint states, treewidth one, so
+    # no factor has more than four entries and the default cap admits it.
+    model = chain64_model
+    assert joint_size(model) == 2**64
     step = np.array([[0.9, 0.1], [0.2, 0.8]])
     want = np.linalg.matrix_power(step, 62)[1]
-    got = interventional_marginal(model, {"X1": "1"}, "X63", max_states=2**n)
+    got = interventional_marginal(model, {"X1": "1"}, "X63")
     assert got == pytest.approx(tuple(want), abs=1e-12)
     evidence = {"X63": "1"}
-    posterior = query(model, {"X0": "1"}, evidence, max_states=2**n)
+    posterior = query(model, {"X0": "1"}, evidence)
     prior = np.array([0.5, 0.5]) @ np.linalg.matrix_power(step, 63)
     assert posterior == pytest.approx(0.5 * np.linalg.matrix_power(step, 63)[1, 1] / prior[1], abs=1e-12)
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import causalsim
@@ -16,6 +17,7 @@ from causalsim import cli_main
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample"
 MODEL = str(SAMPLE_DIR / "medic_model.json")
 EXPERIMENT = str(SAMPLE_DIR / "medic_experiment.json")
+CHAIN64 = str(SAMPLE_DIR / "chain64_model.json")
 
 
 def run_cli(capsys, *argv):
@@ -28,6 +30,15 @@ def test_query_prints_the_interventional_probability(capsys):
     code, out, err = run_cli(capsys, "query", "--model", MODEL, "--do", "T=1", "--target", "Y=1")
     assert code == 0
     assert out.strip() == "0.87"
+    assert err == ""
+
+
+def test_query_answers_on_a_2_to_the_64_state_joint(capsys):
+    # The shipped 64-variable chain: the cap bounds factors, not joints.
+    code, out, err = run_cli(capsys, "query", "--model", CHAIN64, "--do", "X1=1", "--target", "X63=1")
+    want = np.linalg.matrix_power(np.array([[0.9, 0.1], [0.2, 0.8]]), 62)[1, 1]
+    assert code == 0
+    assert out.strip() == f"{want:.10g}"
     assert err == ""
 
 

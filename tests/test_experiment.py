@@ -14,9 +14,6 @@ from causalsim import (
     Action,
     CausalAgentConfig,
     CausalAgentState,
-    CausalGraph,
-    CausalModel,
-    Cpt,
     Environment,
     ExperimentConfig,
     FormatError,
@@ -35,11 +32,12 @@ from causalsim import (
     q_choose,
     q_learn,
     random_choose,
-    VariableSpec,
     run_experiment,
     step,
 )
 from causalsim.experiment import BLOCK_SIZE, _CHUNK_ROUNDS, _block_stream, _uniform_chunks
+
+import oracle
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample"
 
@@ -314,18 +312,36 @@ def test_workers_argument_is_checked(medic_env):
 
 
 def test_causal_agent_refuses_an_oversized_joint_and_the_others_run():
-    # 2^21 joint states, one past the default cap. The causal agent's
-    # queries refuse such a model, as causal_choose does; sampling and the
-    # model-free agents have no cap.
-    variables = tuple(VariableSpec(f"X{i}", ("0", "1")) for i in range(21))
-    graph = CausalGraph(variables, {v.name: () for v in variables})
-    truth = CausalModel(graph, {v.name: Cpt(v.name, {(): (0.5, 0.5)}) for v in variables})
-    actions = (Action("low", {"X0": "0"}), Action("high", {"X0": "1"}))
-    env = Environment(truth, actions, "X1", {"0": 0.0, "1": 1.0})
-    with pytest.raises(ValueError, match="joint too large"):
+    # Scoring an action on the 14 x 14 grid's corner needs a factor of
+    # 2^21 states, one past the default cap, though no CPT has more than
+    # four rows. The causal agent refuses such a truth, as causal_choose
+    # does; sampling and the model-free agents have no cap.
+    truth = oracle.grid_model(14)
+    actions = (Action("low", {"G0_0": "0"}), Action("high", {"G0_0": "1"}))
+    env = Environment(truth, actions, "G13_13", {"0": 0.0, "1": 1.0})
+    with pytest.raises(ValueError, match="factor too large"):
         run_experiment(env, small_config(agents={"causal": CausalAgentConfig()}))
     result = run_experiment(env, small_config(agents={"random": RandomConfig(), "qlearning": QLearningConfig()}))
     assert result.trial_log.rewards["random"].shape == (4, 10)
+
+
+def test_causal_agent_learns_the_best_action_on_a_64_variable_chain(chain64_model):
+    # A 2^64-state joint whose scoring factors have four entries. The
+    # success rates are 0.1 under do(X62=0) and 0.8 under do(X62=1). The
+    # greedy causal agent should take do(X62=1) in every round of the
+    # late window, rounds 151-200, in all 64 replications. Its 3200
+    # rewards there are then independent draws of mean 0.8, so by
+    # Hoeffding's inequality their mean is below 0.8 - t with
+    # probability at most exp(-2 * 3200 * t^2), which is 1e-3 for
+    # t = sqrt(ln(1e3) / 6400), about 0.033. The window, the bound and
+    # the seed were fixed before the test first ran.
+    actions = (Action("low", {"X62": "0"}), Action("high", {"X62": "1"}))
+    env = Environment(chain64_model, actions, "X63", {"0": 0.0, "1": 1.0})
+    cfg = ExperimentConfig(rounds=200, replications=64, seed=64, agents={"causal": CausalAgentConfig()})
+    log = run_experiment(env, cfg).trial_log
+    late = slice(150, 200)
+    assert (log.actions["causal"][:, late] == log.action_labels.index("high")).all()
+    assert log.rewards["causal"][:, late].mean() >= 0.8 - math.sqrt(math.log(1e3) / 6400)
 
 
 def test_engine_per_round_means_agree_with_a_scalar_reference_loop(medic_env):
