@@ -255,36 +255,36 @@ class BatchPolicy(Protocol):
 class CausalBatch:
     """The greedy causal policy.
 
-    Per replication: Dirichlet counts over the truth's graph, scored
-    each round on their posterior mean like :func:`causal_choose`, and
-    updated like :func:`causal_learn`. Like :func:`causal_choose`, it refuses
-    a truth whose exact scoring would build a factor of more than
-    ``MAX_FACTOR_STATES`` states, whatever the size of its joint.
+    Per replication: Dirichlet counts over the truth's graph, updated
+    like :func:`causal_learn` and scored each round like
+    :func:`causal_choose`: each action's query, bound once to the
+    posterior means, writes its column of one (n, actions, target
+    cardinality) array. It refuses a truth whose scoring would build a
+    factor of more than ``MAX_FACTOR_STATES`` states.
     """
 
     def __init__(self, env: Environment, cfg: CausalAgentConfig, n: int):
         graph = env.truth.graph
         # Raises factor too large before any counts are allocated.
         self.queries = [ReplicatedQuery(graph, a.intervention, env.target) for a in env.actions]
-        self.beliefs = CountBeliefs(graph, cfg.prior_alpha, n)
+        self.beliefs = CountBeliefs(graph, cfg.prior_alpha, n, sorted({p for q in self.queries for p, _ in q.plan.factors}))
         self.epsilon = cfg.epsilon
         self.payoff = env._payoff
         # free[a, i]: 1.0 unless action a forces the variable at position i.
         self.free = np.array([[float(v.name not in a.intervention) for v in graph.variables] for a in env.actions])
-        self.updatable = np.flatnonzero(self.free.any(axis=0)).tolist()
-        self.scored = sorted(frozenset().union(*(q.positions for q in self.queries)))
-        self._tables: list[np.ndarray | None] = [None] * len(graph.variables)
+        self.mass = np.empty((n, len(self.queries), len(self.payoff)))
+        for k, query in enumerate(self.queries):
+            query.bind(self.beliefs.means, self.mass[:, k])
 
     def greedy(self) -> np.ndarray:
-        tables = self._tables
-        for pos in self.scored:
-            tables[pos] = self.beliefs.posterior(pos)
-        # (n, actions, target cardinality), normalized per action.
-        mass = np.stack([query(tables) for query in self.queries], axis=1)
+        self.beliefs.posterior()
+        for query in self.queries:
+            query()
+        mass = self.mass
         return (mass / mass.sum(axis=2, keepdims=True) * self.payoff).sum(axis=2).argmax(axis=1)
 
     def learn(self, actions: np.ndarray, x: np.ndarray) -> None:
-        self.beliefs.update(x, self.free[actions], self.updatable)
+        self.beliefs.update(x, self.free.take(actions, axis=0))
 
 
 class QBatch:
@@ -296,16 +296,16 @@ class QBatch:
         self.alpha = cfg.alpha
         self.epsilon = cfg.epsilon
         self.payoff = env._payoff
-        self.target = env._target_position
-        self._rows = np.arange(n)
+        self.target = env.truth.graph._positions[env.target]
+        self._flat, self._base = self.q.reshape(-1), np.arange(n) * len(env.actions)
 
     def greedy(self) -> np.ndarray:
         return self.q.argmax(axis=1)
 
     def learn(self, actions: np.ndarray, x: np.ndarray) -> None:
         reward = self.payoff[x[:, self.target]]
-        old = self.q[self._rows, actions]
-        self.q[self._rows, actions] = old + self.alpha * (reward - old)
+        index = self._base + actions
+        self._flat[index] += self.alpha * (reward - self._flat[index])
 
 
 class RandomBatch:

@@ -24,7 +24,7 @@ arrays are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -137,37 +137,48 @@ def update(beliefs: BeliefState, intervention: Intervention, observed: Assignmen
 class CountBeliefs:
     """Dirichlet pseudo-counts of n replications, updated in place.
 
-    ``counts[i]`` belongs to the variable at position i in declaration
-    order and has shape (n, parent cardinalities..., cardinality), so
-    ``counts[i][r]`` is replication r's table of rows.
+    The variables of one cardinality c share one contiguous (n, rows, c)
+    buffer, the rows of those at ``scored`` first. ``counts[i]`` views
+    the variable at position i as (n, parent cardinalities...,
+    cardinality), so ``counts[i][r]`` is replication r's table of rows;
+    ``means[i]``, for a scored variable, views its posterior mean.
     """
 
-    def __init__(self, graph: CausalGraph, alpha0: float, n: int):
+    def __init__(self, graph: CausalGraph, alpha0: float, n: int, scored: Sequence[int] = ()):
         if not (np.isfinite(alpha0) and alpha0 > 0.0):
             raise ValueError(f"nonpositive-alpha: prior weight must be positive and finite, got {alpha0!r}")
-        positions = graph._positions
-        self.counts = [np.full((n, *shape), float(alpha0)) for _, _, shape, _ in graph._table_layout]
-        self._rows = np.arange(n)
-        self._axes = [
-            tuple(positions[p] for p in graph.parents_of(v.name)) + (i,) for i, v in enumerate(graph.variables)
-        ]
+        order = [*scored, *(i for i in range(len(graph.variables)) if i not in scored)]
+        layout = {pos: (parents, strides, shape) for pos, parents, strides, shape in graph._row_index}
+        self.counts, self.means, self._buffers = [None] * len(order), [None] * len(order), []
+        for card in dict.fromkeys(layout[i][2][-1] for i in order):
+            group = [i for i in order if layout[i][2][-1] == card]
+            starts = np.cumsum([0] + [np.prod(layout[i][2][:-1], dtype=int) for i in group])
+            counts = np.full((n, starts[-1], card), float(alpha0))
+            means = np.empty((n, starts[len(set(group) & set(scored))], card))
+            # Observed entries of replication r: x[r] @ matrix + base[r].
+            matrix = np.zeros((len(order), len(group)))
+            for k, (i, a, b) in enumerate(zip(group, starts, starts[1:])):
+                parents, strides, shape = layout[i]
+                self.counts[i] = counts[:, a:b].reshape(n, *shape)
+                self.means[i] = means[:, a:b].reshape(n, *shape) if b <= means.shape[1] else None
+                matrix[[*parents, i], k] = [*np.multiply(strides, card), 1]
+            base = np.arange(n)[:, None] * counts[0].size + starts[:-1] * card
+            self._buffers.append((counts.reshape(-1), matrix, base, np.array(group), counts[:, : means.shape[1]], means))
 
-    def posterior(self, position: int) -> np.ndarray:
-        """The posterior-mean tables of one variable, replications first."""
-        counts = self.counts[position]
-        return counts / counts.sum(axis=-1, keepdims=True)
+    def posterior(self) -> list[np.ndarray | None]:
+        """Refresh :attr:`means`, one sum and one division per buffer."""
+        for *_, counts, means in self._buffers:
+            np.divide(counts, counts.sum(axis=2, keepdims=True), out=means)
+        return self.means
 
-    def update(self, x: np.ndarray, free: np.ndarray, positions: Iterable[int]) -> None:
-        """Fold one full outcome per replication into the counts.
-
-        ``x`` holds state codes, shape (n, variables); ``free`` has the
-        same shape and holds 1.0 where the replication's action left the
-        variable free and 0.0 where it forced it, so forced variables'
-        counts keep their values. Only the variables at ``positions``
-        are visited.
-        """
-        for pos in positions:
-            self.counts[pos][(self._rows, *[x[:, a] for a in self._axes[pos]])] += free[:, pos]
+    def update(self, x: np.ndarray, free: np.ndarray) -> None:
+        """Fold one full outcome per replication into the counts: ``x``
+        holds state codes, (n, variables), and ``free`` holds 1.0 where a
+        replication's action left the variable free and 0.0 where it
+        forced it, so forced counts keep their values. One indexed
+        increment per buffer, at indices from one exact float product."""
+        for flat, matrix, base, group, *_ in self._buffers:
+            flat[(x @ matrix + base).astype(np.intp)] += free.take(group, axis=1)
 
 
 def total_pseudo_count(beliefs: BeliefState) -> float:

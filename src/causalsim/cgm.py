@@ -51,7 +51,7 @@ import itertools
 import math
 import string
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -156,13 +156,15 @@ class CausalGraph:
         return {n: i for i, n in enumerate(self.names)}
 
     @cached_property
-    def _sampling_order(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(position, parent positions) of each variable, in topological
-        order: the visiting order of ancestral sampling."""
-        positions = self._positions
-        return tuple(
-            (positions[name], tuple(positions[p] for p in self.parents_of(name))) for name in self.topological_order
-        )
+    def _row_index(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
+        """(position, parent positions, C-order parent strides, shape) per
+        table, in topological order; parent codes c are row sum(c[p] * stride)."""
+        index = []
+        for pos in map(self._positions.get, self.topological_order):
+            shape = self._table_layout[pos][2]
+            strides = tuple(math.prod(shape[k + 1 : -1]) for k in range(len(shape) - 1))
+            index.append((pos, tuple(map(self._positions.get, self.parents_of(self.names[pos]))), strides, shape))
+        return tuple(index)
 
     @cached_property
     def _table_layout(self) -> tuple[tuple[str, tuple[tuple[str, ...], ...], tuple[int, ...], int], ...]:
@@ -175,17 +177,20 @@ class CausalGraph:
         return tuple(layout)
 
     @cached_property
-    def _plans(self) -> dict[tuple[frozenset[str], frozenset[str], tuple[str, ...]], _Plan]:
-        # Elimination plans by (forced, evidenced, targeted) variables.
+    def _plans(self) -> dict[tuple[frozenset[str], frozenset[str], tuple[str, ...]], _Plan | str]:
+        # Plans by (forced, evidenced, targeted) variables, or a refusal message.
         return {}
 
     def _plan_for(self, forced: Assignment, evidence: Assignment, targets: tuple[str, ...]) -> _Plan:
-        # The plan for one shape of query, shared by every model on this
-        # graph. A plan over the factor cap raises and is not cached.
+        # Shared by every model on this graph; a refused shape raises again, unsearched.
         key = (frozenset(forced), frozenset(evidence), targets)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = _plan(self, *key)
+        if key not in self._plans:
+            try:
+                self._plans[key] = _plan(self, *key)
+            except ValueError as refused:
+                self._plans[key] = str(refused)
+        if isinstance(plan := self._plans[key], str):
+            raise ValueError(plan)
         return plan
 
 
@@ -232,13 +237,12 @@ class CausalModel:
         return table
 
     @cached_property
-    def _sampler(self) -> tuple[tuple[str, tuple[str, ...], int, tuple[int, ...], list], ...]:
-        # Per variable in topological order: (name, states, position,
-        # parent positions, cumulative table as nested lists).
-        variables = self.graph.variables
+    def _sampler(self) -> tuple[tuple[VariableSpec, int, tuple[int, ...], tuple[int, ...], list], ...]:
+        # Per variable in topological order: its spec, its row layout
+        # (CausalGraph._row_index) and its cumulative rows as lists.
         return tuple(
-            (variables[pos].name, variables[pos].states, pos, parents, cumulative(self.table(pos)).tolist())
-            for pos, parents in self.graph._sampling_order
+            (self.graph.variables[pos], pos, parents, strides, cumulative(self.table(pos)).reshape(-1, shape[-1]).tolist())
+            for pos, parents, strides, shape in self.graph._row_index
         )
 
 
@@ -422,30 +426,33 @@ class _Plan:
     entry per table axis: the name of the variable pinned on that axis,
     or None for a free axis; or None in place of the tuple when no axis
     is pinned). ``steps`` are einsum contractions; each consumes the
-    slots it names and appends its result as a new slot. The last slot
-    holds the answer, with the target axes in target order.
+    slots it names and appends its result as a new slot. The last step
+    builds the answer, target axes in target order; ``largest`` is the
+    most states of any factor a step builds.
     """
 
     factors: tuple[tuple[int, tuple[str | None, ...] | None], ...]
     steps: tuple[tuple[tuple[int, ...], str], ...]
+    largest: int
 
-    def pinned(self, graph: CausalGraph, *pins: Assignment) -> tuple[tuple[int, tuple | None], ...]:
-        """Per factor: (variable position, the index that pins its table
-        to the states in ``pins``, or None). Each index leads with
-        ``...``, so it pins a table with or without a replication axis."""
+    def operands(self, graph: CausalGraph, pins: tuple[Assignment, ...], table: Callable[[int], np.ndarray]) -> list[np.ndarray]:
+        """The factors' tables in plan order, read with ``table`` and
+        pinned to the states in ``pins``. Each index leads with ``...``,
+        so it pins a table with or without a replication axis."""
         vmap = graph.variable_map
         codes: dict[str | None, int | slice] = {None: slice(None)}
         for assignment in pins:
             codes.update((name, vmap[name].state_index[state]) for name, state in assignment.items())
-        return tuple((pos, None if axes is None else (..., *[codes[a] for a in axes])) for pos, axes in self.factors)
+        return [table(pos) if axes is None else table(pos)[(..., *[codes[a] for a in axes])] for pos, axes in self.factors]
 
-    def run(self, factors: tuple[tuple[int, tuple | None], ...], table: Callable[[int], np.ndarray]) -> np.ndarray:
-        """Contract ``factors``, as :meth:`pinned` gives them, reading
-        the table at each position with ``table``, in plan order."""
-        slots = [table(pos) if index is None else table(pos)[index] for pos, index in factors]
-        for used, subscripts in self.steps:
+    def run(self, operands: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+        """Contract ``operands``, as :meth:`operands` gives them; the
+        last step writes the answer into ``out`` when it is given."""
+        slots = list(operands)
+        for used, subscripts in self.steps[:-1]:
             slots.append(np.einsum(subscripts, *[slots[i] for i in used]))
-        return slots[-1]
+        used, subscripts = self.steps[-1]
+        return np.einsum(subscripts, *[slots[i] for i in used], out=out)
 
 
 def _plan(graph: CausalGraph, forced: frozenset[str], evidence: frozenset[str], targets: tuple[str, ...]) -> _Plan:
@@ -489,33 +496,40 @@ def _plan(graph: CausalGraph, forced: frozenset[str], evidence: frozenset[str], 
 
     live = list(range(len(scopes)))
     hidden = {a for s in scopes for a in s} - set(targets)
-    while hidden:
-        var = _min_fill(hidden, [scopes[i] for i in live], cards, graph._positions)
+    for var in _min_fill([scopes[i] for i in live], hidden, cards, graph._positions):
         used = [i for i in live if var in scopes[i]]
         contract(used, tuple(dict.fromkeys(a for i in used for a in scopes[i] if a != var)), f"eliminating {var}")
         live = [i for i in live if i not in used] + [len(scopes) - 1]
-        hidden.discard(var)
-    if len(live) > 1 or scopes[live[0]] != targets:
+    if len(live) > 1 or scopes[live[0]] != targets or not steps:
         contract(live, targets, f"the answer over {', '.join(targets)}")
-    return _Plan(tuple(factors), tuple(steps))
+    return _Plan(tuple(factors), tuple(steps), max(math.prod(cards[a] for a in s) for s in scopes[len(factors) :]))
 
 
 def _min_fill(
-    hidden: set[str], scopes: list[tuple[str, ...]], cards: Mapping[str, int], position: Mapping[str, int]
-) -> str:
-    """The variable to eliminate next: fewest fill-in edges, then the
-    smallest factor it creates, then declaration order."""
+    scopes: list[tuple[str, ...]], hidden: set[str], cards: Mapping[str, int], position: Mapping[str, int]
+) -> Iterator[str]:
+    """The elimination order of ``hidden``: fewest fill-in edges, then the
+    smallest factor created, then declaration order, each cost kept and
+    recomputed only where an elimination joins neighbours."""
     adjacent: dict[str, set[str]] = {}
     for scope in scopes:
         for a in scope:
             adjacent.setdefault(a, set()).update(scope)
 
     def cost(var: str) -> tuple[int, int, int]:
-        neighbours = adjacent[var] - {var}
-        fill = sum(b not in adjacent[a] for a, b in itertools.combinations(neighbours, 2))
+        # Each missing edge among the neighbours is counted from both ends.
+        fill = sum(len(adjacent[var] - adjacent[a]) for a in adjacent[var]) // 2
         return fill, math.prod(cards[a] for a in adjacent[var]), position[var]
 
-    return min(hidden, key=cost)
+    costs = {var: cost(var) for var in hidden}
+    while costs:
+        yield (var := min(costs, key=costs.__getitem__))
+        del costs[var]
+        neighbours = adjacent.pop(var) - {var}
+        for a in neighbours:
+            adjacent[a] = (adjacent[a] | neighbours) - {var}
+        for a in neighbours.union(*(adjacent[b] for b in neighbours)) & costs.keys():
+            costs[a] = cost(a)
 
 
 def _subscripts(inputs: list[tuple[str, ...]], output: tuple[str, ...]) -> str:
@@ -529,9 +543,8 @@ def _subscripts(inputs: list[tuple[str, ...]], output: tuple[str, ...]) -> str:
 def _contract(model: CausalModel, forced: Assignment, evidence: Assignment, targets: tuple[str, ...]) -> np.ndarray:
     """Unnormalized mass over the target axes, in target order, of the
     truncated factorization under ``forced`` restricted to ``evidence``."""
-    graph = model.graph
-    plan = graph._plan_for(forced, evidence, targets)
-    return plan.run(plan.pinned(graph, forced, evidence), model.table)
+    plan = model.graph._plan_for(forced, evidence, targets)
+    return plan.run(plan.operands(model.graph, (forced, evidence), model.table))
 
 
 def _total(mass: list[float]) -> float:
@@ -666,12 +679,10 @@ def sample(model: CausalModel, rng: np.random.Generator) -> dict[str, str]:
     """
     plan = model._sampler
     codes = [0] * len(plan)
-    for _, _, pos, parents, row in plan:
-        u = rng.random()
-        for p in parents:
-            row = row[codes[p]]
-        codes[pos] = bisect.bisect_right(row, u)
-    return {name: states[codes[pos]] for name, states, pos, _, _ in plan}
+    for _, pos, parents, strides, rows in plan:
+        row = rows[sum(codes[p] * stride for p, stride in zip(parents, strides))]
+        codes[pos] = bisect.bisect_right(row, rng.random())
+    return {v.name: v.states[codes[pos]] for v, pos, *_ in plan}
 
 
 class ReplicatedQuery:
@@ -682,17 +693,22 @@ class ReplicatedQuery:
     Built once per (graph, intervention, target) from the cached plan,
     so it refuses, at construction, the graphs the queries refuse: those
     whose elimination would build a factor of more than
-    ``MAX_FACTOR_STATES`` states. Calling it with one table per variable
-    position, each of shape (n, parent cardinalities..., cardinality),
-    returns an (n, target cardinality) array of masses; the replication
-    axis multiplies the cost of each factor by n. Only the tables at
-    :attr:`positions` are read.
+    ``MAX_FACTOR_STATES`` states. :meth:`bind` pins a batch's tables
+    once, in row slices, so no factor exceeds the cap with the
+    replication axis included either.
     """
 
     def __init__(self, graph: CausalGraph, intervention: Intervention, target: str):
         self.plan = graph._plan_for(intervention, {}, (target,))
-        self.factors = self.plan.pinned(graph, intervention)
-        self.positions = frozenset(pos for pos, _ in self.factors)
+        self._operands = partial(self.plan.operands, graph, (intervention,))
 
-    def __call__(self, tables: list[np.ndarray]) -> np.ndarray:
-        return self.plan.run(self.factors, tables.__getitem__)
+    def bind(self, tables: list[np.ndarray], out: np.ndarray) -> None:
+        """Pin ``tables``, (n, parent cardinalities..., cardinality) per
+        position, so that each call writes their masses into ``out``."""
+        step = max(1, MAX_FACTOR_STATES // self.plan.largest)
+        rows = [slice(r, r + step) for r in range(0, len(out), step)]
+        self._slices = [(self._operands(lambda pos, s=s: tables[pos][s]), out[s]) for s in rows]
+
+    def __call__(self) -> None:
+        for operands, out in self._slices:
+            self.plan.run(operands, out)

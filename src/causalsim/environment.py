@@ -74,28 +74,21 @@ class Environment:
         return tuple(intervene(self.truth, a.intervention) for a in self.actions)
 
     @cached_property
-    def _sampler(self) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
-        # Per variable in topological order: its position, its parent
-        # positions, and the surgered truths' tables, broadcast to the
-        # truth's table shape, stacked on a leading action axis, then
-        # made cumulative at once.
+    def _sampler(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...], int, np.ndarray], ...]:
+        # Per variable in topological order: its row layout and the surgered
+        # truths' cumulative tables in the truth's table shape, as (actions x
+        # rows, cardinality - 1), the last column being +inf; 1-D if binary.
         plan = []
-        for pos, parents in self.truth.graph._sampling_order:
-            stacked = np.empty((len(self._surgered), *self.truth.table(pos).shape))
-            for k, m in enumerate(self._surgered):
-                stacked[k] = m.table(pos)
-            plan.append((pos, parents, cumulative(stacked)))
+        for pos, parents, strides, shape in self.truth.graph._row_index:
+            cum = cumulative(np.stack([np.broadcast_to(m.table(pos), shape) for m in self._surgered]))
+            cum = cum.reshape(-1, shape[-1])[:, 0 if shape[-1] == 2 else slice(-1)]
+            plan.append((pos, parents, strides, len(cum) // len(self.actions), np.ascontiguousarray(cum)))
         return tuple(plan)
 
     @cached_property
     def _payoff(self) -> np.ndarray:
         """The utility of each target state, indexed by state code."""
         return np.array([self.utility[s] for s in self.truth.graph.variable_map[self.target].states])
-
-    @cached_property
-    def _target_position(self) -> int:
-        """The target's position in the model's declaration order."""
-        return self.truth.graph._positions[self.target]
 
 
 def step(env: Environment, action: Action, rng: np.random.Generator) -> StepRecord:
@@ -115,13 +108,18 @@ def draw(env: Environment, actions: np.ndarray, u: np.ndarray) -> np.ndarray:
     (replications, variables) array of state codes, columns in the
     truth's declaration order. Given the same uniform for each
     variable, a replication's outcome is the one :func:`step` draws
-    for the same action. Each variable costs one gather of its
-    cumulative rows and one compare against its uniforms.
+    for the same action. Per variable, one ``take`` reads row ``action *
+    rows + sum(parent code * stride)`` (``CausalGraph._row_index``); the
+    state drawn is the number of its entries at or below the uniform.
     """
+    actions = np.asarray(actions, np.intp)
     x = np.empty(u.shape, np.intp)
-    for k, (pos, parents, cum) in enumerate(env._sampler):
-        rows = cum[(actions, *[x[:, p] for p in parents])]
-        x[:, pos] = (rows > u[:, k, None]).argmax(axis=1)
+    for k, (pos, parents, strides, rows, cum) in enumerate(env._sampler):
+        index = actions * rows if parents else actions
+        for p, stride in zip(parents, strides):
+            index += x[:, p] * stride if stride > 1 else x[:, p]
+        entries = cum.take(index, axis=0)
+        x[:, pos] = entries <= u[:, k] if cum.ndim == 1 else (entries <= u[:, k, None]).sum(axis=1)
     return x
 
 

@@ -377,10 +377,11 @@ def _exploration(u: np.ndarray, epsilon: float | np.ndarray, n_actions: int) -> 
     ``u`` holds choice uniforms, (..., CHOICE_DRAWS); a row explores
     where ``u[..., 0] < epsilon`` (``epsilon`` broadcasts against it)
     and then takes the action ``u[..., 1]`` picks uniformly from the
-    menu. This is the only place anything explores.
+    menu, in the smallest action dtype. Nothing else explores.
     """
-    uniform = np.minimum((u[..., 1] * n_actions).astype(np.intp), n_actions - 1)
-    return u[..., 0] < epsilon, uniform
+    uniform = u[..., 1] * n_actions
+    np.minimum(uniform, n_actions - 1, out=uniform)
+    return u[..., 0] < epsilon, uniform.astype(np.min_scalar_type(n_actions - 1))
 
 
 def _trial_arrays(env: Environment, cfg: ExperimentConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -401,28 +402,32 @@ def _run_block(
     its rows, one ``np.where`` applies the exploration schedule, one
     draw gives every row's outcome from its own uniforms, one per
     variable in the truth's topological order, and each policy learns
-    from its rows.
+    from its rows. Each round's actions and target states go to one row
+    of a chunk buffer, copied into the trial log once per chunk.
     """
     n = min(BLOCK_SIZE, cfg.replications - block * BLOCK_SIZE)
-    payoff, target = env._payoff, env._target_position
+    k, target = len(cfg.agents), env.truth.graph._positions[env.target]
     policies = [_AGENTS[label][1](env, acfg, n) for label, acfg in cfg.agents.items()]
-    spans = [slice(i * n, (i + 1) * n) for i in range(len(policies))]
+    spans = [slice(i * n, (i + 1) * n) for i in range(k)]
     epsilon = np.repeat([p.epsilon for p in policies], n)[:, None]
-    greedy = np.empty(len(policies) * n, np.intp)
+    greedy = np.empty(k * n, np.intp)
     actions, rewards = _trial_arrays(env, cfg, n) if out is None else out
-    t = 0
-    for u in _uniform_chunks(cfg, block, n, CHOICE_DRAWS + len(env.truth.graph.variables)):
+    taken = np.empty((min(_CHUNK_ROUNDS, cfg.rounds), k * n), actions.dtype)
+    reached = np.empty(taken.shape, np.min_scalar_type(len(env._payoff) - 1))
+    for j, u in enumerate(_uniform_chunks(cfg, block, n, CHOICE_DRAWS + len(env.truth.graph.variables))):
         explore, uniform = _exploration(u[..., :CHOICE_DRAWS], epsilon, len(env.actions))
-        for c in range(u.shape[1]):
+        for c in range(m := u.shape[1]):
             for policy, span in zip(policies, spans):
                 greedy[span] = policy.greedy()
             a = np.where(explore[:, c], uniform[:, c], greedy)
             x = draw(env, a, u[:, c, CHOICE_DRAWS:])
             for policy, span in zip(policies, spans):
                 policy.learn(a[span], x[span])
-            actions[:, :, t] = a.reshape(len(policies), n)
-            rewards[:, :, t] = payoff[x[:, target]].reshape(len(policies), n)
-            t += 1
+            taken[c], reached[c] = a, x[:, target]
+        rounds = slice(j * _CHUNK_ROUNDS, j * _CHUNK_ROUNDS + m)
+        for i, span in enumerate(spans):
+            actions[i, :, rounds] = taken[:m, span].T
+            rewards[i, :, rounds] = env._payoff[reached[:m, span].T]
     return actions, rewards
 
 

@@ -353,7 +353,7 @@ def test_batched_updates_never_touch_the_forced_variable(medic_env):
     assert added == 4 * 2_500 * 2  # variables minus forced, per update
     for name in ("D", "Y"):
         pos = truth.graph._positions[name]
-        assert np.abs(batch.beliefs.posterior(pos) - truth.table(pos)).max() <= 0.05
+        assert np.abs(batch.beliefs.posterior()[pos] - truth.table(pos)).max() <= 0.05
 
 
 def test_count_beliefs_reject_nonpositive_prior(medic_model):

@@ -20,8 +20,10 @@ from causalsim import (
     update,
 )
 from causalsim.beliefs import CountBeliefs
+from causalsim.environment import draw
 
 import oracle
+import reference
 
 
 def test_init_uniform_covers_every_row(medic_model):
@@ -199,3 +201,31 @@ def test_posterior_mean_rows_normalize_on_random_graphs():
             for row in cpt.rows.values():
                 assert sum(row) == pytest.approx(1.0, abs=1e-12)
                 assert len(set(row)) == 1  # symmetric prior stays uniform
+
+
+@pytest.mark.parametrize("n", [1, 300])
+def test_flat_count_update_matches_the_per_variable_increment(n):
+    # Outcomes drawn under actions that force one or two variables, on
+    # models with 2-4 states and zero-mass entries: the shared buffers
+    # hold exactly the counts of one array per variable, whichever
+    # variables lead them, and the scored ones' posterior means are
+    # exactly the row-normalized counts.
+    rnd, rng = random.Random(70 + n), np.random.default_rng(70 + n)
+    for _ in range(40):
+        env, free = reference.sparse_environment(rnd)
+        graph = env.truth.graph
+        scored = sorted(rnd.sample(range(len(graph.variables)), rnd.randint(0, len(graph.variables))))
+        alpha = rnd.choice((0.5, 1.0, 2.0))
+        beliefs, counts = CountBeliefs(graph, alpha, n, scored), reference.count_arrays(graph, alpha, n)
+        for _ in range(4):
+            a = rng.integers(len(env.actions), size=n)
+            x = draw(env, a, rng.random((n, len(graph.variables))))
+            beliefs.update(x, free[a])
+            reference.update_counts(counts, graph, x, free[a])
+        means = beliefs.posterior()
+        for pos, want in enumerate(counts):
+            assert np.array_equal(beliefs.counts[pos], want)
+            if pos in scored:
+                assert np.array_equal(means[pos], want / want.sum(axis=-1, keepdims=True))
+            else:
+                assert means[pos] is None

@@ -27,10 +27,12 @@ from causalsim import (
 )
 from causalsim import Action, Environment, medic_scenario, model_from_dict
 from causalsim.beliefs import init_uniform, posterior_mean, update
+from causalsim import cgm
 from causalsim.cgm import ReplicatedQuery
 from causalsim.environment import draw
 
 import oracle
+import reference
 
 
 def test_validate_accepts_independent_fair_pair(fair_pair_model):
@@ -256,7 +258,7 @@ def test_factor_cap_admits_a_factor_of_exactly_the_cap():
     wider = oracle.grid_model(14)
     with pytest.raises(ValueError, match=f"builds {2 * MAX_FACTOR_STATES} states, over the cap of {MAX_FACTOR_STATES}"):
         query(wider, {"G13_13": "1"})
-    assert wider.graph._plans == {}
+    assert all(isinstance(plan, str) for plan in wider.graph._plans.values())
 
 
 def test_more_factors_than_einsum_takes_are_contracted_in_batches(chain64_model):
@@ -635,7 +637,7 @@ def test_posterior_models_share_their_graphs_plan(medic_model):
             interventional_marginal(posterior_mean(beliefs), {"T": t}, "Y")
     # The batched query of the same shape runs the same plan.
     mean = posterior_mean(beliefs)
-    ReplicatedQuery(graph, {"T": "0"}, "Y")([mean.table(pos)[None] for pos in range(3)])
+    ReplicatedQuery(graph, {"T": "0"}, "Y").bind([mean.table(pos)[None] for pos in range(3)], np.empty((1, 2)))
     assert len(graph._plans) == 1
 
 
@@ -696,6 +698,45 @@ def test_replicated_query_matches_interventional_marginal(data):
     models = (model, flat, model)
     positions = range(len(model.graph.variables))
     tables = [np.stack([m.table(pos) for m in models]) for pos in positions]
-    mass = ReplicatedQuery(model.graph, forced, variable)(tables)
+    mass = np.empty((len(models), len(model.graph.variable_map[variable].states)))
+    scorer = ReplicatedQuery(model.graph, forced, variable)
+    scorer.bind(tables, mass)
+    scorer()
     for got, m in zip(mass, models):
         assert tuple(got / got.sum()) == pytest.approx(interventional_marginal(m, forced, variable), abs=1e-12)
+
+
+def test_min_fill_keeps_the_plans_of_a_full_search_at_every_step(chain64_model, monkeypatch):
+    # Updating only the costs an elimination changes must choose the
+    # same variable at every step as searching all of them again, so
+    # every plan keeps its steps: on the 13 x 13 grid, whose widest
+    # factor is the cap, on the 64-variable chain, and on 50 random
+    # models with an intervention, evidence, or both.
+    grid = oracle.grid_model(13).graph
+    shapes = [(grid, {}, {}, ("G12_12",)), (grid, {"G0_0"}, {}, ("G12_12",)), (chain64_model.graph, {"X62"}, {}, ("X63",))]
+    shapes.append((chain64_model.graph, {"X1"}, {"X40"}, ("X63", "X0")))
+    rnd = random.Random(50)
+    for _ in range(50):
+        model = oracle.random_model(rnd, max_vars=7)
+        names = rnd.sample(model.graph.names, len(model.graph.names))
+        k = rnd.randint(0, len(names) - 1)
+        j = rnd.randint(k, len(names) - 1)
+        shapes.append((model.graph, set(names[:k]), set(names[k:j]), tuple(names[j:])))
+    for graph, forced, evidence, targets in shapes:
+        key = (frozenset(forced), frozenset(evidence), targets)
+        fast = cgm._plan(graph, *key)
+        with monkeypatch.context() as patch:
+            patch.setattr(cgm, "_min_fill", reference.min_fill_order)
+            assert cgm._plan(graph, *key).steps == fast.steps
+
+
+def test_a_refused_query_shape_is_not_searched_again(monkeypatch):
+    model = oracle.grid_model(14)
+    with pytest.raises(ValueError, match="factor too large") as first:
+        query(model, {"G13_13": "1"})
+    calls = []
+    monkeypatch.setattr(cgm, "_min_fill", lambda *args: calls.append(args) or iter(()))
+    with pytest.raises(ValueError, match="factor too large") as again:
+        query(model, {"G13_13": "1"})
+    assert str(again.value) == str(first.value)
+    assert calls == []

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, overrides, exit codes."""
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -347,3 +348,15 @@ def test_module_entry_point_matches_cli(capsys):
     code, out, _ = run_cli(capsys, "query", "--model", MODEL, "--do", "T=0", "--target", "Y=1")
     assert code == 0
     assert out.strip() == "0.52"
+
+
+@pytest.mark.parametrize("workers", [(), ("--workers", "2")])
+def test_the_shipped_experiment_writes_its_pinned_csv_and_svg(capsys, tmp_path, workers):
+    # 200 rounds x 1000 replications over four blocks of every agent.
+    # Any change to the streams, exploration, the draw, the beliefs, the
+    # scoring or the reports changes these digests.
+    csv, svg = tmp_path / "run.csv", tmp_path / "run.svg"
+    code, _, _ = run_cli(capsys, "simulate", "--model", MODEL, "--experiment", EXPERIMENT, "--out", str(csv), "--svg", str(svg), *workers)
+    assert code == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == "e97ee21eb3ba805d83957d8acc4ef2e3b6a6457da8154918f0ca4071b2f98579"
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == "36670322218ba2de021ed2ef2e2dfb101ed4c8f95c2c7d1db1e3199b74f3b16b"

@@ -28,6 +28,8 @@ from causalsim import (
 )
 from causalsim.environment import draw
 
+import reference
+
 import oracle
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample"
@@ -135,6 +137,21 @@ def test_batched_draw_falls_back_to_the_last_state_with_mass():
     assert draw(env, np.array([0]), u).tolist() == [[1, 1]]
     positive = _one_row_env((0.5, 0.2499999995, 0.25))
     assert draw(positive, np.array([0]), u).tolist() == [[2, 1]]
+
+
+@pytest.mark.parametrize("n", [1, 300])
+def test_flat_row_draw_gives_the_codes_of_the_per_variable_gather(n):
+    # Models with 2-4 states, zero-mass entries and deterministic rows;
+    # actions force one or two variables each and mix over the rows; a
+    # tenth of the rows draw at each extreme uniform.
+    rnd, rng = random.Random(n), np.random.default_rng(n)
+    for _ in range(60):
+        env, _ = reference.sparse_environment(rnd)
+        u = rng.random((n, len(env.truth.graph.variables)))
+        u[rng.random(n) < 0.1] = 0.0
+        u[rng.random(n) < 0.1] = 1.0 - 2.0**-53
+        a = rng.integers(len(env.actions), size=n)
+        assert np.array_equal(draw(env, a, u), reference.draw(env, a, u))
 
 
 def test_draw_builds_no_sampling_tables_on_the_truth():

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalsim import (
+    MAX_FACTOR_STATES,
     Action,
     CausalAgentConfig,
     CausalAgentState,
@@ -323,6 +325,25 @@ def test_causal_agent_refuses_an_oversized_joint_and_the_others_run():
         run_experiment(env, small_config(agents={"causal": CausalAgentConfig()}))
     result = run_experiment(env, small_config(agents={"random": RandomConfig(), "qlearning": QLearningConfig()}))
     assert result.trial_log.rewards["random"].shape == (4, 10)
+
+
+def test_causal_scoring_keeps_every_factor_under_the_cap_across_replications():
+    # The 13 x 13 grid's widest factor has exactly MAX_FACTOR_STATES
+    # states, 8 MiB of float64 for one replication. Scoring a block of 8
+    # replications at once would build that factor 8 times over, 64 MiB
+    # in one array; scored in row slices, no factor exceeds the cap. The
+    # bound, six factors of the cap, was fixed before the test first ran.
+    actions = (Action("low", {"G0_0": "0"}), Action("high", {"G0_0": "1"}))
+    env = Environment(oracle.grid_model(13), actions, "G12_12", {"0": 0.0, "1": 1.0})
+    cfg = ExperimentConfig(rounds=2, replications=8, seed=13, agents={"causal": CausalAgentConfig()})
+    tracemalloc.start()
+    try:
+        log = run_experiment(env, cfg).trial_log
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.rewards["causal"].shape == (8, 2)
+    assert peak <= 6 * MAX_FACTOR_STATES * 8
 
 
 def test_causal_agent_learns_the_best_action_on_a_64_variable_chain(chain64_model):
