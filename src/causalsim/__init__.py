@@ -4,17 +4,20 @@ tables, decision agents that learn from intervention outcomes, and a
 seeded experiment harness that compares them reproducibly.
 
 Importing the package runs none of its modules. Each submodule is
-registered in ``sys.modules`` and here as a lazy module
-(:class:`importlib.util.LazyLoader`), whose body runs on its first
-attribute access, and each public name in ``_EXPORTS`` resolves to its
-home module on first use. So ``causalsim query`` executes only ``cgm``,
-``model_io`` and ``cli``, and ``causalsim best-action`` never executes
-``reporting``; ``from causalsim import X`` works for every name in
-``__all__``.
+registered in ``sys.modules`` and here as a lazy module, whose body runs
+on its first attribute access, and each public name in ``_EXPORTS``
+resolves to its home module on first use. So ``causalsim query``
+executes only ``cgm``, ``model_io`` and ``cli``, ``causalsim
+best-action`` adds ``environment`` and ``experiment`` and never executes
+``agents``, ``beliefs`` or ``reporting``, and ``from causalsim import
+X`` works for every name in ``__all__``. A body that raises leaves its
+module lazy again, so every access raises that module's own error, as a
+failed import would each time it is retried.
 """
 
 import importlib.util
 import sys
+import types
 
 # Each submodule and the public names it contributes to the package.
 _EXPORTS = {
@@ -62,24 +65,24 @@ _EXPORTS = {
         "update",
     ),
     "agents": (
-        "Action",
         "AgentRecord",
         "CausalAgentState",
         "QAgentState",
-        "UtilityFunction",
-        "best_action",
         "causal_choose",
         "causal_learn",
-        "expected_utility",
         "q_choose",
         "q_learn",
         "random_choose",
     ),
     "environment": (
+        "Action",
         "Environment",
         "StepRecord",
+        "UtilityFunction",
+        "best_action",
         "environment_block_to_dict",
         "environment_from_dict",
+        "expected_utility",
         "load_environment",
         "medic_scenario",
         "step",
@@ -110,14 +113,36 @@ __all__ = list(_HOME)
 __version__ = "0.1.0"
 
 
+class _LazyModule(types.ModuleType):
+    """A registered submodule whose body has not run yet.
+
+    The first attribute access turns it into a plain module and runs its
+    body. If the body raises, the module gets back the namespace it had
+    before and stays lazy, so nothing half-built is left behind: the
+    next access runs the body again and raises the same error.
+    """
+
+    def __getattribute__(self, attr: str):
+        namespace = object.__getattribute__(self, "__dict__")
+        before = dict(namespace)
+        self.__class__ = types.ModuleType
+        try:
+            namespace["__spec__"].loader.exec_module(self)
+        except BaseException:
+            namespace.clear()
+            namespace.update(before)
+            self.__class__ = _LazyModule
+            raise
+        return getattr(self, attr)
+
+
 def _register_lazily(module: str) -> None:
     """Put ``causalsim.<module>`` in ``sys.modules`` and in this namespace
-    without running its body (the stdlib ``LazyLoader`` recipe)."""
+    without running its body."""
     spec = importlib.util.find_spec(f"{__name__}.{module}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
     lazy = importlib.util.module_from_spec(spec)
+    lazy.__class__ = _LazyModule
     sys.modules[spec.name] = lazy
-    spec.loader.exec_module(lazy)
     globals()[module] = lazy
 
 

@@ -4,6 +4,11 @@ stateless Q-learning, and a uniform-random baseline.
 The causal policy scores each candidate intervention by the expected
 utility of the target variable under that intervention, computed on the
 posterior-mean model of its current beliefs, and picks the argmax. The
+decision problem itself (:class:`~causalsim.environment.Action`,
+:func:`~causalsim.environment.expected_utility` and
+:func:`~causalsim.environment.best_action`) is defined in
+:mod:`~causalsim.environment`; this module imports it, so those names
+are also importable from here, as the same objects. The
 Q-learning policy ignores the model entirely and keeps one running
 value estimate per action. The random policy is the control.
 
@@ -31,20 +36,17 @@ from typing import TYPE_CHECKING, Any, Mapping, Protocol, Sequence
 import numpy as np
 
 from .beliefs import BeliefState, CountBeliefs, posterior_mean, update
-from .cgm import Assignment, CausalModel, ReplicatedQuery, interventional_marginal
+from .cgm import Assignment, ReplicatedQuery
+from .environment import Action, UtilityFunction, _check_action_set, _check_utility, best_action, expected_utility
 
 if TYPE_CHECKING:
     from .environment import Environment
     from .experiment import CausalAgentConfig, QLearningConfig
 
 __all__ = [
-    "Action",
-    "UtilityFunction",
     "CausalAgentState",
     "QAgentState",
     "AgentRecord",
-    "expected_utility",
-    "best_action",
     "causal_choose",
     "causal_learn",
     "q_choose",
@@ -55,43 +57,6 @@ __all__ = [
     "QBatch",
     "RandomBatch",
 ]
-
-# Maps each target-variable state label to a finite real utility.
-UtilityFunction = Mapping[str, float]
-
-
-@dataclass(frozen=True)
-class Action:
-    """A labeled intervention the decision maker can take."""
-
-    label: str
-    intervention: Mapping[str, str]
-
-    def __post_init__(self) -> None:
-        if not self.label:
-            raise ValueError("an action needs a non-empty label")
-        if not self.intervention:
-            raise ValueError("empty-intervention: an action must force at least one variable")
-
-
-def _check_action_set(actions: Sequence[Action], target: str) -> None:
-    if not actions:
-        raise ValueError("empty-action-set: at least one action is required")
-    labels = [a.label for a in actions]
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate action labels in the action set")
-    for a in actions:
-        if target in a.intervention:
-            raise ValueError(f"action-intervenes-target: {a.label!r} forces {target}")
-
-
-def _check_utility(utility: UtilityFunction, states: Sequence[str], target: str) -> None:
-    for s in states:
-        u = utility.get(s)
-        if u is None:
-            raise ValueError(f"utility does not cover state {s!r} of {target}")
-        if not math.isfinite(u):
-            raise ValueError(f"utility of {target}={s!r} must be finite")
 
 
 @dataclass(frozen=True)
@@ -139,43 +104,6 @@ class AgentRecord:
     round: int
     action: str
     reward: float
-
-
-def expected_utility(
-    model: CausalModel, action: Action, target: str, utility: UtilityFunction
-) -> float:
-    """Expected utility of the target under the action's intervention.
-
-    Sums utility(state) times P(target = state | do(intervention)) over
-    the target's states on the given model.
-    """
-    if target in action.intervention:
-        raise ValueError(f"target-is-intervened: {action.label!r} forces {target}")
-    spec = model.graph.variable_map.get(target)
-    if spec is None:
-        raise ValueError(f"unknown-variable: target {target!r} is not in the model")
-    _check_utility(utility, spec.states, target)
-    dist = interventional_marginal(model, action.intervention, target)
-    return sum(utility[s] * p for s, p in zip(spec.states, dist))
-
-
-def best_action(
-    model: CausalModel,
-    actions: Sequence[Action],
-    target: str,
-    utility: UtilityFunction,
-) -> int:
-    """Index of the expected-utility argmax; ties go to the lowest index."""
-    if not actions:
-        raise ValueError("empty-action-set: at least one action is required")
-    best_i = 0
-    best_eu = expected_utility(model, actions[0], target, utility)
-    for i in range(1, len(actions)):
-        eu = expected_utility(model, actions[i], target, utility)
-        if eu > best_eu:
-            best_i = i
-            best_eu = eu
-    return best_i
 
 
 def causal_choose(state: CausalAgentState) -> int:

@@ -49,7 +49,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import string
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Iterator, Mapping
@@ -91,7 +90,7 @@ MAX_FACTOR_STATES = 2**20
 
 # Axis labels for one einsum call. Every variable has at least two
 # states, so under the factor cap a step spans at most 21 variables.
-_EINSUM_LETTERS = string.ascii_letters
+_EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 # np.einsum takes at most 31 operands on numpy 1.x (63 on 2.x).
 _MAX_OPERANDS = 31

@@ -18,8 +18,11 @@ Exit codes: 0 on success, 1 on usage errors (bad flags or arguments),
 Only ``cgm`` and ``model_io`` are imported by name here: ``query`` and
 the exceptions :func:`cli_main` catches need them. The other modules
 are package submodules that run on first attribute access, and the
-handlers reach them through module attributes, so ``query`` executes no
-other module and ``best-action`` never executes ``reporting``.
+handlers reach them through module attributes. So ``query`` executes no
+other module, and ``best-action`` adds only ``environment``, which
+defines and solves the decision problem, and ``experiment``, which
+checks the run half of the experiment file; it never executes the
+learners (``agents``, ``beliefs``) or ``reporting``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import argparse
 import sys
 from typing import Callable, Sequence
 
-from . import agents, environment, experiment, model_io, reporting
+from . import environment, experiment, model_io, reporting
 from .cgm import InvalidModelError, interventional_query
 from .model_io import FormatError, load_model
 
@@ -150,7 +153,7 @@ def _cmd_query(ns: argparse.Namespace) -> int:
 
 def _cmd_best_action(ns: argparse.Namespace) -> int:
     env, _ = _load_experiment(ns)  # the same file simulate accepts, run half included
-    index = agents.best_action(env.truth, env.actions, env.target, env.utility)
+    index = environment.best_action(env.truth, env.actions, env.target, env.utility)
     print(env.actions[index].label)
     return 0
 

@@ -1,5 +1,13 @@
-"""The world the agents act in: a ground-truth causal model, a menu of
-interventions, and a utility over one target variable.
+"""The decision problem and the world the agents act in: a ground-truth
+causal model, a menu of interventions, and a utility over one target
+variable, solved by expected utility under ``do``.
+
+:class:`Action`, :data:`UtilityFunction` and their checks define the
+problem; :func:`expected_utility` scores one action on a model and
+:func:`best_action` takes the argmax. They live here, not with the
+learners in :mod:`~causalsim.agents`, so solving the problem on the
+truth (``causalsim best-action``) runs neither ``agents`` nor
+``beliefs``.
 
 An action reaches the truth only by graph surgery
 (:func:`~causalsim.cgm.intervene`), and the environment caches one
@@ -18,17 +26,21 @@ reward of not treating looks better than its interventional reward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .agents import Action, UtilityFunction, _check_action_set, _check_utility
-from .cgm import CausalModel, cumulative, ensure_valid, intervene, sample
+from .cgm import CausalModel, cumulative, ensure_valid, intervene, interventional_marginal, sample
 from . import model_io
 
 __all__ = [
+    "Action",
+    "UtilityFunction",
+    "expected_utility",
+    "best_action",
     "Environment",
     "StepRecord",
     "step",
@@ -38,6 +50,80 @@ __all__ = [
     "load_environment",
     "environment_block_to_dict",
 ]
+
+# Maps each target-variable state label to a finite real utility.
+UtilityFunction = Mapping[str, float]
+
+
+@dataclass(frozen=True)
+class Action:
+    """A labeled intervention the decision maker can take."""
+
+    label: str
+    intervention: Mapping[str, str]
+
+    def __post_init__(self) -> None:
+        if not self.label:
+            raise ValueError("an action needs a non-empty label")
+        if not self.intervention:
+            raise ValueError("empty-intervention: an action must force at least one variable")
+
+
+def _check_action_set(actions: Sequence[Action], target: str) -> None:
+    if not actions:
+        raise ValueError("empty-action-set: at least one action is required")
+    labels = [a.label for a in actions]
+    if len(set(labels)) != len(labels):
+        raise ValueError("duplicate action labels in the action set")
+    for a in actions:
+        if target in a.intervention:
+            raise ValueError(f"action-intervenes-target: {a.label!r} forces {target}")
+
+
+def _check_utility(utility: UtilityFunction, states: Sequence[str], target: str) -> None:
+    for s in states:
+        u = utility.get(s)
+        if u is None:
+            raise ValueError(f"utility does not cover state {s!r} of {target}")
+        if not math.isfinite(u):
+            raise ValueError(f"utility of {target}={s!r} must be finite")
+
+
+def expected_utility(
+    model: CausalModel, action: Action, target: str, utility: UtilityFunction
+) -> float:
+    """Expected utility of the target under the action's intervention.
+
+    Sums utility(state) times P(target = state | do(intervention)) over
+    the target's states on the given model.
+    """
+    if target in action.intervention:
+        raise ValueError(f"target-is-intervened: {action.label!r} forces {target}")
+    spec = model.graph.variable_map.get(target)
+    if spec is None:
+        raise ValueError(f"unknown-variable: target {target!r} is not in the model")
+    _check_utility(utility, spec.states, target)
+    dist = interventional_marginal(model, action.intervention, target)
+    return sum(utility[s] * p for s, p in zip(spec.states, dist))
+
+
+def best_action(
+    model: CausalModel,
+    actions: Sequence[Action],
+    target: str,
+    utility: UtilityFunction,
+) -> int:
+    """Index of the expected-utility argmax; ties go to the lowest index."""
+    if not actions:
+        raise ValueError("empty-action-set: at least one action is required")
+    best_i = 0
+    best_eu = expected_utility(model, actions[0], target, utility)
+    for i in range(1, len(actions)):
+        eu = expected_utility(model, actions[i], target, utility)
+        if eu > best_eu:
+            best_i = i
+            best_eu = eu
+    return best_i
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ agents one after another.
 Randomness is carved into streams keyed by (master seed, block index,
 agent label). Each stream is read replication-major, as if drawn as
 one array of uniforms of shape (replications in the block, rounds,
-2 + variables), but a fixed number of rounds at a time, so a block's
-memory does not grow with the number of rounds; see
+2 + variables), but as many rounds at a time as fit in a fixed byte
+budget, so a block's memory grows neither with the number of rounds nor
+with the width of the model; see
 :func:`_uniform_chunks` and :func:`_run_block` for how the columns are
 used. A replication's trajectory therefore depends neither on roster
 order, nor on whether blocks run serially or in worker processes, nor
@@ -41,13 +42,12 @@ import zlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .agents import AgentRecord, BatchPolicy, CausalBatch, QBatch, RandomBatch
 from .environment import Environment, draw
-from . import model_io
+from . import agents, model_io
 
 __all__ = [
     "CausalAgentConfig",
@@ -118,11 +118,13 @@ class RandomConfig:
 
 AgentConfig = CausalAgentConfig | QLearningConfig | RandomConfig
 
-# Every agent label, with its config class and its batch policy class.
-_AGENTS: dict[str, tuple[type, Callable[..., BatchPolicy]]] = {
-    "causal": (CausalAgentConfig, CausalBatch),
-    "qlearning": (QLearningConfig, QBatch),
-    "random": (RandomConfig, RandomBatch),
+# Every agent label, with its config class and the name of its batch
+# policy class in ``agents`` (a BatchPolicy). The name is looked up only
+# when a block runs, so parsing a config never runs ``agents``.
+_AGENTS: dict[str, tuple[type, str]] = {
+    "causal": (CausalAgentConfig, "CausalBatch"),
+    "qlearning": (QLearningConfig, "QBatch"),
+    "random": (RandomConfig, "RandomBatch"),
 }
 
 
@@ -192,10 +194,10 @@ class ReplicationLog:
     actions: Mapping[str, tuple[str, ...]]
     rewards: Mapping[str, tuple[float, ...]]
 
-    def agent_records(self, label: str) -> tuple[AgentRecord, ...]:
+    def agent_records(self, label: str) -> tuple[agents.AgentRecord, ...]:
         """The replication's history for one agent as round records."""
         pairs = zip(self.actions[label], self.rewards[label])
-        return tuple(AgentRecord(t, a, r) for t, (a, r) in enumerate(pairs, start=1))
+        return tuple(agents.AgentRecord(t, a, r) for t, (a, r) in enumerate(pairs, start=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,7 +296,7 @@ def config_from_dict(data: Any, *, doc: str = "$") -> ExperimentConfig:
         raw_agents = data["agents"]
         if not isinstance(raw_agents, dict):
             raise model_io.FormatError(f"{doc}.agents", "expected an object")
-        agents: dict[str, AgentConfig] = {}
+        roster: dict[str, AgentConfig] = {}
         for label, block in raw_agents.items():
             where = f"{doc}.agents.{label}"
             if label not in _AGENTS:
@@ -308,10 +310,10 @@ def config_from_dict(data: Any, *, doc: str = "$") -> ExperimentConfig:
                 raise model_io.FormatError(where, f"unknown keys: {', '.join(bad)}")
             params = {pkey: model_io.number(pval, f"{where}.{pkey}") for pkey, pval in block.items()}
             try:
-                agents[label] = kind(**params)
+                roster[label] = kind(**params)
             except _FieldError as e:
                 raise model_io.FormatError(f"{where}.{e.field}", str(e)) from None
-        kwargs["agents"] = agents
+        kwargs["agents"] = roster
     try:
         return ExperimentConfig(**kwargs)
     except _FieldError as e:
@@ -331,9 +333,9 @@ BLOCK_SIZE = 256
 # decides whether to explore, column 1 picks the action explored.
 CHOICE_DRAWS = 2
 
-# Rounds of uniforms a block holds at once. Only memory depends on it:
-# every chunk reads the same stream positions.
-_CHUNK_ROUNDS = 256
+# Bytes of uniforms a block holds at once (at least one round's worth).
+# Only memory depends on it: every chunk reads the same stream positions.
+_CHUNK_BYTES = 8 * 2**20
 
 
 def _block_stream(seed: int, block: int, label: str) -> np.random.Generator:
@@ -346,8 +348,15 @@ def _block_stream(seed: int, block: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block, key))))
 
 
+def _chunk_rounds(cfg: ExperimentConfig, n: int, width: int) -> int:
+    """Rounds per chunk of uniforms: as many as fit in ``_CHUNK_BYTES``
+    for every agent's n rows of ``width`` doubles, at least one."""
+    return max(1, min(cfg.rounds, _CHUNK_BYTES // (len(cfg.agents) * n * width * 8)))
+
+
 def _uniform_chunks(cfg: ExperimentConfig, block: int, n: int, width: int) -> Iterator[np.ndarray]:
-    """Every agent's uniforms for one block, ``_CHUNK_ROUNDS`` rounds at a time.
+    """Every agent's uniforms for one block, :func:`_chunk_rounds` rounds
+    at a time.
 
     Each chunk has shape (agents * n, rounds in the chunk, width), agents
     in roster order. The values are those of
@@ -360,8 +369,9 @@ def _uniform_chunks(cfg: ExperimentConfig, block: int, n: int, width: int) -> It
     """
     streams = [_block_stream(cfg.seed, block, label) for label in cfg.agents]
     at = [0] * len(streams)
-    for t0 in range(0, cfg.rounds, _CHUNK_ROUNDS):
-        u = np.empty((len(streams) * n, min(_CHUNK_ROUNDS, cfg.rounds - t0), width))
+    chunk = _chunk_rounds(cfg, n, width)
+    for t0 in range(0, cfg.rounds, chunk):
+        u = np.empty((len(streams) * n, min(chunk, cfg.rounds - t0), width))
         for i, stream in enumerate(streams):
             for r in range(n):
                 start = (r * cfg.rounds + t0) * width
@@ -407,14 +417,16 @@ def _run_block(
     """
     n = min(BLOCK_SIZE, cfg.replications - block * BLOCK_SIZE)
     k, target = len(cfg.agents), env.truth.graph._positions[env.target]
-    policies = [_AGENTS[label][1](env, acfg, n) for label, acfg in cfg.agents.items()]
+    policies = [getattr(agents, _AGENTS[label][1])(env, acfg, n) for label, acfg in cfg.agents.items()]
     spans = [slice(i * n, (i + 1) * n) for i in range(k)]
     epsilon = np.repeat([p.epsilon for p in policies], n)[:, None]
     greedy = np.empty(k * n, np.intp)
     actions, rewards = _trial_arrays(env, cfg, n) if out is None else out
-    taken = np.empty((min(_CHUNK_ROUNDS, cfg.rounds), k * n), actions.dtype)
+    width = CHOICE_DRAWS + len(env.truth.graph.variables)
+    chunk = _chunk_rounds(cfg, n, width)
+    taken = np.empty((chunk, k * n), actions.dtype)
     reached = np.empty(taken.shape, np.min_scalar_type(len(env._payoff) - 1))
-    for j, u in enumerate(_uniform_chunks(cfg, block, n, CHOICE_DRAWS + len(env.truth.graph.variables))):
+    for j, u in enumerate(_uniform_chunks(cfg, block, n, width)):
         explore, uniform = _exploration(u[..., :CHOICE_DRAWS], epsilon, len(env.actions))
         for c in range(m := u.shape[1]):
             for policy, span in zip(policies, spans):
@@ -424,7 +436,7 @@ def _run_block(
             for policy, span in zip(policies, spans):
                 policy.learn(a[span], x[span])
             taken[c], reached[c] = a, x[:, target]
-        rounds = slice(j * _CHUNK_ROUNDS, j * _CHUNK_ROUNDS + m)
+        rounds = slice(j * chunk, j * chunk + m)
         for i, span in enumerate(spans):
             actions[i, :, rounds] = taken[:m, span].T
             rewards[i, :, rounds] = env._payoff[reached[:m, span].T]

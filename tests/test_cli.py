@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -310,12 +311,59 @@ def test_query_runs_only_cgm_model_io_and_cli():
     assert not xml
 
 
-def test_best_action_never_runs_reporting():
+def test_best_action_runs_only_the_decision_problem():
+    # The learners (agents, beliefs) and the writers (reporting) stay lazy.
     argv = ["best-action", "--model", MODEL, "--experiment", EXPERIMENT]
     modules, xml = _modules_after(f"import causalsim; causalsim.cli_main({argv!r})")
-    assert modules["causalsim.experiment"]
-    assert not modules["causalsim.reporting"]
+    assert {n for n, ran in modules.items() if ran} == {
+        "causalsim", "causalsim.cgm", "causalsim.cli", "causalsim.environment", "causalsim.experiment", "causalsim.model_io",
+    }  # fmt: skip
     assert not xml
+
+
+def test_the_decision_problem_is_one_object_under_both_modules():
+    from causalsim import agents, environment
+
+    for name in ("Action", "UtilityFunction", "best_action", "expected_utility"):
+        assert getattr(agents, name) is getattr(environment, name)
+        assert getattr(causalsim, name) is getattr(environment, name)
+
+
+def test_a_module_whose_body_raises_raises_its_own_error_on_every_access(tmp_path):
+    # A copy of the package whose reporting defines its functions, then
+    # raises: no access may find a half-built module, not even through
+    # the reference cli took before the body ran.
+    package = tmp_path / "causalsim"
+    shutil.copytree(Path(causalsim.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "reporting.py", "a") as f:
+        f.write('\nraise RuntimeError("reporting is broken")\n')
+    simulate = ["simulate", "--model", MODEL, "--experiment", EXPERIMENT, "--out", str(tmp_path / "out.csv"), "--reps", "1", "--rounds", "1"]
+    accesses = [
+        "causalsim.reporting.write_csv",
+        "causalsim.reporting.write_csv",
+        "causalsim.write_svg",
+        "exec('from causalsim.reporting import write_csv')",
+        f"causalsim.cli_main({simulate!r})",
+        "causalsim.reporting.write_csv",
+    ]
+    code = "\n".join([
+        "import contextlib, io, sys, types",
+        "import causalsim",
+        f"for access in {accesses!r}:",
+        "    try:",
+        "        with contextlib.redirect_stdout(io.StringIO()):",
+        "            eval(access)",
+        "    except Exception as e:",
+        "        print(f'{type(e).__name__}: {e}')",
+        "    else:",
+        "        print('no error')",
+        "print(type(sys.modules['causalsim.reporting']) is types.ModuleType)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    *errors, plain = out.stdout.splitlines()
+    assert errors == ["RuntimeError: reporting is broken"] * len(accesses)
+    assert plain == "False"  # still lazy: the next access runs the body again
 
 
 def test_importing_the_package_registers_every_submodule_and_runs_none():

@@ -37,7 +37,8 @@ from causalsim import (
     run_experiment,
     step,
 )
-from causalsim.experiment import BLOCK_SIZE, _CHUNK_ROUNDS, _block_stream, _uniform_chunks
+from causalsim import experiment
+from causalsim.experiment import BLOCK_SIZE, _block_stream, _chunk_rounds, _uniform_chunks
 
 import oracle
 
@@ -262,13 +263,28 @@ def test_a_small_run_reproduces_its_pinned_trial_log(medic_env):
     assert digest.hexdigest() == "fa00d3c4ce945b14edaf56ad45636a14f13b11c2e9f72e800e2828d4ed3ca80f"
 
 
-def test_uniform_chunks_read_the_one_draw_layout():
+def test_uniform_chunks_read_the_one_draw_layout(monkeypatch):
     # Chunked reads give each replication the uniforms it would get from
-    # one replication-major draw per agent, across chunk boundaries too.
-    cfg = small_config(rounds=2 * _CHUNK_ROUNDS + 3, seed=5)
-    chunks = np.concatenate(list(_uniform_chunks(cfg, 1, 3, 4)), axis=1)
+    # one replication-major draw per agent, across chunk boundaries too:
+    # a budget one byte short of 8 rounds makes chunks of 7, 7 and 3.
+    cfg = small_config(rounds=17, seed=5)
+    monkeypatch.setattr(experiment, "_CHUNK_BYTES", 8 * len(cfg.agents) * 3 * 4 * 8 - 1)
+    parts = list(_uniform_chunks(cfg, 1, 3, 4))
+    assert [part.shape[1] for part in parts] == [7, 7, 3]
+    chunks = np.concatenate(parts, axis=1)
     whole = np.concatenate([_block_stream(5, 1, label).random((3, cfg.rounds, 4)) for label in cfg.agents])
     assert np.array_equal(chunks, whole)
+
+
+def test_a_chunk_of_uniforms_fits_the_byte_budget():
+    cfg = ExperimentConfig()  # three agents, 200 rounds
+    # Medic (3 variables): a block's 200 rounds are one 6.1 MB chunk.
+    assert _chunk_rounds(cfg, BLOCK_SIZE, 2 + 3) == 200
+    # The 64-chain: 66 columns a row, so only some rounds fit the budget.
+    chunk = _chunk_rounds(cfg, BLOCK_SIZE, 2 + 64)
+    assert chunk * 3 * BLOCK_SIZE * 66 * 8 <= experiment._CHUNK_BYTES < (chunk + 1) * 3 * BLOCK_SIZE * 66 * 8
+    # A round wider than the budget is still read, one round at a time.
+    assert _chunk_rounds(cfg, BLOCK_SIZE, 2**20) == 1
 
 
 def test_parallel_run_matches_serial_run(medic_env):
