@@ -35,6 +35,7 @@ from .cgm import (
     Cpt,
     InvalidModelError,
     Intervention,
+    _check_intervention,
     check_assignment,
     parent_configurations,
     validate_graph,
@@ -108,9 +109,7 @@ def update(beliefs: BeliefState, intervention: Intervention, observed: Assignmen
     failed precondition leaves the caller's beliefs intact.
     """
     graph = beliefs.graph
-    if not intervention:
-        raise ValueError("empty-intervention: at least one variable must be forced")
-    check_assignment(graph, intervention, "intervention")
+    _check_intervention(graph, intervention)
     check_assignment(graph, observed, "observation")
     missing = [n for n in graph.names if n not in observed]
     if missing:

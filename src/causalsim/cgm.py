@@ -34,10 +34,12 @@ fully pinned plan builds only scalars.
 
 Sampling is ancestral and has no cap. A variable's state is drawn by
 inverse CDF from its cumulative table (:func:`cumulative`): the state
-is the first whose cumulative entry exceeds a uniform draw. Actions
-reach sampling only through :func:`intervene`: the environment's
-``step`` is :func:`sample` on a surgered truth, and the batched
-:func:`~causalsim.environment.draw` reads the surgered truths' tables.
+is the number of cumulative entries at or below a uniform draw.
+:func:`sample` and the batched :func:`~causalsim.environment.draw`
+read the same (rows, states - 1) cumulative arrays, from one builder.
+Actions reach sampling only through :func:`intervene`: the
+environment's ``step`` is :func:`sample` on a surgered truth, and
+``draw`` reads the surgered truths' tables.
 
 Models are plain dataclasses. Construction is permissive so that
 :func:`validate` can report every problem in one pass; the query and
@@ -46,7 +48,6 @@ sampling operations assume a model that passes validation.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -236,13 +237,8 @@ class CausalModel:
         return table
 
     @cached_property
-    def _sampler(self) -> tuple[tuple[VariableSpec, int, tuple[int, ...], tuple[int, ...], list], ...]:
-        # Per variable in topological order: its spec, its row layout
-        # (CausalGraph._row_index) and its cumulative rows as lists.
-        return tuple(
-            (self.graph.variables[pos], pos, parents, strides, cumulative(self.table(pos)).reshape(-1, shape[-1]).tolist())
-            for pos, parents, strides, shape in self.graph._row_index
-        )
+    def _sampler(self) -> tuple:
+        return _cumulative_rows(self.graph, (self,))
 
 
 @dataclass(frozen=True)
@@ -415,6 +411,14 @@ def check_assignment(graph: CausalGraph, assignment: Assignment, role: str) -> N
             raise ValueError(f"unknown-variable: {role} names {name!r}, which is not in the model")
         if state not in spec.state_index:
             raise ValueError(f"illegal-state: {role} assigns {name}={state!r}, not one of its states")
+
+
+def _check_intervention(graph: CausalGraph, intervention: Intervention) -> None:
+    """Raise ``empty-intervention`` unless ``intervention`` forces some
+    variable, then check it as :func:`check_assignment` does."""
+    if not intervention:
+        raise ValueError("empty-intervention: at least one variable must be forced")
+    check_assignment(graph, intervention, "intervention")
 
 
 @dataclass(frozen=True)
@@ -601,9 +605,7 @@ def intervene(model: CausalModel, intervention: Intervention) -> CausalModel:
     intervention twice is a no-op, and a later surgery on the same
     variable simply replaces the earlier one.
     """
-    if not intervention:
-        raise ValueError("empty-intervention: at least one variable must be forced")
-    check_assignment(model.graph, intervention, "intervention")
+    _check_intervention(model.graph, intervention)
     new_parents = dict(model.graph.parents)
     new_cpts = dict(model.cpts)
     for name, state in intervention.items():
@@ -628,9 +630,7 @@ def interventional_query(model: CausalModel, intervention: Intervention, target:
     overlap = sorted(set(target) & set(intervention))
     if overlap:
         raise ValueError(f"target-is-intervened: {', '.join(overlap)}")
-    if not intervention:
-        raise ValueError("empty-intervention: at least one variable must be forced")
-    check_assignment(model.graph, intervention, "intervention")
+    _check_intervention(model.graph, intervention)
     return _conditional(model, target, intervention, {})
 
 
@@ -667,6 +667,20 @@ def cumulative(table: np.ndarray) -> np.ndarray:
     return cum
 
 
+def _cumulative_rows(graph: CausalGraph, models: tuple[CausalModel, ...]) -> tuple:
+    """Per variable in ``graph``'s topological order: its row layout
+    (``CausalGraph._row_index``), its rows per model, and the models'
+    :func:`cumulative` tables, broadcast to ``graph``'s shapes and stacked
+    as (models x rows, states - 1), 1-D if binary; the last column,
+    always +inf, is dropped. Both samplers read these arrays."""
+    tables = []
+    for pos, parents, strides, shape in graph._row_index:
+        cum = cumulative(np.stack([np.broadcast_to(m.table(pos), shape) for m in models]))
+        cum = cum.reshape(-1, shape[-1])[:, 0 if shape[-1] == 2 else slice(-1)]
+        tables.append((pos, parents, strides, len(cum) // len(models), np.ascontiguousarray(cum)))
+    return tuple(tables)
+
+
 def sample(model: CausalModel, rng: np.random.Generator) -> dict[str, str]:
     """Draw one full assignment by ancestral sampling.
 
@@ -676,12 +690,13 @@ def sample(model: CausalModel, rng: np.random.Generator) -> dict[str, str]:
     a given generator state fixes the draw. A forced variable of a
     surgered model still takes its uniform.
     """
-    plan = model._sampler
-    codes = [0] * len(plan)
-    for _, pos, parents, strides, rows in plan:
-        row = rows[sum(codes[p] * stride for p, stride in zip(parents, strides))]
-        codes[pos] = bisect.bisect_right(row, rng.random())
-    return {v.name: v.states[codes[pos]] for v, pos, *_ in plan}
+    codes = [0] * len(model.graph.variables)
+    for pos, parents, strides, _, cum in model._sampler:
+        entries = cum[sum(codes[p] * stride for p, stride in zip(parents, strides))]
+        u = rng.random()
+        codes[pos] = int(entries <= u) if cum.ndim == 1 else int((entries <= u).sum())
+    variables = model.graph.variables
+    return {variables[pos].name: variables[pos].states[codes[pos]] for pos, *_ in model._sampler}
 
 
 class ReplicatedQuery:

@@ -13,7 +13,8 @@ Three subcommands:
     model file's ground truth.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags or arguments),
-2 on validation errors (unreadable or contract-violating inputs).
+2 on invalid input (unreadable or contract-violating files, or a run
+too large to allocate).
 
 Only ``cgm`` and ``model_io`` are imported by name here: ``query`` and
 the exceptions :func:`cli_main` catches need them. The other modules
@@ -180,8 +181,8 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except (FormatError, InvalidModelError) as e:
         print(f"causalsim: invalid input: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as e:
-        print(f"causalsim: error: {e}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as e:
+        print(f"causalsim: error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

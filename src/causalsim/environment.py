@@ -33,7 +33,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .cgm import CausalModel, cumulative, ensure_valid, intervene, interventional_marginal, sample
+from .cgm import CausalModel, _cumulative_rows, ensure_valid, intervene, interventional_marginal, sample
 from . import model_io
 
 __all__ = [
@@ -97,14 +97,10 @@ def expected_utility(
     Sums utility(state) times P(target = state | do(intervention)) over
     the target's states on the given model.
     """
-    if target in action.intervention:
-        raise ValueError(f"target-is-intervened: {action.label!r} forces {target}")
-    spec = model.graph.variable_map.get(target)
-    if spec is None:
-        raise ValueError(f"unknown-variable: target {target!r} is not in the model")
-    _check_utility(utility, spec.states, target)
     dist = interventional_marginal(model, action.intervention, target)
-    return sum(utility[s] * p for s, p in zip(spec.states, dist))
+    states = model.graph.variable_map[target].states
+    _check_utility(utility, states, target)
+    return sum(utility[s] * p for s, p in zip(states, dist))
 
 
 def best_action(
@@ -116,14 +112,8 @@ def best_action(
     """Index of the expected-utility argmax; ties go to the lowest index."""
     if not actions:
         raise ValueError("empty-action-set: at least one action is required")
-    best_i = 0
-    best_eu = expected_utility(model, actions[0], target, utility)
-    for i in range(1, len(actions)):
-        eu = expected_utility(model, actions[i], target, utility)
-        if eu > best_eu:
-            best_i = i
-            best_eu = eu
-    return best_i
+    eus = [expected_utility(model, a, target, utility) for a in actions]
+    return eus.index(max(eus))
 
 
 @dataclass(frozen=True)
@@ -160,16 +150,10 @@ class Environment:
         return tuple(intervene(self.truth, a.intervention) for a in self.actions)
 
     @cached_property
-    def _sampler(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...], int, np.ndarray], ...]:
-        # Per variable in topological order: its row layout and the surgered
-        # truths' cumulative tables in the truth's table shape, as (actions x
-        # rows, cardinality - 1), the last column being +inf; 1-D if binary.
-        plan = []
-        for pos, parents, strides, shape in self.truth.graph._row_index:
-            cum = cumulative(np.stack([np.broadcast_to(m.table(pos), shape) for m in self._surgered]))
-            cum = cum.reshape(-1, shape[-1])[:, 0 if shape[-1] == 2 else slice(-1)]
-            plan.append((pos, parents, strides, len(cum) // len(self.actions), np.ascontiguousarray(cum)))
-        return tuple(plan)
+    def _sampler(self) -> tuple:
+        # The surgered truths' sampling tables in the truth's row layout, one
+        # block of rows per action, in menu order.
+        return _cumulative_rows(self.truth.graph, self._surgered)
 
     @cached_property
     def _payoff(self) -> np.ndarray:

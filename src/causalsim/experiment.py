@@ -266,20 +266,7 @@ def config_from_dict(data: Any, *, doc: str = "$") -> ExperimentConfig:
     """
     if not isinstance(data, dict):
         raise model_io.FormatError(doc, "expected an object")
-    allowed = {
-        "rounds",
-        "replications",
-        "seed",
-        "epsilon",
-        "agents",
-        "out_csv",
-        "out_svg",
-        "target",
-        "desired",
-        "actions",
-        "utility",
-    }
-    unknown = sorted(set(data) - allowed)
+    unknown = sorted(set(data) - {*ExperimentConfig.__dataclass_fields__, "target", "desired", "actions", "utility"})
     if unknown:
         raise model_io.FormatError(doc, f"unknown keys: {', '.join(unknown)}")
 
@@ -304,8 +291,7 @@ def config_from_dict(data: Any, *, doc: str = "$") -> ExperimentConfig:
             kind = _AGENTS[label][0]
             if not isinstance(block, dict):
                 raise model_io.FormatError(where, "expected an object")
-            fields = {f for f in kind.__dataclass_fields__}
-            bad = sorted(set(block) - fields)
+            bad = sorted(set(block) - kind.__dataclass_fields__.keys())
             if bad:
                 raise model_io.FormatError(where, f"unknown keys: {', '.join(bad)}")
             params = {pkey: model_io.number(pval, f"{where}.{pkey}") for pkey, pval in block.items()}
@@ -454,7 +440,7 @@ def run_experiment(
     in place, a worker's block is copied there as it arrives, and the
     output is identical to a serial run, byte for byte once written.
     """
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
+    if workers is not None and (not isinstance(workers, int) or isinstance(workers, bool) or workers < 1):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     blocks = range(-(-cfg.replications // BLOCK_SIZE))
     actions, rewards = _trial_arrays(env, cfg, cfg.replications)

@@ -65,14 +65,13 @@ class FormatError(ValueError):
 
 
 def read_json(path: str) -> Any:
-    """Load a JSON file, reporting unreadable or unparseable input as
+    """Load a JSON file, reporting unreadable input, bytes that are not
+    UTF-8, invalid JSON and nesting too deep to parse as
     :class:`FormatError` under the ``parse-error`` banner."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-    except OSError as e:
-        raise FormatError(path, f"parse-error: {e}") from e
-    except json.JSONDecodeError as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise FormatError(path, f"parse-error: {e}") from e
 
 

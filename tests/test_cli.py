@@ -84,6 +84,20 @@ def test_each_input_file_is_read_once(capsys, monkeypatch, tmp_path, command):
     assert paths == [MODEL, EXPERIMENT]
 
 
+@pytest.mark.parametrize("content", [b'{"target": "\xff"}', b"[" * 100_000], ids=["not-utf-8", "too-deep"])
+@pytest.mark.parametrize("flag", ["--model", "--experiment"])
+def test_an_unparseable_file_is_an_input_error(capsys, tmp_path, content, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    files = {"--model": MODEL, "--experiment": EXPERIMENT, flag: str(bad)}
+    for command in (["best-action"], ["simulate", "--out", str(tmp_path / "x.csv")]):
+        code, out, err = run_cli(capsys, *command, *[word for pair in files.items() for word in pair])
+        assert code == 2
+        assert f"{bad}: parse-error: " in err
+        assert "Traceback" not in err
+        assert out == ""
+
+
 def test_best_action_prints_treatment(capsys):
     code, out, _ = run_cli(capsys, "best-action", "--model", MODEL, "--experiment", EXPERIMENT)
     assert code == 0
@@ -255,6 +269,24 @@ def test_simulate_rejects_zero_rounds(capsys, tmp_path):
     )
     assert code == 1
     assert "positive integer" in err
+
+
+def test_a_run_too_large_to_allocate_is_an_input_error(capsys, monkeypatch, tmp_path):
+    # At --reps 10**12 the trial log alone would take 546 TiB; the
+    # refusal is simulated, never allocated.
+    message = "Unable to allocate 546. TiB for an array with shape (3, 1000000000000, 200) and data type int8"
+    argv = ["simulate", "--model", MODEL, "--experiment", EXPERIMENT, "--reps", "1000000000000", "--out", str(tmp_path / "x.csv")]
+    for error, shown in ((MemoryError(message), message), (MemoryError(), "MemoryError")):
+
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(causalsim.experiment, "run_experiment", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == f"causalsim: error: {shown}\n"
+        assert out == ""
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_in_worker_processes_writes_the_serial_bytes(capsys, tmp_path):

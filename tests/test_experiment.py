@@ -325,8 +325,9 @@ def test_trial_log_arrays_and_replication_views_agree(medic_env):
 
 
 def test_workers_argument_is_checked(medic_env):
-    with pytest.raises(ValueError, match="workers"):
-        run_experiment(medic_env, small_config(), workers=0)
+    for workers in (0, True):
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(medic_env, small_config(), workers=workers)
 
 
 def test_causal_agent_refuses_an_oversized_joint_and_the_others_run():

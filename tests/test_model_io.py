@@ -10,6 +10,8 @@ from causalsim import (
     InvalidModelError,
     graph_from_dict,
     graph_to_dict,
+    load_environment,
+    load_experiment_config,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -231,6 +233,22 @@ def test_load_reports_invalid_json(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(FormatError, match="parse-error"):
         load_model(str(bad))
+
+
+# Bytes that are not UTF-8, and nesting past the JSON parser's recursion limit.
+UNPARSEABLE = {"not-utf-8": b'{"target": "\xff"}', "too-deep": b"[" * 100_000}
+
+
+@pytest.mark.parametrize("content", UNPARSEABLE.values(), ids=UNPARSEABLE)
+def test_load_reports_undecodable_and_too_deeply_nested_files(tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    model = str(SAMPLE_DIR / "medic_model.json")
+    loaders = [load_model, load_experiment_config, lambda path: load_environment(model, path)]
+    for load in loaders:
+        with pytest.raises(FormatError, match="parse-error") as err:
+            load(str(bad))
+        assert err.value.path == str(bad)
 
 
 def test_load_rejects_non_object_document(tmp_path):
