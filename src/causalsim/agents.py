@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import TYPE_CHECKING, Any, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -164,20 +165,28 @@ def random_choose(actions: Sequence[Action], rng: np.random.Generator) -> int:
 class BatchPolicy(Protocol):
     """One policy run for n replications at once.
 
-    The constructor takes ``(env, cfg, n)``. Each round, ``greedy``
-    returns one action index per replication, an (n,) array, from the
-    current state alone; ``learn`` then folds in the actions taken and
-    the realized outcomes, an (n, variables) array of state codes in the
-    truth's declaration order, in place. ``epsilon`` is the rate at
-    which the engine replaces the greedy action by a uniformly drawn one;
-    policies never explore themselves.
+    The constructor takes ``(env, cfg, n)``. Each round, ``greedy(out)``
+    writes one action index per replication into ``out``, an (n,) intp
+    array, from the current state alone; ``learn`` then folds in the
+    actions taken and the realized outcomes, an (n, variables) array of
+    state codes in the truth's declaration order, in place. ``epsilon``
+    is the rate at which the engine replaces the greedy action by a
+    uniformly drawn one; policies never explore themselves.
     """
 
     epsilon: float
 
-    def greedy(self) -> np.ndarray: ...
+    def greedy(self, out: np.ndarray) -> None: ...
 
     def learn(self, actions: np.ndarray, x: np.ndarray) -> None: ...
+
+
+def _expected_utilities(columns: Sequence[np.ndarray], payoff: Sequence[float]) -> np.ndarray:
+    """Expected utilities from target masses given as one array per state,
+    normalized and weighed state by state: for fewer than 8 states, the
+    bits of ``(mass / mass.sum(-1, keepdims=True) * payoff).sum(-1)``."""
+    total = reduce(np.add, columns)
+    return reduce(np.add, [column / total * w for column, w in zip(columns, payoff)])
 
 
 class CausalBatch:
@@ -197,19 +206,19 @@ class CausalBatch:
         self.queries = [ReplicatedQuery(graph, a.intervention, env.target) for a in env.actions]
         self.beliefs = CountBeliefs(graph, cfg.prior_alpha, n, sorted({p for q in self.queries for p, _ in q.plan.factors}))
         self.epsilon = cfg.epsilon
-        self.payoff = env._payoff
+        self.payoff = env._payoff.tolist()
         # free[a, i]: 1.0 unless action a forces the variable at position i.
         self.free = np.array([[float(v.name not in a.intervention) for v in graph.variables] for a in env.actions])
         self.mass = np.empty((n, len(self.queries), len(self.payoff)))
         for k, query in enumerate(self.queries):
             query.bind(self.beliefs.means, self.mass[:, k])
+        self._columns = list(np.moveaxis(self.mass, 2, 0))
 
-    def greedy(self) -> np.ndarray:
+    def greedy(self, out: np.ndarray) -> None:
         self.beliefs.posterior()
         for query in self.queries:
             query()
-        mass = self.mass
-        return (mass / mass.sum(axis=2, keepdims=True) * self.payoff).sum(axis=2).argmax(axis=1)
+        _expected_utilities(self._columns, self.payoff).argmax(axis=1, out=out)
 
     def learn(self, actions: np.ndarray, x: np.ndarray) -> None:
         self.beliefs.update(x, self.free.take(actions, axis=0))
@@ -227,8 +236,8 @@ class QBatch:
         self.target = env.truth.graph._positions[env.target]
         self._flat, self._base = self.q.reshape(-1), np.arange(n) * len(env.actions)
 
-    def greedy(self) -> np.ndarray:
-        return self.q.argmax(axis=1)
+    def greedy(self, out: np.ndarray) -> None:
+        self.q.argmax(axis=1, out=out)
 
     def learn(self, actions: np.ndarray, x: np.ndarray) -> None:
         reward = self.payoff[x[:, self.target]]
@@ -242,11 +251,10 @@ class RandomBatch:
     epsilon = 1.0
 
     def __init__(self, env: Environment, cfg: Any, n: int):
-        # Never taken: at rate 1 every replication explores.
-        self._greedy = np.zeros(n, np.intp)
+        pass
 
-    def greedy(self) -> np.ndarray:
-        return self._greedy
+    def greedy(self, out: np.ndarray) -> None:
+        pass  # at rate 1 the engine overwrites every row of ``out``
 
     def learn(self, actions: np.ndarray, x: np.ndarray) -> None:
         pass

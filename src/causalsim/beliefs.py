@@ -24,6 +24,7 @@ arrays are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -162,12 +163,15 @@ class CountBeliefs:
                 self.means[i] = means[:, a:b].reshape(n, *shape) if b <= means.shape[1] else None
                 matrix[[*parents, i], k] = [*np.multiply(strides, card), 1]
             base = np.arange(n)[:, None] * counts[0].size + starts[:-1] * card
-            self._buffers.append((counts.reshape(-1), matrix, base, np.array(group), counts[:, : means.shape[1]], means))
+            scored_counts = counts[:, : means.shape[1]]
+            columns = [scored_counts[..., j : j + 1] for j in range(card)]
+            self._buffers.append((counts.reshape(-1), matrix, base, np.array(group), scored_counts, columns, means))
 
     def posterior(self) -> list[np.ndarray | None]:
-        """Refresh :attr:`means`, one sum and one division per buffer."""
-        for *_, counts, means in self._buffers:
-            np.divide(counts, counts.sum(axis=2, keepdims=True), out=means)
+        """Refresh :attr:`means`: per buffer, one division by the sum of its
+        state columns in order (for fewer than 8 states, ``sum``'s bits)."""
+        for *_, counts, columns, means in self._buffers:
+            np.divide(counts, reduce(np.add, columns), out=means)
         return self.means
 
     def update(self, x: np.ndarray, free: np.ndarray) -> None:

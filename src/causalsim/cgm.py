@@ -413,11 +413,15 @@ def check_assignment(graph: CausalGraph, assignment: Assignment, role: str) -> N
             raise ValueError(f"illegal-state: {role} assigns {name}={state!r}, not one of its states")
 
 
-def _check_intervention(graph: CausalGraph, intervention: Intervention) -> None:
-    """Raise ``empty-intervention`` unless ``intervention`` forces some
-    variable, then check it as :func:`check_assignment` does."""
+def _check_forces(intervention: Intervention) -> None:
+    """Raise ``empty-intervention`` unless ``intervention`` forces some variable."""
     if not intervention:
         raise ValueError("empty-intervention: at least one variable must be forced")
+
+
+def _check_intervention(graph: CausalGraph, intervention: Intervention) -> None:
+    """:func:`_check_forces`, then :func:`check_assignment`."""
+    _check_forces(intervention)
     check_assignment(graph, intervention, "intervention")
 
 

@@ -33,7 +33,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .cgm import CausalModel, _cumulative_rows, ensure_valid, intervene, interventional_marginal, sample
+from .cgm import CausalModel, _check_forces, _cumulative_rows, ensure_valid, intervene, interventional_marginal, sample
 from . import model_io
 
 __all__ = [
@@ -65,8 +65,7 @@ class Action:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("an action needs a non-empty label")
-        if not self.intervention:
-            raise ValueError("empty-intervention: an action must force at least one variable")
+        _check_forces(self.intervention)
 
 
 def _check_action_set(actions: Sequence[Action], target: str) -> None:
@@ -169,21 +168,22 @@ def step(env: Environment, action: Action, rng: np.random.Generator) -> StepReco
     return StepRecord(action.label, realized, env.utility[realized[env.target]])
 
 
-def draw(env: Environment, actions: np.ndarray, u: np.ndarray) -> np.ndarray:
+def draw(env: Environment, actions: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Batched step: one full outcome per replication, as state codes.
 
     ``actions`` holds one action index per replication; ``u`` has shape
     (replications, variables) and supplies, per replication, one
     uniform per variable in the truth's topological order. Returns an
-    (replications, variables) array of state codes, columns in the
-    truth's declaration order. Given the same uniform for each
-    variable, a replication's outcome is the one :func:`step` draws
-    for the same action. Per variable, one ``take`` reads row ``action *
-    rows + sum(parent code * stride)`` (``CausalGraph._row_index``); the
-    state drawn is the number of its entries at or below the uniform.
+    (replications, variables) intp array of state codes, columns in the
+    truth's declaration order, written into ``out`` when given. Given
+    the same uniform for each variable, a replication's outcome is the
+    one :func:`step` draws for the same action. Per variable, one
+    ``take`` reads row ``action * rows + sum(parent code * stride)``
+    (``CausalGraph._row_index``); the state drawn is the number of its
+    entries at or below the uniform.
     """
     actions = np.asarray(actions, np.intp)
-    x = np.empty(u.shape, np.intp)
+    x = np.empty(u.shape, np.intp) if out is None else out
     for k, (pos, parents, strides, rows, cum) in enumerate(env._sampler):
         index = actions * rows if parents else actions
         for p, stride in zip(parents, strides):

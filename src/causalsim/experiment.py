@@ -10,13 +10,13 @@ The engine runs replications in blocks of ``BLOCK_SIZE`` and advances
 every agent of a block in lockstep, one row per (agent, replication).
 A round is one step for the whole roster: each policy
 (:class:`~causalsim.agents.BatchPolicy`) writes its greedy actions into
-its rows, one ``np.where`` swaps in the explored actions, one batched
-ancestral draw from the truth gives every row its outcome under its
-own action (:func:`~causalsim.environment.draw`), each policy learns
-from its rows, and one gather pays every reward. Exploration belongs
-to the engine: the schedule, where each row explores and what it
-takes, comes from the choice uniforms and each policy's ``epsilon`` in
-one place, :func:`_exploration`, once per chunk of rounds. Rows never
+its rows, one ``np.copyto`` writes the explored actions over them, one
+batched ancestral draw from the truth gives every row its outcome under
+its own action (:func:`~causalsim.environment.draw`), each policy
+learns from its rows, and one gather pays every reward. Exploration
+belongs to the engine: the schedule, where each row explores and what
+it takes, comes from the choice uniforms and each policy's ``epsilon``
+in one place, :func:`_exploration`, once per chunk of rounds. Rows never
 read each other, so sharing the draw is equivalent to stepping the
 agents one after another.
 
@@ -394,38 +394,41 @@ def _run_block(
     when given.
 
     All agents advance in lockstep on one row per (agent, replication),
-    agent-major. Per round: each policy writes its greedy actions into
-    its rows, one ``np.where`` applies the exploration schedule, one
-    draw gives every row's outcome from its own uniforms, one per
+    agent-major, in one action and one outcome buffer, each policy bound
+    to its rows once. Per round: each policy writes its greedy actions
+    into its rows, one ``np.copyto`` puts the explored ones over them,
+    one draw writes every row's outcome from its own uniforms, one per
     variable in the truth's topological order, and each policy learns
     from its rows. Each round's actions and target states go to one row
     of a chunk buffer, copied into the trial log once per chunk.
     """
     n = min(BLOCK_SIZE, cfg.replications - block * BLOCK_SIZE)
-    k, target = len(cfg.agents), env.truth.graph._positions[env.target]
+    k = len(cfg.agents)
     policies = [getattr(agents, _AGENTS[label][1])(env, acfg, n) for label, acfg in cfg.agents.items()]
-    spans = [slice(i * n, (i + 1) * n) for i in range(k)]
-    epsilon = np.repeat([p.epsilon for p in policies], n)[:, None]
-    greedy = np.empty(k * n, np.intp)
+    epsilon = np.repeat([p.epsilon for p in policies], n)
+    a, x = np.empty(k * n, np.intp), np.empty((k * n, len(env.truth.graph.variables)), np.intp)
+    roster = [(p, a[i * n : (i + 1) * n], x[i * n : (i + 1) * n]) for i, p in enumerate(policies)]
+    y = x[:, env.truth.graph._positions[env.target]]
     actions, rewards = _trial_arrays(env, cfg, n) if out is None else out
-    width = CHOICE_DRAWS + len(env.truth.graph.variables)
+    width = CHOICE_DRAWS + x.shape[1]
     chunk = _chunk_rounds(cfg, n, width)
     taken = np.empty((chunk, k * n), actions.dtype)
     reached = np.empty(taken.shape, np.min_scalar_type(len(env._payoff) - 1))
     for j, u in enumerate(_uniform_chunks(cfg, block, n, width)):
+        u = u.swapaxes(0, 1)  # round-major: round c of the chunk is [c]
         explore, uniform = _exploration(u[..., :CHOICE_DRAWS], epsilon, len(env.actions))
-        for c in range(m := u.shape[1]):
-            for policy, span in zip(policies, spans):
-                greedy[span] = policy.greedy()
-            a = np.where(explore[:, c], uniform[:, c], greedy)
-            x = draw(env, a, u[:, c, CHOICE_DRAWS:])
-            for policy, span in zip(policies, spans):
-                policy.learn(a[span], x[span])
-            taken[c], reached[c] = a, x[:, target]
+        draws = u[..., CHOICE_DRAWS:]
+        for c in range(m := len(u)):
+            for policy, rows, _ in roster:
+                policy.greedy(rows)
+            np.copyto(a, uniform[c], where=explore[c])
+            draw(env, a, draws[c], x)
+            for policy, rows, outcomes in roster:
+                policy.learn(rows, outcomes)
+            taken[c], reached[c] = a, y
         rounds = slice(j * chunk, j * chunk + m)
-        for i, span in enumerate(spans):
-            actions[i, :, rounds] = taken[:m, span].T
-            rewards[i, :, rounds] = env._payoff[reached[:m, span].T]
+        actions[:, :, rounds] = taken[:m].reshape(m, k, n).transpose(1, 2, 0)
+        rewards[:, :, rounds] = env._payoff[reached[:m].reshape(m, k, n).transpose(1, 2, 0)]
     return actions, rewards
 
 

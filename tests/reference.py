@@ -1,13 +1,15 @@
 """The library's earlier round kernels, kept as references for the flat
-row layout that replaced them, plus a generator of models with
-zero-mass entries for comparing the two.
+row layout and the column-wise normalizations that replaced them, plus
+a generator of models with zero-mass entries for comparing the two.
 
 Each function keeps the arithmetic of the code it stands for: ``draw``
 gathers every variable's cumulative rows with one multi-array index
 per variable, ``update_counts`` increments one per-variable count array
-at a time, and ``min_fill`` recomputes every fill-in count at each
-elimination step. The tests require the library to give exactly the
-same codes, counts and elimination plans.
+at a time, ``min_fill`` recomputes every fill-in count at each
+elimination step, and ``posterior`` and ``expected_utilities`` reduce
+over the state axis with ``sum``. The tests require the library to give
+exactly the same codes, counts, elimination plans, means and expected
+utilities.
 """
 
 from __future__ import annotations
@@ -58,6 +60,17 @@ def update_counts(counts: list[np.ndarray], graph: CausalGraph, x: np.ndarray, f
     axes = [tuple(positions[p] for p in graph.parents_of(v.name)) + (i,) for i, v in enumerate(graph.variables)]
     for pos in range(len(graph.variables)):
         counts[pos][(rows, *[x[:, a] for a in axes[pos]])] += free[:, pos]
+
+
+def posterior(counts: np.ndarray) -> np.ndarray:
+    """Posterior means: each row of pseudo-counts over its sum."""
+    return counts / counts.sum(axis=-1, keepdims=True)
+
+
+def expected_utilities(mass: np.ndarray, payoff: np.ndarray) -> np.ndarray:
+    """Per replication and action: the target masses, (..., states),
+    normalized and weighed by the payoff of each state."""
+    return (mass / mass.sum(axis=-1, keepdims=True) * payoff).sum(axis=-1)
 
 
 def min_fill(

@@ -26,12 +26,13 @@ from causalsim import (
     random_choose,
     update,
 )
-from causalsim.agents import CausalBatch, QBatch, RandomBatch
+from causalsim.agents import CausalBatch, QBatch, RandomBatch, _expected_utilities
 from causalsim.beliefs import CountBeliefs
 from causalsim.environment import draw
 from causalsim.experiment import CHOICE_DRAWS, _exploration
 
 import oracle
+import reference
 
 WIN = {"0": 0.0, "1": 1.0}
 NO_TREATMENT = Action("no-treatment", {"T": "0"})
@@ -255,6 +256,13 @@ def _realized(graph, codes):
     return {v.name: v.states[c] for v, c in zip(graph.variables, codes)}
 
 
+def _greedy(policy, n):
+    """The policy's greedy actions, written into a fresh buffer."""
+    out = np.zeros(n, np.intp)
+    policy.greedy(out)
+    return out
+
+
 def test_batched_causal_agent_matches_causal_choose_and_causal_learn():
     # Same counts, same argmax, exact ties included: uniform priors tie
     # every action, and the repeated last intervention ties with itself.
@@ -271,7 +279,7 @@ def test_batched_causal_agent_matches_causal_choose_and_causal_learn():
         batch = CausalBatch(env, CausalAgentConfig(prior_alpha=alpha), 6)
         scalar = [CausalAgentState(init_uniform(model.graph, alpha), actions, target, utility)] * 6
         for _ in range(10):
-            assert batch.greedy().tolist() == [causal_choose(s) for s in scalar]
+            assert _greedy(batch, 6).tolist() == [causal_choose(s) for s in scalar]
             taken = rng.integers(len(actions), size=6)
             x = draw(env, taken, rng.random((6, len(model.graph.variables))))
             batch.learn(taken, x)
@@ -287,7 +295,7 @@ def test_batched_causal_choice_equals_best_action_on_the_posterior_mean(medic_en
     # Small integer counts make near and exact ties between the arms common.
     for counts in batch.beliefs.counts:
         counts[...] = rng.integers(1, 4, size=counts.shape)
-    chosen = batch.greedy()
+    chosen = _greedy(batch, 40)
     for r in range(40):
         beliefs = init_uniform(medic_env.truth.graph)
         rows = {
@@ -305,7 +313,7 @@ def test_batched_q_learner_matches_q_choose_and_q_learn(medic_env):
     labels = [a.label for a in medic_env.actions]
     scalar = [QAgentState(dict.fromkeys(labels, 0.5), alpha=0.3, epsilon=0.0)] * n
     for _ in range(40):
-        assert batch.greedy().tolist() == [q_choose(s, rng) for s in scalar]
+        assert _greedy(batch, n).tolist() == [q_choose(s, rng) for s in scalar]
         taken = rng.integers(len(labels), size=n)
         x = draw(medic_env, taken, rng.random((n, 3)))
         batch.learn(taken, x)
@@ -315,6 +323,50 @@ def test_batched_q_learner_matches_q_choose_and_q_learn(medic_env):
         assert batch.q.tolist() == [list(s.q.values()) for s in scalar]
 
 
+def test_greedy_writes_the_former_choices_into_the_given_rows(medic_env):
+    # Each policy writes into its own rows of one shared action buffer and
+    # nowhere else: the causal and Q policies the argmax of their former
+    # expressions, ties included, and the random policy nothing, since the
+    # engine overwrites every row of an agent that always explores.
+    rng = np.random.default_rng(8)
+    n = 32
+    causal = CausalBatch(medic_env, CausalAgentConfig(), n)
+    for counts in causal.beliefs.counts:
+        counts[...] = rng.integers(1, 4, size=counts.shape)
+    q = QBatch(medic_env, QLearningConfig(), n)
+    q.q[...] = rng.integers(0, 3, size=q.q.shape) / 2
+    a = np.full(3 * n, 7, np.intp)  # 7 is no action index
+    for i, policy in enumerate((causal, q, RandomBatch(medic_env, None, n))):
+        policy.greedy(a[i * n : (i + 1) * n])
+    assert np.array_equal(a[:n], reference.expected_utilities(causal.mass, medic_env._payoff).argmax(axis=1))
+    assert np.array_equal(a[n : 2 * n], q.q.argmax(axis=1))
+    assert (a[2 * n :] == 7).all()
+
+
+@pytest.mark.parametrize("n", [1, 4, 256])
+def test_expected_utilities_by_state_have_the_bits_of_the_row_sum(n):
+    # 2-7 target states, some masses zero, rows of mixed scale: summing the
+    # state columns in order is numpy's own sum over so short an axis.
+    rng = np.random.default_rng(n)
+    for states in range(2, 8):
+        for _ in range(20):
+            shape = (n, rng.integers(1, 6), states)
+            mass = rng.random(shape) * (rng.random(shape) > 0.2) * 10.0 ** rng.integers(-6, 7, size=(*shape[:2], 1))
+            mass[mass.sum(axis=-1) == 0.0] = 1.0
+            payoff = rng.normal(size=states)
+            got = _expected_utilities(list(np.moveaxis(mass, -1, 0)), payoff.tolist())
+            assert np.array_equal(got, reference.expected_utilities(mass, payoff))
+
+
+def test_expected_utilities_over_eight_states_agree_to_rounding():
+    # numpy sums 8 or more entries pairwise, so here the last bits may
+    # differ from the in-order sum: by at most 1e-15, relative.
+    rng = np.random.default_rng(88)
+    mass, payoff = rng.random((256, 3, 8)), rng.random(8)
+    got = _expected_utilities(list(np.moveaxis(mass, -1, 0)), payoff.tolist())
+    np.testing.assert_allclose(got, reference.expected_utilities(mass, payoff), rtol=1e-15, atol=0.0)
+
+
 def test_batched_exploration_is_uniform_over_the_menu(medic_env):
     # The engine's schedule, applied as the engine applies it each round.
     u = np.random.default_rng(3).random((20_000, CHOICE_DRAWS))
@@ -322,7 +374,7 @@ def test_batched_exploration_is_uniform_over_the_menu(medic_env):
 
     def choose(policy):
         explore, uniform = _exploration(u, policy.epsilon, n_actions)
-        return np.where(explore, uniform, policy.greedy())
+        return np.where(explore, uniform, _greedy(policy, len(u)))
 
     for policy in (
         CausalBatch(medic_env, CausalAgentConfig(epsilon=1.0), len(u)),

@@ -229,3 +229,40 @@ def test_flat_count_update_matches_the_per_variable_increment(n):
                 assert np.array_equal(means[pos], want / want.sum(axis=-1, keepdims=True))
             else:
                 assert means[pos] is None
+
+
+def _chain_of_cardinalities(cards):
+    # One variable per cardinality, each the parent of the next.
+    names = [f"V{i}" for i in range(len(cards))]
+    specs = tuple(VariableSpec(v, tuple(map(str, range(c)))) for v, c in zip(names, cards))
+    return CausalGraph(specs, {v: tuple(names[i - 1 : i]) for i, v in enumerate(names)})
+
+
+def _random_counts(beliefs, rng):
+    # Positive counts, each row at its own scale.
+    for counts in beliefs.counts:
+        scale = 10.0 ** rng.integers(-6, 7, size=(*counts.shape[:-1], 1))
+        counts[...] = (rng.random(counts.shape) + 1e-3) * scale
+
+
+@pytest.mark.parametrize("n", [1, 4, 256])
+def test_posterior_by_state_columns_has_the_bits_of_the_row_sum(n):
+    # Every cardinality from 2 to 7: summing the state columns in order
+    # is numpy's own sum over so short an axis.
+    rng = np.random.default_rng(n)
+    graph = _chain_of_cardinalities(range(2, 8))
+    beliefs = CountBeliefs(graph, 1.0, n, list(range(len(graph.variables))))
+    for _ in range(10):
+        _random_counts(beliefs, rng)
+        for counts, means in zip(beliefs.counts, beliefs.posterior()):
+            assert np.array_equal(means, reference.posterior(counts))
+
+
+def test_posterior_over_eight_states_agrees_to_rounding():
+    # numpy sums 8 or more entries pairwise, so here the last bits may
+    # differ from the in-order sum: by at most 1e-15, relative.
+    rng = np.random.default_rng(88)
+    beliefs = CountBeliefs(_chain_of_cardinalities((8, 8)), 1.0, 256, [0, 1])
+    _random_counts(beliefs, rng)
+    for counts, means in zip(beliefs.counts, beliefs.posterior()):
+        np.testing.assert_allclose(means, reference.posterior(counts), rtol=1e-15, atol=0.0)

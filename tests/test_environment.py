@@ -154,6 +154,21 @@ def test_flat_row_draw_gives_the_codes_of_the_per_variable_gather(n):
         assert np.array_equal(draw(env, a, u), reference.draw(env, a, u))
 
 
+def test_draw_into_a_given_buffer_equals_a_fresh_draw():
+    # The engine's outcome buffer: some rows of a larger array that still
+    # holds the last round's codes. Only those rows change.
+    rnd, rng = random.Random(31), np.random.default_rng(31)
+    for _ in range(30):
+        env, _ = reference.sparse_environment(rnd)
+        n, width = 40, len(env.truth.graph.variables)
+        buffer = rng.integers(0, 4, size=(3 * n, width)).astype(np.intp)
+        before, out = buffer.copy(), buffer[n : 2 * n]
+        a, u = rng.integers(len(env.actions), size=n), rng.random((n, width))
+        assert draw(env, a, u, out) is out
+        assert np.array_equal(out, draw(env, a, u))
+        assert np.array_equal(buffer[:n], before[:n]) and np.array_equal(buffer[2 * n :], before[2 * n :])
+
+
 def test_draw_builds_no_sampling_tables_on_the_truth():
     # The environment takes only the visiting order from the truth's graph;
     # the truth's own cumulative tables serve ``sample`` and ``step`` alone.

@@ -30,6 +30,7 @@ from causalsim import (
     convergence_index,
     default_agents,
     init_uniform,
+    load_environment,
     load_experiment_config,
     q_choose,
     q_learn,
@@ -251,16 +252,30 @@ def test_each_agent_alone_runs_as_in_the_full_roster(medic_env, workers):
         assert np.array_equal(alone.rewards[label], full.rewards[label])
 
 
-def test_a_small_run_reproduces_its_pinned_trial_log(medic_env):
+def _trial_log_sha256(log):
     # SHA-256 over each agent's action indices (uint8) and then its
     # rewards (little-endian float64), in roster order. Any change to the
     # streams, their column use, exploration or the draw changes it.
-    log = run_experiment(medic_env, small_config(rounds=30, replications=8, seed=7)).trial_log
     digest = hashlib.sha256()
     for label in log.actions:
         digest.update(log.actions[label].astype(np.uint8).tobytes())
         digest.update(log.rewards[label].astype("<f8").tobytes())
-    assert digest.hexdigest() == "fa00d3c4ce945b14edaf56ad45636a14f13b11c2e9f72e800e2828d4ed3ca80f"
+    return digest.hexdigest()
+
+
+def test_a_small_run_reproduces_its_pinned_trial_log(medic_env):
+    log = run_experiment(medic_env, small_config(rounds=30, replications=8, seed=7)).trial_log
+    assert _trial_log_sha256(log) == "fa00d3c4ce945b14edaf56ad45636a14f13b11c2e9f72e800e2828d4ed3ca80f"
+
+
+def test_a_small_chain64_run_reproduces_its_pinned_trial_log():
+    # The wide-model path, pinned as medic's is: the sample 64-chain
+    # experiment (do X62=0 or X62=1, target X63, medic's agents) at
+    # 16 replications x 30 rounds, seed 7.
+    env = load_environment(str(SAMPLE_DIR / "chain64_model.json"), str(SAMPLE_DIR / "chain64_experiment.json"))
+    cfg = load_experiment_config(str(SAMPLE_DIR / "chain64_experiment.json"))
+    log = run_experiment(env, replace(cfg, rounds=30, replications=16, seed=7)).trial_log
+    assert _trial_log_sha256(log) == "e85ae74b58c45d8e715c79eba4bbfb15cae349a21d95171789d6a3adba4821d5"
 
 
 def test_uniform_chunks_read_the_one_draw_layout(monkeypatch):
