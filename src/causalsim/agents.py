@@ -29,7 +29,6 @@ policy is the one whose rate is 1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import reduce
 from typing import TYPE_CHECKING, Any, Mapping, Protocol, Sequence
@@ -131,13 +130,8 @@ def q_choose(state: QAgentState, rng: np.random.Generator) -> int:
     n = len(state.q)
     if state.epsilon > 0.0 and rng.random() < state.epsilon:
         return int(rng.integers(n))
-    best_i = 0
-    best_q = -math.inf
-    for i, value in enumerate(state.q.values()):
-        if value > best_q:
-            best_i = i
-            best_q = value
-    return best_i
+    values = list(state.q.values())
+    return values.index(max(values))
 
 
 def q_learn(state: QAgentState, index: int, reward: float) -> QAgentState:

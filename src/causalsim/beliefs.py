@@ -71,14 +71,23 @@ class BeliefState:
     counts: Mapping[str, Mapping[tuple[str, ...], DirichletRow]]
 
 
+def _check_prior(graph: CausalGraph, alpha0: float) -> None:
+    """A Dirichlet weight must be positive and finite, and so must a row's
+    sum, ``alpha0`` times its state count, which the posterior mean divides by."""
+    if not (np.isfinite(alpha0) and alpha0 > 0.0):
+        raise ValueError(f"nonpositive-alpha: prior weight must be positive and finite, got {alpha0!r}")
+    card = max((len(v.states) for v in graph.variables), default=1)
+    if not np.isfinite(float(alpha0) * card):
+        raise ValueError(f"infinite-row-sum: {card} pseudo-counts of {alpha0!r} sum beyond float range")
+
+
 def init_uniform(graph: CausalGraph, alpha0: float = 1.0) -> BeliefState:
     """Symmetric prior: every pseudo-count in every row is ``alpha0``.
 
     The graph must be well formed (acyclic, known parents); the prior
-    weight must be positive and finite, since a Dirichlet requires it.
+    weight must be positive, and finite even times a row's state count.
     """
-    if not (np.isfinite(alpha0) and alpha0 > 0.0):
-        raise ValueError(f"nonpositive-alpha: prior weight must be positive and finite, got {alpha0!r}")
+    _check_prior(graph, alpha0)
     issues = validate_graph(graph)
     if issues:
         raise InvalidModelError(issues)
@@ -145,8 +154,7 @@ class CountBeliefs:
     """
 
     def __init__(self, graph: CausalGraph, alpha0: float, n: int, scored: Sequence[int] = ()):
-        if not (np.isfinite(alpha0) and alpha0 > 0.0):
-            raise ValueError(f"nonpositive-alpha: prior weight must be positive and finite, got {alpha0!r}")
+        _check_prior(graph, alpha0)
         order = [*scored, *(i for i in range(len(graph.variables)) if i not in scored)]
         layout = {pos: (parents, strides, shape) for pos, parents, strides, shape in graph._row_index}
         self.counts, self.means, self._buffers = [None] * len(order), [None] * len(order), []

@@ -35,6 +35,7 @@ import numpy as np
 
 from .cgm import CausalModel, _check_forces, _cumulative_rows, ensure_valid, intervene, interventional_marginal, sample
 from . import model_io
+from .model_io import _expect
 
 __all__ = [
     "Action",
@@ -80,6 +81,9 @@ def _check_action_set(actions: Sequence[Action], target: str) -> None:
 
 
 def _check_utility(utility: UtilityFunction, states: Sequence[str], target: str) -> None:
+    for key in utility:
+        if key not in states:
+            raise ValueError(f"illegal-state: utility key {key!r} is not a state of {target}")
     for s in states:
         u = utility.get(s)
         if u is None:
@@ -241,41 +245,31 @@ def _environment_block(
 ) -> tuple[str, tuple[Action, ...], dict[str, float] | None, str | None]:
     """Pull (target, actions, explicit utility, desired state) out of an
     experiment document, checking structure only."""
-    if not isinstance(data, dict):
-        raise model_io.FormatError(doc, "expected an object")
+    _expect(isinstance(data, dict), doc, "expected an object")
     target = data.get("target")
-    if not isinstance(target, str):
-        raise model_io.FormatError(f"{doc}: target", "expected a string")
+    _expect(isinstance(target, str), f"{doc}: target", "expected a string")
 
     raw_actions = data.get("actions")
-    if not isinstance(raw_actions, list) or not raw_actions:
-        raise model_io.FormatError(f"{doc}: actions", "expected a non-empty list")
+    _expect(isinstance(raw_actions, list) and raw_actions, f"{doc}: actions", "expected a non-empty list")
     actions = []
     for i, item in enumerate(raw_actions):
         where = f"{doc}: actions[{i}]"
-        if not isinstance(item, dict) or set(item) != {"label", "do"}:
-            raise model_io.FormatError(where, "expected an object with keys 'label' and 'do'")
+        _expect(isinstance(item, dict) and set(item) == {"label", "do"}, where, "expected an object with keys 'label' and 'do'")
         label, do = item["label"], item["do"]
-        if not isinstance(label, str) or not label:
-            raise model_io.FormatError(f"{where}.label", "expected a non-empty string")
-        if not isinstance(do, dict) or not do:
-            raise model_io.FormatError(f"{where}.do", "expected a non-empty object")
-        if not all(isinstance(v, str) for v in do.values()):
-            raise model_io.FormatError(f"{where}.do", "expected string-to-string entries")
+        _expect(isinstance(label, str) and label, f"{where}.label", "expected a non-empty string")
+        _expect(isinstance(do, dict) and do, f"{where}.do", "expected a non-empty object")
+        _expect(all(isinstance(v, str) for v in do.values()), f"{where}.do", "expected string-to-string entries")
         actions.append(Action(label, dict(do)))
 
     utility = None
     raw_utility = data.get("utility")
     if raw_utility is not None:
-        if not isinstance(raw_utility, dict):
-            raise model_io.FormatError(f"{doc}: utility", "expected an object")
+        _expect(isinstance(raw_utility, dict), f"{doc}: utility", "expected an object")
         utility = {k: model_io.number(v, f"{doc}: utility.{k}") for k, v in raw_utility.items()}
 
     desired = data.get("desired")
-    if desired is not None and not isinstance(desired, str):
-        raise model_io.FormatError(f"{doc}: desired", "expected a string")
-    if utility is None and desired is None:
-        raise model_io.FormatError(doc, "one of 'utility' or 'desired' is required")
+    _expect(desired is None or isinstance(desired, str), f"{doc}: desired", "expected a string")
+    _expect(utility is not None or desired is not None, doc, "one of 'utility' or 'desired' is required")
     return target, tuple(actions), utility, desired
 
 

@@ -48,6 +48,7 @@ import numpy as np
 
 from .environment import Environment, draw
 from . import agents, model_io
+from .model_io import _expect
 
 __all__ = [
     "CausalAgentConfig",
@@ -68,6 +69,11 @@ __all__ = [
 ]
 
 MAX_SEED = 2**64 - 1
+
+
+def _whole(value: Any) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class _FieldError(ValueError):
@@ -151,15 +157,11 @@ class ExperimentConfig:
     out_svg: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rounds, int) or isinstance(self.rounds, bool) or self.rounds < 1:
-            raise _FieldError("rounds", f"rounds must be a positive integer, got {self.rounds!r}")
-        if (
-            not isinstance(self.replications, int)
-            or isinstance(self.replications, bool)
-            or self.replications < 1
-        ):
-            raise _FieldError("replications", f"replications must be a positive integer, got {self.replications!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed <= MAX_SEED:
+        for key in ("rounds", "replications"):
+            value = getattr(self, key)
+            if not (_whole(value) and value >= 1):
+                raise _FieldError(key, f"{key} must be a positive integer, got {value!r}")
+        if not (_whole(self.seed) and 0 <= self.seed <= MAX_SEED):
             raise _FieldError("seed", f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise _FieldError("epsilon", f"convergence epsilon must be positive, got {self.epsilon!r}")
@@ -264,11 +266,9 @@ def config_from_dict(data: Any, *, doc: str = "$") -> ExperimentConfig:
     here so one file can carry both halves. Anything else unknown is
     rejected.
     """
-    if not isinstance(data, dict):
-        raise model_io.FormatError(doc, "expected an object")
+    _expect(isinstance(data, dict), doc, "expected an object")
     unknown = sorted(set(data) - {*ExperimentConfig.__dataclass_fields__, "target", "desired", "actions", "utility"})
-    if unknown:
-        raise model_io.FormatError(doc, f"unknown keys: {', '.join(unknown)}")
+    _expect(not unknown, doc, f"unknown keys: {', '.join(unknown)}")
 
     # ExperimentConfig checks rounds, replications and seed itself.
     kwargs: dict[str, Any] = {key: data[key] for key in ("rounds", "replications", "seed") if key in data}
@@ -276,24 +276,19 @@ def config_from_dict(data: Any, *, doc: str = "$") -> ExperimentConfig:
         kwargs["epsilon"] = model_io.number(data["epsilon"], f"{doc}.epsilon")
     for key in ("out_csv", "out_svg"):
         if key in data:
-            if not isinstance(data[key], str):
-                raise model_io.FormatError(f"{doc}.{key}", "expected a string")
+            _expect(isinstance(data[key], str), f"{doc}.{key}", "expected a string")
             kwargs[key] = data[key]
     if "agents" in data:
         raw_agents = data["agents"]
-        if not isinstance(raw_agents, dict):
-            raise model_io.FormatError(f"{doc}.agents", "expected an object")
+        _expect(isinstance(raw_agents, dict), f"{doc}.agents", "expected an object")
         roster: dict[str, AgentConfig] = {}
         for label, block in raw_agents.items():
             where = f"{doc}.agents.{label}"
-            if label not in _AGENTS:
-                raise model_io.FormatError(where, f"unknown agent; known: {', '.join(_AGENTS)}")
+            _expect(label in _AGENTS, where, f"unknown agent; known: {', '.join(_AGENTS)}")
             kind = _AGENTS[label][0]
-            if not isinstance(block, dict):
-                raise model_io.FormatError(where, "expected an object")
+            _expect(isinstance(block, dict), where, "expected an object")
             bad = sorted(set(block) - kind.__dataclass_fields__.keys())
-            if bad:
-                raise model_io.FormatError(where, f"unknown keys: {', '.join(bad)}")
+            _expect(not bad, where, f"unknown keys: {', '.join(bad)}")
             params = {pkey: model_io.number(pval, f"{where}.{pkey}") for pkey, pval in block.items()}
             try:
                 roster[label] = kind(**params)
@@ -443,7 +438,7 @@ def run_experiment(
     in place, a worker's block is copied there as it arrives, and the
     output is identical to a serial run, byte for byte once written.
     """
-    if workers is not None and (not isinstance(workers, int) or isinstance(workers, bool) or workers < 1):
+    if workers is not None and not (_whole(workers) and workers >= 1):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     blocks = range(-(-cfg.replications // BLOCK_SIZE))
     actions, rewards = _trial_arrays(env, cfg, cfg.replications)
@@ -516,15 +511,6 @@ def apply_overrides(
     out_svg: str | None = None,
 ) -> ExperimentConfig:
     """A copy of ``cfg`` with any provided fields replaced."""
-    updates: dict[str, Any] = {}
-    if seed is not None:
-        updates["seed"] = seed
-    if rounds is not None:
-        updates["rounds"] = rounds
-    if replications is not None:
-        updates["replications"] = replications
-    if out_csv is not None:
-        updates["out_csv"] = out_csv
-    if out_svg is not None:
-        updates["out_svg"] = out_svg
+    given = {"seed": seed, "rounds": rounds, "replications": replications, "out_csv": out_csv, "out_svg": out_svg}
+    updates = {key: value for key, value in given.items() if value is not None}
     return replace(cfg, **updates) if updates else cfg

@@ -93,85 +93,46 @@ def write_svg(series: Sequence[RoundSeries], path: str) -> None:
     )
     ET.SubElement(svg, "rect", {"width": str(_WIDTH), "height": str(_HEIGHT), "fill": "white"})
 
-    axis_style = {"stroke": "black", "stroke-width": "1"}
+    # Coordinates are ints or preformatted strings; attributes are written
+    # in insertion order, so the order here is the order in the file.
+    def line(x1, y1, x2, y2, stroke="black", width="1") -> None:
+        ends = {"x1": x1, "y1": y1, "x2": x2, "y2": y2}
+        ET.SubElement(svg, "line", {k: str(v) for k, v in ends.items()} | {"stroke": stroke, "stroke-width": width})
+
+    def text(x, y, label, size, anchor=None, **extra) -> None:
+        attrs = {"x": str(x), "y": str(y)} | ({"text-anchor": anchor} if anchor else {})
+        ET.SubElement(svg, "text", attrs | {"font-family": "sans-serif", "font-size": size} | extra).text = label
+
     x_axis_y = _HEIGHT - _MARGIN_BOTTOM
-    ET.SubElement(
-        svg,
-        "line",
-        {"x1": str(_MARGIN_LEFT), "y1": str(x_axis_y), "x2": str(_WIDTH - _MARGIN_RIGHT), "y2": str(x_axis_y), **axis_style},
-    )
-    ET.SubElement(
-        svg,
-        "line",
-        {"x1": str(_MARGIN_LEFT), "y1": str(_MARGIN_TOP), "x2": str(_MARGIN_LEFT), "y2": str(x_axis_y), **axis_style},
-    )
+    line(_MARGIN_LEFT, x_axis_y, _WIDTH - _MARGIN_RIGHT, x_axis_y)
+    line(_MARGIN_LEFT, _MARGIN_TOP, _MARGIN_LEFT, x_axis_y)
 
     # Axis titles.
-    ET.SubElement(
-        svg,
-        "text",
-        {
-            "x": f"{(_MARGIN_LEFT + _WIDTH - _MARGIN_RIGHT) / 2:.1f}",
-            "y": str(_HEIGHT - 12),
-            "text-anchor": "middle",
-            "font-family": "sans-serif",
-            "font-size": "14",
-        },
-    ).text = "round"
-    ET.SubElement(
-        svg,
-        "text",
-        {
-            "x": "18",
-            "y": f"{(_MARGIN_TOP + x_axis_y) / 2:.1f}",
-            "text-anchor": "middle",
-            "font-family": "sans-serif",
-            "font-size": "14",
-            "transform": f"rotate(-90 18 {(_MARGIN_TOP + x_axis_y) / 2:.1f})",
-        },
-    ).text = "mean reward"
+    text(f"{(_MARGIN_LEFT + _WIDTH - _MARGIN_RIGHT) / 2:.1f}", _HEIGHT - 12, "round", "14", "middle")
+    mid = f"{(_MARGIN_TOP + x_axis_y) / 2:.1f}"
+    text(18, mid, "mean reward", "14", "middle", transform=f"rotate(-90 18 {mid})")
 
     # A handful of ticks on each axis.
     tick_rounds = sorted({1, max(1, rounds // 4), max(1, rounds // 2), max(1, 3 * rounds // 4), rounds})
     for t in tick_rounds:
-        x = xpix(t - 1)
-        ET.SubElement(svg, "line", {"x1": f"{x:.1f}", "y1": str(x_axis_y), "x2": f"{x:.1f}", "y2": str(x_axis_y + 5), **axis_style})
-        ET.SubElement(
-            svg,
-            "text",
-            {"x": f"{x:.1f}", "y": str(x_axis_y + 20), "text-anchor": "middle", "font-family": "sans-serif", "font-size": "12"},
-        ).text = str(t)
+        x = f"{xpix(t - 1):.1f}"
+        line(x, x_axis_y, x, x_axis_y + 5)
+        text(x, x_axis_y + 20, str(t), "12", "middle")
     for i in range(5):
         v = lo + (hi - lo) * i / 4.0
         y = ypix(v)
-        ET.SubElement(svg, "line", {"x1": str(_MARGIN_LEFT - 5), "y1": f"{y:.1f}", "x2": str(_MARGIN_LEFT), "y2": f"{y:.1f}", **axis_style})
-        ET.SubElement(
-            svg,
-            "text",
-            {"x": str(_MARGIN_LEFT - 9), "y": f"{y + 4:.1f}", "text-anchor": "end", "font-family": "sans-serif", "font-size": "12"},
-        ).text = f"{v:.3f}"
+        line(_MARGIN_LEFT - 5, f"{y:.1f}", _MARGIN_LEFT, f"{y:.1f}")
+        text(_MARGIN_LEFT - 9, f"{y + 4:.1f}", f"{v:.3f}", "12", "end")
 
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         points = " ".join(f"{xpix(t):.2f},{ypix(v):.2f}" for t, v in enumerate(s.values))
-        ET.SubElement(
-            svg,
-            "polyline",
-            {"points": points, "fill": "none", "stroke": color, "stroke-width": "1.5"},
-        )
+        ET.SubElement(svg, "polyline", {"points": points, "fill": "none", "stroke": color, "stroke-width": "1.5"})
         # Legend entry.
         ly = _MARGIN_TOP + 10 + 22 * i
         lx = _WIDTH - _MARGIN_RIGHT + 16
-        ET.SubElement(
-            svg,
-            "line",
-            {"x1": str(lx), "y1": str(ly), "x2": str(lx + 26), "y2": str(ly), "stroke": color, "stroke-width": "2"},
-        )
-        ET.SubElement(
-            svg,
-            "text",
-            {"x": str(lx + 32), "y": str(ly + 4), "font-family": "sans-serif", "font-size": "13"},
-        ).text = s.label
+        line(lx, ly, lx + 26, ly, color, "2")
+        text(lx + 32, ly + 4, s.label, "13")
 
     tree = ET.ElementTree(svg)
     ET.indent(tree)

@@ -71,6 +71,15 @@ def test_expected_utility_input_checks(medic_model):
         expected_utility(medic_model, TREATMENT, "Y", {"0": 0.0, "1": float("inf")})
 
 
+def test_a_utility_key_that_is_not_a_target_state_is_refused(medic_model):
+    extra = {"0": 0.0, "1": 1.0, "2": 7.0}
+    message = "illegal-state: utility key '2' is not a state of Y"
+    with pytest.raises(ValueError, match=message):
+        expected_utility(medic_model, TREATMENT, "Y", extra)
+    with pytest.raises(ValueError, match=message):
+        causal_state(medic_model.graph, utility=extra)
+
+
 @settings(max_examples=40, deadline=None)
 @given(scale=st.floats(0.1, 10.0), shift=st.floats(-5.0, 5.0))
 def test_affine_utility_change_never_flips_the_ranking(medic_env, scale, shift):
@@ -411,3 +420,9 @@ def test_batched_updates_never_touch_the_forced_variable(medic_env):
 def test_count_beliefs_reject_nonpositive_prior(medic_model):
     with pytest.raises(ValueError, match="nonpositive-alpha"):
         CountBeliefs(medic_model.graph, 0.0, 3)
+
+
+def test_a_causal_agent_whose_prior_rows_overflow_is_refused(medic_env):
+    # 1e308 per state sums to inf over Y's two states; every EU would be nan.
+    with pytest.raises(ValueError, match="infinite-row-sum: 2 pseudo-counts of 1e[+]308"):
+        CausalBatch(medic_env, CausalAgentConfig(prior_alpha=1e308), 4)

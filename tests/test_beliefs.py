@@ -159,6 +159,20 @@ def test_non_finite_prior_weights_are_refused(medic_model, alpha0):
         CountBeliefs(medic_model.graph, alpha0, 3)
 
 
+def test_a_prior_whose_row_sum_overflows_is_refused(medic_model):
+    # Each pseudo-count is finite, but a row of two sums to inf, so the
+    # posterior mean would be all zeros on the dict path and nan in arrays.
+    with pytest.raises(ValueError, match="infinite-row-sum: 2 pseudo-counts of 1e[+]308"):
+        init_uniform(medic_model.graph, alpha0=1e308)
+    with pytest.raises(ValueError, match="infinite-row-sum"):
+        CountBeliefs(medic_model.graph, 1e308, 3)
+    # Just under the limit the rows still normalize.
+    model = posterior_mean(init_uniform(medic_model.graph, alpha0=8e307))
+    assert model.cpts["Y"].rows[("0", "0")] == (0.5, 0.5)
+    means = CountBeliefs(medic_model.graph, 8e307, 3, scored=(0, 1, 2)).posterior()
+    assert all(np.all(m == 0.5) for m in means)
+
+
 def test_beliefs_from_dict_rejects_infinite_counts(medic_model):
     doc = beliefs_to_dict(init_uniform(medic_model.graph))
     doc["cpts"]["D"] = [{"counts": [float("inf"), 1.0]}]

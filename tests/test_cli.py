@@ -122,6 +122,39 @@ def test_best_action_rejects_the_experiment_files_simulate_rejects(capsys, tmp_p
         assert out == ""
 
 
+UTILITY_KEY = "illegal-state: utility key '2' is not a state of Y"
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("best-action", {"utility": {"0": 0, "1": 1, "2": 7}}, UTILITY_KEY),
+        ("simulate", {"utility": {"0": 0, "1": 1, "2": 7}}, UTILITY_KEY),
+        (
+            "simulate",
+            {"agents": {"causal": {"prior_alpha": 1e308}}},
+            "infinite-row-sum: 2 pseudo-counts of 1e+308 sum beyond float range",
+        ),
+    ],
+)
+def test_an_input_that_scores_nonsense_is_refused_without_a_traceback(tmp_path, command, edit, message):
+    doc = {**json.loads(Path(EXPERIMENT).read_text(encoding="utf-8")), **edit}
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps(doc), encoding="utf-8")
+    run = ["--out", str(tmp_path / "x.csv"), "--reps", "4", "--rounds", "3"] if command == "simulate" else []
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "causalsim", command, "--model", MODEL, "--experiment", str(exp), *run],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2
+    # The whole of stderr: no traceback and no numpy overflow warnings.
+    assert done.stderr == f"causalsim: error: {message}\n"
+    assert done.stdout == ""
+
+
 def test_missing_required_flag_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "query", "--do", "T=1", "--target", "Y=1")
     assert code == 1

@@ -212,6 +212,11 @@ def test_environment_validation(medic_env):
         Environment(truth, (Action("odd", {"T": "9"}),), "Y", {"0": 0.0, "1": 1.0})
 
 
+def test_environment_refuses_a_utility_key_that_is_not_a_target_state(medic_env):
+    with pytest.raises(ValueError, match="illegal-state: utility key '2' is not a state of Y"):
+        Environment(medic_env.truth, medic_env.actions, "Y", {"0": 0.0, "1": 1.0, "2": 7.0})
+
+
 def test_load_environment_from_the_shipped_samples(medic_env):
     env = load_environment(
         str(SAMPLE_DIR / "medic_model.json"), str(SAMPLE_DIR / "medic_experiment.json")

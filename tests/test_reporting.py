@@ -1,5 +1,6 @@
 """CSV and SVG emission for aggregate learning curves."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -122,3 +123,43 @@ def test_svg_from_a_real_run_parses(medic_env, tmp_path):
     write_svg(result.series, str(path))
     root = ET.parse(str(path)).getroot()
     assert len(root.findall(f"{SVG_NS}polyline")) == len(result.series)
+
+
+def _seven_series():
+    return tuple(
+        RoundSeries(f"agent{i}", tuple((i + t) % 5 / 4.0 for t in range(6)), tuple(i / 6.0 for _ in range(6)))
+        for i in range(7)
+    )
+
+
+# Each case reaches a branch that the pinned medic run in test_cli does
+# not: a flat range, the one-round x scale, a wrapped palette, escaping.
+@pytest.mark.parametrize(
+    "series, digest",
+    [
+        pytest.param(
+            (RoundSeries("causal", (0.5, 0.5, 0.5), (0.5, 0.5, 0.5)),),
+            "0c17e0a25f4ed2a891fb5f4964386f51f3c09c9a7b187de0d6761448f057c00e",
+            id="flat",
+        ),
+        pytest.param(
+            (RoundSeries("causal", (0.9,), (0.9,)),),
+            "66b628bb0e8cf8b4cdfa859925a901daa63de321a4277fa1af70a1bd9129771f",
+            id="single-round",
+        ),
+        pytest.param(
+            _seven_series(),
+            "20b9b485b793d87d8bdc1e5487b0f85a4fe35689d219fdcc6cdc4ec74d6bc3c0",
+            id="palette-wraps",
+        ),
+        pytest.param(
+            (RoundSeries('a&b <c> "d"', (0.25, 0.75), (0.25, 0.5)),),
+            "6549b7825eb41d05170226f668060125e23c86316416ae733a5ec87a124bf9d4",
+            id="escaped-label",
+        ),
+    ],
+)
+def test_svg_bytes_are_pinned(series, digest, tmp_path):
+    path = tmp_path / "pinned.svg"
+    write_svg(series, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
