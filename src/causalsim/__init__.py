@@ -66,8 +66,6 @@ _EXPORTS = {
     ),
     "agents": (
         "AgentRecord",
-        "CausalAgentState",
-        "QAgentState",
         "causal_choose",
         "causal_learn",
         "q_choose",

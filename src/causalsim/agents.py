@@ -16,36 +16,36 @@ All argmax operations break ties toward the lowest action index, which
 keeps every policy deterministic given its inputs and its random
 stream.
 
-The scalar functions act on one frozen state. The experiment engine
-runs each policy for a whole block of replications at once through
-:class:`BatchPolicy`, whose three implementations keep their state in
-arrays with a leading replication axis and are tested against the
-scalar functions. A batched policy only proposes its greedy actions
-and learns; exploration is the engine's: each round it replaces a
-replication's greedy action by a uniformly drawn one at the policy's
-``epsilon`` rate, for every agent of the block in one step (the random
-policy is the one whose rate is 1).
+The scalar functions are references for one replication: they read the
+:class:`~causalsim.environment.Environment` and the agent config the
+engine reads, and take and return the beliefs or the values. The
+experiment engine runs each policy for a whole block of replications
+at once through :class:`BatchPolicy`, whose three implementations keep
+their state in arrays with a leading replication axis and are tested
+against the scalar functions. A batched policy only proposes its
+greedy actions and learns; exploration is the engine's: each round it
+replaces a replication's greedy action by a uniformly drawn one at the
+policy's ``epsilon`` rate, for every agent of the block in one step
+(the random policy is the one whose rate is 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING, Any, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Protocol, Sequence
 
 import numpy as np
 
 from .beliefs import BeliefState, CountBeliefs, posterior_mean, update
 from .cgm import Assignment, ReplicatedQuery
-from .environment import Action, UtilityFunction, _check_action_set, _check_utility, best_action, expected_utility
+from .environment import Action, UtilityFunction, best_action, expected_utility
 
 if TYPE_CHECKING:
     from .environment import Environment
     from .experiment import CausalAgentConfig, QLearningConfig
 
 __all__ = [
-    "CausalAgentState",
-    "QAgentState",
     "AgentRecord",
     "causal_choose",
     "causal_learn",
@@ -60,44 +60,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CausalAgentState:
-    """Everything the causal policy carries between rounds."""
-
-    beliefs: BeliefState
-    actions: tuple[Action, ...]
-    target: str
-    utility: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        spec = self.beliefs.graph.variable_map.get(self.target)
-        if spec is None:
-            raise ValueError(f"unknown-variable: target {self.target!r} is not in the graph")
-        _check_action_set(self.actions, self.target)
-        _check_utility(self.utility, spec.states, self.target)
-
-
-@dataclass(frozen=True)
-class QAgentState:
-    """Per-action value estimates for the stateless Q-learner.
-
-    ``q`` is keyed by action label; its insertion order is the action
-    order, so index-based operations are well defined.
-    """
-
-    q: Mapping[str, float]
-    alpha: float = 0.1
-    epsilon: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not self.q:
-            raise ValueError("empty-action-set: at least one action is required")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"learning rate must lie in (0, 1], got {self.alpha!r}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"exploration rate must lie in [0, 1], got {self.epsilon!r}")
-
-
-@dataclass(frozen=True)
 class AgentRecord:
     """One round of one agent's history: what it did and what it got."""
 
@@ -106,47 +68,41 @@ class AgentRecord:
     reward: float
 
 
-def causal_choose(state: CausalAgentState) -> int:
-    """Greedy choice on the posterior-mean model of the current beliefs.
+def causal_choose(env: Environment, beliefs: BeliefState) -> int:
+    """Greedy choice on the posterior-mean model of the beliefs.
 
     Pure: no randomness, no state change, same answer on repeat calls.
     """
-    model = posterior_mean(state.beliefs)
-    return best_action(model, state.actions, state.target, state.utility)
+    return best_action(posterior_mean(beliefs), env.actions, env.target, env.utility)
 
 
-def causal_learn(
-    state: CausalAgentState, action: Action, observed: Assignment
-) -> CausalAgentState:
+def causal_learn(env: Environment, beliefs: BeliefState, action: Action, observed: Assignment) -> BeliefState:
     """Fold the observed outcome of one taken action into the beliefs."""
-    if action not in state.actions:
+    if action not in env.actions:
         raise ValueError(f"unknown-action: {action.label!r} is not in the agent's action set")
-    return replace(state, beliefs=update(state.beliefs, action.intervention, observed))
+    return update(beliefs, action.intervention, observed)
 
 
-def q_choose(state: QAgentState, rng: np.random.Generator) -> int:
-    """Epsilon-greedy: explore uniformly with probability epsilon, else
-    take the value argmax with lowest-index tie-breaking."""
-    n = len(state.q)
-    if state.epsilon > 0.0 and rng.random() < state.epsilon:
-        return int(rng.integers(n))
-    values = list(state.q.values())
+def q_choose(cfg: QLearningConfig, q: Sequence[float], rng: np.random.Generator) -> int:
+    """Epsilon-greedy over ``q``, one value per action in menu order:
+    explore uniformly with probability epsilon, else take the value
+    argmax with lowest-index tie-breaking."""
+    if cfg.epsilon > 0.0 and rng.random() < cfg.epsilon:
+        return int(rng.integers(len(q)))
+    values = list(q)
     return values.index(max(values))
 
 
-def q_learn(state: QAgentState, index: int, reward: float) -> QAgentState:
+def q_learn(cfg: QLearningConfig, q: Sequence[float], index: int, reward: float) -> tuple[float, ...]:
     """Move the chosen action's estimate toward the received reward.
 
     Only the chosen entry changes: q + alpha * (reward - q).
     """
-    labels = list(state.q)
-    if not 0 <= index < len(labels):
-        raise IndexError(f"bad-index: {index} is not an action index (0..{len(labels) - 1})")
-    label = labels[index]
-    new_q = dict(state.q)
-    old = new_q[label]
-    new_q[label] = old + state.alpha * (reward - old)
-    return replace(state, q=new_q)
+    if not 0 <= index < len(q):
+        raise IndexError(f"bad-index: {index} is not an action index (0..{len(q) - 1})")
+    values = list(q)
+    values[index] += cfg.alpha * (reward - values[index])
+    return tuple(values)
 
 
 def random_choose(actions: Sequence[Action], rng: np.random.Generator) -> int:

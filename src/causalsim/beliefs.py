@@ -37,6 +37,7 @@ from .cgm import (
     InvalidModelError,
     Intervention,
     _check_intervention,
+    _check_prior,
     check_assignment,
     parent_configurations,
     validate_graph,
@@ -69,16 +70,6 @@ class BeliefState:
 
     graph: CausalGraph
     counts: Mapping[str, Mapping[tuple[str, ...], DirichletRow]]
-
-
-def _check_prior(graph: CausalGraph, alpha0: float) -> None:
-    """A Dirichlet weight must be positive and finite, and so must a row's
-    sum, ``alpha0`` times its state count, which the posterior mean divides by."""
-    if not (np.isfinite(alpha0) and alpha0 > 0.0):
-        raise ValueError(f"nonpositive-alpha: prior weight must be positive and finite, got {alpha0!r}")
-    card = max((len(v.states) for v in graph.variables), default=1)
-    if not np.isfinite(float(alpha0) * card):
-        raise ValueError(f"infinite-row-sum: {card} pseudo-counts of {alpha0!r} sum beyond float range")
 
 
 def init_uniform(graph: CausalGraph, alpha0: float = 1.0) -> BeliefState:

@@ -425,6 +425,18 @@ def _check_intervention(graph: CausalGraph, intervention: Intervention) -> None:
     check_assignment(graph, intervention, "intervention")
 
 
+def _check_prior(graph: CausalGraph, alpha0: float) -> None:
+    """A Dirichlet weight over the graph's rows must be positive and finite,
+    and so must a row's sum, ``alpha0`` times its state count, which a
+    posterior mean divides by. Here, not in ``beliefs``, so the command line
+    checks an experiment's prior against its truth without running ``beliefs``."""
+    if not (np.isfinite(alpha0) and alpha0 > 0.0):
+        raise ValueError(f"nonpositive-alpha: prior weight must be positive and finite, got {alpha0!r}")
+    card = max((len(v.states) for v in graph.variables), default=1)
+    if not np.isfinite(float(alpha0) * card):
+        raise ValueError(f"infinite-row-sum: {card} pseudo-counts of {alpha0!r} sum beyond float range")
+
+
 @dataclass(frozen=True)
 class _Plan:
     """How to answer one shape of query on one graph, values aside.

@@ -33,7 +33,7 @@ import sys
 from typing import Callable, Sequence
 
 from . import environment, experiment, model_io, reporting
-from .cgm import InvalidModelError, interventional_query
+from .cgm import InvalidModelError, _check_prior, interventional_query
 from .model_io import FormatError, load_model
 
 __all__ = ["cli_main", "main"]
@@ -106,11 +106,18 @@ def _build_parser() -> _Parser:
 
 def _load_experiment(ns: argparse.Namespace) -> tuple[environment.Environment, experiment.ExperimentConfig]:
     """The environment and the run shape of ``--model`` and ``--experiment``,
-    reading each file once: the environment block is checked first."""
+    reading each file once: the environment block is checked first, and the
+    causal agent's prior against the truth last."""
     truth = load_model(ns.model)
     data = model_io.read_json(ns.experiment)
     env = environment.environment_from_dict(truth, data, doc=ns.experiment)
-    return env, experiment.config_from_dict(data, doc=ns.experiment)
+    cfg = experiment.config_from_dict(data, doc=ns.experiment)
+    if "causal" in cfg.agents:
+        try:
+            _check_prior(truth.graph, cfg.agents["causal"].prior_alpha)
+        except ValueError as e:
+            raise FormatError(f"{ns.experiment}.agents.causal.prior_alpha", str(e)) from None
+    return env, cfg
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:

@@ -11,9 +11,7 @@ from causalsim import (
     Action,
     BeliefState,
     CausalAgentConfig,
-    CausalAgentState,
     Environment,
-    QAgentState,
     QLearningConfig,
     best_action,
     causal_choose,
@@ -37,10 +35,6 @@ import reference
 WIN = {"0": 0.0, "1": 1.0}
 NO_TREATMENT = Action("no-treatment", {"T": "0"})
 TREATMENT = Action("treatment", {"T": "1"})
-
-
-def causal_state(graph, actions=(NO_TREATMENT, TREATMENT), target="Y", utility=WIN):
-    return CausalAgentState(init_uniform(graph), tuple(actions), target, utility)
 
 
 def test_action_requires_label_and_intervention():
@@ -77,7 +71,7 @@ def test_a_utility_key_that_is_not_a_target_state_is_refused(medic_model):
     with pytest.raises(ValueError, match=message):
         expected_utility(medic_model, TREATMENT, "Y", extra)
     with pytest.raises(ValueError, match=message):
-        causal_state(medic_model.graph, utility=extra)
+        Environment(medic_model, (NO_TREATMENT, TREATMENT), "Y", extra)
 
 
 @settings(max_examples=40, deadline=None)
@@ -115,106 +109,80 @@ def test_best_action_matches_oracle_on_random_problems():
         assert scores[got] == pytest.approx(scores[want], abs=1e-9)
 
 
-def test_causal_choose_under_uniform_prior_takes_index_zero(medic_model):
+def test_causal_choose_under_uniform_prior_takes_index_zero(medic_env):
     # Both arms look identical a priori; the tie goes low.
-    assert causal_choose(causal_state(medic_model.graph)) == 0
+    assert causal_choose(medic_env, init_uniform(medic_env.truth.graph)) == 0
 
 
-def test_causal_choose_with_the_truth_takes_treatment(medic_model):
-    state = causal_state(medic_model.graph)
+def test_causal_choose_with_the_truth_takes_treatment(medic_env):
     # Pour many decisive observations in so the posterior mean tracks truth.
-    b = state.beliefs
+    b = init_uniform(medic_env.truth.graph)
     for _ in range(200):
         b = update(b, {"T": "1"}, {"D": "0", "T": "1", "Y": "1"})
         b = update(b, {"T": "0"}, {"D": "0", "T": "0", "Y": "0"})
-    taught = CausalAgentState(b, state.actions, state.target, state.utility)
-    assert causal_choose(taught) == 1
+    assert causal_choose(medic_env, b) == 1
 
 
-def test_causal_choose_is_pure(medic_model):
-    state = causal_state(medic_model.graph)
-    first = causal_choose(state)
-    assert all(causal_choose(state) == first for _ in range(5))
+def test_causal_choose_is_pure(medic_env):
+    beliefs = init_uniform(medic_env.truth.graph)
+    first = causal_choose(medic_env, beliefs)
+    assert all(causal_choose(medic_env, beliefs) == first for _ in range(5))
 
 
-def test_causal_learn_returns_new_state_and_checks_action(medic_model):
-    state = causal_state(medic_model.graph)
-    out = causal_learn(state, TREATMENT, {"D": "1", "T": "1", "Y": "1"})
-    assert out is not state
-    assert out.beliefs.counts["D"][()] == (1.0, 2.0)
-    assert state.beliefs.counts["D"][()] == (1.0, 1.0)
+def test_causal_learn_returns_new_state_and_checks_action(medic_env):
+    beliefs = init_uniform(medic_env.truth.graph)
+    out = causal_learn(medic_env, beliefs, TREATMENT, {"D": "1", "T": "1", "Y": "1"})
+    assert out is not beliefs
+    assert out.counts["D"][()] == (1.0, 2.0)
+    assert beliefs.counts["D"][()] == (1.0, 1.0)
     with pytest.raises(ValueError, match="unknown-action"):
-        causal_learn(state, Action("other", {"D": "1"}), {"D": "1", "T": "1", "Y": "1"})
-
-
-def test_causal_state_validation(medic_model):
-    with pytest.raises(ValueError, match="unknown-variable"):
-        causal_state(medic_model.graph, target="Q")
-    with pytest.raises(ValueError, match="action-intervenes-target"):
-        causal_state(medic_model.graph, actions=(Action("push", {"Y": "1"}),))
-    with pytest.raises(ValueError, match="duplicate action labels"):
-        causal_state(medic_model.graph, actions=(TREATMENT, TREATMENT))
-    with pytest.raises(ValueError, match="empty-action-set"):
-        causal_state(medic_model.graph, actions=())
-    with pytest.raises(ValueError, match="does not cover"):
-        causal_state(medic_model.graph, utility={"1": 1.0})
-
-
-def test_q_state_validation():
-    with pytest.raises(ValueError, match="empty-action-set"):
-        QAgentState({})
-    with pytest.raises(ValueError, match="learning rate"):
-        QAgentState({"a": 0.0}, alpha=0.0)
-    with pytest.raises(ValueError, match="exploration rate"):
-        QAgentState({"a": 0.0}, epsilon=1.5)
+        causal_learn(medic_env, beliefs, Action("other", {"D": "1"}), {"D": "1", "T": "1", "Y": "1"})
 
 
 def test_q_choose_greedy_when_epsilon_zero():
-    state = QAgentState({"a": 0.2, "b": 0.9, "c": 0.4}, epsilon=0.0)
+    cfg = QLearningConfig(epsilon=0.0)
     rng = np.random.default_rng(0)
-    assert all(q_choose(state, rng) == 1 for _ in range(20))
+    assert all(q_choose(cfg, (0.2, 0.9, 0.4), rng) == 1 for _ in range(20))
     # and the stream is untouched in pure-greedy mode
     assert np.random.default_rng(0).random() == rng.random()
 
 
 def test_q_choose_tie_goes_to_lowest_index():
-    state = QAgentState({"a": 0.5, "b": 0.5}, epsilon=0.0)
-    assert q_choose(state, np.random.default_rng(1)) == 0
+    assert q_choose(QLearningConfig(epsilon=0.0), (0.5, 0.5), np.random.default_rng(1)) == 0
 
 
 def test_q_choose_explores_uniformly_when_epsilon_one():
-    state = QAgentState({"a": 5.0, "b": 0.0, "c": 0.0}, epsilon=1.0)
+    cfg = QLearningConfig(epsilon=1.0)
     rng = np.random.default_rng(11)
-    draws = [q_choose(state, rng) for _ in range(10_000)]
+    draws = [q_choose(cfg, (5.0, 0.0, 0.0), rng) for _ in range(10_000)]
     for i in range(3):
         assert draws.count(i) / 10_000 == pytest.approx(1 / 3, abs=0.02)
 
 
 def test_q_learn_single_step():
-    state = QAgentState({"a": 0.0, "b": 0.0}, alpha=0.1)
-    out = q_learn(state, 0, 1.0)
-    assert out.q == {"a": 0.1, "b": 0.0}
-    assert state.q == {"a": 0.0, "b": 0.0}
+    q = [0.0, 0.0]
+    out = q_learn(QLearningConfig(alpha=0.1), q, 0, 1.0)
+    assert out == (0.1, 0.0)
+    assert q == [0.0, 0.0]
 
 
 def test_q_learn_fixed_point():
-    state = QAgentState({"a": 0.7}, alpha=0.3)
-    assert q_learn(state, 0, 0.7).q["a"] == pytest.approx(0.7)
+    assert q_learn(QLearningConfig(alpha=0.3), (0.7,), 0, 0.7)[0] == pytest.approx(0.7)
 
 
 def test_q_learn_converges_to_constant_reward():
-    state = QAgentState({"a": 0.0}, alpha=0.2)
+    cfg, q = QLearningConfig(alpha=0.2), (0.0,)
     for _ in range(200):
-        state = q_learn(state, 0, 1.0)
-    assert state.q["a"] == pytest.approx(1.0, abs=1e-9)
+        q = q_learn(cfg, q, 0, 1.0)
+    assert q[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_q_learn_rejects_bad_index():
-    state = QAgentState({"a": 0.0})
+    cfg = QLearningConfig()
     with pytest.raises(IndexError, match="bad-index"):
-        q_learn(state, 2, 1.0)
+        q_learn(cfg, (0.0,), 2, 1.0)
     with pytest.raises(IndexError, match="bad-index"):
-        q_learn(state, -1, 1.0)
+        q_learn(cfg, (0.0,), -1, 1.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -223,10 +191,10 @@ def test_q_learn_rejects_bad_index():
     alpha=st.floats(0.05, 1.0),
 )
 def test_q_estimate_stays_inside_reward_hull(rewards, alpha):
-    state = QAgentState({"a": rewards[0]}, alpha=alpha)
+    cfg, q = QLearningConfig(alpha=alpha), (rewards[0],)
     for r in rewards:
-        state = q_learn(state, 0, r)
-    assert min(rewards) - 1e-9 <= state.q["a"] <= max(rewards) + 1e-9
+        q = q_learn(cfg, q, 0, r)
+    assert min(rewards) - 1e-9 <= q[0] <= max(rewards) + 1e-9
 
 
 def test_random_choose_is_uniform_and_seeded():
@@ -244,9 +212,9 @@ def test_posterior_mean_feeds_choice_like_a_real_model(medic_model):
     # A belief state whose posterior mean is exactly the truth chooses
     # exactly like the truth does.
     b = init_uniform(medic_model.graph)
-    state = CausalAgentState(b, (NO_TREATMENT, TREATMENT), "Y", WIN)
-    truth_choice = best_action(medic_model, state.actions, "Y", WIN)
-    mean_choice = best_action(posterior_mean(b), state.actions, "Y", WIN)
+    actions = (NO_TREATMENT, TREATMENT)
+    truth_choice = best_action(medic_model, actions, "Y", WIN)
+    mean_choice = best_action(posterior_mean(b), actions, "Y", WIN)
     assert truth_choice == 1 and mean_choice == 0  # prior hides the gap
 
 
@@ -285,16 +253,17 @@ def test_batched_causal_agent_matches_causal_choose_and_causal_learn():
         utility = {states[0]: 0.0, states[1]: 1.0}
         env = Environment(model, actions, target, utility)
         alpha = rnd.choice((1.0, 0.5, 2.0))
-        batch = CausalBatch(env, CausalAgentConfig(prior_alpha=alpha), 6)
-        scalar = [CausalAgentState(init_uniform(model.graph, alpha), actions, target, utility)] * 6
+        cfg = CausalAgentConfig(prior_alpha=alpha)
+        batch = CausalBatch(env, cfg, 6)
+        scalar = [init_uniform(env.truth.graph, cfg.prior_alpha)] * 6
         for _ in range(10):
-            assert _greedy(batch, 6).tolist() == [causal_choose(s) for s in scalar]
+            assert _greedy(batch, 6).tolist() == [causal_choose(env, b) for b in scalar]
             taken = rng.integers(len(actions), size=6)
             x = draw(env, taken, rng.random((6, len(model.graph.variables))))
             batch.learn(taken, x)
-            scalar = [causal_learn(s, actions[a], _realized(model.graph, c)) for s, a, c in zip(scalar, taken, x)]
-            for r, s in enumerate(scalar):
-                for pos, counts in enumerate(_count_arrays(s.beliefs)):
+            scalar = [causal_learn(env, b, env.actions[a], _realized(model.graph, c)) for b, a, c in zip(scalar, taken, x)]
+            for r, b in enumerate(scalar):
+                for pos, counts in enumerate(_count_arrays(b)):
                     assert np.array_equal(batch.beliefs.counts[pos][r], counts)
 
 
@@ -318,18 +287,18 @@ def test_batched_causal_choice_equals_best_action_on_the_posterior_mean(medic_en
 def test_batched_q_learner_matches_q_choose_and_q_learn(medic_env):
     rng = np.random.default_rng(77)
     n = 8
-    batch = QBatch(medic_env, QLearningConfig(alpha=0.3, epsilon=0.0, q0=0.5), n)
-    labels = [a.label for a in medic_env.actions]
-    scalar = [QAgentState(dict.fromkeys(labels, 0.5), alpha=0.3, epsilon=0.0)] * n
+    cfg = QLearningConfig(alpha=0.3, epsilon=0.0, q0=0.5)
+    batch = QBatch(medic_env, cfg, n)
+    scalar = [(cfg.q0,) * len(medic_env.actions)] * n
     for _ in range(40):
-        assert _greedy(batch, n).tolist() == [q_choose(s, rng) for s in scalar]
-        taken = rng.integers(len(labels), size=n)
+        assert _greedy(batch, n).tolist() == [q_choose(cfg, q, rng) for q in scalar]
+        taken = rng.integers(len(medic_env.actions), size=n)
         x = draw(medic_env, taken, rng.random((n, 3)))
         batch.learn(taken, x)
         graph = medic_env.truth.graph
         rewards = [medic_env.utility[_realized(graph, c)["Y"]] for c in x]
-        scalar = [q_learn(s, int(a), r) for s, a, r in zip(scalar, taken, rewards)]
-        assert batch.q.tolist() == [list(s.q.values()) for s in scalar]
+        scalar = [q_learn(cfg, q, int(a), r) for q, a, r in zip(scalar, taken, rewards)]
+        assert batch.q.tolist() == [list(q) for q in scalar]
 
 
 def test_greedy_writes_the_former_choices_into_the_given_rows(medic_env):

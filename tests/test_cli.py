@@ -1,16 +1,21 @@
 """Command-line behavior: outputs, overrides, exit codes."""
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 import causalsim
 import causalsim.model_io
@@ -109,6 +114,10 @@ def test_best_action_prints_treatment(capsys):
     [
         ({"rounds": "many", "bogus": 1}, ": unknown keys: bogus"),
         ({"rounds": "many"}, ".rounds: rounds must be a positive integer, got 'many'"),
+        (
+            {"agents": {"causal": {"prior_alpha": 1e308}}},
+            ".agents.causal.prior_alpha: infinite-row-sum: 2 pseudo-counts of 1e+308 sum beyond float range",
+        ),
     ],
 )
 def test_best_action_rejects_the_experiment_files_simulate_rejects(capsys, tmp_path, extra, message):
@@ -150,9 +159,88 @@ def test_an_input_that_scores_nonsense_is_refused_without_a_traceback(tmp_path, 
         text=True,
     )
     assert done.returncode == 2
-    # The whole of stderr: no traceback and no numpy overflow warnings.
-    assert done.stderr == f"causalsim: error: {message}\n"
+    # The whole of stderr: no traceback and no numpy overflow warnings. The
+    # prior is a run-half value, refused at load under its path.
+    banner = f"invalid input: {exp}.agents.causal.prior_alpha" if "agents" in edit else "error"
+    assert done.stderr == f"causalsim: {banner}: {message}\n"
     assert done.stdout == ""
+
+
+# Flag values that are not what a flag asks for: empty, negative, zero,
+# non-integer, huge, non-ASCII and VAR=STATE edge strings. "9" * 5000 has
+# more digits than int() parses; the other huge values parse but fail
+# validation wherever the test lets them through.
+EDGES = st.one_of(
+    st.just(""),
+    st.integers(max_value=-1).map(str),
+    st.sampled_from(["0", "-0", "00", "+0"]),
+    st.floats().map(repr) | st.sampled_from(["x", "3x", "0x10", "1_0_"]),
+    st.sampled_from(["9" * 5000, str(2**64), "1" + "0" * 400, "Y" * 300 + "=1"]),
+    st.text(st.characters(min_codepoint=128), min_size=1, max_size=6),
+    st.sampled_from(["=", "==", "=1", "T=", "T==1", "Y=1=", "=T=1", "T=ü", "ü=1"]),
+)
+
+# Each subcommand's flags with their valid values. Output paths are
+# relative, so each example writes into its own temporary directory.
+FLAGS = {
+    "simulate": {
+        "--model": st.just(MODEL),
+        "--experiment": st.just(EXPERIMENT),
+        "--out": st.just("out.csv"),
+        "--svg": st.just("out.svg"),
+        "--seed": st.integers(0, 2**64 - 1).map(str),
+        "--rounds": st.integers(1, 2).map(str),
+        "--reps": st.integers(1, 4).map(str),
+        "--workers": st.integers(1, 2).map(str),
+    },
+    "query": {
+        "--model": st.sampled_from([MODEL, CHAIN64]),
+        "--do": st.sampled_from(["T=1", "T=0", "D=1", "X62=1"]),
+        "--target": st.sampled_from(["Y=1", "X63=1"]),
+    },
+    "best-action": {"--model": st.just(MODEL), "--experiment": st.just(EXPERIMENT)},
+}
+
+
+def _integer(text):
+    """What an integer flag parses ``text`` to, or None."""
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_no_flag_value_ends_in_a_traceback(data):
+    # A valid command line with up to two of its flags broken: left out,
+    # or given edge values. Each flag is written as "--flag value" or
+    # "--flag=value", --do may repeat, and the flags come in any order.
+    # Simulate always gets --rounds and --reps, so a run never takes the
+    # experiment file's 200 x 1000.
+    command = data.draw(st.sampled_from(sorted(FLAGS)))
+    broken = data.draw(st.sets(st.sampled_from(sorted(FLAGS[command])), max_size=2))
+    words, values = [], {}
+    for flag, valid in FLAGS[command].items():
+        if flag in broken and flag not in ("--rounds", "--reps") and data.draw(st.booleans()):
+            continue
+        for value in data.draw(st.lists(EDGES if flag in broken else valid, min_size=1, max_size=2 if flag == "--do" else 1)):
+            values[flag] = value
+            words.append([f"{flag}={value}"] if data.draw(st.booleans()) else [flag, value])
+    argv = [command, *(word for pair in data.draw(st.permutations(words)) for word in pair)]
+    # At most 8 agent-rounds per agent and two worker processes.
+    reps, rounds, workers = (_integer(values.get(flag)) for flag in ("--reps", "--rounds", "--workers"))
+    assume(not (reps and rounds and reps > 0 and rounds > 0 and reps * rounds > 8))
+    assume(not (workers and workers > 2))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        os.chdir(tmp)
+        try:
+            code = cli_main(argv)
+        finally:
+            os.chdir(cwd)
+    event(f"{command} exits {code}")
+    assert code in (0, 1, 2), argv
 
 
 def test_missing_required_flag_is_a_usage_error(capsys):

@@ -206,6 +206,10 @@ def test_environment_validation(medic_env):
         Environment(truth, medic_env.actions, "Q", {"0": 0.0, "1": 1.0})
     with pytest.raises(ValueError, match="action-intervenes-target"):
         Environment(truth, (Action("push", {"Y": "1"}),), "Y", {"0": 0.0, "1": 1.0})
+    with pytest.raises(ValueError, match="duplicate action labels"):
+        Environment(truth, (medic_env.actions[1], medic_env.actions[1]), "Y", {"0": 0.0, "1": 1.0})
+    with pytest.raises(ValueError, match="empty-action-set"):
+        Environment(truth, (), "Y", {"0": 0.0, "1": 1.0})
     with pytest.raises(ValueError, match="does not cover"):
         Environment(truth, medic_env.actions, "Y", {"1": 1.0})
     with pytest.raises(ValueError, match="illegal-state"):

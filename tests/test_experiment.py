@@ -15,11 +15,9 @@ from causalsim import (
     MAX_FACTOR_STATES,
     Action,
     CausalAgentConfig,
-    CausalAgentState,
     Environment,
     ExperimentConfig,
     FormatError,
-    QAgentState,
     QLearningConfig,
     RandomConfig,
     RoundSeries,
@@ -413,16 +411,15 @@ def test_engine_per_round_means_agree_with_a_scalar_reference_loop(medic_env):
     rng = np.random.default_rng(seed)
     for rep in range(n):
         beliefs = init_uniform(medic_env.truth.graph, causal_cfg.prior_alpha)
-        causal = CausalAgentState(beliefs, actions, medic_env.target, medic_env.utility)
-        q = QAgentState(dict.fromkeys((a.label for a in actions), q_cfg.q0), q_cfg.alpha, q_cfg.epsilon)
+        q = (q_cfg.q0,) * len(actions)
         for t in range(rounds):
-            action = actions[causal_choose(causal)]
+            action = actions[causal_choose(medic_env, beliefs)]
             record = step(medic_env, action, rng)
-            causal = causal_learn(causal, action, record.realized)
+            beliefs = causal_learn(medic_env, beliefs, action, record.realized)
             reference["causal"][rep, t] = record.reward
-            i = q_choose(q, rng)
+            i = q_choose(q_cfg, q, rng)
             record = step(medic_env, actions[i], rng)
-            q = q_learn(q, i, record.reward)
+            q = q_learn(q_cfg, q, i, record.reward)
             reference["qlearning"][rep, t] = record.reward
             reference["random"][rep, t] = step(medic_env, actions[random_choose(actions, rng)], rng).reward
     bound = math.sqrt(math.log(2 * len(reference) * rounds / 1e-3) / n)
