@@ -82,7 +82,6 @@ _EXPORTS = {
         "environment_from_dict",
         "expected_utility",
         "load_environment",
-        "medic_scenario",
         "step",
     ),
     "experiment": (

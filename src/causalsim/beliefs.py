@@ -78,7 +78,7 @@ def init_uniform(graph: CausalGraph, alpha0: float = 1.0) -> BeliefState:
     The graph must be well formed (acyclic, known parents); the prior
     weight must be positive, and finite even times a row's state count.
     """
-    _check_prior(graph, alpha0)
+    _check_prior(alpha0, graph)
     issues = validate_graph(graph)
     if issues:
         raise InvalidModelError(issues)
@@ -145,7 +145,7 @@ class CountBeliefs:
     """
 
     def __init__(self, graph: CausalGraph, alpha0: float, n: int, scored: Sequence[int] = ()):
-        _check_prior(graph, alpha0)
+        _check_prior(alpha0, graph)
         order = [*scored, *(i for i in range(len(graph.variables)) if i not in scored)]
         layout = {pos: (parents, strides, shape) for pos, parents, strides, shape in graph._row_index}
         self.counts, self.means, self._buffers = [None] * len(order), [None] * len(order), []

@@ -114,7 +114,7 @@ def _load_experiment(ns: argparse.Namespace) -> tuple[environment.Environment, e
     cfg = experiment.config_from_dict(data, doc=ns.experiment)
     if "causal" in cfg.agents:
         try:
-            _check_prior(truth.graph, cfg.agents["causal"].prior_alpha)
+            _check_prior(cfg.agents["causal"].prior_alpha, truth.graph)
         except ValueError as e:
             raise FormatError(f"{ns.experiment}.agents.causal.prior_alpha", str(e)) from None
     return env, cfg

@@ -17,11 +17,6 @@ state. :func:`draw` is the batched step: one outcome per replication,
 each under its own action, from the surgered truths' cumulative
 tables, stacked on a leading action axis once per environment. Surgery
 shares every unforced compiled table with the truth.
-
-``medic_scenario`` builds the running example used throughout the test
-suite and documentation: a binary confounder D (disease severity)
-influences both a treatment T and an outcome Y, so the observational
-reward of not treating looks better than its interventional reward.
 """
 
 from __future__ import annotations
@@ -46,7 +41,6 @@ __all__ = [
     "StepRecord",
     "step",
     "draw",
-    "medic_scenario",
     "environment_from_dict",
     "load_environment",
     "environment_block_to_dict",
@@ -195,49 +189,6 @@ def draw(env: Environment, actions: np.ndarray, u: np.ndarray, out: np.ndarray |
         entries = cum.take(index, axis=0)
         x[:, pos] = entries <= u[:, k] if cum.ndim == 1 else (entries <= u[:, k, None]).sum(axis=1)
     return x
-
-
-def medic_scenario() -> Environment:
-    """The confounded treatment example.
-
-    Disease severity D raises both the chance of receiving treatment T
-    and the damage to outcome Y; treatment helps at every severity.
-    Forcing treatment yields P(Y=1) = 0.87 versus 0.52 for withholding
-    it, while the observational P(Y=1 | T=0) of about 0.6695 makes
-    withholding look misleadingly good.
-    """
-    truth = model_io.model_from_dict(
-        {
-            "variables": [
-                {"name": "D", "states": ["0", "1"]},
-                {"name": "T", "states": ["0", "1"]},
-                {"name": "Y", "states": ["0", "1"]},
-            ],
-            "parents": {"D": [], "T": ["D"], "Y": ["D", "T"]},
-            "cpts": {
-                "D": [{"p": [0.7, 0.3]}],
-                "T": [
-                    {"given": {"D": "0"}, "p": [0.8, 0.2]},
-                    {"given": {"D": "1"}, "p": [0.1, 0.9]},
-                ],
-                "Y": [
-                    {"given": {"D": "0", "T": "0"}, "p": [0.3, 0.7]},
-                    {"given": {"D": "0", "T": "1"}, "p": [0.1, 0.9]},
-                    {"given": {"D": "1", "T": "0"}, "p": [0.9, 0.1]},
-                    {"given": {"D": "1", "T": "1"}, "p": [0.2, 0.8]},
-                ],
-            },
-        }
-    )
-    return Environment(
-        truth=truth,
-        actions=(
-            Action("no-treatment", {"T": "0"}),
-            Action("treatment", {"T": "1"}),
-        ),
-        target="Y",
-        utility={"0": 0.0, "1": 1.0},
-    )
 
 
 def _environment_block(

@@ -46,6 +46,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .cgm import _check_prior
 from .environment import Environment, draw
 from . import agents, model_io
 from .model_io import _expect
@@ -93,9 +94,10 @@ class CausalAgentConfig:
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.prior_alpha) and self.prior_alpha > 0.0):
-            message = f"nonpositive-alpha: prior weight must be positive and finite, got {self.prior_alpha!r}"
-            raise _FieldError("prior_alpha", message)
+        try:
+            _check_prior(self.prior_alpha)
+        except ValueError as e:
+            raise _FieldError("prior_alpha", str(e)) from None
         if not 0.0 <= self.epsilon <= 1.0:
             raise _FieldError("epsilon", f"exploration rate must lie in [0, 1], got {self.epsilon!r}")
 

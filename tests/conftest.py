@@ -2,14 +2,14 @@ from pathlib import Path
 
 import pytest
 
-from causalsim import load_model, medic_scenario, model_from_dict
+from causalsim import load_environment, load_model, model_from_dict
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample"
 
 
 @pytest.fixture(scope="session")
 def medic_env():
-    return medic_scenario()
+    return load_environment(str(SAMPLE_DIR / "medic_model.json"), str(SAMPLE_DIR / "medic_experiment.json"))
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,8 @@
 """Deterministic boundary fuzz: every malformed document fails cleanly.
 
 Each mutation either replaces one leaf of a valid document with a value
-from ``VALUES`` or deletes one key. Whatever the result, a loader may
+from ``VALUES`` or deletes one key; a seeded Hypothesis search replaces
+whole objects and lists too. Whatever the result, a loader may
 accept it or reject it with a validation error; any other exception
 (``OverflowError``, ``TypeError``, ``KeyError``, ...) would reach the
 command line as a traceback.
@@ -15,6 +16,8 @@ import operator
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalsim import (
     FormatError,
@@ -112,3 +115,67 @@ def test_environment_loader_raises_only_validation_errors(tmp_path, mutated):
         load_environment(str(paths["model"]), str(paths["experiment"]))
 
     assert _escapes(through_files, docs[mutated]) == []
+
+
+# Structural search: any node of a valid document, the document itself and
+# its objects and lists included, is replaced by a drawn nested JSON value.
+# Names and labels of the medic documents are drawn as often as fresh text,
+# so a replacement can look almost right.
+_WORDS = st.sampled_from(["name", "states", "parents", "cpts", "given", "p", "D", "T", "Y", "0", "1", "label", "do"])
+_TEXT = _WORDS | st.text(max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+_STRUCTURE = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+def _replace(data, doc):
+    """``doc`` with one drawn node, possibly the root, replaced by a drawn
+    JSON value."""
+    path = data.draw(st.sampled_from([(), *(path for path, _ in _nodes(doc))]), label="path")
+    value = data.draw(_JSON, label="value")
+    if not path:
+        return value
+    out = copy.deepcopy(doc)
+    functools.reduce(operator.getitem, path[:-1], out)[path[-1]] = value
+    return out
+
+
+def _clean(loader, doc):
+    try:
+        loader(doc)
+    except CLEAN:
+        pass
+
+
+@_STRUCTURE
+@given(st.data())
+def test_model_loader_survives_structural_replacements(data):
+    _clean(model_from_dict, _replace(data, _model_doc()))
+
+
+@_STRUCTURE
+@given(st.data())
+def test_config_loader_survives_structural_replacements(data):
+    _clean(config_from_dict, _replace(data, _experiment_doc()))
+
+
+@pytest.mark.parametrize("mutated", ["model", "experiment"])
+def test_environment_loader_survives_structural_replacements(tmp_path, mutated):
+    docs = {"model": _model_doc(), "experiment": _experiment_doc()}
+    paths = {name: tmp_path / f"{name}.json" for name in docs}
+    for name, doc in docs.items():
+        paths[name].write_text(json.dumps(doc))
+
+    def through_files(doc):
+        paths[mutated].write_text(json.dumps(doc))
+        load_environment(str(paths["model"]), str(paths["experiment"]))
+
+    @_STRUCTURE
+    @given(st.data())
+    def search(data):
+        _clean(through_files, _replace(data, docs[mutated]))
+
+    search()

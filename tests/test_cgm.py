@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from causalsim import (
     sample,
     validate,
 )
-from causalsim import Action, Environment, medic_scenario, model_from_dict
+from causalsim import Action, Environment, load_model, model_from_dict
 from causalsim.beliefs import init_uniform, posterior_mean, update
 from causalsim import cgm
 from causalsim.cgm import ReplicatedQuery
@@ -33,6 +34,8 @@ from causalsim.environment import draw
 
 import oracle
 import reference
+
+SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample"
 
 
 def test_validate_accepts_independent_fair_pair(fair_pair_model):
@@ -322,7 +325,7 @@ def test_intervene_leaves_input_untouched(medic_model):
 
 
 def test_intervene_shares_the_compiled_tables_of_unforced_variables(chain_model):
-    medic = medic_scenario().truth  # fresh, so nothing is compiled yet
+    medic = load_model(str(SAMPLE_DIR / "medic_model.json"))  # fresh, so nothing is compiled yet
     for model, do in ((chain_model, {"A": "1"}), (medic, {"T": "1"}), (medic, {"T": "0", "D": "1"})):
         cut = intervene(model, do)
         forced = {model.graph._positions[name] for name in do}

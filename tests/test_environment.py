@@ -20,7 +20,6 @@ from causalsim import (
     interventional_marginal,
     interventional_query,
     load_environment,
-    medic_scenario,
     query,
     sample,
     save_model,
@@ -172,7 +171,7 @@ def test_draw_into_a_given_buffer_equals_a_fresh_draw():
 def test_draw_builds_no_sampling_tables_on_the_truth():
     # The environment takes only the visiting order from the truth's graph;
     # the truth's own cumulative tables serve ``sample`` and ``step`` alone.
-    env = medic_scenario()
+    env = load_environment(str(SAMPLE_DIR / "medic_model.json"), str(SAMPLE_DIR / "medic_experiment.json"))
     draw(env, np.array([0, 1]), np.full((2, 3), 0.5))
     assert "_sampler" not in env.truth.__dict__
 
