@@ -133,10 +133,12 @@ class BatchPolicy(Protocol):
 
 def _expected_utilities(columns: Sequence[np.ndarray], payoff: Sequence[float]) -> np.ndarray:
     """Expected utilities from target masses given as one array per state,
-    normalized and weighed state by state: for fewer than 8 states, the
-    bits of ``(mass / mass.sum(-1, keepdims=True) * payoff).sum(-1)``."""
+    normalized and weighed state by state, with no term for a utility of 0
+    and no product for one of 1: for fewer than 8 states and a positive total,
+    the bits of ``(mass / mass.sum(-1, keepdims=True) * payoff).sum(-1)`` up to the sign of a zero."""
     total = reduce(np.add, columns)
-    return reduce(np.add, [column / total * w for column, w in zip(columns, payoff)])
+    terms = [column / total if w == 1.0 else column / total * w for column, w in zip(columns, payoff) if w]
+    return reduce(np.add, terms) if terms else np.zeros_like(total)
 
 
 class CausalBatch:
@@ -192,7 +194,8 @@ class QBatch:
     def learn(self, actions: np.ndarray, x: np.ndarray) -> None:
         reward = self.payoff[x[:, self.target]]
         index = self._base + actions
-        self._flat[index] += self.alpha * (reward - self._flat[index])
+        q = self._flat[index]
+        self._flat[index] = q + self.alpha * (reward - q)
 
 
 class RandomBatch:

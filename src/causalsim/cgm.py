@@ -38,8 +38,10 @@ is the number of cumulative entries at or below a uniform draw.
 :func:`sample` and the batched :func:`~causalsim.environment.draw`
 read the same (rows, states - 1) cumulative arrays, from one builder.
 Actions reach sampling only through :func:`intervene`: the
-environment's ``step`` is :func:`sample` on a surgered truth, and
-``draw`` reads the surgered truths' tables.
+environment's ``step`` is :func:`sample` on a surgered truth. ``draw``
+looks up a variable every action forces (a point mass's inverse CDF
+is its forced state) and draws the rest from the truth's tables, or,
+if only some actions force one, from the surgered truths' tables.
 
 Models are plain dataclasses. Construction is permissive so that
 :func:`validate` can report every problem in one pass; the query and
@@ -237,8 +239,19 @@ class CausalModel:
         return table
 
     @cached_property
+    def _valid(self) -> bool:
+        # ensure_valid's check, kept once it passes; a failure raises each time.
+        if issues := validate(self):
+            raise InvalidModelError(issues)
+        return True
+
+    @cached_property
     def _sampler(self) -> tuple:
-        return _cumulative_rows(self.graph, (self,))
+        # (position, parent positions, strides, cumulative rows), topologically.
+        return tuple(
+            (pos, parents, strides, _cumulative_rows(shape, [self.table(pos)]))
+            for pos, parents, strides, shape in self.graph._row_index
+        )
 
 
 @dataclass(frozen=True)
@@ -389,10 +402,9 @@ def validate(model: CausalModel) -> list[ValidationIssue]:
 
 
 def ensure_valid(model: CausalModel) -> None:
-    """Raise :class:`InvalidModelError` listing every violation, if any."""
-    issues = validate(model)
-    if issues:
-        raise InvalidModelError(issues)
+    """Raise :class:`InvalidModelError` listing every violation, if any.
+    A model that passes is not validated again."""
+    model._valid
 
 
 def joint_size(model: CausalModel) -> int:
@@ -683,18 +695,13 @@ def cumulative(table: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _cumulative_rows(graph: CausalGraph, models: tuple[CausalModel, ...]) -> tuple:
-    """Per variable in ``graph``'s topological order: its row layout
-    (``CausalGraph._row_index``), its rows per model, and the models'
-    :func:`cumulative` tables, broadcast to ``graph``'s shapes and stacked
-    as (models x rows, states - 1), 1-D if binary; the last column,
-    always +inf, is dropped. Both samplers read these arrays."""
-    tables = []
-    for pos, parents, strides, shape in graph._row_index:
-        cum = cumulative(np.stack([np.broadcast_to(m.table(pos), shape) for m in models]))
-        cum = cum.reshape(-1, shape[-1])[:, 0 if shape[-1] == 2 else slice(-1)]
-        tables.append((pos, parents, strides, len(cum) // len(models), np.ascontiguousarray(cum)))
-    return tuple(tables)
+def _cumulative_rows(shape: tuple[int, ...], tables: list[np.ndarray]) -> np.ndarray:
+    """The :func:`cumulative` rows of one variable's ``tables``, broadcast
+    to ``shape`` and stacked as (tables x rows, states - 1), 1-D if
+    binary; the last column, always +inf, is dropped. Both samplers
+    read these arrays."""
+    cum = cumulative(np.stack([np.broadcast_to(t, shape) for t in tables]))
+    return np.ascontiguousarray(cum.reshape(-1, shape[-1])[:, 0 if shape[-1] == 2 else slice(-1)])
 
 
 def sample(model: CausalModel, rng: np.random.Generator) -> dict[str, str]:
@@ -707,7 +714,7 @@ def sample(model: CausalModel, rng: np.random.Generator) -> dict[str, str]:
     surgered model still takes its uniform.
     """
     codes = [0] * len(model.graph.variables)
-    for pos, parents, strides, _, cum in model._sampler:
+    for pos, parents, strides, cum in model._sampler:
         entries = cum[sum(codes[p] * stride for p, stride in zip(parents, strides))]
         u = rng.random()
         codes[pos] = int(entries <= u) if cum.ndim == 1 else int((entries <= u).sum())

@@ -14,9 +14,9 @@ An action reaches the truth only by graph surgery
 surgered truth per action. Stepping the environment samples the
 action's surgered truth and pays the utility of the realized target
 state. :func:`draw` is the batched step: one outcome per replication,
-each under its own action, from the surgered truths' cumulative
-tables, stacked on a leading action axis once per environment. Surgery
-shares every unforced compiled table with the truth.
+each under its own action. Surgery shares every unforced compiled
+table with the truth, so only a variable that some actions force and
+others do not gets a block of cumulative rows per action.
 """
 
 from __future__ import annotations
@@ -148,9 +148,21 @@ class Environment:
 
     @cached_property
     def _sampler(self) -> tuple:
-        # The surgered truths' sampling tables in the truth's row layout, one
-        # block of rows per action, in menu order.
-        return _cumulative_rows(self.truth.graph, self._surgered)
+        # Per variable in topological order: (position, parent positions,
+        # strides, step, table). If every action forces the variable: None
+        # and each action's state code; if none does: 0 and the truth's rows;
+        # else the rows per action and the surgered truths' rows, by action.
+        graph, sampler = self.truth.graph, []
+        for pos, parents, strides, shape in graph._row_index:
+            spec = graph.variables[pos]
+            forced = [a.intervention.get(spec.name) for a in self.actions]
+            if None not in forced:
+                sampler.append((pos, (), (), None, np.array([spec.state_index[s] for s in forced], np.intp)))
+                continue
+            models = (self.truth,) if set(forced) == {None} else self._surgered
+            cum = _cumulative_rows(shape, [m.table(pos) for m in models])
+            sampler.append((pos, parents, strides, len(cum) // len(models) if len(models) > 1 else 0, cum))
+        return tuple(sampler)
 
     @cached_property
     def _payoff(self) -> np.ndarray:
@@ -175,18 +187,25 @@ def draw(env: Environment, actions: np.ndarray, u: np.ndarray, out: np.ndarray |
     (replications, variables) intp array of state codes, columns in the
     truth's declaration order, written into ``out`` when given. Given
     the same uniform for each variable, a replication's outcome is the
-    one :func:`step` draws for the same action. Per variable, one
-    ``take`` reads row ``action * rows + sum(parent code * stride)``
-    (``CausalGraph._row_index``); the state drawn is the number of its
-    entries at or below the uniform.
+    one :func:`step` draws for the same action.
+
+    A variable every action forces is looked up by action; its uniform
+    goes unread. Any other takes the number of entries at or below its
+    uniform in the row ``sum(parent code * stride)``
+    (``CausalGraph._row_index``) of the truth's cumulative rows, or, if
+    only some actions force it, in the block of rows of its action.
     """
     actions = np.asarray(actions, np.intp)
     x = np.empty(u.shape, np.intp) if out is None else out
-    for k, (pos, parents, strides, rows, cum) in enumerate(env._sampler):
-        index = actions * rows if parents else actions
+    for k, (pos, parents, strides, step, cum) in enumerate(env._sampler):
+        if step is None:
+            x[:, pos] = cum[actions]
+            continue
+        index = (actions * step if parents else actions) if step else None
         for p, stride in zip(parents, strides):
-            index += x[:, p] * stride if stride > 1 else x[:, p]
-        entries = cum.take(index, axis=0)
+            term = x[:, p] * stride if stride > 1 else x[:, p]  # a view of x only if it is the one term
+            index = term if index is None else np.add(index, term, out=index)
+        entries = cum if index is None else cum.take(index, axis=0)
         x[:, pos] = entries <= u[:, k] if cum.ndim == 1 else (entries <= u[:, k, None]).sum(axis=1)
     return x
 

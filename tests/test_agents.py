@@ -336,6 +336,35 @@ def test_expected_utilities_by_state_have_the_bits_of_the_row_sum(n):
             assert np.array_equal(got, reference.expected_utilities(mass, payoff))
 
 
+@pytest.mark.parametrize("n", [1, 4, 256])
+@pytest.mark.parametrize(
+    "payoff",
+    [
+        (0.0, 1.0),
+        (1.0, 0.0),
+        (-0.0, 1.0, 0.0),
+        (1.0, 1.0, 1.0),
+        (-2.5, 0.0, 1.0),
+        (0.0, -1.0),
+        (1.0, -0.0, 3.0, 0.0, -0.5),
+        (0.0, 0.0),
+        (-0.0, 0.0, -0.0),
+    ],
+)
+def test_expected_utilities_skipping_zero_and_unit_payoffs_keep_the_bits(n, payoff):
+    # States of utility 0 or -0 are left out and utilities of 1 are not
+    # multiplied by; the sums and their argmax stay those of the row sum.
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        shape = (n, rng.integers(1, 6), len(payoff))
+        mass = rng.random(shape) * (rng.random(shape) > 0.2) * 10.0 ** rng.integers(-6, 7, size=(*shape[:2], 1))
+        mass[mass.sum(axis=-1) == 0.0] = 1.0
+        got = _expected_utilities(list(np.moveaxis(mass, -1, 0)), list(payoff))
+        want = reference.expected_utilities(mass, np.array(payoff))
+        assert np.array_equal(got, want)
+        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+
 def test_expected_utilities_over_eight_states_agree_to_rounding():
     # numpy sums 8 or more entries pairwise, so here the last bits may
     # differ from the in-order sum: by at most 1e-15, relative.

@@ -115,6 +115,20 @@ def test_validate_reports_missing_row_and_extras(medic_model):
     assert codes == {"missing-cpt-row", "unexpected-cpt-row"}
 
 
+def test_ensure_valid_validates_a_valid_model_once_and_an_invalid_one_every_time(monkeypatch, medic_model):
+    calls = []
+    monkeypatch.setattr(cgm, "validate", lambda model: calls.append(model) or validate(model))
+    fresh = CausalModel(medic_model.graph, dict(medic_model.cpts))
+    broken = CausalModel(medic_model.graph, {**medic_model.cpts, "D": Cpt("D", {(): (0.9, 0.2)})})
+    for _ in range(3):
+        ensure_valid(fresh)
+        with pytest.raises(InvalidModelError, match="row-not-normalized"):
+            ensure_valid(broken)
+        with pytest.raises(InvalidModelError, match="row-not-normalized"):
+            Environment(broken, (Action("treat", {"T": "1"}),), "Y", {"0": 0.0, "1": 1.0})
+    assert [m is fresh for m in calls] == [True] + [False] * 6
+
+
 def test_ensure_valid_raises_with_issue_list(medic_model):
     broken = CausalModel(medic_model.graph, {**medic_model.cpts, "D": Cpt("D", {(): (0.9, 0.2)})})
     with pytest.raises(InvalidModelError) as err:

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, overrides, exit codes."""
 
+import argparse
 import ast
 import contextlib
 import hashlib
@@ -472,6 +473,17 @@ def test_best_action_runs_only_the_decision_problem():
         "causalsim", "causalsim.cgm", "causalsim.cli", "causalsim.environment", "causalsim.experiment", "causalsim.model_io",
     }  # fmt: skip
     assert not xml
+
+
+def test_loading_an_experiment_validates_the_model_once(monkeypatch):
+    # model_io validates the truth at load; the Environment built on it
+    # then finds it already checked.
+    from causalsim import cgm, cli
+
+    calls = []
+    monkeypatch.setattr(cgm, "validate", lambda model, check=cgm.validate: calls.append(model) or check(model))
+    env, _ = cli._load_experiment(argparse.Namespace(model=MODEL, experiment=EXPERIMENT))
+    assert calls == [env.truth]
 
 
 def test_the_decision_problem_is_one_object_under_both_modules():

@@ -153,6 +153,51 @@ def test_flat_row_draw_gives_the_codes_of_the_per_variable_gather(n):
         assert np.array_equal(draw(env, a, u), reference.draw(env, a, u))
 
 
+def _mixed_menu_env(medic_env):
+    # D and T are each forced by some actions but not all; Y by none.
+    actions = (Action("T=0", {"T": "0"}), Action("T=1", {"T": "1"}), Action("D=1", {"D": "1"}))
+    return Environment(medic_env.truth, actions, "Y", medic_env.utility)
+
+
+def _three_state_forced_env():
+    # A, three states, is forced by every action to a different state; B,
+    # three states and parentless, by none; Y reads both.
+    a, b = VariableSpec("A", ("lo", "mid", "hi")), VariableSpec("B", ("x", "y", "z"))
+    graph = CausalGraph((a, b, VariableSpec("Y", ("0", "1"))), {"Y": ("A", "B")})
+    y_rows = {(i, j): (k / 10, 1 - k / 10) for k, (i, j) in enumerate((i, j) for i in a.states for j in b.states)}
+    cpts = {"A": Cpt("A", {(): (0.2, 0.3, 0.5)}), "B": Cpt("B", {(): (0.25, 0.0, 0.75)}), "Y": Cpt("Y", y_rows)}
+    actions = tuple(Action(f"A={s}", {"A": s}) for s in ("hi", "lo", "mid"))
+    return Environment(CausalModel(graph, cpts), actions, "Y", {"0": 0.0, "1": 1.0})
+
+
+def _draw_kinds(env):
+    # By variable name: "forced" if every action forces it, "truth" if none
+    # does, and "per-action" if it draws from one block of rows per action.
+    names = env.truth.graph.names
+    kinds = {None: "forced", 0: "truth"}
+    return {names[pos]: kinds.get(step, "per-action") for pos, _, _, step, _ in env._sampler}
+
+
+@pytest.mark.parametrize("n", [1, 4, 256])
+def test_each_kind_of_draw_gives_the_codes_of_the_per_variable_gather(medic_env, n):
+    # Forced variables are looked up, unforced ones read the truth's rows,
+    # and only variables some but not all actions force get per-action rows.
+    menus = {
+        "medic": (medic_env, {"D": "truth", "T": "forced", "Y": "truth"}),
+        "mixed": (_mixed_menu_env(medic_env), {"D": "per-action", "T": "per-action", "Y": "truth"}),
+        "three-state": (_three_state_forced_env(), {"A": "forced", "B": "truth", "Y": "truth"}),
+    }
+    rng = np.random.default_rng(n)
+    for env, kinds in menus.values():
+        assert _draw_kinds(env) == kinds
+        for _ in range(20):
+            u = rng.random((n, len(kinds)))
+            u[rng.random(n) < 0.1] = 0.0
+            u[rng.random(n) < 0.1] = 1.0 - 2.0**-53
+            a = rng.integers(len(env.actions), size=n)
+            assert np.array_equal(draw(env, a, u), reference.draw(env, a, u))
+
+
 def test_draw_into_a_given_buffer_equals_a_fresh_draw():
     # The engine's outcome buffer: some rows of a larger array that still
     # holds the last round's codes. Only those rows change.

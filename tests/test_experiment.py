@@ -276,6 +276,15 @@ def test_a_small_chain64_run_reproduces_its_pinned_trial_log():
     assert _trial_log_sha256(log) == "e85ae74b58c45d8e715c79eba4bbfb15cae349a21d95171789d6a3adba4821d5"
 
 
+def test_a_small_mixed_menu_run_reproduces_its_pinned_trial_log(medic_env):
+    # A menu on medic's truth where D and T are each forced by some actions
+    # but not all: do(T=0), do(T=1), do(D=1), medic's agents, 8 x 30, seed 7.
+    actions = (Action("T=0", {"T": "0"}), Action("T=1", {"T": "1"}), Action("D=1", {"D": "1"}))
+    env = Environment(medic_env.truth, actions, "Y", medic_env.utility)
+    log = run_experiment(env, small_config(rounds=30, replications=8, seed=7)).trial_log
+    assert _trial_log_sha256(log) == "25cce9d7d375eae7b115aa7b7a6bed7dadbdfacc926b584ff533adbbb841fabf"
+
+
 def test_uniform_chunks_read_the_one_draw_layout(monkeypatch):
     # Chunked reads give each replication the uniforms it would get from
     # one replication-major draw per agent, across chunk boundaries too:
