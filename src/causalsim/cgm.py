@@ -35,13 +35,14 @@ fully pinned plan builds only scalars.
 Sampling is ancestral and has no cap. A variable's state is drawn by
 inverse CDF from its cumulative table (:func:`cumulative`): the state
 is the number of cumulative entries at or below a uniform draw.
-:func:`sample` and the batched :func:`~causalsim.environment.draw`
-read the same (rows, states - 1) cumulative arrays, from one builder.
+:func:`sample` (on one model) and the batched
+:func:`~causalsim.environment.draw` (on a truth under a menu of
+interventions) read the tables of one builder, :func:`_sampling_tables`.
 Actions reach sampling only through :func:`intervene`: the
 environment's ``step`` is :func:`sample` on a surgered truth. ``draw``
 looks up a variable every action forces (a point mass's inverse CDF
-is its forced state) and draws the rest from the truth's tables, or,
-if only some actions force one, from the surgered truths' tables.
+is its forced state) and draws the rest from the truth's rows, or, if
+only some actions force one, from the surgered truths' rows.
 
 Models are plain dataclasses. Construction is permissive so that
 :func:`validate` can report every problem in one pass; the query and
@@ -54,7 +55,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -247,11 +248,8 @@ class CausalModel:
 
     @cached_property
     def _sampler(self) -> tuple:
-        # (position, parent positions, strides, cumulative rows), topologically.
-        return tuple(
-            (pos, parents, strides, _cumulative_rows(shape, [self.table(pos)]))
-            for pos, parents, strides, shape in self.graph._row_index
-        )
+        # The model's own sampling tables: every variable takes its rows.
+        return _sampling_tables(self, ({},), ())
 
 
 @dataclass(frozen=True)
@@ -698,10 +696,27 @@ def cumulative(table: np.ndarray) -> np.ndarray:
 def _cumulative_rows(shape: tuple[int, ...], tables: list[np.ndarray]) -> np.ndarray:
     """The :func:`cumulative` rows of one variable's ``tables``, broadcast
     to ``shape`` and stacked as (tables x rows, states - 1), 1-D if
-    binary; the last column, always +inf, is dropped. Both samplers
-    read these arrays."""
+    binary; the last column, always +inf, is dropped."""
     cum = cumulative(np.stack([np.broadcast_to(t, shape) for t in tables]))
     return np.ascontiguousarray(cum.reshape(-1, shape[-1])[:, 0 if shape[-1] == 2 else slice(-1)])
+
+
+def _sampling_tables(truth: CausalModel, interventions: Sequence[Intervention], surgered: Sequence[CausalModel]) -> tuple:
+    """Per variable in topological order: (position, parent positions,
+    strides, step, table). If every intervention forces the variable:
+    None and each one's state code; if none does: 0 and the truth's
+    rows; else the rows per intervention and the ``surgered`` truths'."""
+    graph, tables = truth.graph, []
+    for pos, parents, strides, shape in graph._row_index:
+        spec = graph.variables[pos]
+        forced = [i.get(spec.name) for i in interventions]
+        if None not in forced:
+            tables.append((pos, (), (), None, np.array([spec.state_index[s] for s in forced], np.intp)))
+            continue
+        models = (truth,) if set(forced) == {None} else surgered
+        cum = _cumulative_rows(shape, [m.table(pos) for m in models])
+        tables.append((pos, parents, strides, len(cum) // len(models) if len(models) > 1 else 0, cum))
+    return tuple(tables)
 
 
 def sample(model: CausalModel, rng: np.random.Generator) -> dict[str, str]:
@@ -714,7 +729,7 @@ def sample(model: CausalModel, rng: np.random.Generator) -> dict[str, str]:
     surgered model still takes its uniform.
     """
     codes = [0] * len(model.graph.variables)
-    for pos, parents, strides, cum in model._sampler:
+    for pos, parents, strides, _, cum in model._sampler:
         entries = cum[sum(codes[p] * stride for p, stride in zip(parents, strides))]
         u = rng.random()
         codes[pos] = int(entries <= u) if cum.ndim == 1 else int((entries <= u).sum())

@@ -29,6 +29,7 @@ learners (``agents``, ``beliefs``) or ``reporting``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Sequence
 
@@ -125,6 +126,8 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     cfg = experiment.apply_overrides(
         cfg, seed=ns.seed, rounds=ns.rounds, replications=ns.reps, out_csv=ns.out, out_svg=ns.svg
     )
+    if cfg.out_svg and os.path.realpath(cfg.out_svg) == os.path.realpath(cfg.out_csv):
+        raise ValueError(f"same-output: the CSV and the SVG would both be written to {cfg.out_csv}")
     result = experiment.run_experiment(env, cfg, workers=ns.workers)
     reporting.write_csv(result.series, cfg.out_csv)
     written = [cfg.out_csv]

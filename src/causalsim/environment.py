@@ -14,9 +14,9 @@ An action reaches the truth only by graph surgery
 surgered truth per action. Stepping the environment samples the
 action's surgered truth and pays the utility of the realized target
 state. :func:`draw` is the batched step: one outcome per replication,
-each under its own action. Surgery shares every unforced compiled
-table with the truth, so only a variable that some actions force and
-others do not gets a block of cumulative rows per action.
+each under its own action, from tables built for the whole menu by
+the builder behind :func:`~causalsim.cgm.sample`. Only a variable that
+some actions force and others do not gets rows per action.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .cgm import CausalModel, _check_forces, _cumulative_rows, ensure_valid, intervene, interventional_marginal, sample
+from .cgm import CausalModel, _check_forces, _sampling_tables, ensure_valid, intervene, interventional_marginal, sample
 from . import model_io
 from .model_io import _expect
 
@@ -148,21 +148,7 @@ class Environment:
 
     @cached_property
     def _sampler(self) -> tuple:
-        # Per variable in topological order: (position, parent positions,
-        # strides, step, table). If every action forces the variable: None
-        # and each action's state code; if none does: 0 and the truth's rows;
-        # else the rows per action and the surgered truths' rows, by action.
-        graph, sampler = self.truth.graph, []
-        for pos, parents, strides, shape in graph._row_index:
-            spec = graph.variables[pos]
-            forced = [a.intervention.get(spec.name) for a in self.actions]
-            if None not in forced:
-                sampler.append((pos, (), (), None, np.array([spec.state_index[s] for s in forced], np.intp)))
-                continue
-            models = (self.truth,) if set(forced) == {None} else self._surgered
-            cum = _cumulative_rows(shape, [m.table(pos) for m in models])
-            sampler.append((pos, parents, strides, len(cum) // len(models) if len(models) > 1 else 0, cum))
-        return tuple(sampler)
+        return _sampling_tables(self.truth, [a.intervention for a in self.actions], self._surgered)
 
     @cached_property
     def _payoff(self) -> np.ndarray:
@@ -210,11 +196,17 @@ def draw(env: Environment, actions: np.ndarray, u: np.ndarray, out: np.ndarray |
     return x
 
 
-def _environment_block(
-    data: Any, doc: str
-) -> tuple[str, tuple[Action, ...], dict[str, float] | None, str | None]:
-    """Pull (target, actions, explicit utility, desired state) out of an
-    experiment document, checking structure only."""
+def environment_from_dict(truth: CausalModel, data: Any, *, doc: str = "$") -> Environment:
+    """Assemble an environment from a truth model and the environment
+    half of a parsed experiment document; ``doc`` prefixes error paths.
+
+    The document contributes the target, the action menu, and the
+    utility. The utility is either explicit under "utility" or, as a
+    shorthand, a "desired" target state paying 1 with every other state
+    paying 0. Unknown targets, actions that force the target, and
+    malformed documents are all rejected. The run-shape keys are
+    parsed by :func:`~causalsim.experiment.config_from_dict`.
+    """
     _expect(isinstance(data, dict), doc, "expected an object")
     target = data.get("target")
     _expect(isinstance(target, str), f"{doc}: target", "expected a string")
@@ -240,21 +232,6 @@ def _environment_block(
     desired = data.get("desired")
     _expect(desired is None or isinstance(desired, str), f"{doc}: desired", "expected a string")
     _expect(utility is not None or desired is not None, doc, "one of 'utility' or 'desired' is required")
-    return target, tuple(actions), utility, desired
-
-
-def environment_from_dict(truth: CausalModel, data: Any, *, doc: str = "$") -> Environment:
-    """Assemble an environment from a truth model and the environment
-    half of a parsed experiment document; ``doc`` prefixes error paths.
-
-    The document contributes the target, the action menu, and the
-    utility. The utility is either explicit under "utility" or, as a
-    shorthand, a "desired" target state paying 1 with every other state
-    paying 0. Unknown targets, actions that force the target, and
-    malformed documents are all rejected. The run-shape keys are
-    parsed by :func:`~causalsim.experiment.config_from_dict`.
-    """
-    target, actions, utility, desired = _environment_block(data, doc)
     spec = truth.graph.variable_map.get(target)
     if spec is None:
         raise ValueError(f"unknown-target: {target!r} is not in the model")
@@ -262,7 +239,7 @@ def environment_from_dict(truth: CausalModel, data: Any, *, doc: str = "$") -> E
         raise ValueError(f"illegal-state: desired state {desired!r} is not a state of {target}")
     if utility is None:
         utility = {s: (1.0 if s == desired else 0.0) for s in spec.states}
-    return Environment(truth=truth, actions=actions, target=target, utility=utility)
+    return Environment(truth=truth, actions=tuple(actions), target=target, utility=utility)
 
 
 def load_environment(model_path: str, experiment_path: str) -> Environment:

@@ -39,9 +39,9 @@ convergence check and the reports consume.
 from __future__ import annotations
 
 import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, partial
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -383,12 +383,9 @@ def _trial_arrays(env: Environment, cfg: ExperimentConfig, n: int) -> tuple[np.n
     return np.empty(shape, np.min_scalar_type(len(env.actions) - 1)), np.empty(shape)
 
 
-def _run_block(
-    env: Environment, cfg: ExperimentConfig, block: int, out: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _run_block(env: Environment, cfg: ExperimentConfig, block: int) -> tuple[np.ndarray, np.ndarray]:
     """Every agent's (actions, rewards), each (agents, replications,
-    rounds), for the replications of one block, written into ``out``
-    when given.
+    rounds), for the replications of one block.
 
     All agents advance in lockstep on one row per (agent, replication),
     agent-major, in one action and one outcome buffer, each policy bound
@@ -406,7 +403,7 @@ def _run_block(
     a, x = np.empty(k * n, np.intp), np.empty((k * n, len(env.truth.graph.variables)), np.intp)
     roster = [(p, a[i * n : (i + 1) * n], x[i * n : (i + 1) * n]) for i, p in enumerate(policies)]
     y = x[:, env.truth.graph._positions[env.target]]
-    actions, rewards = _trial_arrays(env, cfg, n) if out is None else out
+    actions, rewards = _trial_arrays(env, cfg, n)
     width = CHOICE_DRAWS + x.shape[1]
     chunk = _chunk_rounds(cfg, n, width)
     taken = np.empty((chunk, k * n), actions.dtype)
@@ -435,25 +432,24 @@ def run_experiment(
     """Run every configured agent for the configured replications.
 
     ``workers`` > 1 spreads the blocks of replications over at most that
-    many processes. Every block owns its streams and its rows of the
-    trial log, which is allocated once: a serial block writes its rows
-    in place, a worker's block is copied there as it arrives, and the
-    output is identical to a serial run, byte for byte once written.
+    many processes. Every block owns its streams and returns its rows,
+    which one loop copies into the trial log in block order, whether
+    the blocks ran here or in worker processes; so the output of a
+    pooled run is a serial run's, byte for byte once written.
     """
     if workers is not None and not (_whole(workers) and workers >= 1):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     blocks = range(-(-cfg.replications // BLOCK_SIZE))
     actions, rewards = _trial_arrays(env, cfg, cfg.replications)
-    rows = [slice(b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE) for b in blocks]
+    pool = nullcontext()
     if workers is not None and workers > 1 and len(blocks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(min(workers, len(blocks))) as pool:
-            for b, (a, r) in zip(blocks, pool.map(_run_block, repeat(env), repeat(cfg), blocks)):
-                actions[:, rows[b]], rewards[:, rows[b]] = a, r
-    else:
-        for b in blocks:
-            _run_block(env, cfg, b, (actions[:, rows[b]], rewards[:, rows[b]]))
+        pool = ProcessPoolExecutor(min(workers, len(blocks)))
+    with pool as executor:
+        for b, (a, r) in enumerate((executor.map if executor else map)(partial(_run_block, env, cfg), blocks)):
+            rows = slice(b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)
+            actions[:, rows], rewards[:, rows] = a, r
     log = TrialLog(
         tuple(a.label for a in env.actions),
         dict(zip(cfg.agents, actions)),

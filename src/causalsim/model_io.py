@@ -87,10 +87,10 @@ def _string_list(value: Any, path: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def graph_from_dict(data: Any, *, path: str = "$") -> CausalGraph:
+def graph_from_dict(data: Any) -> CausalGraph:
     """Parse the "variables" and "parents" sections into a graph."""
-    _expect(isinstance(data, dict), path, "expected an object")
-    _expect("variables" in data, path, "missing key 'variables'")
+    _expect(isinstance(data, dict), "$", "expected an object")
+    _expect("variables" in data, "$", "missing key 'variables'")
     raw_vars = data["variables"]
     _expect(isinstance(raw_vars, list) and raw_vars, "variables", "expected a non-empty list")
     specs = []

@@ -411,6 +411,27 @@ def test_a_run_too_large_to_allocate_is_an_input_error(capsys, monkeypatch, tmp_
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("via", ["--svg", "out_svg"])
+def test_simulate_refuses_an_svg_path_that_is_the_csv_path(capsys, tmp_path, via):
+    # Written in turn, the SVG would replace the CSV; the same file spelled
+    # another way is refused too, and nothing runs or is written.
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"kept")
+    doc = json.loads(Path(EXPERIMENT).read_text(encoding="utf-8"))
+    svg = str(tmp_path / "sub" / ".." / "x.csv")
+    if via == "out_svg":
+        doc["out_svg"] = svg
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["simulate", "--model", MODEL, "--experiment", str(exp), "--out", str(out), "--reps", "4", "--rounds", "5"]
+    (tmp_path / "sub").mkdir()
+    code, stdout, err = run_cli(capsys, *argv, *(["--svg", svg] if via == "--svg" else []))
+    assert code == 2
+    assert err == f"causalsim: error: same-output: the CSV and the SVG would both be written to {out}\n"
+    assert stdout == ""
+    assert out.read_bytes() == b"kept"
+
+
 def test_simulate_in_worker_processes_writes_the_serial_bytes(capsys, tmp_path):
     # 300 replications span two blocks, so --workers 2 starts two processes.
     args = ["simulate", "--model", MODEL, "--experiment", EXPERIMENT, "--rounds", "5", "--reps", "300"]
@@ -432,47 +453,60 @@ def test_simulate_reports_the_path_of_an_out_of_range_value(capsys, tmp_path):
     assert f"{exp}.agents.qlearning.alpha: learning rate must lie in (0, 1], got 5.0" in err
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    # The pool is imported only by a run that spreads blocks over workers.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    code = "import sys, causalsim.cli; print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
-
-
 def _modules_after(statement):
     """Run ``statement`` in a fresh interpreter. Returns each registered
     causalsim module with whether its body ran (one registered but not
     yet run is still a lazy module, not a plain ``types.ModuleType``),
-    and whether ``xml.etree`` was loaded."""
+    and the names of every module loaded."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = "\n".join([
         "import contextlib, io, sys, types",
         "with contextlib.redirect_stdout(io.StringIO()):",
         f"    {statement}",
         "print({n: type(m) is types.ModuleType for n, m in sys.modules.items() if n.split('.')[0] == 'causalsim'})",
-        "print('xml.etree' in sys.modules)",
+        "print(sorted(sys.modules))",
     ])
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
-    modules, xml = out.stdout.splitlines()
-    return ast.literal_eval(modules), xml == "True"
+    modules, loaded = out.stdout.splitlines()
+    return ast.literal_eval(modules), set(ast.literal_eval(loaded))
+
+
+def _pool_modules(loaded):
+    return {m for m in loaded if m.startswith(("concurrent", "multiprocessing"))}
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # The pool is imported only by a run that spreads blocks over workers.
+    assert not _pool_modules(_modules_after("import causalsim.cli")[1])
+
+
+@pytest.mark.parametrize("command", ["simulate", "best-action"])
+def test_a_serial_run_loads_no_process_pool(tmp_path, command):
+    # 300 replications span two blocks; without --workers they run here,
+    # through the same block loop a pooled run uses.
+    argv = [command, "--model", MODEL, "--experiment", EXPERIMENT]
+    if command == "simulate":
+        argv += ["--reps", "300", "--rounds", "3", "--out", str(tmp_path / "x.csv")]
+    _, loaded = _modules_after(f"import causalsim; assert causalsim.cli_main({argv!r}) == 0")
+    assert not _pool_modules(loaded)
+    assert (tmp_path / "x.csv").exists() == (command == "simulate")
 
 
 def test_query_runs_only_cgm_model_io_and_cli():
     argv = ["query", "--model", MODEL, "--do", "T=1", "--target", "Y=1"]
-    modules, xml = _modules_after(f"import causalsim; causalsim.cli_main({argv!r})")
+    modules, loaded = _modules_after(f"import causalsim; causalsim.cli_main({argv!r})")
     assert {n for n, ran in modules.items() if ran} == {"causalsim", "causalsim.cgm", "causalsim.cli", "causalsim.model_io"}
-    assert not xml
+    assert "xml.etree" not in loaded
 
 
 def test_best_action_runs_only_the_decision_problem():
     # The learners (agents, beliefs) and the writers (reporting) stay lazy.
     argv = ["best-action", "--model", MODEL, "--experiment", EXPERIMENT]
-    modules, xml = _modules_after(f"import causalsim; causalsim.cli_main({argv!r})")
+    modules, loaded = _modules_after(f"import causalsim; causalsim.cli_main({argv!r})")
     assert {n for n, ran in modules.items() if ran} == {
         "causalsim", "causalsim.cgm", "causalsim.cli", "causalsim.environment", "causalsim.experiment", "causalsim.model_io",
     }  # fmt: skip
-    assert not xml
+    assert "xml.etree" not in loaded
 
 
 def test_loading_an_experiment_validates_the_model_once(monkeypatch):
@@ -534,9 +568,9 @@ def test_a_module_whose_body_raises_raises_its_own_error_on_every_access(tmp_pat
 def test_importing_the_package_registers_every_submodule_and_runs_none():
     # A tool that reads sys.modules["causalsim.<module>"] after
     # ``import causalsim`` finds every module of the package there.
-    modules, xml = _modules_after("import causalsim")
+    modules, loaded = _modules_after("import causalsim")
     assert modules == {"causalsim": True, **{f"causalsim.{m}": False for m in causalsim._EXPORTS}}
-    assert not xml
+    assert "xml.etree" not in loaded
 
 
 def test_every_public_name_resolves_to_its_home_module():
