@@ -96,8 +96,10 @@ MAX_FACTOR_STATES = 2**20
 # states, so under the factor cap a step spans at most 21 variables.
 _EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
-# np.einsum takes at most 31 operands on numpy 1.x (63 on 2.x).
+# np.einsum takes at most 31 operands on numpy 1.x (63 on 2.x). Plans
+# call its kernel directly, past the ``__array_function__`` dispatch.
 _MAX_OPERANDS = 31
+_einsum = getattr(np.einsum, "_implementation", np.einsum)
 
 # A (possibly partial) mapping from variable name to state label.
 Assignment = Mapping[str, str]
@@ -479,9 +481,9 @@ class _Plan:
         last step writes the answer into ``out`` when it is given."""
         slots = list(operands)
         for used, subscripts in self.steps[:-1]:
-            slots.append(np.einsum(subscripts, *[slots[i] for i in used]))
+            slots.append(_einsum(subscripts, *[slots[i] for i in used]))
         used, subscripts = self.steps[-1]
-        return np.einsum(subscripts, *[slots[i] for i in used], out=out)
+        return _einsum(subscripts, *[slots[i] for i in used], out=out)
 
 
 def _plan(graph: CausalGraph, forced: frozenset[str], evidence: frozenset[str], targets: tuple[str, ...]) -> _Plan:

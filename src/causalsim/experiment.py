@@ -348,19 +348,22 @@ def _uniform_chunks(cfg: ExperimentConfig, block: int, n: int, width: int) -> It
     many replications follow it in the block. Replication r's round t
     starts at draw (r * rounds + t) * width of its agent's stream, and
     each read first advances the stream to there (PCG64 spends one step
-    per double, so advancing by k skips k uniforms).
+    per double, so advancing by k skips k uniforms). When one chunk holds
+    every round, an agent's n rows lie back to back in its stream as in
+    the chunk, so one read fills them all.
     """
     streams = [_block_stream(cfg.seed, block, label) for label in cfg.agents]
     at = [0] * len(streams)
     chunk = _chunk_rounds(cfg, n, width)
+    stride = n if chunk == cfg.rounds else 1
     for t0 in range(0, cfg.rounds, chunk):
         u = np.empty((len(streams) * n, min(chunk, cfg.rounds - t0), width))
         for i, stream in enumerate(streams):
-            for r in range(n):
+            for r in range(0, n, stride):
                 start = (r * cfg.rounds + t0) * width
                 stream.bit_generator.advance((start - at[i]) % 2**128)
-                stream.random(out=u[i * n + r])
-                at[i] = start + u[0].size
+                stream.random(out=(rows := u[i * n + r : i * n + r + stride]))
+                at[i] = start + rows.size
         yield u
 
 

@@ -8,15 +8,16 @@ in the order the series are passed:
     ...
 
 Values carry ten decimal places and lines end with LF regardless of
-platform, so identical inputs always produce identical bytes.
+platform, so identical inputs always produce identical bytes. The layout
+has no quoting, so a label holding a comma or a line break is refused.
 
 The SVG is a self-contained line chart: one polyline per agent over the
-per-round mean series, labeled axes, and a legend.
+per-round mean series, labeled axes, and a legend, written as plain
+text, so its bytes do not depend on the ElementTree of the Python in use.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from typing import Sequence
 
 from .experiment import RoundSeries
@@ -47,18 +48,11 @@ def _check_series(series: Sequence[RoundSeries]) -> int:
 def write_csv(series: Sequence[RoundSeries], path: str) -> None:
     """Emit the aggregate curves; see the module docstring for layout."""
     rounds = _check_series(series)
+    if bad := [s.label for s in series if any(c in s.label for c in ",\r\n")]:
+        raise ValueError(f"csv-label: the label {bad[0]!r} holds a comma or a line break")
+    rows = [f"{t + 1},{s.label},{s.values[t]:.10f},{s.cumulative[t]:.10f}" for t in range(rounds) for s in series]
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(CSV_HEADER + "\n")
-        for t in range(rounds):
-            for s in series:
-                f.write(f"{t + 1},{s.label},{s.values[t]:.10f},{s.cumulative[t]:.10f}\n")
-
-
-def _x_scale(rounds: int) -> tuple[float, float]:
-    span = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
-    if rounds == 1:
-        return _MARGIN_LEFT + span / 2.0, 0.0
-    return _MARGIN_LEFT, span / (rounds - 1)
+        f.write("\n".join([CSV_HEADER, *rows, ""]))
 
 
 def write_svg(series: Sequence[RoundSeries], path: str) -> None:
@@ -74,34 +68,31 @@ def write_svg(series: Sequence[RoundSeries], path: str) -> None:
     lo, hi = lo - pad, hi + pad
 
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
-    x0, xstep = _x_scale(rounds)
-
-    def xpix(t: int) -> float:
-        return x0 + xstep * t
+    span = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    x0, xstep = (_MARGIN_LEFT + span / 2.0, 0.0) if rounds == 1 else (_MARGIN_LEFT, span / (rounds - 1))
 
     def ypix(v: float) -> float:
         return _MARGIN_TOP + (hi - v) / (hi - lo) * plot_h
 
-    svg = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "width": str(_WIDTH),
-            "height": str(_HEIGHT),
-            "viewBox": f"0 0 {_WIDTH} {_HEIGHT}",
-        },
-    )
-    ET.SubElement(svg, "rect", {"width": str(_WIDTH), "height": str(_HEIGHT), "fill": "white"})
+    # Each x coordinate, and each distinct value, is formatted once.
+    xs = [f"{x0 + xstep * t:.2f}" for t in range(rounds)]
+    ys = {v: f"{ypix(v):.2f}" for v in {v for s in series for v in s.values}}
+    out = [
+        "<?xml version='1.0' encoding='utf-8'?>",
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'  <rect width="{_WIDTH}" height="{_HEIGHT}" fill="white" />',
+    ]
 
-    # Coordinates are ints or preformatted strings; attributes are written
-    # in insertion order, so the order here is the order in the file.
     def line(x1, y1, x2, y2, stroke="black", width="1") -> None:
-        ends = {"x1": x1, "y1": y1, "x2": x2, "y2": y2}
-        ET.SubElement(svg, "line", {k: str(v) for k, v in ends.items()} | {"stroke": stroke, "stroke-width": width})
+        out.append(f'  <line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="{width}" />')
 
-    def text(x, y, label, size, anchor=None, **extra) -> None:
-        attrs = {"x": str(x), "y": str(y)} | ({"text-anchor": anchor} if anchor else {})
-        ET.SubElement(svg, "text", attrs | {"font-family": "sans-serif", "font-size": size} | extra).text = label
+    # Label text is escaped as ElementTree escapes it; an empty label
+    # closes its own tag.
+    def text(x, y, label, size, anchor=None, transform=None) -> None:
+        tag = f'  <text x="{x}" y="{y}"' + (f' text-anchor="{anchor}"' if anchor else "")
+        tag += f' font-family="sans-serif" font-size="{size}"' + (f' transform="{transform}"' if transform else "")
+        body = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        out.append(f"{tag}>{body}</text>" if body else f"{tag} />")
 
     x_axis_y = _HEIGHT - _MARGIN_BOTTOM
     line(_MARGIN_LEFT, x_axis_y, _WIDTH - _MARGIN_RIGHT, x_axis_y)
@@ -110,12 +101,12 @@ def write_svg(series: Sequence[RoundSeries], path: str) -> None:
     # Axis titles.
     text(f"{(_MARGIN_LEFT + _WIDTH - _MARGIN_RIGHT) / 2:.1f}", _HEIGHT - 12, "round", "14", "middle")
     mid = f"{(_MARGIN_TOP + x_axis_y) / 2:.1f}"
-    text(18, mid, "mean reward", "14", "middle", transform=f"rotate(-90 18 {mid})")
+    text(18, mid, "mean reward", "14", "middle", f"rotate(-90 18 {mid})")
 
     # A handful of ticks on each axis.
     tick_rounds = sorted({1, max(1, rounds // 4), max(1, rounds // 2), max(1, 3 * rounds // 4), rounds})
     for t in tick_rounds:
-        x = f"{xpix(t - 1):.1f}"
+        x = f"{x0 + xstep * (t - 1):.1f}"
         line(x, x_axis_y, x, x_axis_y + 5)
         text(x, x_axis_y + 20, str(t), "12", "middle")
     for i in range(5):
@@ -126,14 +117,14 @@ def write_svg(series: Sequence[RoundSeries], path: str) -> None:
 
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(f"{xpix(t):.2f},{ypix(v):.2f}" for t, v in enumerate(s.values))
-        ET.SubElement(svg, "polyline", {"points": points, "fill": "none", "stroke": color, "stroke-width": "1.5"})
+        points = " ".join([f"{x},{ys[v]}" for x, v in zip(xs, s.values)])
+        out.append(f'  <polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5" />')
         # Legend entry.
         ly = _MARGIN_TOP + 10 + 22 * i
         lx = _WIDTH - _MARGIN_RIGHT + 16
         line(lx, ly, lx + 26, ly, color, "2")
         text(lx + 32, ly + 4, s.label, "13")
 
-    tree = ET.ElementTree(svg)
-    ET.indent(tree)
-    tree.write(path, encoding="utf-8", xml_declaration=True)
+    # A lone surrogate in a label becomes a character reference.
+    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace", newline="") as f:
+        f.write("\n".join([*out, "</svg>"]))

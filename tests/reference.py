@@ -1,6 +1,7 @@
 """The library's earlier round kernels, kept as references for the flat
 row layout and the column-wise normalizations that replaced them, plus
-a generator of models with zero-mass entries for comparing the two.
+a generator of models with zero-mass entries for comparing the two, and
+the earlier CSV and SVG writers.
 
 Each function keeps the arithmetic of the code it stands for: ``draw``
 gathers every variable's cumulative rows with one multi-array index
@@ -9,7 +10,9 @@ at a time, ``min_fill`` recomputes every fill-in count at each
 elimination step, and ``posterior`` and ``expected_utilities`` reduce
 over the state axis with ``sum``. The tests require the library to give
 exactly the same codes, counts, elimination plans, means and expected
-utilities.
+utilities. ``write_csv`` writes one line at a time and ``write_svg``
+builds, indents and serializes an ElementTree; the tests require the
+library's writers to give exactly the same bytes.
 """
 
 from __future__ import annotations
@@ -17,12 +20,24 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Iterator, Mapping
+import xml.etree.ElementTree as ET
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from causalsim import Action, Environment
+from causalsim import Action, Environment, RoundSeries
 from causalsim.cgm import CausalGraph, CausalModel, Cpt, VariableSpec, cumulative
+from causalsim.reporting import (
+    _HEIGHT,
+    _MARGIN_BOTTOM,
+    _MARGIN_LEFT,
+    _MARGIN_RIGHT,
+    _MARGIN_TOP,
+    _PALETTE,
+    _WIDTH,
+    CSV_HEADER,
+    _check_series,
+)
 
 
 def _sampling_order(graph: CausalGraph) -> list[tuple[int, tuple[int, ...]]]:
@@ -142,3 +157,98 @@ def sparse_model(rnd: random.Random, max_vars: int = 6) -> CausalModel:
         cpts[v] = Cpt(v, rows)
     declared = rnd.sample(names, n)
     return CausalModel(CausalGraph(tuple(VariableSpec(v, states[v]) for v in declared), parents), cpts)
+
+
+def write_csv(series: Sequence[RoundSeries], path: str) -> None:
+    """Emit the aggregate curves; see the module docstring for layout."""
+    rounds = _check_series(series)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(CSV_HEADER + "\n")
+        for t in range(rounds):
+            for s in series:
+                f.write(f"{t + 1},{s.label},{s.values[t]:.10f},{s.cumulative[t]:.10f}\n")
+
+
+def _x_scale(rounds: int) -> tuple[float, float]:
+    span = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    if rounds == 1:
+        return _MARGIN_LEFT + span / 2.0, 0.0
+    return _MARGIN_LEFT, span / (rounds - 1)
+
+
+def write_svg(series: Sequence[RoundSeries], path: str) -> None:
+    """Plot the per-round mean series as one polyline per agent."""
+    rounds = _check_series(series)
+
+    lo = min(min(s.values) for s in series)
+    hi = max(max(s.values) for s in series)
+    if hi - lo < 1e-12:
+        # Flat data still deserves a visible horizontal line.
+        lo, hi = lo - 0.5, hi + 0.5
+    pad = 0.05 * (hi - lo)
+    lo, hi = lo - pad, hi + pad
+
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+    x0, xstep = _x_scale(rounds)
+
+    def xpix(t: int) -> float:
+        return x0 + xstep * t
+
+    def ypix(v: float) -> float:
+        return _MARGIN_TOP + (hi - v) / (hi - lo) * plot_h
+
+    svg = ET.Element(
+        "svg",
+        {
+            "xmlns": "http://www.w3.org/2000/svg",
+            "width": str(_WIDTH),
+            "height": str(_HEIGHT),
+            "viewBox": f"0 0 {_WIDTH} {_HEIGHT}",
+        },
+    )
+    ET.SubElement(svg, "rect", {"width": str(_WIDTH), "height": str(_HEIGHT), "fill": "white"})
+
+    # Coordinates are ints or preformatted strings; attributes are written
+    # in insertion order, so the order here is the order in the file.
+    def line(x1, y1, x2, y2, stroke="black", width="1") -> None:
+        ends = {"x1": x1, "y1": y1, "x2": x2, "y2": y2}
+        ET.SubElement(svg, "line", {k: str(v) for k, v in ends.items()} | {"stroke": stroke, "stroke-width": width})
+
+    def text(x, y, label, size, anchor=None, **extra) -> None:
+        attrs = {"x": str(x), "y": str(y)} | ({"text-anchor": anchor} if anchor else {})
+        ET.SubElement(svg, "text", attrs | {"font-family": "sans-serif", "font-size": size} | extra).text = label
+
+    x_axis_y = _HEIGHT - _MARGIN_BOTTOM
+    line(_MARGIN_LEFT, x_axis_y, _WIDTH - _MARGIN_RIGHT, x_axis_y)
+    line(_MARGIN_LEFT, _MARGIN_TOP, _MARGIN_LEFT, x_axis_y)
+
+    # Axis titles.
+    text(f"{(_MARGIN_LEFT + _WIDTH - _MARGIN_RIGHT) / 2:.1f}", _HEIGHT - 12, "round", "14", "middle")
+    mid = f"{(_MARGIN_TOP + x_axis_y) / 2:.1f}"
+    text(18, mid, "mean reward", "14", "middle", transform=f"rotate(-90 18 {mid})")
+
+    # A handful of ticks on each axis.
+    tick_rounds = sorted({1, max(1, rounds // 4), max(1, rounds // 2), max(1, 3 * rounds // 4), rounds})
+    for t in tick_rounds:
+        x = f"{xpix(t - 1):.1f}"
+        line(x, x_axis_y, x, x_axis_y + 5)
+        text(x, x_axis_y + 20, str(t), "12", "middle")
+    for i in range(5):
+        v = lo + (hi - lo) * i / 4.0
+        y = ypix(v)
+        line(_MARGIN_LEFT - 5, f"{y:.1f}", _MARGIN_LEFT, f"{y:.1f}")
+        text(_MARGIN_LEFT - 9, f"{y + 4:.1f}", f"{v:.3f}", "12", "end")
+
+    for i, s in enumerate(series):
+        color = _PALETTE[i % len(_PALETTE)]
+        points = " ".join(f"{xpix(t):.2f},{ypix(v):.2f}" for t, v in enumerate(s.values))
+        ET.SubElement(svg, "polyline", {"points": points, "fill": "none", "stroke": color, "stroke-width": "1.5"})
+        # Legend entry.
+        ly = _MARGIN_TOP + 10 + 22 * i
+        lx = _WIDTH - _MARGIN_RIGHT + 16
+        line(lx, ly, lx + 26, ly, color, "2")
+        text(lx + 32, ly + 4, s.label, "13")
+
+    tree = ET.ElementTree(svg)
+    ET.indent(tree)
+    tree.write(path, encoding="utf-8", xml_declaration=True)

@@ -492,6 +492,15 @@ def test_a_serial_run_loads_no_process_pool(tmp_path, command):
     assert (tmp_path / "x.csv").exists() == (command == "simulate")
 
 
+def test_simulate_writes_its_svg_without_loading_xml(tmp_path):
+    # The SVG is written as text; no XML library is loaded to write it.
+    out, svg = tmp_path / "x.csv", tmp_path / "x.svg"
+    argv = ["simulate", "--model", MODEL, "--experiment", EXPERIMENT, "--reps", "2", "--rounds", "3", "--out", str(out), "--svg", str(svg)]
+    _, loaded = _modules_after(f"import causalsim; assert causalsim.cli_main({argv!r}) == 0")
+    assert not {m for m in loaded if m.startswith(("xml", "pyexpat"))}
+    assert svg.read_bytes().startswith(b"<?xml")
+
+
 def test_query_runs_only_cgm_model_io_and_cli():
     argv = ["query", "--model", MODEL, "--do", "T=1", "--target", "Y=1"]
     modules, loaded = _modules_after(f"import causalsim; causalsim.cli_main({argv!r})")

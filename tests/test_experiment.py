@@ -298,6 +298,15 @@ def test_uniform_chunks_read_the_one_draw_layout(monkeypatch):
     assert np.array_equal(chunks, whole)
 
 
+def test_one_chunk_of_uniforms_reads_the_one_draw_layout():
+    # When every round fits one chunk, each agent's rows are read at once;
+    # they hold the same uniforms as one draw per agent.
+    cfg = small_config(rounds=17, seed=5)
+    (chunk,) = _uniform_chunks(cfg, 1, 3, 4)
+    whole = np.concatenate([_block_stream(5, 1, label).random((3, cfg.rounds, 4)) for label in cfg.agents])
+    assert np.array_equal(chunk, whole)
+
+
 def test_a_chunk_of_uniforms_fits_the_byte_budget():
     cfg = ExperimentConfig()  # three agents, 200 rounds
     # Medic (3 variables): a block's 200 rounds are one 6.1 MB chunk.

@@ -1,11 +1,16 @@
 """CSV and SVG emission for aggregate learning curves."""
 
 import hashlib
+import itertools
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalsim import ExperimentConfig, RoundSeries, run_experiment, write_csv, write_svg
+
+import reference
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -133,7 +138,8 @@ def _seven_series():
 
 
 # Each case reaches a branch that the pinned medic run in test_cli does
-# not: a flat range, the one-round x scale, a wrapped palette, escaping.
+# not: a flat range, the one-round x scale, a wrapped palette, escaping,
+# an empty label's self-closed tag, a lone surrogate's character reference.
 @pytest.mark.parametrize(
     "series, digest",
     [
@@ -157,9 +163,72 @@ def _seven_series():
             "6549b7825eb41d05170226f668060125e23c86316416ae733a5ec87a124bf9d4",
             id="escaped-label",
         ),
+        pytest.param(
+            (RoundSeries("", (0.25, 0.75), (0.25, 0.5)),),
+            "3084dad71673cf713faddec68ffe055628b77f458de7f55dff0ad0a4da8b86c3",
+            id="empty-label",
+        ),
+        pytest.param(
+            (RoundSeries("\u00e9\ud800", (0.25, 0.75), (0.25, 0.5)),),
+            "9504276ad40f8ffda015898412d3682141e977334fee242aed4d402b8322d869",
+            id="lone-surrogate",
+        ),
     ],
 )
 def test_svg_bytes_are_pinned(series, digest, tmp_path):
     path = tmp_path / "pinned.svg"
     write_svg(series, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mark", [",", "\r", "\n"])
+def test_csv_refuses_a_label_it_cannot_carry(mark, tmp_path):
+    # The layout has no quoting: such a label would add fields or rows.
+    series = (two_series()[0], RoundSeries(f"q{mark}x", (0.0, 1.0), (0.0, 0.5)))
+    with pytest.raises(ValueError, match="csv-label"):
+        write_csv(series, str(tmp_path / "x.csv"))
+    assert not (tmp_path / "x.csv").exists()
+    write_svg(series, str(tmp_path / "x.svg"))
+    assert "q" in [t.text[0] for t in ET.parse(str(tmp_path / "x.svg")).getroot().iter(f"{SVG_NS}text")]
+
+
+_LABELS = st.one_of(
+    st.sampled_from(["", "causal", 'a&b <c> "d"', "\x00\x01\x1f\x7f\t", "\U0001f600", "\u00e9\ud800", "\udfff"]),
+    st.text(st.characters(exclude_categories=()), max_size=6),
+)
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _curves(draw):
+    """1-8 series over 1-300 rounds. The values come from a small pool, as
+    means of few replications do; a flat chart has one value."""
+    rounds = draw(st.integers(1, 300))
+    pool = draw(st.lists(_VALUES, min_size=1, max_size=1 if draw(st.booleans()) else 6))
+    rnd = draw(st.randoms(use_true_random=False))
+    series = []
+    for _ in range(draw(st.integers(1, 8))):
+        values = tuple(rnd.choice(pool) for _ in range(rounds))
+        cumulative = tuple(total / (t + 1) for t, total in enumerate(itertools.accumulate(values)))
+        series.append(RoundSeries(draw(_LABELS), values, cumulative))
+    return tuple(series)
+
+
+def _written(writer, series, path):
+    """The bytes ``writer`` leaves at ``path``, or the type of its error."""
+    try:
+        writer(series, str(path))
+    # UnicodeEncodeError: a lone surrogate in a CSV label. ZeroDivisionError:
+    # a flat chart at 2**52 or more, whose +-0.5 margin rounds away.
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e)
+    return path.read_bytes()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(series=_curves())
+def test_writers_match_the_element_tree_references(series, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("writers")
+    assert _written(write_svg, series, tmp / "a.svg") == _written(reference.write_svg, series, tmp / "b.svg")
+    if not any(c in s.label for s in series for c in ",\r\n"):
+        assert _written(write_csv, series, tmp / "a.csv") == _written(reference.write_csv, series, tmp / "b.csv")
