@@ -147,17 +147,16 @@ class CountBeliefs:
     def __init__(self, graph: CausalGraph, alpha0: float, n: int, scored: Sequence[int] = ()):
         _check_prior(alpha0, graph)
         order = [*scored, *(i for i in range(len(graph.variables)) if i not in scored)]
-        layout = {pos: (parents, strides, shape) for pos, parents, strides, shape in graph._row_index}
         self.counts, self.means, self._buffers = [None] * len(order), [None] * len(order), []
-        for card in dict.fromkeys(layout[i][2][-1] for i in order):
-            group = [i for i in order if layout[i][2][-1] == card]
-            starts = np.cumsum([0] + [np.prod(layout[i][2][:-1], dtype=int) for i in group])
+        for card in dict.fromkeys(graph._layout[i][2][-1] for i in order):
+            group = [i for i in order if graph._layout[i][2][-1] == card]
+            starts = np.cumsum([0] + [np.prod(graph._layout[i][2][:-1], dtype=int) for i in group])
             counts = np.full((n, starts[-1], card), float(alpha0))
             means = np.empty((n, starts[len(set(group) & set(scored))], card))
             # Observed entries of replication r: x[r] @ matrix + base[r].
             matrix = np.zeros((len(order), len(group)))
             for k, (i, a, b) in enumerate(zip(group, starts, starts[1:])):
-                parents, strides, shape = layout[i]
+                parents, strides, shape, _ = graph._layout[i]
                 self.counts[i] = counts[:, a:b].reshape(n, *shape)
                 self.means[i] = means[:, a:b].reshape(n, *shape) if b <= means.shape[1] else None
                 matrix[[*parents, i], k] = [*np.multiply(strides, card), 1]

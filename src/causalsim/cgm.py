@@ -37,12 +37,12 @@ inverse CDF from its cumulative table (:func:`cumulative`): the state
 is the number of cumulative entries at or below a uniform draw.
 :func:`sample` (on one model) and the batched
 :func:`~causalsim.environment.draw` (on a truth under a menu of
-interventions) read the tables of one builder, :func:`_sampling_tables`.
-Actions reach sampling only through :func:`intervene`: the
-environment's ``step`` is :func:`sample` on a surgered truth. ``draw``
-looks up a variable every action forces (a point mass's inverse CDF
-is its forced state) and draws the rest from the truth's rows, or, if
-only some actions force one, from the surgered truths' rows.
+interventions) read the tables of one builder, :func:`_sampling_tables`,
+which builds no surgered model: forcing a variable only makes its table
+a point mass, whose inverse CDF is the forced state. So ``draw`` looks
+up a variable every action forces, and draws the rest from the truth's
+rows or, for one only some actions force, from a block of rows per
+action: the truth's, or the forced state's point mass.
 
 Models are plain dataclasses. Construction is permissive so that
 :func:`validate` can report every problem in one pass; the query and
@@ -161,24 +161,17 @@ class CausalGraph:
         return {n: i for i, n in enumerate(self.names)}
 
     @cached_property
-    def _row_index(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
-        """(position, parent positions, C-order parent strides, shape) per
-        table, in topological order; parent codes c are row sum(c[p] * stride)."""
-        index = []
-        for pos in map(self._positions.get, self.topological_order):
-            shape = self._table_layout[pos][2]
-            strides = tuple(math.prod(shape[k + 1 : -1]) for k in range(len(shape) - 1))
-            index.append((pos, tuple(map(self._positions.get, self.parents_of(self.names[pos]))), strides, shape))
-        return tuple(index)
-
-    @cached_property
-    def _table_layout(self) -> tuple[tuple[str, tuple[tuple[str, ...], ...], tuple[int, ...], int], ...]:
-        # Per variable: (name, parent configurations in row order, table
-        # shape, table size).
+    def _layout(self) -> tuple[tuple, ...]:
+        """Per table, in declaration order: (parent positions, C-order parent
+        strides, shape, parent configurations in row order); parent codes c
+        pick row sum(c[p] * stride)."""
         layout = []
         for v in self.variables:
-            shape = tuple(len(self.variable_map[p].states) for p in self.parents_of(v.name)) + (len(v.states),)
-            layout.append((v.name, tuple(parent_configurations(self, v.name)), shape, math.prod(shape)))
+            parents = self.parents_of(v.name)
+            shape = tuple(len(self.variable_map[p].states) for p in parents) + (len(v.states),)
+            strides = tuple(math.prod(shape[k + 1 : -1]) for k in range(len(parents)))
+            configs = tuple(parent_configurations(self, v.name))
+            layout.append((tuple(map(self._positions.get, parents)), strides, shape, configs))
         return tuple(layout)
 
     @cached_property
@@ -236,9 +229,10 @@ class CausalModel:
         once per model; the model must be valid."""
         table = self._compiled.get(position)
         if table is None:
-            name, configs, shape, size = self.graph._table_layout[position]
-            entries = itertools.chain.from_iterable(map(self.cpts[name].rows.__getitem__, configs))
-            table = self._compiled[position] = np.fromiter(entries, float, size).reshape(shape)
+            _, _, shape, configs = self.graph._layout[position]
+            rows = self.cpts[self.graph.names[position]].rows
+            entries = itertools.chain.from_iterable(map(rows.__getitem__, configs))
+            table = self._compiled[position] = np.fromiter(entries, float, math.prod(shape)).reshape(shape)
         return table
 
     @cached_property
@@ -251,7 +245,7 @@ class CausalModel:
     @cached_property
     def _sampler(self) -> tuple:
         # The model's own sampling tables: every variable takes its rows.
-        return _sampling_tables(self, ({},), ())
+        return _sampling_tables(self, ({},))
 
 
 @dataclass(frozen=True)
@@ -695,29 +689,25 @@ def cumulative(table: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _cumulative_rows(shape: tuple[int, ...], tables: list[np.ndarray]) -> np.ndarray:
-    """The :func:`cumulative` rows of one variable's ``tables``, broadcast
-    to ``shape`` and stacked as (tables x rows, states - 1), 1-D if
-    binary; the last column, always +inf, is dropped."""
-    cum = cumulative(np.stack([np.broadcast_to(t, shape) for t in tables]))
-    return np.ascontiguousarray(cum.reshape(-1, shape[-1])[:, 0 if shape[-1] == 2 else slice(-1)])
-
-
-def _sampling_tables(truth: CausalModel, interventions: Sequence[Intervention], surgered: Sequence[CausalModel]) -> tuple:
+def _sampling_tables(truth: CausalModel, interventions: Sequence[Intervention]) -> tuple:
     """Per variable in topological order: (position, parent positions,
-    strides, step, table). If every intervention forces the variable:
-    None and each one's state code; if none does: 0 and the truth's
-    rows; else the rows per intervention and the ``surgered`` truths'."""
+    strides, step, table). If every intervention forces it: None and each
+    one's state code. Else :func:`cumulative` rows as (blocks x rows,
+    states - 1), 1-D if binary, less the last, +inf column: if none forces
+    it, 0 and the truth's rows; else the rows per block and a block per
+    intervention, the truth's rows or the forced state's point mass."""
     graph, tables = truth.graph, []
-    for pos, parents, strides, shape in graph._row_index:
-        spec = graph.variables[pos]
+    for pos in map(graph._positions.get, graph.topological_order):
+        spec, (parents, strides, shape, _) = graph.variables[pos], graph._layout[pos]
         forced = [i.get(spec.name) for i in interventions]
         if None not in forced:
             tables.append((pos, (), (), None, np.array([spec.state_index[s] for s in forced], np.intp)))
             continue
-        models = (truth,) if set(forced) == {None} else surgered
-        cum = _cumulative_rows(shape, [m.table(pos) for m in models])
-        tables.append((pos, parents, strides, len(cum) // len(models) if len(models) > 1 else 0, cum))
+        forced = [None] if set(forced) == {None} else forced
+        blocks = [truth.table(pos) if s is None else np.eye(shape[-1])[spec.state_index[s]] for s in forced]
+        cum = cumulative(np.stack([np.broadcast_to(t, shape) for t in blocks])).reshape(-1, shape[-1])
+        cum = np.ascontiguousarray(cum[:, 0 if shape[-1] == 2 else slice(-1)])
+        tables.append((pos, parents, strides, len(cum) // len(blocks) if len(blocks) > 1 else 0, cum))
     return tuple(tables)
 
 

@@ -9,14 +9,14 @@ learners in :mod:`~causalsim.agents`, so solving the problem on the
 truth (``causalsim best-action``) runs neither ``agents`` nor
 ``beliefs``.
 
-An action reaches the truth only by graph surgery
-(:func:`~causalsim.cgm.intervene`), and the environment caches one
-surgered truth per action. Stepping the environment samples the
-action's surgered truth and pays the utility of the realized target
-state. :func:`draw` is the batched step: one outcome per replication,
-each under its own action, from tables built for the whole menu by
-the builder behind :func:`~causalsim.cgm.sample`. Only a variable that
-some actions force and others do not gets rows per action.
+An action acts on the truth only by ``do``, the truncated
+factorization. :func:`step`, the scalar reference, samples the
+action's surgered truth (:func:`~causalsim.cgm.intervene`), built on
+first use, and pays the utility of the realized target state.
+:func:`draw` is the batched step: one outcome per replication, each
+under its own action, from tables that the builder behind
+:func:`~causalsim.cgm.sample` makes from the truth and the menu alone.
+Only a variable some actions force and others do not gets rows per action.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .cgm import CausalModel, _check_forces, _sampling_tables, ensure_valid, intervene, interventional_marginal, sample
+from .cgm import CausalModel, _check_forces, _sampling_tables, check_assignment, ensure_valid, intervene
+from .cgm import interventional_marginal, sample
 from . import model_io
 from .model_io import _expect
 
@@ -139,16 +140,17 @@ class Environment:
             raise ValueError(f"unknown-target: {self.target!r} is not in the model")
         _check_action_set(self.actions, self.target)
         _check_utility(self.utility, spec.states, self.target)
-        self._surgered  # surgery checks each intervention against the truth
+        for a in self.actions:
+            check_assignment(self.truth.graph, a.intervention, "intervention")
 
     @cached_property
     def _surgered(self) -> tuple[CausalModel, ...]:
-        """The truth after each action's surgery, in menu order."""
+        """The truth after each action's surgery, in menu order; :func:`step` samples it."""
         return tuple(intervene(self.truth, a.intervention) for a in self.actions)
 
     @cached_property
     def _sampler(self) -> tuple:
-        return _sampling_tables(self.truth, [a.intervention for a in self.actions], self._surgered)
+        return _sampling_tables(self.truth, [a.intervention for a in self.actions])
 
     @cached_property
     def _payoff(self) -> np.ndarray:
@@ -178,7 +180,7 @@ def draw(env: Environment, actions: np.ndarray, u: np.ndarray, out: np.ndarray |
     A variable every action forces is looked up by action; its uniform
     goes unread. Any other takes the number of entries at or below its
     uniform in the row ``sum(parent code * stride)``
-    (``CausalGraph._row_index``) of the truth's cumulative rows, or, if
+    (``CausalGraph._layout``) of the truth's cumulative rows, or, if
     only some actions force it, in the block of rows of its action.
     """
     actions = np.asarray(actions, np.intp)

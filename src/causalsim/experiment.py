@@ -444,6 +444,10 @@ def run_experiment(
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     blocks = range(-(-cfg.replications // BLOCK_SIZE))
     actions, rewards = _trial_arrays(env, cfg, cfg.replications)
+    # Refuse what would overflow: a sum of rewards over the replications or the rounds, or twice one.
+    top, n = max(abs(float(u)) for u in env.utility.values()), max(cfg.replications, cfg.rounds)
+    if not np.isfinite(top * 2.0 * n):
+        raise ValueError(f"utility-overflow: {n} rounds or replications of utility {top!r} overflow a float")
     pool = nullcontext()
     if workers is not None and workers > 1 and len(blocks) > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -51,8 +51,9 @@ def write_csv(series: Sequence[RoundSeries], path: str) -> None:
     if bad := [s.label for s in series if any(c in s.label for c in ",\r\n")]:
         raise ValueError(f"csv-label: the label {bad[0]!r} holds a comma or a line break")
     rows = [f"{t + 1},{s.label},{s.values[t]:.10f},{s.cumulative[t]:.10f}" for t in range(rounds) for s in series]
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("\n".join([CSV_HEADER, *rows, ""]))
+    data = "\n".join([CSV_HEADER, *rows, ""]).encode("utf-8")  # a label it cannot encode leaves the file as it was
+    with open(path, "wb") as f:
+        f.write(data)
 
 
 def write_svg(series: Sequence[RoundSeries], path: str) -> None:
@@ -62,8 +63,10 @@ def write_svg(series: Sequence[RoundSeries], path: str) -> None:
     lo = min(min(s.values) for s in series)
     hi = max(max(s.values) for s in series)
     if hi - lo < 1e-12:
-        # Flat data still deserves a visible horizontal line.
-        lo, hi = lo - 0.5, hi + 0.5
+        # Flat data still deserves a visible horizontal line; from 2**39 on,
+        # the margin grows with the value, so that it cannot round away.
+        margin = max(0.5, abs(lo) * 2.0**-40)
+        lo, hi = lo - margin, hi + margin
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
 

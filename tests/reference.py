@@ -64,7 +64,7 @@ def draw(env, actions: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def count_arrays(graph: CausalGraph, alpha0: float, n: int) -> list[np.ndarray]:
     """One (n, parent cardinalities..., cardinality) array per variable."""
-    return [np.full((n, *shape), float(alpha0)) for _, _, shape, _ in graph._table_layout]
+    return [np.full((n, *shape), float(alpha0)) for _, _, shape, _ in graph._layout]
 
 
 def update_counts(counts: list[np.ndarray], graph: CausalGraph, x: np.ndarray, free: np.ndarray) -> None:
@@ -184,7 +184,7 @@ def write_svg(series: Sequence[RoundSeries], path: str) -> None:
     hi = max(max(s.values) for s in series)
     if hi - lo < 1e-12:
         # Flat data still deserves a visible horizontal line.
-        lo, hi = lo - 0.5, hi + 0.5
+        lo, hi = lo - max(0.5, abs(lo) * 2.0**-40), hi + max(0.5, abs(lo) * 2.0**-40)
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
 

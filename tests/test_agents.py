@@ -225,7 +225,7 @@ def _count_arrays(beliefs):
     """The dict-based pseudo-counts as one array per CPT, in table layout."""
     return [
         np.array([beliefs.counts[name][c] for c in configs]).reshape(shape)
-        for name, configs, shape, _ in beliefs.graph._table_layout
+        for name, (_, _, shape, configs) in zip(beliefs.graph.names, beliefs.graph._layout)
     ]
 
 
@@ -278,7 +278,7 @@ def test_batched_causal_choice_equals_best_action_on_the_posterior_mean(medic_en
         beliefs = init_uniform(medic_env.truth.graph)
         rows = {
             name: dict(zip(configs, map(tuple, batch.beliefs.counts[pos][r].reshape(-1, shape[-1]).tolist())))
-            for pos, (name, configs, shape, _) in enumerate(beliefs.graph._table_layout)
+            for pos, (name, (_, _, shape, configs)) in enumerate(zip(beliefs.graph.names, beliefs.graph._layout))
         }
         model = posterior_mean(BeliefState(beliefs.graph, rows))
         assert chosen[r] == best_action(model, medic_env.actions, medic_env.target, medic_env.utility)

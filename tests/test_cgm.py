@@ -115,6 +115,21 @@ def test_validate_reports_missing_row_and_extras(medic_model):
     assert codes == {"missing-cpt-row", "unexpected-cpt-row"}
 
 
+def test_validate_reports_what_the_loader_refuses_before_it():
+    # model_io refuses each of these documents itself, so only a model
+    # built in code reaches these branches of validate.
+    graph = CausalGraph(tuple(VariableSpec(n, ("0", "1")) for n in "ABC"), {"B": ("A", "A"), "Z": ("A",)})
+    tables = {"A": {(): (0.5, 0.3, 0.2)}, "B": {}, "C": {(): (1.5, -0.5)}, "Q": {}}
+    model = CausalModel(graph, {n: Cpt(n, rows) for n, rows in tables.items()})
+    assert sorted(i.code for i in validate(model)) == [
+        "bad-row-length",
+        "duplicate-parent",
+        "entry-out-of-range",
+        "unexpected-cpt-table",
+        "unknown-variable",
+    ]
+
+
 def test_ensure_valid_validates_a_valid_model_once_and_an_invalid_one_every_time(monkeypatch, medic_model):
     calls = []
     monkeypatch.setattr(cgm, "validate", lambda model: calls.append(model) or validate(model))

@@ -6,7 +6,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -165,6 +167,57 @@ def test_an_input_that_scores_nonsense_is_refused_without_a_traceback(tmp_path, 
     banner = f"invalid input: {exp}.agents.causal.prior_alpha" if "agents" in edit else "error"
     assert done.stderr == f"causalsim: {banner}: {message}\n"
     assert done.stdout == ""
+
+
+def _simulate_with_utility(tmp_path, utility, *run):
+    """``simulate --svg`` in a fresh interpreter on the medic files, every
+    target state paying ``utility``: the finished process and the CSV and
+    SVG paths."""
+    doc = {**json.loads(Path(EXPERIMENT).read_text(encoding="utf-8")), "utility": {"0": utility, "1": utility}}
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps(doc), encoding="utf-8")
+    csv, svg = tmp_path / "x.csv", tmp_path / "x.svg"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = ["--model", MODEL, "--experiment", str(exp), "--out", str(csv), "--svg", str(svg), *run]
+    done = subprocess.run(
+        [sys.executable, "-m", "causalsim", "simulate", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    return done, csv, svg
+
+
+def _svg_coordinates(svg):
+    """Every number in the SVG's coordinate attributes and polyline points."""
+    attributes = re.findall(r' (?:x|y|x1|y1|x2|y2|points)="([^"]*)"', svg.read_text(encoding="utf-8"))
+    return [float(v) for a in attributes for v in re.split("[ ,]", a)]
+
+
+def test_a_flat_chart_of_a_huge_utility_is_drawn(tmp_path):
+    # At 2**52 and beyond, a fixed margin of 0.5 rounds away.
+    done, csv, svg = _simulate_with_utility(tmp_path, 1e16, "--reps", "2", "--rounds", "3")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    coordinates = _svg_coordinates(svg)
+    assert len(coordinates) > 3 * 3 * 2 and all(map(math.isfinite, coordinates))
+
+
+def test_a_utility_whose_means_overflow_is_refused_before_the_run(tmp_path):
+    done, csv, svg = _simulate_with_utility(tmp_path, 1e308, "--reps", "4", "--rounds", "3")
+    assert done.returncode == 2
+    # The whole of stderr: no traceback and no numpy overflow warning.
+    message = "utility-overflow: 4 rounds or replications of utility 1e+308 overflow a float"
+    assert done.stderr == f"causalsim: error: {message}\n"
+    assert done.stdout == ""
+    assert not csv.exists() and not svg.exists()
+
+    done, csv, svg = _simulate_with_utility(tmp_path, 1e305, "--reps", "4", "--rounds", "3")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    rows = [line.split(",") for line in csv.read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(rows) == 3 * 3 and all(math.isfinite(float(v)) for row in rows for v in row[2:])
+    assert all(map(math.isfinite, _svg_coordinates(svg)))
 
 
 # Flag values that are not what a flag asks for: empty, negative, zero,

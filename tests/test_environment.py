@@ -13,6 +13,7 @@ from causalsim import (
     CausalModel,
     Cpt,
     Environment,
+    ExperimentConfig,
     VariableSpec,
     FormatError,
     environment_block_to_dict,
@@ -21,6 +22,7 @@ from causalsim import (
     interventional_query,
     load_environment,
     query,
+    run_experiment,
     sample,
     save_model,
     step,
@@ -219,6 +221,20 @@ def test_draw_builds_no_sampling_tables_on_the_truth():
     env = load_environment(str(SAMPLE_DIR / "medic_model.json"), str(SAMPLE_DIR / "medic_experiment.json"))
     draw(env, np.array([0, 1]), np.full((2, 3), 0.5))
     assert "_sampler" not in env.truth.__dict__
+
+
+def test_no_surgered_truth_is_built_until_a_step():
+    # Construction checks each intervention against the truth, and draw
+    # builds its tables from the truth and the menu; only step samples a
+    # surgered truth.
+    env = load_environment(str(SAMPLE_DIR / "medic_model.json"), str(SAMPLE_DIR / "medic_experiment.json"))
+    assert "_surgered" not in env.__dict__
+    draw(env, np.array([0, 1]), np.full((2, 3), 0.5))
+    assert "_surgered" not in env.__dict__
+    run_experiment(env, ExperimentConfig(rounds=3, replications=2))
+    assert "_surgered" not in env.__dict__
+    step(env, env.actions[1], np.random.default_rng(0))
+    assert len(env.__dict__["_surgered"]) == len(env.actions)
 
 
 def test_batched_draw_frequencies_match_the_interventional_marginals(medic_env):
