@@ -61,11 +61,9 @@ _EXPORTS = {
         "beliefs_to_dict",
         "init_uniform",
         "posterior_mean",
-        "total_pseudo_count",
         "update",
     ),
     "agents": (
-        "AgentRecord",
         "causal_choose",
         "causal_learn",
         "q_choose",
@@ -91,7 +89,6 @@ _EXPORTS = {
         "ExperimentResult",
         "QLearningConfig",
         "RandomConfig",
-        "ReplicationLog",
         "RoundSeries",
         "TrialLog",
         "apply_overrides",

@@ -31,7 +31,6 @@ policy's ``epsilon`` rate, for every agent of the block in one step
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING, Any, Protocol, Sequence
 
@@ -46,7 +45,6 @@ if TYPE_CHECKING:
     from .experiment import CausalAgentConfig, QLearningConfig
 
 __all__ = [
-    "AgentRecord",
     "causal_choose",
     "causal_learn",
     "q_choose",
@@ -57,15 +55,6 @@ __all__ = [
     "QBatch",
     "RandomBatch",
 ]
-
-
-@dataclass(frozen=True)
-class AgentRecord:
-    """One round of one agent's history: what it did and what it got."""
-
-    round: int
-    action: str
-    reward: float
 
 
 def causal_choose(env: Environment, beliefs: BeliefState) -> int:

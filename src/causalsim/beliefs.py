@@ -51,7 +51,6 @@ __all__ = [
     "posterior_mean",
     "update",
     "CountBeliefs",
-    "total_pseudo_count",
     "beliefs_to_dict",
     "beliefs_from_dict",
 ]
@@ -180,11 +179,6 @@ class CountBeliefs:
         increment per buffer, at indices from one exact float product."""
         for flat, matrix, base, group, *_ in self._buffers:
             flat[(x @ matrix + base).astype(np.intp)] += free.take(group, axis=1)
-
-
-def total_pseudo_count(beliefs: BeliefState) -> float:
-    """Sum of every pseudo-count; grows by (variables - forced) per update."""
-    return sum(sum(row) for rows in beliefs.counts.values() for row in rows.values())
 
 
 def beliefs_to_dict(beliefs: BeliefState) -> dict[str, Any]:

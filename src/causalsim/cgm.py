@@ -214,10 +214,6 @@ class CausalModel:
     cpts: Mapping[str, Cpt]
 
     @cached_property
-    def topological_order(self) -> tuple[str, ...]:
-        return self.graph.topological_order
-
-    @cached_property
     def _compiled(self) -> dict[int, np.ndarray]:
         # Compiled CPTs by variable position, filled in by :meth:`table`.
         return {}

@@ -206,8 +206,9 @@ def environment_from_dict(truth: CausalModel, data: Any, *, doc: str = "$") -> E
     utility. The utility is either explicit under "utility" or, as a
     shorthand, a "desired" target state paying 1 with every other state
     paying 0. Unknown targets, actions that force the target, and
-    malformed documents are all rejected. The run-shape keys are
-    parsed by :func:`~causalsim.experiment.config_from_dict`.
+    malformed documents are all rejected, as a :class:`FormatError`
+    under ``doc``. The run-shape keys are parsed by
+    :func:`~causalsim.experiment.config_from_dict`.
     """
     _expect(isinstance(data, dict), doc, "expected an object")
     target = data.get("target")
@@ -235,13 +236,16 @@ def environment_from_dict(truth: CausalModel, data: Any, *, doc: str = "$") -> E
     _expect(desired is None or isinstance(desired, str), f"{doc}: desired", "expected a string")
     _expect(utility is not None or desired is not None, doc, "one of 'utility' or 'desired' is required")
     spec = truth.graph.variable_map.get(target)
-    if spec is None:
-        raise ValueError(f"unknown-target: {target!r} is not in the model")
-    if desired is not None and desired not in spec.state_index:
-        raise ValueError(f"illegal-state: desired state {desired!r} is not a state of {target}")
+    _expect(spec is not None, f"{doc}: target", f"unknown-target: {target!r} is not in the model")
+    ok = desired is None or desired in spec.state_index
+    _expect(ok, f"{doc}: desired", f"illegal-state: desired state {desired!r} is not a state of {target}")
     if utility is None:
         utility = {s: (1.0 if s == desired else 0.0) for s in spec.states}
-    return Environment(truth=truth, actions=tuple(actions), target=target, utility=utility)
+    ensure_valid(truth)  # a fault of the truth is not one of the document
+    try:
+        return Environment(truth=truth, actions=tuple(actions), target=target, utility=utility)
+    except ValueError as e:
+        raise model_io.FormatError(doc, str(e)) from None
 
 
 def load_environment(model_path: str, experiment_path: str) -> Environment:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -58,7 +58,6 @@ __all__ = [
     "AgentConfig",
     "ExperimentConfig",
     "RoundSeries",
-    "ReplicationLog",
     "TrialLog",
     "ExperimentResult",
     "default_agents",
@@ -190,20 +189,6 @@ class RoundSeries:
     cumulative: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class ReplicationLog:
-    """Per-round action labels and rewards of every agent, one replication."""
-
-    replication: int
-    actions: Mapping[str, tuple[str, ...]]
-    rewards: Mapping[str, tuple[float, ...]]
-
-    def agent_records(self, label: str) -> tuple[agents.AgentRecord, ...]:
-        """The replication's history for one agent as round records."""
-        pairs = zip(self.actions[label], self.rewards[label])
-        return tuple(agents.AgentRecord(t, a, r) for t, (a, r) in enumerate(pairs, start=1))
-
-
 @dataclass(frozen=True, eq=False)
 class TrialLog:
     """Every replication's full history, as arrays.
@@ -211,39 +196,13 @@ class TrialLog:
     ``actions[label]`` holds one agent's action indices into
     ``action_labels`` and ``rewards[label]`` its rewards, both of shape
     (replications, rounds), replications in index order and agents in
-    roster order.
+    roster order. ``==`` is identity; compare two runs with
+    ``np.array_equal`` on their ``actions`` and ``rewards``.
     """
 
     action_labels: tuple[str, ...]
     actions: Mapping[str, np.ndarray]
     rewards: Mapping[str, np.ndarray]
-
-    @cached_property
-    def replications(self) -> tuple[ReplicationLog, ...]:
-        """The same history as one :class:`ReplicationLog` per replication."""
-        names = np.array(self.action_labels, dtype=object)
-        actions = {label: names[a].tolist() for label, a in self.actions.items()}
-        rewards = {label: r.tolist() for label, r in self.rewards.items()}
-        count = len(next(iter(self.rewards.values())))
-        return tuple(
-            ReplicationLog(
-                i,
-                {label: tuple(rows[i]) for label, rows in actions.items()},
-                {label: tuple(rows[i]) for label, rows in rewards.items()},
-            )
-            for i in range(count)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TrialLog):
-            return NotImplemented
-        return (
-            self.action_labels == other.action_labels
-            and list(self.actions) == list(other.actions)
-            and list(self.rewards) == list(other.rewards)
-            and all(np.array_equal(a, other.actions[k]) for k, a in self.actions.items())
-            and all(np.array_equal(r, other.rewards[k]) for k, r in self.rewards.items())
-        )
 
 
 @dataclass(frozen=True)

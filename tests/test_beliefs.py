@@ -16,7 +16,6 @@ from causalsim import (
     intervene,
     posterior_mean,
     sample,
-    total_pseudo_count,
     update,
 )
 from causalsim.beliefs import CountBeliefs
@@ -24,6 +23,11 @@ from causalsim.environment import draw
 
 import oracle
 import reference
+
+
+def total_pseudo_count(beliefs):
+    """Sum of every pseudo-count; grows by (variables - forced) per update."""
+    return sum(sum(row) for rows in beliefs.counts.values() for row in rows.values())
 
 
 def test_init_uniform_covers_every_row(medic_model):

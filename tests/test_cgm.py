@@ -156,7 +156,7 @@ def test_topological_order_sorts_shuffled_declarations():
     rnd = random.Random(11)
     for _ in range(25):
         model = oracle.random_model(rnd)
-        order = model.topological_order
+        order = model.graph.topological_order
         position = {n: i for i, n in enumerate(order)}
         for v in model.graph.variables:
             for p in model.graph.parents_of(v.name):
@@ -714,8 +714,8 @@ def test_batched_draw_matches_scalar_sampling_on_the_same_uniforms(data):
     cuts = [intervene(model, action.intervention) for action in actions]
     for row, k, codes in zip(u, a, x):
         cut = cuts[k]
-        by_name = dict(zip(model.topological_order, row))
-        got = sample(cut, _Uniforms([by_name[n] for n in cut.topological_order]))
+        by_name = dict(zip(model.graph.topological_order, row))
+        got = sample(cut, _Uniforms([by_name[n] for n in cut.graph.topological_order]))
         assert got == {v.name: v.states[c] for v, c in zip(model.graph.variables, codes)}
         assert joint_probability(cut, got) > 0.0
 

@@ -147,6 +147,20 @@ UTILITY_KEY = "illegal-state: utility key '2' is not a state of Y"
             {"agents": {"causal": {"prior_alpha": 1e308}}},
             "infinite-row-sum: 2 pseudo-counts of 1e+308 sum beyond float range",
         ),
+        # Python's json reads and writes the literal Infinity.
+        ("best-action", {"utility": {"0": 0, "1": math.inf}}, "utility of Y='1' must be finite"),
+        ("simulate", {"target": "Z"}, "target: unknown-target: 'Z' is not in the model"),
+        ("best-action", {"desired": "2"}, "desired: illegal-state: desired state '2' is not a state of Y"),
+        (
+            "simulate",
+            {"actions": [{"label": "a", "do": {"T": "0"}}, {"label": "a", "do": {"T": "1"}}]},
+            "duplicate action labels in the action set",
+        ),
+        (
+            "best-action",
+            {"actions": [{"label": "a", "do": {"Q": "0"}}]},
+            "unknown-variable: intervention names 'Q', which is not in the model",
+        ),
     ],
 )
 def test_an_input_that_scores_nonsense_is_refused_without_a_traceback(tmp_path, command, edit, message):
@@ -163,8 +177,9 @@ def test_an_input_that_scores_nonsense_is_refused_without_a_traceback(tmp_path, 
     )
     assert done.returncode == 2
     # The whole of stderr: no traceback and no numpy overflow warnings. The
-    # prior is a run-half value, refused at load under its path.
-    banner = f"invalid input: {exp}.agents.causal.prior_alpha" if "agents" in edit else "error"
+    # prior is a run-half value, refused at load under its path; a fault of
+    # the environment half is refused under the experiment file's path.
+    banner = f"invalid input: {exp}.agents.causal.prior_alpha" if "agents" in edit else f"invalid input: {exp}"
     assert done.stderr == f"causalsim: {banner}: {message}\n"
     assert done.stdout == ""
 

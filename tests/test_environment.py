@@ -16,7 +16,9 @@ from causalsim import (
     ExperimentConfig,
     VariableSpec,
     FormatError,
+    InvalidModelError,
     environment_block_to_dict,
+    environment_from_dict,
     intervene,
     interventional_marginal,
     interventional_query,
@@ -113,7 +115,7 @@ def test_step_draws_what_sampling_the_surgered_truth_draws(medic_env):
     abc = CausalGraph(tuple(VariableSpec(n, ("0", "1")) for n in "ABC"), {"B": ("A",)})
     rows = {"A": {(): (0.3, 0.7)}, "B": {("0",): (0.6, 0.4), ("1",): (0.2, 0.8)}, "C": {(): (0.5, 0.5)}}
     truth = CausalModel(abc, {n: Cpt(n, r) for n, r in rows.items()})
-    assert intervene(truth, {"B": "1"}).topological_order != truth.topological_order
+    assert intervene(truth, {"B": "1"}).graph.topological_order != truth.graph.topological_order
     envs.append(Environment(truth, (Action("set-b", {"B": "1"}),), "C", {"0": 0.0, "1": 1.0}))
     for env in envs:
         for i, action in enumerate(env.actions):
@@ -333,6 +335,13 @@ def test_load_environment_rejects_desired_outside_states(medic_env, tmp_path):
     doc = experiment_doc(desired="7")
     with pytest.raises(ValueError, match="illegal-state"):
         load_environment(*write_pair(tmp_path, medic_env, doc))
+
+
+def test_a_faulty_truth_is_its_own_error_not_one_of_the_document(medic_env):
+    # The document's faults are FormatErrors under its path; the truth's keep their issues.
+    cpts = {**medic_env.truth.cpts, "D": Cpt("D", {(): (0.5, 0.6)})}
+    with pytest.raises(InvalidModelError, match="row-not-normalized"):
+        environment_from_dict(CausalModel(medic_env.truth.graph, cpts), experiment_doc(), doc="exp.json")
 
 
 def test_load_environment_needs_utility_or_desired(medic_env, tmp_path):

@@ -50,6 +50,27 @@ def small_config(**kw):
     return ExperimentConfig(**defaults)
 
 
+def same_log(x, y):
+    """Whether two trial logs hold the same menu, roster and arrays."""
+    return (
+        x.action_labels == y.action_labels
+        and list(x.actions) == list(y.actions)
+        and list(x.rewards) == list(y.rewards)
+        and all(np.array_equal(a, y.actions[k]) for k, a in x.actions.items())
+        and all(np.array_equal(r, y.rewards[k]) for k, r in x.rewards.items())
+    )
+
+
+def same_run(a, b):
+    """Whether two results hold the same series and the same trial log."""
+    return a.series == b.series and same_log(a.trial_log, b.trial_log)
+
+
+def action_names(log, label, r):
+    """Replication r's action labels for one agent, round by round."""
+    return tuple(log.action_labels[i] for i in log.actions[label][r])
+
+
 # configuration
 
 
@@ -181,14 +202,14 @@ def test_single_round_single_replication(medic_env):
     cfg = ExperimentConfig(rounds=1, replications=1, seed=5)
     result = run_experiment(medic_env, cfg)
     assert len(result.series) == 3
-    log = result.trial_log.replications[0]
+    log = result.trial_log
     # fresh uniform beliefs tie both arms; the greedy causal agent
     # therefore opens with the first action in the menu
-    assert log.actions["causal"] == ("no-treatment",)
+    assert action_names(log, "causal", 0) == ("no-treatment",)
     for label in ("causal", "qlearning", "random"):
-        assert len(log.rewards[label]) == 1
+        assert len(log.rewards[label][0]) == 1
         series = result.series_for(label)
-        assert series.values == log.rewards[label]
+        assert series.values == tuple(log.rewards[label][0].tolist())
         assert series.cumulative == series.values
 
 
@@ -208,13 +229,13 @@ def test_series_shapes_and_cumulative_mean(medic_env):
 
 def test_same_seed_reproduces_everything(medic_env):
     cfg = small_config(rounds=15, replications=5, seed=123)
-    assert run_experiment(medic_env, cfg) == run_experiment(medic_env, cfg)
+    assert same_run(run_experiment(medic_env, cfg), run_experiment(medic_env, cfg))
 
 
 def test_different_seeds_diverge(medic_env):
     a = run_experiment(medic_env, small_config(seed=1))
     b = run_experiment(medic_env, small_config(seed=2))
-    assert a.trial_log != b.trial_log
+    assert not same_log(a.trial_log, b.trial_log)
 
 
 def test_trajectories_do_not_depend_on_roster_order(medic_env):
@@ -225,12 +246,10 @@ def test_trajectories_do_not_depend_on_roster_order(medic_env):
     a = run_experiment(medic_env, small_config(agents=full))
     b = run_experiment(medic_env, small_config(agents=reordered))
     for label in full:
-        for ra, rb in zip(a.trial_log.replications, b.trial_log.replications):
-            assert ra.rewards[label] == rb.rewards[label]
-            assert ra.actions[label] == rb.actions[label]
+        assert np.array_equal(a.trial_log.rewards[label], b.trial_log.rewards[label])
+        assert np.array_equal(a.trial_log.actions[label], b.trial_log.actions[label])
     alone = run_experiment(medic_env, small_config(agents={"qlearning": full["qlearning"]}))
-    for ra, rb in zip(a.trial_log.replications, alone.trial_log.replications):
-        assert ra.rewards["qlearning"] == rb.rewards["qlearning"]
+    assert np.array_equal(a.trial_log.rewards["qlearning"], alone.trial_log.rewards["qlearning"])
 
 
 @pytest.mark.parametrize("workers", [None, 2])
@@ -322,13 +341,13 @@ def test_parallel_run_matches_serial_run(medic_env):
     cfg = small_config(rounds=8, replications=10)
     serial = run_experiment(medic_env, cfg)
     parallel = run_experiment(medic_env, cfg, workers=3)
-    assert serial == parallel
+    assert same_run(serial, parallel)
 
 
 def test_blocks_in_worker_processes_match_a_serial_run(medic_env):
     # More replications than one block, so two worker processes start.
     cfg = small_config(rounds=5, replications=BLOCK_SIZE + 44)
-    assert run_experiment(medic_env, cfg) == run_experiment(medic_env, cfg, workers=2)
+    assert same_run(run_experiment(medic_env, cfg), run_experiment(medic_env, cfg, workers=2))
 
 
 def test_leading_replications_do_not_depend_on_the_replication_count(medic_env):
@@ -348,10 +367,10 @@ def test_trial_log_arrays_and_replication_views_agree(medic_env):
     for label in log.actions:
         assert log.actions[label].shape == log.rewards[label].shape == (3, 7)
         assert log.actions[label].itemsize == 1
-        for rep in log.replications:
-            names = [log.action_labels[i] for i in log.actions[label][rep.replication]]
-            assert rep.actions[label] == tuple(names)
-            assert rep.rewards[label] == tuple(log.rewards[label][rep.replication].tolist())
+        assert (log.actions[label].dtype, log.rewards[label].dtype) == (np.uint8, np.float64)
+        names = np.array(log.action_labels, dtype=object)[log.actions[label]]
+        for r in range(3):
+            assert action_names(log, label, r) == tuple(names[r])
         assert result.series_for(label).values == tuple(log.rewards[label].mean(axis=0).tolist())
 
 
@@ -452,8 +471,8 @@ def test_causal_exploration_rate_reaches_the_driver(medic_env):
     explore = small_config(
         rounds=40, replications=1, agents={"causal": CausalAgentConfig(epsilon=1.0)}
     )
-    log = run_experiment(medic_env, explore).trial_log.replications[0]
-    assert set(log.actions["causal"]) == {"no-treatment", "treatment"}
+    log = run_experiment(medic_env, explore).trial_log
+    assert set(action_names(log, "causal", 0)) == {"no-treatment", "treatment"}
 
 
 def test_q0_reaches_the_driver(medic_env):
@@ -462,17 +481,8 @@ def test_q0_reaches_the_driver(medic_env):
     cfg = small_config(
         rounds=30, replications=1, agents={"qlearning": QLearningConfig(epsilon=0.0, q0=1.0)}
     )
-    log = run_experiment(medic_env, cfg).trial_log.replications[0]
-    assert set(log.actions["qlearning"]) == {"no-treatment", "treatment"}
-
-
-def test_agent_records_are_one_indexed(medic_env):
-    cfg = small_config(rounds=3, replications=1)
-    log = run_experiment(medic_env, cfg).trial_log.replications[0]
-    records = log.agent_records("random")
-    assert [r.round for r in records] == [1, 2, 3]
-    assert [r.action for r in records] == list(log.actions["random"])
-    assert [r.reward for r in records] == list(log.rewards["random"])
+    log = run_experiment(medic_env, cfg).trial_log
+    assert set(action_names(log, "qlearning", 0)) == {"no-treatment", "treatment"}
 
 
 def test_series_for_unknown_label(medic_env):
