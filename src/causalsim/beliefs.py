@@ -197,9 +197,9 @@ def beliefs_from_dict(data: Any) -> BeliefState:
         for row in rows.values():
             if any(not 0.0 < c < np.inf for c in row):
                 raise model_io.FormatError(
-                    f"cpts.{name}", "pseudo-counts must be positive and finite in every entry"
+                    f"$.cpts.{name}", "pseudo-counts must be positive and finite in every entry"
                 )
             # posterior_mean divides by the row total, which must be finite too.
             if not sum(row) < np.inf:
-                raise model_io.FormatError(f"cpts.{name}", "pseudo-counts must have a finite sum in every row")
+                raise model_io.FormatError(f"$.cpts.{name}", "pseudo-counts must have a finite sum in every row")
     return BeliefState(graph, counts)

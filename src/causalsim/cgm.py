@@ -268,6 +268,14 @@ class InvalidModelError(ValueError):
         super().__init__("; ".join(str(i) for i in self.issues))
 
 
+class _FieldError(ValueError):
+    """A constructor's fault; ``field`` names the entry at fault, such as ``actions[1].label``."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 def _kahn_order(graph: CausalGraph) -> tuple[list[str], list[ValidationIssue]]:
     """Kahn topological sort. Returns (ordered names, the one
     ``cycle-detected`` issue naming the variables left over, or nothing).
@@ -418,7 +426,7 @@ def check_assignment(graph: CausalGraph, assignment: Assignment, role: str) -> N
 def _check_forces(intervention: Intervention) -> None:
     """Raise ``empty-intervention`` unless ``intervention`` forces some variable."""
     if not intervention:
-        raise ValueError("empty-intervention: at least one variable must be forced")
+        raise _FieldError("do", "empty-intervention: at least one variable must be forced")
 
 
 def _check_intervention(graph: CausalGraph, intervention: Intervention) -> None:
@@ -433,10 +441,10 @@ def _check_prior(alpha0: float, graph: CausalGraph | None = None) -> None:
     divides by. Here, not in ``beliefs``, so an agent config checks the weight
     and the command line checks it against the truth without running ``beliefs``."""
     if not (np.isfinite(alpha0) and alpha0 > 0.0):
-        raise ValueError(f"nonpositive-alpha: prior weight must be positive and finite, got {alpha0!r}")
+        raise _FieldError("prior_alpha", f"nonpositive-alpha: prior weight must be positive and finite, got {alpha0!r}")
     card = max((len(v.states) for v in graph.variables), default=1) if graph is not None else 1
     if not np.isfinite(float(alpha0) * card):
-        raise ValueError(f"infinite-row-sum: {card} pseudo-counts of {alpha0!r} sum beyond float range")
+        raise _FieldError("prior_alpha", f"infinite-row-sum: {card} pseudo-counts of {alpha0!r} sum beyond float range")
 
 
 @dataclass(frozen=True)

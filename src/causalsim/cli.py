@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 from . import environment, experiment, model_io, reporting
 from .cgm import InvalidModelError, _check_prior, interventional_query
-from .model_io import FormatError, load_model
+from .model_io import FormatError, _checked, load_model
 
 __all__ = ["cli_main", "main"]
 
@@ -56,16 +56,16 @@ def _assignment_pair(text: str) -> tuple[str, str]:
     return name, state
 
 
-def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
-    """An argparse type for integers of at least ``low``; ``kind`` names
-    that range in the error message."""
+def _int_in(kind: str, low: int, high: Callable[[], float] = lambda: float("inf")) -> Callable[[str], int]:
+    """An argparse type for integers from ``low`` to ``high()``, called only
+    when a value is parsed; ``kind`` names that range in the error message."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
+        if not low <= value <= high():
             raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
         return value
 
@@ -81,8 +81,9 @@ def _build_parser() -> _Parser:
     sim.add_argument("--experiment", required=True, help="experiment JSON file")
     sim.add_argument("--out", required=True, help="CSV output path")
     sim.add_argument("--svg", help="optional SVG chart path")
-    positive = _int_at_least(1, "positive")
-    sim.add_argument("--seed", type=_int_at_least(0, "non-negative"), help="override the master seed")
+    positive = _int_in("positive", 1)
+    seed = _int_in("64-bit unsigned", 0, lambda: experiment.MAX_SEED)  # so query never runs experiment
+    sim.add_argument("--seed", type=seed, help="override the master seed")
     sim.add_argument("--rounds", type=positive, help="override rounds per replication")
     sim.add_argument("--reps", type=positive, help="override the replication count")
     sim.add_argument("--workers", type=positive, help="run replications in this many processes")
@@ -114,10 +115,7 @@ def _load_experiment(ns: argparse.Namespace) -> tuple[environment.Environment, e
     env = environment.environment_from_dict(truth, data, doc=ns.experiment)
     cfg = experiment.config_from_dict(data, doc=ns.experiment)
     if "causal" in cfg.agents:
-        try:
-            _check_prior(cfg.agents["causal"].prior_alpha, truth.graph)
-        except ValueError as e:
-            raise FormatError(f"{ns.experiment}.agents.causal.prior_alpha", str(e)) from None
+        _checked(f"{ns.experiment}.agents.causal", _check_prior, cfg.agents["causal"].prior_alpha, truth.graph)
     return env, cfg
 
 

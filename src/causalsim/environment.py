@@ -28,10 +28,10 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .cgm import CausalModel, _check_forces, _sampling_tables, check_assignment, ensure_valid, intervene
-from .cgm import interventional_marginal, sample
-from . import model_io
-from .model_io import _expect
+from .cgm import CausalModel, _FieldError, _check_forces, _sampling_tables, check_assignment, ensure_valid
+from .cgm import intervene, interventional_marginal, sample
+from . import experiment, model_io
+from .model_io import _checked, _expect
 
 __all__ = [
     "Action",
@@ -60,31 +60,20 @@ class Action:
 
     def __post_init__(self) -> None:
         if not self.label:
-            raise ValueError("an action needs a non-empty label")
+            raise _FieldError("label", "an action needs a non-empty label")
         _check_forces(self.intervention)
-
-
-def _check_action_set(actions: Sequence[Action], target: str) -> None:
-    if not actions:
-        raise ValueError("empty-action-set: at least one action is required")
-    labels = [a.label for a in actions]
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate action labels in the action set")
-    for a in actions:
-        if target in a.intervention:
-            raise ValueError(f"action-intervenes-target: {a.label!r} forces {target}")
 
 
 def _check_utility(utility: UtilityFunction, states: Sequence[str], target: str) -> None:
     for key in utility:
         if key not in states:
-            raise ValueError(f"illegal-state: utility key {key!r} is not a state of {target}")
+            raise _FieldError(f"utility.{key}", f"illegal-state: utility key {key!r} is not a state of {target}")
     for s in states:
         u = utility.get(s)
         if u is None:
-            raise ValueError(f"utility does not cover state {s!r} of {target}")
+            raise _FieldError("utility", f"utility does not cover state {s!r} of {target}")
         if not math.isfinite(u):
-            raise ValueError(f"utility of {target}={s!r} must be finite")
+            raise _FieldError(f"utility.{s}", f"utility of {target}={s!r} must be finite")
 
 
 def expected_utility(
@@ -137,11 +126,20 @@ class Environment:
         ensure_valid(self.truth)
         spec = self.truth.graph.variable_map.get(self.target)
         if spec is None:
-            raise ValueError(f"unknown-target: {self.target!r} is not in the model")
-        _check_action_set(self.actions, self.target)
+            raise _FieldError("target", f"unknown-target: {self.target!r} is not in the model")
+        if not self.actions:
+            raise _FieldError("actions", "empty-action-set: at least one action is required")
+        labels = [a.label for a in self.actions]
+        for i, a in enumerate(self.actions):
+            if labels.index(a.label) < i:
+                raise _FieldError(f"actions[{i}].label", "duplicate action labels in the action set")
+            if self.target in a.intervention:
+                raise _FieldError(f"actions[{i}].do", f"action-intervenes-target: {a.label!r} forces {self.target}")
+            try:
+                check_assignment(self.truth.graph, a.intervention, "intervention")
+            except ValueError as e:
+                raise _FieldError(f"actions[{i}].do", str(e)) from None
         _check_utility(self.utility, spec.states, self.target)
-        for a in self.actions:
-            check_assignment(self.truth.graph, a.intervention, "intervention")
 
     @cached_property
     def _surgered(self) -> tuple[CausalModel, ...]:
@@ -198,54 +196,54 @@ def draw(env: Environment, actions: np.ndarray, u: np.ndarray, out: np.ndarray |
     return x
 
 
+def _check_keys(data: dict, doc: str) -> None:
+    """Refuse a key that neither half of an experiment file knows: the environment's four, or ExperimentConfig's fields."""
+    known = {"target", "desired", "actions", "utility", *experiment.ExperimentConfig.__dataclass_fields__}
+    _expect(set(data) <= known, doc, f"unknown keys: {', '.join(sorted(set(data) - known))}")
+
+
 def environment_from_dict(truth: CausalModel, data: Any, *, doc: str = "$") -> Environment:
     """Assemble an environment from a truth model and the environment
-    half of a parsed experiment document; ``doc`` prefixes error paths.
+    half of a parsed experiment document; ``doc`` starts error paths.
 
     The document contributes the target, the action menu, and the
     utility. The utility is either explicit under "utility" or, as a
     shorthand, a "desired" target state paying 1 with every other state
-    paying 0. Unknown targets, actions that force the target, and
-    malformed documents are all rejected, as a :class:`FormatError`
-    under ``doc``. The run-shape keys are parsed by
-    :func:`~causalsim.experiment.config_from_dict`.
+    paying 0. Malformed documents, keys that neither half knows and the
+    faults :class:`Action` and :class:`Environment` find are rejected as a
+    :class:`FormatError` at the entry, such as ``exp.json.actions[1].label``.
+    The run-shape keys are parsed by :func:`~causalsim.experiment.config_from_dict`.
     """
     _expect(isinstance(data, dict), doc, "expected an object")
+    _check_keys(data, doc)
     target = data.get("target")
-    _expect(isinstance(target, str), f"{doc}: target", "expected a string")
+    _expect(isinstance(target, str), f"{doc}.target", "expected a string")
 
     raw_actions = data.get("actions")
-    _expect(isinstance(raw_actions, list) and raw_actions, f"{doc}: actions", "expected a non-empty list")
+    _expect(isinstance(raw_actions, list), f"{doc}.actions", "expected a list")
     actions = []
     for i, item in enumerate(raw_actions):
-        where = f"{doc}: actions[{i}]"
+        where = f"{doc}.actions[{i}]"
         _expect(isinstance(item, dict) and set(item) == {"label", "do"}, where, "expected an object with keys 'label' and 'do'")
         label, do = item["label"], item["do"]
-        _expect(isinstance(label, str) and label, f"{where}.label", "expected a non-empty string")
-        _expect(isinstance(do, dict) and do, f"{where}.do", "expected a non-empty object")
-        _expect(all(isinstance(v, str) for v in do.values()), f"{where}.do", "expected string-to-string entries")
-        actions.append(Action(label, dict(do)))
+        _expect(isinstance(label, str), f"{where}.label", "expected a string")
+        _expect(isinstance(do, dict) and all(isinstance(v, str) for v in do.values()), f"{where}.do", "expected an object of strings")
+        actions.append(_checked(where, Action, label, dict(do)))
 
-    utility = None
-    raw_utility = data.get("utility")
-    if raw_utility is not None:
-        _expect(isinstance(raw_utility, dict), f"{doc}: utility", "expected an object")
-        utility = {k: model_io.number(v, f"{doc}: utility.{k}") for k, v in raw_utility.items()}
+    utility = data.get("utility")
+    if utility is not None:
+        _expect(isinstance(utility, dict), f"{doc}.utility", "expected an object")
+        utility = {k: model_io.number(v, f"{doc}.utility.{k}") for k, v in utility.items()}
 
     desired = data.get("desired")
-    _expect(desired is None or isinstance(desired, str), f"{doc}: desired", "expected a string")
+    _expect(desired is None or isinstance(desired, str), f"{doc}.desired", "expected a string")
     _expect(utility is not None or desired is not None, doc, "one of 'utility' or 'desired' is required")
-    spec = truth.graph.variable_map.get(target)
-    _expect(spec is not None, f"{doc}: target", f"unknown-target: {target!r} is not in the model")
-    ok = desired is None or desired in spec.state_index
-    _expect(ok, f"{doc}: desired", f"illegal-state: desired state {desired!r} is not a state of {target}")
+    spec = truth.graph.variable_map.get(target)  # the Environment refuses an unknown target
+    ok = desired is None or spec is None or desired in spec.state_index
+    _expect(ok, f"{doc}.desired", f"illegal-state: desired state {desired!r} is not a state of {target}")
     if utility is None:
-        utility = {s: (1.0 if s == desired else 0.0) for s in spec.states}
-    ensure_valid(truth)  # a fault of the truth is not one of the document
-    try:
-        return Environment(truth=truth, actions=tuple(actions), target=target, utility=utility)
-    except ValueError as e:
-        raise model_io.FormatError(doc, str(e)) from None
+        utility = {s: (1.0 if s == desired else 0.0) for s in (spec.states if spec else ())}
+    return _checked(doc, Environment, truth, tuple(actions), target, utility)
 
 
 def load_environment(model_path: str, experiment_path: str) -> Environment:

@@ -46,10 +46,10 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .cgm import _check_prior
-from .environment import Environment, draw
+from .cgm import _FieldError, _check_prior
+from .environment import Environment, _check_keys, draw
 from . import agents, model_io
-from .model_io import _expect
+from .model_io import _checked, _expect
 
 __all__ = [
     "CausalAgentConfig",
@@ -76,14 +76,6 @@ def _whole(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class _FieldError(ValueError):
-    """An out-of-range config value; ``field`` names the offending key."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
-
-
 @dataclass(frozen=True)
 class CausalAgentConfig:
     """Causal expected-utility agent: uniform Dirichlet prior weight and
@@ -93,10 +85,7 @@ class CausalAgentConfig:
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
-        try:
-            _check_prior(self.prior_alpha)
-        except ValueError as e:
-            raise _FieldError("prior_alpha", str(e)) from None
+        _check_prior(self.prior_alpha)
         if not 0.0 <= self.epsilon <= 1.0:
             raise _FieldError("epsilon", f"exploration rate must lie in [0, 1], got {self.epsilon!r}")
 
@@ -170,10 +159,10 @@ class ExperimentConfig:
             raise _FieldError("agents", "at least one agent must be configured")
         for label, acfg in self.agents.items():
             if label not in _AGENTS:
-                raise ValueError(f"unknown agent {label!r}; known: {', '.join(_AGENTS)}")
+                raise _FieldError(f"agents.{label}", f"unknown agent {label!r}; known: {', '.join(_AGENTS)}")
             kind = _AGENTS[label][0]
             if not isinstance(acfg, kind):
-                raise ValueError(f"agent {label!r} requires a {kind.__name__}, got {type(acfg).__name__}")
+                raise _FieldError(f"agents.{label}", f"agent {label!r} requires a {kind.__name__}, got {type(acfg).__name__}")
 
 
 @dataclass(frozen=True)
@@ -220,7 +209,7 @@ class ExperimentResult:
 
 
 def config_from_dict(data: Any, *, doc: str = "$") -> ExperimentConfig:
-    """Parse the run-shape half of an experiment document.
+    """Parse the run-shape half of an experiment document; ``doc`` starts error paths.
 
     Environment keys (target, desired, actions, utility) are parsed by
     :func:`~causalsim.environment.environment_from_dict`; they are tolerated
@@ -228,8 +217,7 @@ def config_from_dict(data: Any, *, doc: str = "$") -> ExperimentConfig:
     rejected.
     """
     _expect(isinstance(data, dict), doc, "expected an object")
-    unknown = sorted(set(data) - {*ExperimentConfig.__dataclass_fields__, "target", "desired", "actions", "utility"})
-    _expect(not unknown, doc, f"unknown keys: {', '.join(unknown)}")
+    _check_keys(data, doc)
 
     # ExperimentConfig checks rounds, replications and seed itself.
     kwargs: dict[str, Any] = {key: data[key] for key in ("rounds", "replications", "seed") if key in data}
@@ -251,15 +239,9 @@ def config_from_dict(data: Any, *, doc: str = "$") -> ExperimentConfig:
             bad = sorted(set(block) - kind.__dataclass_fields__.keys())
             _expect(not bad, where, f"unknown keys: {', '.join(bad)}")
             params = {pkey: model_io.number(pval, f"{where}.{pkey}") for pkey, pval in block.items()}
-            try:
-                roster[label] = kind(**params)
-            except _FieldError as e:
-                raise model_io.FormatError(f"{where}.{e.field}", str(e)) from None
+            roster[label] = _checked(where, kind, **params)
         kwargs["agents"] = roster
-    try:
-        return ExperimentConfig(**kwargs)
-    except _FieldError as e:
-        raise model_io.FormatError(f"{doc}.{e.field}", str(e)) from None
+    return _checked(doc, ExperimentConfig, **kwargs)
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:

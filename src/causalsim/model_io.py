@@ -22,7 +22,8 @@ place of "p" rows, and both go through one table codec,
 is read by :func:`number`.
 
 Structural problems raise :class:`FormatError` at the first violation,
-with a path into the document such as ``cpts.Y[2].p``; so do numbers
+with a path such as ``model.json.cpts.Y[2].p`` (the file, or ``$`` for a
+document in memory, then its ``.key`` and ``[i]`` steps); so do numbers
 beyond float range, such as a 400-digit integer. Row sums within
 ``ROW_SUM_TOL`` of one are renormalized on load; rows further out are
 rejected. After parsing, the assembled model is validated semantically
@@ -32,7 +33,7 @@ and any violations raise :class:`~causalsim.cgm.InvalidModelError`.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .cgm import (
     ROW_SUM_TOL,
@@ -40,6 +41,7 @@ from .cgm import (
     CausalModel,
     Cpt,
     VariableSpec,
+    _FieldError,
     ensure_valid,
     parent_configurations,
 )
@@ -80,6 +82,15 @@ def _expect(condition: bool, path: str, detail: str) -> None:
         raise FormatError(path, detail)
 
 
+def _checked(doc: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``make(*args, **kwargs)``; the fault a constructor or check finds at an
+    entry (a :class:`~causalsim.cgm._FieldError`) is a FormatError at ``doc.entry``."""
+    try:
+        return make(*args, **kwargs)
+    except _FieldError as e:
+        raise FormatError(f"{doc}.{e.field}", str(e)) from None
+
+
 def _string_list(value: Any, path: str) -> tuple[str, ...]:
     _expect(isinstance(value, list), path, "expected a list of strings")
     for i, s in enumerate(value):
@@ -87,15 +98,15 @@ def _string_list(value: Any, path: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def graph_from_dict(data: Any) -> CausalGraph:
+def graph_from_dict(data: Any, *, doc: str = "$") -> CausalGraph:
     """Parse the "variables" and "parents" sections into a graph."""
-    _expect(isinstance(data, dict), "$", "expected an object")
-    _expect("variables" in data, "$", "missing key 'variables'")
+    _expect(isinstance(data, dict), doc, "expected an object")
+    _expect("variables" in data, doc, "missing key 'variables'")
     raw_vars = data["variables"]
-    _expect(isinstance(raw_vars, list) and raw_vars, "variables", "expected a non-empty list")
+    _expect(isinstance(raw_vars, list) and raw_vars, f"{doc}.variables", "expected a non-empty list")
     specs = []
     for i, item in enumerate(raw_vars):
-        where = f"variables[{i}]"
+        where = f"{doc}.variables[{i}]"
         _expect(isinstance(item, dict), where, "expected an object")
         _expect(set(item) <= {"name", "states"}, where, "unknown keys present")
         _expect(isinstance(item.get("name"), str), f"{where}.name", "expected a string")
@@ -105,10 +116,10 @@ def graph_from_dict(data: Any) -> CausalGraph:
 
     declared = {s.name for s in specs}
     raw_parents = data.get("parents", {})
-    _expect(isinstance(raw_parents, dict), "parents", "expected an object")
+    _expect(isinstance(raw_parents, dict), f"{doc}.parents", "expected an object")
     parents: dict[str, tuple[str, ...]] = {}
     for name, plist in raw_parents.items():
-        where = f"parents.{name}"
+        where = f"{doc}.parents.{name}"
         _expect(name in declared, where, "parent list for an undeclared variable")
         entries = _string_list(plist, where)
         for j, p in enumerate(entries):
@@ -135,14 +146,14 @@ def number(value: Any, path: str) -> float:
 
 
 def _parse_rows(
-    raw_rows: Any, graph: CausalGraph, name: str, *, value_key: str, normalize: bool
+    raw_rows: Any, graph: CausalGraph, name: str, *, value_key: str, normalize: bool, doc: str
 ) -> dict[tuple[str, ...], tuple[float, ...]]:
-    """Parse one variable's row list under ``cpts.<name>``.
+    """Parse one variable's row list under ``<doc>.cpts.<name>``.
 
     ``value_key`` selects the per-row vector ("p" for probabilities,
     "counts" for pseudo-counts); only probability rows are normalized.
     """
-    where = f"cpts.{name}"
+    where = f"{doc}.cpts.{name}"
     spec = graph.variable_map[name]
     parents = graph.parents_of(name)
     _expect(isinstance(raw_rows, list), where, "expected a list of rows")
@@ -199,22 +210,22 @@ def _parse_rows(
 
 
 def tables_from_dict(
-    data: Any, *, value_key: str, normalize: bool
+    data: Any, *, value_key: str, normalize: bool, doc: str = "$"
 ) -> tuple[CausalGraph, dict[str, dict[tuple[str, ...], tuple[float, ...]]]]:
     """Parse a CPT-shaped document: its graph, and each variable's rows
     keyed by parent configuration, with ``value_key`` naming the row
     vector. Structure only; the caller validates the semantics."""
-    graph = graph_from_dict(data)
-    _expect(set(data) <= {"variables", "parents", "cpts"}, "$", "unknown top-level keys present")
-    _expect("cpts" in data, "$", "missing key 'cpts'")
+    graph = graph_from_dict(data, doc=doc)
+    _expect(set(data) <= {"variables", "parents", "cpts"}, doc, "unknown top-level keys present")
+    _expect("cpts" in data, doc, "missing key 'cpts'")
     raw_cpts = data["cpts"]
-    _expect(isinstance(raw_cpts, dict), "cpts", "expected an object")
+    _expect(isinstance(raw_cpts, dict), f"{doc}.cpts", "expected an object")
     for name in raw_cpts:
-        _expect(name in graph.variable_map, f"cpts.{name}", "table for an undeclared variable")
+        _expect(name in graph.variable_map, f"{doc}.cpts.{name}", "table for an undeclared variable")
     tables = {}
     for v in graph.variables:
-        _expect(v.name in raw_cpts, "cpts", f"missing table for {v.name}")
-        tables[v.name] = _parse_rows(raw_cpts[v.name], graph, v.name, value_key=value_key, normalize=normalize)
+        _expect(v.name in raw_cpts, f"{doc}.cpts", f"missing table for {v.name}")
+        tables[v.name] = _parse_rows(raw_cpts[v.name], graph, v.name, value_key=value_key, normalize=normalize, doc=doc)
     return graph, tables
 
 
@@ -237,9 +248,9 @@ def tables_to_dict(
     return out
 
 
-def model_from_dict(data: Any) -> CausalModel:
-    """Assemble and validate a model from its document form."""
-    graph, tables = tables_from_dict(data, value_key="p", normalize=True)
+def model_from_dict(data: Any, *, doc: str = "$") -> CausalModel:
+    """Assemble and validate a model from its document form; ``doc`` starts error paths."""
+    graph, tables = tables_from_dict(data, value_key="p", normalize=True, doc=doc)
     model = CausalModel(graph, {name: Cpt(name, rows) for name, rows in tables.items()})
     ensure_valid(model)
     return model
@@ -252,7 +263,7 @@ def model_to_dict(model: CausalModel) -> dict[str, Any]:
 
 def load_model(path: str) -> CausalModel:
     """Read a model document from disk; see module docstring for errors."""
-    return model_from_dict(read_json(path))
+    return model_from_dict(read_json(path), doc=path)
 
 
 def save_model(model: CausalModel, path: str) -> None:

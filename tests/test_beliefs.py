@@ -182,7 +182,7 @@ def test_beliefs_from_dict_rejects_infinite_counts(medic_model):
     doc["cpts"]["D"] = [{"counts": [float("inf"), 1.0]}]
     with pytest.raises(FormatError, match="pseudo-counts must be positive and finite") as caught:
         beliefs_from_dict(doc)
-    assert caught.value.path == "cpts.D"
+    assert caught.value.path == "$.cpts.D"
 
 
 def test_beliefs_from_dict_rejects_rows_whose_sum_overflows(medic_model):
@@ -191,7 +191,7 @@ def test_beliefs_from_dict_rejects_rows_whose_sum_overflows(medic_model):
     doc["cpts"]["D"] = [{"counts": [1e308, 1e308]}]
     with pytest.raises(FormatError, match="finite sum") as caught:
         beliefs_from_dict(doc)
-    assert caught.value.path == "cpts.D"
+    assert caught.value.path == "$.cpts.D"
 
 
 def test_beliefs_from_dict_rejects_missing_rows(medic_model):

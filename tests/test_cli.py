@@ -138,32 +138,35 @@ UTILITY_KEY = "illegal-state: utility key '2' is not a state of Y"
 
 
 @pytest.mark.parametrize(
-    "command, edit, message",
+    "command, edit, message, entry",
     [
-        ("best-action", {"utility": {"0": 0, "1": 1, "2": 7}}, UTILITY_KEY),
-        ("simulate", {"utility": {"0": 0, "1": 1, "2": 7}}, UTILITY_KEY),
+        ("best-action", {"utility": {"0": 0, "1": 1, "2": 7}}, UTILITY_KEY, "utility.2"),
+        ("simulate", {"utility": {"0": 0, "1": 1, "2": 7}}, UTILITY_KEY, "utility.2"),
         (
             "simulate",
             {"agents": {"causal": {"prior_alpha": 1e308}}},
             "infinite-row-sum: 2 pseudo-counts of 1e+308 sum beyond float range",
+            "agents.causal.prior_alpha",
         ),
         # Python's json reads and writes the literal Infinity.
-        ("best-action", {"utility": {"0": 0, "1": math.inf}}, "utility of Y='1' must be finite"),
-        ("simulate", {"target": "Z"}, "target: unknown-target: 'Z' is not in the model"),
-        ("best-action", {"desired": "2"}, "desired: illegal-state: desired state '2' is not a state of Y"),
+        ("best-action", {"utility": {"0": 0, "1": math.inf}}, "utility of Y='1' must be finite", "utility.1"),
+        ("simulate", {"target": "Z"}, "unknown-target: 'Z' is not in the model", "target"),
+        ("best-action", {"desired": "2"}, "illegal-state: desired state '2' is not a state of Y", "desired"),
         (
             "simulate",
             {"actions": [{"label": "a", "do": {"T": "0"}}, {"label": "a", "do": {"T": "1"}}]},
             "duplicate action labels in the action set",
+            "actions[1].label",
         ),
         (
             "best-action",
             {"actions": [{"label": "a", "do": {"Q": "0"}}]},
             "unknown-variable: intervention names 'Q', which is not in the model",
+            "actions[0].do",
         ),
     ],
 )
-def test_an_input_that_scores_nonsense_is_refused_without_a_traceback(tmp_path, command, edit, message):
+def test_an_input_that_scores_nonsense_is_refused_without_a_traceback(tmp_path, command, edit, message, entry):
     doc = {**json.loads(Path(EXPERIMENT).read_text(encoding="utf-8")), **edit}
     exp = tmp_path / "exp.json"
     exp.write_text(json.dumps(doc), encoding="utf-8")
@@ -176,12 +179,58 @@ def test_an_input_that_scores_nonsense_is_refused_without_a_traceback(tmp_path, 
         text=True,
     )
     assert done.returncode == 2
-    # The whole of stderr: no traceback and no numpy overflow warnings. The
-    # prior is a run-half value, refused at load under its path; a fault of
-    # the environment half is refused under the experiment file's path.
-    banner = f"invalid input: {exp}.agents.causal.prior_alpha" if "agents" in edit else f"invalid input: {exp}"
-    assert done.stderr == f"causalsim: {banner}: {message}\n"
+    # The whole of stderr: no traceback and no numpy overflow warnings. Each
+    # fault is refused at load, under the experiment file and the entry.
+    assert done.stderr == f"causalsim: invalid input: {exp}.{entry}: {message}\n"
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "edit, entry",
+    [
+        ({"target": "Z"}, "target"),
+        ({"actions": [{"label": "a", "do": {"T": "0"}}, {"label": "a", "do": {"T": "1"}}]}, "actions[1].label"),
+        ({"actions": [{"label": "a", "do": {"Q": "0"}}]}, "actions[0].do"),
+        ({"actions": [{"label": "a", "do": {"Y": "0"}}]}, "actions[0].do"),
+        ({"actions": [{"label": "", "do": {"T": "0"}}]}, "actions[0].label"),
+        ({"actions": [{"label": "a", "do": {}}]}, "actions[0].do"),
+        ({"actions": []}, "actions"),
+        ({"utility": {"0": 0, "1": 1, "2": 7}}, "utility.2"),
+        ({"utility": {"0": 0, "1": math.inf}}, "utility.1"),
+        ({"utility": {"0": 0}}, "utility"),
+        ({"desired": "2"}, "desired"),
+        ({"agents": {"causal": {"prior_alpha": 1e308}}}, "agents.causal.prior_alpha"),
+    ],
+)
+def test_a_fault_the_constructors_find_is_refused_at_its_entry(tmp_path, edit, entry):
+    # Loaded from a file: the path is the file, then the entry at fault.
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({**json.loads(Path(EXPERIMENT).read_text(encoding="utf-8")), **edit}), encoding="utf-8")
+    with pytest.raises(causalsim.FormatError) as caught:
+        causalsim.cli._load_experiment(argparse.Namespace(model=MODEL, experiment=str(exp)))
+    assert caught.value.path == f"{exp}.{entry}"
+
+
+def test_a_fault_of_the_model_file_names_that_file(capsys, tmp_path):
+    # The experiment file given as the model, then a row summing to 1.1.
+    code, out, err = run_cli(capsys, "best-action", "--model", EXPERIMENT, "--experiment", EXPERIMENT)
+    assert (code, out, err) == (2, "", f"causalsim: invalid input: {EXPERIMENT}: missing key 'variables'\n")
+    doc = json.loads(Path(MODEL).read_text(encoding="utf-8"))
+    doc["cpts"]["D"][0]["p"] = [0.5, 0.6]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--model", str(bad), "--experiment", EXPERIMENT, "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (2, "")
+    assert err == f"causalsim: invalid input: {bad}.cpts.D[0].p: row sums to 1.1, beyond tolerance 1e-09\n"
+
+
+@pytest.mark.parametrize("seed", [str(2**64), "-1"])
+def test_a_seed_outside_64_bits_is_a_usage_error(capsys, tmp_path, seed):
+    argv = ["simulate", "--model", MODEL, "--experiment", EXPERIMENT, "--out", str(tmp_path / "x.csv"), "--seed", seed]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"argument --seed: expected a 64-bit unsigned integer, got '{seed}'" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def _simulate_with_utility(tmp_path, utility, *run):

@@ -356,11 +356,21 @@ def test_load_environment_rejects_malformed_actions(medic_env, tmp_path):
     with pytest.raises(FormatError, match="'label' and 'do'"):
         load_environment(*write_pair(tmp_path, medic_env, doc))
     doc = experiment_doc(actions=[])
-    with pytest.raises(FormatError, match="non-empty list"):
+    with pytest.raises(FormatError, match="empty-action-set"):
         load_environment(*write_pair(tmp_path, medic_env, doc))
     doc = experiment_doc(actions=[{"label": "x", "do": {}}])
-    with pytest.raises(FormatError, match="non-empty object"):
+    with pytest.raises(FormatError, match="empty-intervention"):
         load_environment(*write_pair(tmp_path, medic_env, doc))
+
+
+def test_load_environment_refuses_a_key_neither_half_knows(tmp_path):
+    # config_from_dict refuses the same file with the same message.
+    doc = {**json.loads((SAMPLE_DIR / "medic_experiment.json").read_text(encoding="utf-8")), "utilty": {"1": 1}}
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(FormatError, match="unknown keys: utilty") as caught:
+        load_environment(str(SAMPLE_DIR / "medic_model.json"), str(exp))
+    assert caught.value.path == str(exp)
 
 
 def test_load_environment_rejects_action_on_missing_variable(medic_env, tmp_path):
