@@ -21,22 +21,22 @@ The scalar functions are references for one replication: they read the
 engine reads, and take and return the beliefs or the values. The
 experiment engine runs each policy for a whole block of replications
 at once through :class:`BatchPolicy`, whose three implementations keep
-their state in arrays with a leading replication axis and are tested
-against the scalar functions. A batched policy only proposes its
-greedy actions and learns; exploration is the engine's: each round it
-replaces a replication's greedy action by a uniformly drawn one at the
-policy's ``epsilon`` rate, for every agent of the block in one step
-(the random policy is the one whose rate is 1).
+their state in arrays with a leading replication axis, bind once to
+their rows of the engine's buffers, and are tested against the scalar
+functions. A batched policy only proposes its greedy actions and
+learns; exploration is the engine's: each round it replaces a
+replication's greedy action by a uniformly drawn one at the policy's
+``epsilon`` rate, for every agent of the block in one step (the random
+policy is the one whose rate is 1).
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import TYPE_CHECKING, Any, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
 
 import numpy as np
 
-from .beliefs import BeliefState, CountBeliefs, posterior_mean, update
+from .beliefs import BeliefState, CountBeliefs, _summed, posterior_mean, update
 from .cgm import Assignment, ReplicatedQuery
 from .environment import Action, UtilityFunction, best_action, expected_utility
 
@@ -104,30 +104,37 @@ def random_choose(actions: Sequence[Action], rng: np.random.Generator) -> int:
 class BatchPolicy(Protocol):
     """One policy run for n replications at once.
 
-    The constructor takes ``(env, cfg, n)``. Each round, ``greedy(out)``
-    writes one action index per replication into ``out``, an (n,) intp
-    array, from the current state alone; ``learn`` then folds in the
-    actions taken and the realized outcomes, an (n, variables) array of
-    state codes in the truth's declaration order, in place. ``epsilon``
-    is the rate at which the engine replaces the greedy action by a
-    uniformly drawn one; policies never explore themselves.
+    The constructor takes ``(env, cfg, n)``, and ``bind(actions, x)`` the
+    rows, once: (n,) intp actions and (n, variables) state codes in the
+    truth's declaration order. Each round, ``greedy()`` writes each
+    replication's action from the current state alone; ``learn()`` then
+    folds in, in place, the actions taken and the outcomes in the rows.
+    ``epsilon`` is the rate at which the engine replaces the greedy action
+    by a uniformly drawn one; policies never explore themselves.
     """
 
     epsilon: float
 
-    def greedy(self, out: np.ndarray) -> None: ...
+    def bind(self, actions: np.ndarray, x: np.ndarray) -> None: ...
 
-    def learn(self, actions: np.ndarray, x: np.ndarray) -> None: ...
+    def greedy(self) -> None: ...
+
+    def learn(self) -> None: ...
 
 
-def _expected_utilities(columns: Sequence[np.ndarray], payoff: Sequence[float]) -> np.ndarray:
-    """Expected utilities from target masses given as one array per state,
+def _expected_utilities(columns: Sequence[np.ndarray], payoff: Sequence[float], out: np.ndarray) -> list[tuple[Callable, tuple]]:
+    """The (function, arguments) calls that write into ``out`` the expected
+    utilities from target masses given as one array per state,
     normalized and weighed state by state, with no term for a utility of 0
     and no product for one of 1: for fewer than 8 states and a positive total,
     the bits of ``(mass / mass.sum(-1, keepdims=True) * payoff).sum(-1)`` up to the sign of a zero."""
-    total = reduce(np.add, columns)
-    terms = [column / total if w == 1.0 else column / total * w for column, w in zip(columns, payoff) if w]
-    return reduce(np.add, terms) if terms else np.zeros_like(total)
+    total, term = np.empty_like(out), np.empty_like(out)
+    calls, out[...] = _summed(columns, total), 0.0
+    for i, (column, w) in enumerate((column, w) for column, w in zip(columns, payoff) if w):
+        t = term if i else out
+        calls += [(np.divide, (column, total, t))] + [(np.multiply, (t, np.array(w), t))] * (w != 1.0)
+        calls += [(np.add, (out, t, out))] * (i > 0)
+    return calls
 
 
 class CausalBatch:
@@ -137,32 +144,33 @@ class CausalBatch:
     like :func:`causal_learn` and scored each round like
     :func:`causal_choose`: each action's query, bound once to the
     posterior means, writes its column of one (n, actions, target
-    cardinality) array. It refuses a truth whose scoring would build a
-    factor of more than ``MAX_FACTOR_STATES`` states.
+    cardinality) array, then scored in buffers bound once. It refuses a
+    truth whose scoring would build a factor of over ``MAX_FACTOR_STATES``.
     """
 
     def __init__(self, env: Environment, cfg: CausalAgentConfig, n: int):
         graph = env.truth.graph
         # Raises factor too large before any counts are allocated.
-        self.queries = [ReplicatedQuery(graph, a.intervention, env.target) for a in env.actions]
-        self.beliefs = CountBeliefs(graph, cfg.prior_alpha, n, sorted({p for q in self.queries for p, _ in q.plan.factors}))
+        queries = [ReplicatedQuery(graph, a.intervention, env.target) for a in env.actions]
+        scored = sorted({p for q in queries for p, _ in q.plan.factors})
+        self.beliefs = CountBeliefs(graph, cfg.prior_alpha, n, scored, [a.intervention for a in env.actions])
         self.epsilon = cfg.epsilon
-        self.payoff = env._payoff.tolist()
-        # free[a, i]: 1.0 unless action a forces the variable at position i.
-        self.free = np.array([[float(v.name not in a.intervention) for v in graph.variables] for a in env.actions])
-        self.mass = np.empty((n, len(self.queries), len(self.payoff)))
-        for k, query in enumerate(self.queries):
-            query.bind(self.beliefs.means, self.mass[:, k])
-        self._columns = list(np.moveaxis(self.mass, 2, 0))
+        columns, buffers = np.empty((len(env._payoff), len(queries), n)), {}
+        self.mass, self.eu = columns.T, np.empty(columns.shape[1:])
+        self._scoring = [call for k, q in enumerate(queries) for call in q.bind(self.beliefs.means, self.mass[:, k], buffers)]
+        self._scoring += _expected_utilities(list(columns), env._payoff.tolist(), self.eu)
 
-    def greedy(self, out: np.ndarray) -> None:
+    def bind(self, actions: np.ndarray, x: np.ndarray) -> None:
+        self._round = [*self._scoring, (self.eu.argmax, (0, actions))]
+        self._actions, self._x = actions, x
+
+    def greedy(self) -> None:
         self.beliefs.posterior()
-        for query in self.queries:
-            query()
-        _expected_utilities(self._columns, self.payoff).argmax(axis=1, out=out)
+        for f, args in self._round:
+            f(*args)
 
-    def learn(self, actions: np.ndarray, x: np.ndarray) -> None:
-        self.beliefs.update(x, self.free.take(actions, axis=0))
+    def learn(self) -> None:
+        self.beliefs.update(self._x, self._actions)
 
 
 class QBatch:
@@ -171,18 +179,21 @@ class QBatch:
 
     def __init__(self, env: Environment, cfg: QLearningConfig, n: int):
         self.q = np.full((n, len(env.actions)), float(cfg.q0))
-        self.alpha = cfg.alpha
+        self.alpha = np.array(cfg.alpha)  # 0-d: its product with an array skips a scalar conversion
         self.epsilon = cfg.epsilon
         self.payoff = env._payoff
         self.target = env.truth.graph._positions[env.target]
         self._flat, self._base = self.q.reshape(-1), np.arange(n) * len(env.actions)
 
-    def greedy(self, out: np.ndarray) -> None:
-        self.q.argmax(axis=1, out=out)
+    def bind(self, actions: np.ndarray, x: np.ndarray) -> None:
+        self._actions, self._reached = actions, x[:, self.target]
 
-    def learn(self, actions: np.ndarray, x: np.ndarray) -> None:
-        reward = self.payoff[x[:, self.target]]
-        index = self._base + actions
+    def greedy(self) -> None:
+        self.q.argmax(1, self._actions)
+
+    def learn(self) -> None:
+        reward = self.payoff[self._reached]
+        index = self._base + self._actions
         q = self._flat[index]
         self._flat[index] = q + self.alpha * (reward - q)
 
@@ -195,8 +206,7 @@ class RandomBatch:
     def __init__(self, env: Environment, cfg: Any, n: int):
         pass
 
-    def greedy(self, out: np.ndarray) -> None:
-        pass  # at rate 1 the engine overwrites every row of ``out``
+    def bind(self, *rows: np.ndarray) -> None:
+        pass  # at rate 1 the engine overwrites every row of ``actions``, and nothing is learned
 
-    def learn(self, actions: np.ndarray, x: np.ndarray) -> None:
-        pass
+    greedy = learn = bind

@@ -13,10 +13,10 @@ The posterior mean of the rows assembles into an ordinary causal model,
 which downstream decision code treats as if it were the truth.
 
 :class:`CountBeliefs` holds the same pseudo-counts for a batch of
-replications as arrays, one per CPT, laid out like the compiled tables
-of :meth:`~causalsim.cgm.CausalModel.table` behind a leading
-replication axis. Its posterior mean is one division per table and its
-update one indexed increment per variable. The dict-based
+replications as views, one per CPT, shaped like the compiled tables of
+:meth:`~causalsim.cgm.CausalModel.table` behind a replication axis. Its
+posterior mean is a sum and a division per buffer, bound once, and its
+update one indexed increment per buffer. The dict-based
 :class:`BeliefState` stays the document form and the reference the
 arrays are tested against.
 """
@@ -24,8 +24,7 @@ arrays are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -133,52 +132,59 @@ def update(beliefs: BeliefState, intervention: Intervention, observed: Assignmen
     return BeliefState(graph, new_counts)
 
 
+def _summed(columns: Sequence[np.ndarray], out: np.ndarray) -> list[tuple[Callable, tuple]]:
+    """The (function, arguments) calls that add two or more ``columns`` into ``out`` in order."""
+    return [(np.add, (columns[0], columns[1], out)), *[(np.add, (out, column, out)) for column in columns[2:]]]
+
+
 class CountBeliefs:
     """Dirichlet pseudo-counts of n replications, updated in place.
 
-    The variables of one cardinality c share one contiguous (n, rows, c)
-    buffer, the rows of those at ``scored`` first. ``counts[i]`` views
-    the variable at position i as (n, parent cardinalities...,
-    cardinality), so ``counts[i][r]`` is replication r's table of rows;
-    ``means[i]``, for a scored variable, views its posterior mean.
+    The variables of one cardinality c share one (c, rows, n) buffer, the
+    rows of those at ``scored`` first, so each state's scored counts are
+    one run. ``counts[i]`` views the variable at position i as (n, parent
+    cardinalities..., cardinality), so ``counts[i][r]`` is replication r's
+    table of rows; ``means[i]``, for a scored variable, views its posterior
+    mean. An update leaves alone the counts its intervention in ``menu`` forces.
     """
 
-    def __init__(self, graph: CausalGraph, alpha0: float, n: int, scored: Sequence[int] = ()):
+    def __init__(self, graph: CausalGraph, alpha0: float, n: int, scored: Sequence[int] = (), menu: Sequence[Intervention] = ({},)):
         _check_prior(alpha0, graph)
         order = [*scored, *(i for i in range(len(graph.variables)) if i not in scored)]
-        self.counts, self.means, self._buffers = [None] * len(order), [None] * len(order), []
+        # free[a, i]: 1.0 unless intervention a of the menu forces the variable at position i.
+        free = np.array([[float(v.name not in i) for v in graph.variables] for i in menu])
+        self.counts, self.means, self._buffers, self._posterior = [None] * len(order), [None] * len(order), [], []
         for card in dict.fromkeys(graph._layout[i][2][-1] for i in order):
             group = [i for i in order if graph._layout[i][2][-1] == card]
             starts = np.cumsum([0] + [np.prod(graph._layout[i][2][:-1], dtype=int) for i in group])
-            counts = np.full((n, starts[-1], card), float(alpha0))
-            means = np.empty((n, starts[len(set(group) & set(scored))], card))
+            counts = np.full((card, starts[-1], n), float(alpha0))
+            means = np.zeros((card, starts[len(set(group) & set(scored))], n))
             # Observed entries of replication r: x[r] @ matrix + base[r].
             matrix = np.zeros((len(order), len(group)))
             for k, (i, a, b) in enumerate(zip(group, starts, starts[1:])):
                 parents, strides, shape, _ = graph._layout[i]
-                self.counts[i] = counts[:, a:b].reshape(n, *shape)
-                self.means[i] = means[:, a:b].reshape(n, *shape) if b <= means.shape[1] else None
-                matrix[[*parents, i], k] = [*np.multiply(strides, card), 1]
-            base = np.arange(n)[:, None] * counts[0].size + starts[:-1] * card
-            scored_counts = counts[:, : means.shape[1]]
-            columns = [scored_counts[..., j : j + 1] for j in range(card)]
-            self._buffers.append((counts.reshape(-1), matrix, base, np.array(group), scored_counts, columns, means))
+                self.counts[i] = counts[:, a:b].T.reshape(n, *shape)
+                self.means[i] = means[:, a:b].T.reshape(n, *shape) if b <= means.shape[1] else None
+                matrix[[*parents, i], k] = [*np.multiply(strides, n), counts[0].size]
+            base = np.arange(n)[:, None] + starts[:-1] * float(n)  # float, as the product is
+            columns, total = counts[:, : means.shape[1]].reshape(card, -1), np.empty(means[0].size)
+            self._posterior += [*_summed(columns, total), (np.divide, (columns, total, means.reshape(card, -1)))]
+            self._buffers.append((counts.reshape(-1), matrix, base, np.array(group), free[:, group]))
 
     def posterior(self) -> list[np.ndarray | None]:
         """Refresh :attr:`means`: per buffer, one division by the sum of its
         state columns in order (for fewer than 8 states, ``sum``'s bits)."""
-        for *_, counts, columns, means in self._buffers:
-            np.divide(counts, reduce(np.add, columns), out=means)
+        for f, args in self._posterior:
+            f(*args)
         return self.means
 
-    def update(self, x: np.ndarray, free: np.ndarray) -> None:
-        """Fold one full outcome per replication into the counts: ``x``
-        holds state codes, (n, variables), and ``free`` holds 1.0 where a
-        replication's action left the variable free and 0.0 where it
-        forced it, so forced counts keep their values. One indexed
-        increment per buffer, at indices from one exact float product."""
-        for flat, matrix, base, group, *_ in self._buffers:
-            flat[(x @ matrix + base).astype(np.intp)] += free.take(group, axis=1)
+    def update(self, x: np.ndarray, actions: np.ndarray) -> None:
+        """Fold in one outcome per replication: state codes ``x``, (n,
+        variables), under ``actions``, indices into the menu, whose forced
+        counts keep their values. One indexed increment per buffer, at
+        indices from one exact float product."""
+        for flat, matrix, base, _, free in self._buffers:
+            flat[(x @ matrix + base).astype(np.intp)] += free.take(actions, axis=0)
 
 
 def beliefs_to_dict(beliefs: BeliefState) -> dict[str, Any]:

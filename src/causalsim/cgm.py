@@ -20,11 +20,11 @@ dropped, since they sum to one; the rest are contracted with
 ``np.einsum``, one variable at a time in min-fill order. The
 elimination plan depends only on the graph and on which variables are
 forced, evidenced and targeted, so it is cached on the graph object and
-shared by every model built on it. One plan runner executes it, both
-for the scalar queries and, with a leading replication axis on every
-table, for :class:`ReplicatedQuery`, which is how a batch of belief
-states scores its actions at once. The one cap is on the work: building
-a plan refuses a query whose elimination would create a factor of more
+shared by every model built on it. One plan runner executes it for
+the scalar queries; :class:`ReplicatedQuery`, which is how a batch of
+belief states scores its actions at once, binds its steps once to tables
+with a leading replication axis. The one cap is on the work: building a
+plan refuses a query whose elimination would create a factor of more
 than ``MAX_FACTOR_STATES`` states, before the plan is cached or any
 table is contracted. What a query may cost thus follows the induced
 width of its elimination order, not the size of the joint: a
@@ -260,12 +260,12 @@ class InvalidModelError(ValueError):
     """Raised when a model or graph fails validation.
 
     Carries the full list of issues so callers can report every problem
-    at once rather than fixing them one by one.
+    at once rather than one by one, and the document read, if any, as ``doc``.
     """
 
-    def __init__(self, issues: list[ValidationIssue] | tuple[ValidationIssue, ...]):
-        self.issues = tuple(issues)
-        super().__init__("; ".join(str(i) for i in self.issues))
+    def __init__(self, issues: list[ValidationIssue] | tuple[ValidationIssue, ...], doc: str | None = None):
+        self.issues, self.doc = tuple(issues), doc
+        super().__init__(("" if doc is None else f"{doc}: ") + "; ".join(str(i) for i in self.issues))
 
 
 class _FieldError(ValueError):
@@ -399,10 +399,13 @@ def validate(model: CausalModel) -> list[ValidationIssue]:
     return issues
 
 
-def ensure_valid(model: CausalModel) -> None:
-    """Raise :class:`InvalidModelError` listing every violation, if any.
-    A model that passes is not validated again."""
-    model._valid
+def ensure_valid(model: CausalModel, doc: str | None = None) -> None:
+    """Raise :class:`InvalidModelError` listing every violation, if any, after
+    ``doc``, the document read, if given; a model that passed is not checked again."""
+    try:
+        model._valid
+    except InvalidModelError as e:
+        raise InvalidModelError(e.issues, doc) from None
 
 
 def joint_size(model: CausalModel) -> int:
@@ -750,13 +753,17 @@ class ReplicatedQuery:
         self.plan = graph._plan_for(intervention, {}, (target,))
         self._operands = partial(self.plan.operands, graph, (intervention,))
 
-    def bind(self, tables: list[np.ndarray], out: np.ndarray) -> None:
-        """Pin ``tables``, (n, parent cardinalities..., cardinality) per
-        position, so that each call writes their masses into ``out``."""
-        step = max(1, MAX_FACTOR_STATES // self.plan.largest)
-        rows = [slice(r, r + step) for r in range(0, len(out), step)]
-        self._slices = [(self._operands(lambda pos, s=s: tables[pos][s]), out[s]) for s in rows]
-
-    def __call__(self) -> None:
-        for operands, out in self._slices:
-            self.plan.run(operands, out)
+    def bind(self, tables: list[np.ndarray], out: np.ndarray, buffers: dict) -> list[tuple[Callable, tuple]]:
+        """The plan's contractions of ``tables``, (n, parent cardinalities...,
+        cardinality) per position, as (function, arguments) calls on views
+        pinned here once: the last into ``out``, every other one into a
+        buffer of ``buffers``, which queries run one by one may share."""
+        step, last, calls = max(1, MAX_FACTOR_STATES // self.plan.largest), len(self.plan.steps) - 1, []
+        for r in range(0, len(out), step):
+            slots = self._operands(lambda pos: tables[pos][r : r + step])
+            for i, (used, subscripts) in enumerate(self.plan.steps):
+                args = (subscripts, *[slots[j] for j in used])
+                like = _einsum(*args) if i < last else out[r : r + step]  # a step before the last sums a variable out
+                slots.append(buffers.setdefault((i, like.shape, like.strides), like) if i < last else like)
+                calls.append((partial(_einsum, out=slots[-1]), args))
+        return calls

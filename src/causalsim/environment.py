@@ -16,7 +16,8 @@ first use, and pays the utility of the realized target state.
 :func:`draw` is the batched step: one outcome per replication, each
 under its own action, from tables that the builder behind
 :func:`~causalsim.cgm.sample` makes from the truth and the menu alone.
-Only a variable some actions force and others do not gets rows per action.
+Only a variable some actions force and others do not gets rows per
+action. The engine binds it to its buffers once per block (:func:`_drawer`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -181,19 +182,30 @@ def draw(env: Environment, actions: np.ndarray, u: np.ndarray, out: np.ndarray |
     (``CausalGraph._layout``) of the truth's cumulative rows, or, if
     only some actions force it, in the block of rows of its action.
     """
-    actions = np.asarray(actions, np.intp)
     x = np.empty(u.shape, np.intp) if out is None else out
-    for k, (pos, parents, strides, step, cum) in enumerate(env._sampler):
-        if step is None:
-            x[:, pos] = cum[actions]
-            continue
-        index = (actions * step if parents else actions) if step else None
-        for p, stride in zip(parents, strides):
-            term = x[:, p] * stride if stride > 1 else x[:, p]  # a view of x only if it is the one term
-            index = term if index is None else np.add(index, term, out=index)
-        entries = cum if index is None else cum.take(index, axis=0)
-        x[:, pos] = entries <= u[:, k] if cum.ndim == 1 else (entries <= u[:, k, None]).sum(axis=1)
+    _drawer(env, np.asarray(actions, np.intp), x)(u)
     return x
+
+
+def _drawer(env: Environment, actions: np.ndarray, x: np.ndarray) -> Callable[[np.ndarray], None]:
+    """:func:`draw` bound to ``actions`` and ``x``: a function of ``u`` on
+    each variable's column views, row-index calls and buffers, fixed here."""
+    index, plan = np.empty(len(x), np.intp), []
+    for k, (pos, parents, _, step, cum) in enumerate(env._sampler):
+        # The row by Horner's rule, index = index * cardinality + code, over the action's block, then each parent.
+        codes, calls = [actions] * (step != 0) + [x[:, p] for p in parents], []
+        for column, card in zip(codes[1:], env.truth.graph._layout[pos][2][-len(codes) : -1]):
+            calls += [(np.multiply, (index if calls else codes[0], np.array(card), index)), (np.add, (index, column, index))]
+        plan.append((calls, cum, index if calls else codes[0] if codes else None, None if step is None else k, x[:, pos]))
+
+    def run(u: np.ndarray) -> None:
+        for calls, cum, rows, k, column in plan:
+            for f, args in calls:
+                f(*args)
+            entries = cum if rows is None else cum[rows]
+            column[...] = entries if k is None else (entries <= u[:, k, None]).sum(axis=1) if cum.ndim > 1 else entries <= u[:, k]
+
+    return run
 
 
 def _check_keys(data: dict, doc: str) -> None:

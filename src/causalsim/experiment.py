@@ -8,17 +8,17 @@ Nothing is shared between agents or between replications.
 
 The engine runs replications in blocks of ``BLOCK_SIZE`` and advances
 every agent of a block in lockstep, one row per (agent, replication).
-A round is one step for the whole roster: each policy
-(:class:`~causalsim.agents.BatchPolicy`) writes its greedy actions into
-its rows, one ``np.copyto`` writes the explored actions over them, one
-batched ancestral draw from the truth gives every row its outcome under
-its own action (:func:`~causalsim.environment.draw`), each policy
-learns from its rows, and one gather pays every reward. Exploration
-belongs to the engine: the schedule, where each row explores and what
-it takes, comes from the choice uniforms and each policy's ``epsilon``
-in one place, :func:`_exploration`, once per chunk of rounds. Rows never
-read each other, so sharing the draw is equivalent to stepping the
-agents one after another.
+A round is one step for the whole roster, on rows that each policy
+(:class:`~causalsim.agents.BatchPolicy`) and the batched ancestral draw
+(:func:`~causalsim.environment.draw`) bind once per block: each policy
+writes its greedy actions into its rows, one ``np.copyto`` writes the
+explored actions over them, one draw gives every row its outcome under
+its own action, each policy learns from its rows, and one gather pays
+every reward. Exploration belongs to the engine: the schedule, where
+each row explores and what it takes, comes from the choice uniforms and
+each policy's ``epsilon`` in one place, :func:`_exploration`, once per
+chunk of rounds. Rows never read each other, so sharing the draw is
+equivalent to stepping the agents one after another.
 
 Randomness is carved into streams keyed by (master seed, block index,
 agent label). Each stream is read replication-major, as if drawn as
@@ -47,7 +47,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .cgm import _FieldError, _check_prior
-from .environment import Environment, _check_keys, draw
+from .environment import Environment, _check_keys, _drawer
 from . import agents, model_io
 from .model_io import _checked, _expect
 
@@ -124,6 +124,13 @@ _AGENTS: dict[str, tuple[type, str]] = {
 }
 
 
+def _agent_kind(label: str) -> type:
+    """The config class of the agent ``label``, which must be known."""
+    if label not in _AGENTS:
+        raise _FieldError(f"agents.{label}", f"unknown agent {label!r}; known: {', '.join(_AGENTS)}")
+    return _AGENTS[label][0]
+
+
 def default_agents() -> dict[str, AgentConfig]:
     """All three agents with their default hyperparameters."""
     return {label: kind() for label, (kind, _) in _AGENTS.items()}
@@ -158,10 +165,7 @@ class ExperimentConfig:
         if not self.agents:
             raise _FieldError("agents", "at least one agent must be configured")
         for label, acfg in self.agents.items():
-            if label not in _AGENTS:
-                raise _FieldError(f"agents.{label}", f"unknown agent {label!r}; known: {', '.join(_AGENTS)}")
-            kind = _AGENTS[label][0]
-            if not isinstance(acfg, kind):
+            if not isinstance(acfg, kind := _agent_kind(label)):
                 raise _FieldError(f"agents.{label}", f"agent {label!r} requires a {kind.__name__}, got {type(acfg).__name__}")
 
 
@@ -232,9 +236,7 @@ def config_from_dict(data: Any, *, doc: str = "$") -> ExperimentConfig:
         _expect(isinstance(raw_agents, dict), f"{doc}.agents", "expected an object")
         roster: dict[str, AgentConfig] = {}
         for label, block in raw_agents.items():
-            where = f"{doc}.agents.{label}"
-            _expect(label in _AGENTS, where, f"unknown agent; known: {', '.join(_AGENTS)}")
-            kind = _AGENTS[label][0]
+            where, kind = f"{doc}.agents.{label}", _checked(doc, _agent_kind, label)
             _expect(isinstance(block, dict), where, "expected an object")
             bad = sorted(set(block) - kind.__dataclass_fields__.keys())
             _expect(not bad, where, f"unknown keys: {', '.join(bad)}")
@@ -332,21 +334,22 @@ def _run_block(env: Environment, cfg: ExperimentConfig, block: int) -> tuple[np.
     rounds), for the replications of one block.
 
     All agents advance in lockstep on one row per (agent, replication),
-    agent-major, in one action and one outcome buffer, each policy bound
-    to its rows once. Per round: each policy writes its greedy actions
-    into its rows, one ``np.copyto`` puts the explored ones over them,
-    one draw writes every row's outcome from its own uniforms, one per
-    variable in the truth's topological order, and each policy learns
-    from its rows. Each round's actions and target states go to one row
-    of a chunk buffer, copied into the trial log once per chunk.
+    agent-major, in one action and one outcome buffer, to whose rows each
+    policy and the draw bind once. Per round: each policy writes its
+    greedy actions into its rows, one ``np.copyto`` puts the explored
+    ones over them, one draw writes every row's outcome from its own
+    uniforms, one per variable in the truth's topological order, and each
+    policy learns from its rows. Each round's actions and target states
+    go to one row of a chunk buffer, copied into the trial log per chunk.
     """
     n = min(BLOCK_SIZE, cfg.replications - block * BLOCK_SIZE)
     k = len(cfg.agents)
     policies = [getattr(agents, _AGENTS[label][1])(env, acfg, n) for label, acfg in cfg.agents.items()]
     epsilon = np.repeat([p.epsilon for p in policies], n)
     a, x = np.empty(k * n, np.intp), np.empty((k * n, len(env.truth.graph.variables)), np.intp)
-    roster = [(p, a[i * n : (i + 1) * n], x[i * n : (i + 1) * n]) for i, p in enumerate(policies)]
-    y = x[:, env.truth.graph._positions[env.target]]
+    for i, p in enumerate(policies):
+        p.bind(a[i * n : (i + 1) * n], x[i * n : (i + 1) * n])
+    sample, y = _drawer(env, a, x), x[:, env.truth.graph._positions[env.target]]
     actions, rewards = _trial_arrays(env, cfg, n)
     width = CHOICE_DRAWS + x.shape[1]
     chunk = _chunk_rounds(cfg, n, width)
@@ -357,12 +360,12 @@ def _run_block(env: Environment, cfg: ExperimentConfig, block: int) -> tuple[np.
         explore, uniform = _exploration(u[..., :CHOICE_DRAWS], epsilon, len(env.actions))
         draws = u[..., CHOICE_DRAWS:]
         for c in range(m := len(u)):
-            for policy, rows, _ in roster:
-                policy.greedy(rows)
+            for policy in policies:
+                policy.greedy()
             np.copyto(a, uniform[c], where=explore[c])
-            draw(env, a, draws[c], x)
-            for policy, rows, outcomes in roster:
-                policy.learn(rows, outcomes)
+            sample(draws[c])
+            for policy in policies:
+                policy.learn()
             taken[c], reached[c] = a, y
         rounds = slice(j * chunk, j * chunk + m)
         actions[:, :, rounds] = taken[:m].reshape(m, k, n).transpose(1, 2, 0)

@@ -26,8 +26,8 @@ with a path such as ``model.json.cpts.Y[2].p`` (the file, or ``$`` for a
 document in memory, then its ``.key`` and ``[i]`` steps); so do numbers
 beyond float range, such as a 400-digit integer. Row sums within
 ``ROW_SUM_TOL`` of one are renormalized on load; rows further out are
-rejected. After parsing, the assembled model is validated semantically
-and any violations raise :class:`~causalsim.cgm.InvalidModelError`.
+rejected. After parsing, the assembled model is validated semantically;
+violations raise :class:`~causalsim.cgm.InvalidModelError` after the file.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def model_from_dict(data: Any, *, doc: str = "$") -> CausalModel:
     """Assemble and validate a model from its document form; ``doc`` starts error paths."""
     graph, tables = tables_from_dict(data, value_key="p", normalize=True, doc=doc)
     model = CausalModel(graph, {name: Cpt(name, rows) for name, rows in tables.items()})
-    ensure_valid(model)
+    ensure_valid(model, doc)
     return model
 
 

@@ -50,7 +50,9 @@ def write_csv(series: Sequence[RoundSeries], path: str) -> None:
     rounds = _check_series(series)
     if bad := [s.label for s in series if any(c in s.label for c in ",\r\n")]:
         raise ValueError(f"csv-label: the label {bad[0]!r} holds a comma or a line break")
-    rows = [f"{t + 1},{s.label},{s.values[t]:.10f},{s.cumulative[t]:.10f}" for t in range(rounds) for s in series]
+    text: dict = {}  # each distinct mean formatted once; a zero is keyed by its text, as 0.0 == -0.0
+    means = [[text.get(k := v or str(v)) or text.setdefault(k, f"{v:.10f}") for v in s.values] for s in series]
+    rows = [f"{t + 1},{s.label},{m[t]},{s.cumulative[t]:.10f}" for t in range(rounds) for s, m in zip(series, means)]
     data = "\n".join([CSV_HEADER, *rows, ""]).encode("utf-8")  # a label it cannot encode leaves the file as it was
     with open(path, "wb") as f:
         f.write(data)

@@ -6,7 +6,8 @@ the earlier CSV and SVG writers.
 Each function keeps the arithmetic of the code it stands for: ``draw``
 gathers every variable's cumulative rows with one multi-array index
 per variable, ``update_counts`` increments one per-variable count array
-at a time, ``min_fill`` recomputes every fill-in count at each
+at a time, ``update_count_buffers`` takes the free mask per replication
+and then per buffer, ``min_fill`` recomputes every fill-in count at each
 elimination step, and ``posterior`` and ``expected_utilities`` reduce
 over the state axis with ``sum``. The tests require the library to give
 exactly the same codes, counts, elimination plans, means and expected
@@ -75,6 +76,14 @@ def update_counts(counts: list[np.ndarray], graph: CausalGraph, x: np.ndarray, f
     axes = [tuple(positions[p] for p in graph.parents_of(v.name)) + (i,) for i, v in enumerate(graph.variables)]
     for pos in range(len(graph.variables)):
         counts[pos][(rows, *[x[:, a] for a in axes[pos]])] += free[:, pos]
+
+
+def update_count_buffers(beliefs, x: np.ndarray, free: np.ndarray) -> None:
+    """``CountBeliefs.update`` as it was before each buffer kept its slice
+    of the menu's free mask: ``free`` holds one row per replication, (n,
+    variables), and each buffer takes its variables' columns of it."""
+    for flat, matrix, base, group, *_ in beliefs._buffers:
+        flat[(x @ matrix + base).astype(np.intp)] += free.take(group, axis=1)
 
 
 def posterior(counts: np.ndarray) -> np.ndarray:

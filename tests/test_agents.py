@@ -234,9 +234,25 @@ def _realized(graph, codes):
 
 
 def _greedy(policy, n):
-    """The policy's greedy actions, written into a fresh buffer."""
+    """The policy's greedy actions, written into fresh rows it is bound to
+    (with medic-wide outcome rows, which no greedy step reads)."""
     out = np.zeros(n, np.intp)
-    policy.greedy(out)
+    policy.bind(out, np.zeros((n, 3), np.intp))
+    policy.greedy()
+    return out
+
+
+def _learn(policy, actions, x):
+    """Fold in the outcomes ``x`` of ``actions``, through rows bound to both."""
+    policy.bind(np.array(actions, np.intp), x)
+    policy.learn()
+
+
+def _eu(mass, payoff):
+    """The expected utilities of ``mass``, (..., states), made once into a fresh buffer."""
+    out = np.empty(mass.shape[:-1])
+    for f, args in _expected_utilities(list(np.moveaxis(mass, -1, 0)), payoff, out):
+        f(*args)
     return out
 
 
@@ -260,7 +276,7 @@ def test_batched_causal_agent_matches_causal_choose_and_causal_learn():
             assert _greedy(batch, 6).tolist() == [causal_choose(env, b) for b in scalar]
             taken = rng.integers(len(actions), size=6)
             x = draw(env, taken, rng.random((6, len(model.graph.variables))))
-            batch.learn(taken, x)
+            _learn(batch, taken, x)
             scalar = [causal_learn(env, b, env.actions[a], _realized(model.graph, c)) for b, a, c in zip(scalar, taken, x)]
             for r, b in enumerate(scalar):
                 for pos, counts in enumerate(_count_arrays(b)):
@@ -294,7 +310,7 @@ def test_batched_q_learner_matches_q_choose_and_q_learn(medic_env):
         assert _greedy(batch, n).tolist() == [q_choose(cfg, q, rng) for q in scalar]
         taken = rng.integers(len(medic_env.actions), size=n)
         x = draw(medic_env, taken, rng.random((n, 3)))
-        batch.learn(taken, x)
+        _learn(batch, taken, x)
         graph = medic_env.truth.graph
         rewards = [medic_env.utility[_realized(graph, c)["Y"]] for c in x]
         scalar = [q_learn(cfg, q, int(a), r) for q, a, r in zip(scalar, taken, rewards)]
@@ -313,9 +329,10 @@ def test_greedy_writes_the_former_choices_into_the_given_rows(medic_env):
         counts[...] = rng.integers(1, 4, size=counts.shape)
     q = QBatch(medic_env, QLearningConfig(), n)
     q.q[...] = rng.integers(0, 3, size=q.q.shape) / 2
-    a = np.full(3 * n, 7, np.intp)  # 7 is no action index
+    a, x = np.full(3 * n, 7, np.intp), np.zeros((3 * n, 3), np.intp)  # 7 is no action index
     for i, policy in enumerate((causal, q, RandomBatch(medic_env, None, n))):
-        policy.greedy(a[i * n : (i + 1) * n])
+        policy.bind(a[i * n : (i + 1) * n], x[i * n : (i + 1) * n])
+        policy.greedy()
     assert np.array_equal(a[:n], reference.expected_utilities(causal.mass, medic_env._payoff).argmax(axis=1))
     assert np.array_equal(a[n : 2 * n], q.q.argmax(axis=1))
     assert (a[2 * n :] == 7).all()
@@ -332,7 +349,7 @@ def test_expected_utilities_by_state_have_the_bits_of_the_row_sum(n):
             mass = rng.random(shape) * (rng.random(shape) > 0.2) * 10.0 ** rng.integers(-6, 7, size=(*shape[:2], 1))
             mass[mass.sum(axis=-1) == 0.0] = 1.0
             payoff = rng.normal(size=states)
-            got = _expected_utilities(list(np.moveaxis(mass, -1, 0)), payoff.tolist())
+            got = _eu(mass, payoff.tolist())
             assert np.array_equal(got, reference.expected_utilities(mass, payoff))
 
 
@@ -359,7 +376,7 @@ def test_expected_utilities_skipping_zero_and_unit_payoffs_keep_the_bits(n, payo
         shape = (n, rng.integers(1, 6), len(payoff))
         mass = rng.random(shape) * (rng.random(shape) > 0.2) * 10.0 ** rng.integers(-6, 7, size=(*shape[:2], 1))
         mass[mass.sum(axis=-1) == 0.0] = 1.0
-        got = _expected_utilities(list(np.moveaxis(mass, -1, 0)), list(payoff))
+        got = _eu(mass, list(payoff))
         want = reference.expected_utilities(mass, np.array(payoff))
         assert np.array_equal(got, want)
         assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
@@ -370,7 +387,7 @@ def test_expected_utilities_over_eight_states_agree_to_rounding():
     # differ from the in-order sum: by at most 1e-15, relative.
     rng = np.random.default_rng(88)
     mass, payoff = rng.random((256, 3, 8)), rng.random(8)
-    got = _expected_utilities(list(np.moveaxis(mass, -1, 0)), payoff.tolist())
+    got = _eu(mass, payoff.tolist())
     np.testing.assert_allclose(got, reference.expected_utilities(mass, payoff), rtol=1e-15, atol=0.0)
 
 
@@ -405,7 +422,7 @@ def test_batched_updates_never_touch_the_forced_variable(medic_env):
     rng = np.random.default_rng(20240817)
     for k in range(2_500):
         taken = np.full(4, k % 2)
-        batch.learn(taken, draw(medic_env, taken, rng.random((4, 3))))
+        _learn(batch, taken, draw(medic_env, taken, rng.random((4, 3))))
     t = truth.graph._positions["T"]
     assert np.array_equal(batch.beliefs.counts[t], prior[t])
     added = sum((c - p).sum() for c, p in zip(batch.beliefs.counts, prior))

@@ -234,11 +234,12 @@ def test_flat_count_update_matches_the_per_variable_increment(n):
         graph = env.truth.graph
         scored = sorted(rnd.sample(range(len(graph.variables)), rnd.randint(0, len(graph.variables))))
         alpha = rnd.choice((0.5, 1.0, 2.0))
-        beliefs, counts = CountBeliefs(graph, alpha, n, scored), reference.count_arrays(graph, alpha, n)
+        beliefs = CountBeliefs(graph, alpha, n, scored, [action.intervention for action in env.actions])
+        counts = reference.count_arrays(graph, alpha, n)
         for _ in range(4):
             a = rng.integers(len(env.actions), size=n)
             x = draw(env, a, rng.random((n, len(graph.variables))))
-            beliefs.update(x, free[a])
+            beliefs.update(x, a)
             reference.update_counts(counts, graph, x, free[a])
         means = beliefs.posterior()
         for pos, want in enumerate(counts):

@@ -669,7 +669,7 @@ def test_posterior_models_share_their_graphs_plan(medic_model):
             interventional_marginal(posterior_mean(beliefs), {"T": t}, "Y")
     # The batched query of the same shape runs the same plan.
     mean = posterior_mean(beliefs)
-    ReplicatedQuery(graph, {"T": "0"}, "Y").bind([mean.table(pos)[None] for pos in range(3)], np.empty((1, 2)))
+    ReplicatedQuery(graph, {"T": "0"}, "Y").bind([mean.table(pos)[None] for pos in range(3)], np.empty((1, 2)), {})
     assert len(graph._plans) == 1
 
 
@@ -732,8 +732,8 @@ def test_replicated_query_matches_interventional_marginal(data):
     tables = [np.stack([m.table(pos) for m in models]) for pos in positions]
     mass = np.empty((len(models), len(model.graph.variable_map[variable].states)))
     scorer = ReplicatedQuery(model.graph, forced, variable)
-    scorer.bind(tables, mass)
-    scorer()
+    for f, args in scorer.bind(tables, mass, {}):
+        f(*args)
     for got, m in zip(mass, models):
         assert tuple(got / got.sum()) == pytest.approx(interventional_marginal(m, forced, variable), abs=1e-12)
 

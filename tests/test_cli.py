@@ -224,6 +224,31 @@ def test_a_fault_of_the_model_file_names_that_file(capsys, tmp_path):
     assert err == f"causalsim: invalid input: {bad}.cpts.D[0].p: row sums to 1.1, beyond tolerance 1e-09\n"
 
 
+CYCLE = {
+    "variables": [{"name": "A", "states": ["0", "1"]}, {"name": "B", "states": ["0", "1"]}],
+    "parents": {"A": ["B"], "B": ["A"]},
+    "cpts": {
+        "A": [{"given": {"B": "0"}, "p": [0.5, 0.5]}, {"given": {"B": "1"}, "p": [0.5, 0.5]}],
+        "B": [{"given": {"A": "0"}, "p": [0.5, 0.5]}, {"given": {"A": "1"}, "p": [0.5, 0.5]}],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--experiment", EXPERIMENT, "--out", "x.csv"], ["best-action", "--experiment", EXPERIMENT], ["query", "--do", "A=1", "--target", "B=1"]],
+    ids=["simulate", "best-action", "query"],
+)
+def test_a_semantic_fault_of_the_model_file_names_that_file(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    model = tmp_path / "cycle.json"
+    model.write_text(json.dumps(CYCLE), encoding="utf-8")
+    code, out, err = run_cli(capsys, command[0], "--model", str(model), *command[1:])
+    assert (code, out) == (2, "")
+    assert err == f"causalsim: invalid input: {model}: cycle-detected at A, B: these variables lie on or depend on a directed cycle\n"
+    assert not Path("x.csv").exists()
+
+
 @pytest.mark.parametrize("seed", [str(2**64), "-1"])
 def test_a_seed_outside_64_bits_is_a_usage_error(capsys, tmp_path, seed):
     argv = ["simulate", "--model", MODEL, "--experiment", EXPERIMENT, "--out", str(tmp_path / "x.csv"), "--seed", seed]

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from causalsim import (
     Action,
+    CausalAgentConfig,
     CausalGraph,
     CausalModel,
     Cpt,
@@ -29,7 +31,10 @@ from causalsim import (
     save_model,
     step,
 )
-from causalsim.environment import draw
+import causalsim
+from causalsim.agents import CausalBatch
+from causalsim.environment import _drawer, draw
+from causalsim.experiment import _run_block
 
 import reference
 
@@ -200,6 +205,81 @@ def test_each_kind_of_draw_gives_the_codes_of_the_per_variable_gather(medic_env,
             u[rng.random(n) < 0.1] = 1.0 - 2.0**-53
             a = rng.integers(len(env.actions), size=n)
             assert np.array_equal(draw(env, a, u), reference.draw(env, a, u))
+
+
+def _payoff_env(env, payoff):
+    # The same truth, menu and target, paying ``payoff`` by target state.
+    states = env.truth.graph.variable_map[env.target].states
+    return Environment(env.truth, env.actions, env.target, dict(zip(states, payoff)))
+
+
+@pytest.mark.parametrize("payoff", [(0.0, 1.0), (-0.0, 1.0), (1.0, -2.5), (-0.5, 0.0)])
+@pytest.mark.parametrize("n", [1, 4, 256])
+@pytest.mark.parametrize("menu", ["medic", "mixed", "three-state", "chain64"])
+def test_each_bound_stage_of_a_round_keeps_the_bits_of_its_reference(medic_env, chain64_model, menu, n, payoff):
+    # Rounds as the engine runs them, on rows bound once: each stage's
+    # output is compared with the unbound code it replaced, bit for bit:
+    # the posterior means, each action's mass (the plan run on the means),
+    # the expected utilities and their argmax, the draw, and the counts
+    # after the update (the per-buffer code that took the free mask twice).
+    if menu == "chain64":
+        # do(X40=1) contracts the chain from X40 on, one step per variable.
+        actions = (Action("low", {"X62": "0"}), Action("high", {"X62": "1"}), Action("far", {"X40": "1"}))
+        env = Environment(chain64_model, actions, "X63", {"0": 0.0, "1": 1.0})
+    else:
+        env = {"medic": medic_env, "mixed": _mixed_menu_env(medic_env), "three-state": _three_state_forced_env()}[menu]
+    env, graph, rng = _payoff_env(env, payoff), env.truth.graph, np.random.default_rng(n)
+    cfg = CausalAgentConfig(prior_alpha=0.5)
+    batch, twin = CausalBatch(env, cfg, n), CausalBatch(env, cfg, n)
+    a, x = np.zeros(n, np.intp), np.zeros((n, len(graph.variables)), np.intp)
+    batch.bind(a, x)
+    sample = _drawer(env, a, x)
+    plans = [graph._plan_for(action.intervention, {}, (env.target,)) for action in env.actions]
+    free = np.array([[float(v.name not in action.intervention) for v in graph.variables] for action in env.actions])
+    for _ in range(6):
+        batch.greedy()
+        for counts, means in zip(batch.beliefs.counts, batch.beliefs.means):
+            assert means is None or np.array_equal(means, reference.posterior(counts))
+        for k, (action, plan) in enumerate(zip(env.actions, plans)):
+            want = plan.run(plan.operands(graph, (action.intervention,), batch.beliefs.means.__getitem__))
+            assert np.array_equal(batch.mass[:, k], want)
+        eu = reference.expected_utilities(batch.mass, env._payoff)
+        assert np.array_equal(batch.eu.T, eu) and np.array_equal(a, eu.argmax(axis=1))
+        a[:] = np.where(rng.random(n) < 0.5, rng.integers(len(env.actions), size=n), a)
+        u = rng.random((n, len(graph.variables)))
+        sample(u)
+        assert np.array_equal(x, reference.draw(env, a, u))
+        batch.learn()
+        reference.update_count_buffers(twin.beliefs, x, free[a])
+        for got, want in zip(batch.beliefs.counts, twin.beliefs.counts):
+            assert np.array_equal(got, want)
+
+
+def test_a_bound_round_enters_few_python_frames(medic_env):
+    # No timing: the causalsim Python frames one medic round at n = 4
+    # enters, as the difference between blocks of 2 rounds and of 1. Each
+    # policy's greedy and learn, the posterior, the count update and the
+    # draw are one frame each; a per-round layer that comes back adds to it.
+    root = str(Path(causalsim.__file__).parent)
+
+    def frames(rounds):
+        entered = []
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(root):
+                entered.append(frame.f_code.co_name)
+
+        cfg = ExperimentConfig(rounds=rounds, replications=4, seed=3)
+        sys.setprofile(hook)
+        try:
+            _run_block(medic_env, cfg, 0)
+        finally:
+            sys.setprofile(None)
+        return entered
+
+    frames(2)  # the first block builds what the environment and the graph cache
+    one, two = frames(1), frames(2)
+    assert len(two) - len(one) <= 9, two
 
 
 def test_draw_into_a_given_buffer_equals_a_fresh_draw():

@@ -96,8 +96,9 @@ def test_config_validation():
         ExperimentConfig(seed=2**64)
     with pytest.raises(ValueError, match="epsilon"):
         ExperimentConfig(epsilon=0.0)
-    with pytest.raises(ValueError, match="unknown agent"):
+    with pytest.raises(ValueError, match="unknown agent") as caught:
         ExperimentConfig(agents={"bandit": RandomConfig()})
+    assert str(caught.value) == "unknown agent 'bandit'; known: causal, qlearning, random"
     with pytest.raises(ValueError, match="requires a QLearningConfig"):
         ExperimentConfig(agents={"qlearning": RandomConfig()})
     with pytest.raises(ValueError, match="at least one agent"):
@@ -170,6 +171,7 @@ def test_config_from_dict_rejects_garbage():
         ({"agents": {"causal": {"epsilon": 2}}}, "$.agents.causal.epsilon", "exploration rate must lie in [0, 1]"),
         ({"agents": {"qlearning": {"epsilon": -1}}}, "$.agents.qlearning.epsilon", "exploration rate must lie"),
         ({"agents": {"causal": {"prior_alpha": float("inf")}}}, "$.agents.causal.prior_alpha", "nonpositive-alpha"),
+        ({"agents": {"bandit": {}}}, "$.agents.bandit", "unknown agent 'bandit'; known: causal, qlearning, random"),
     ],
 )
 def test_config_from_dict_names_the_path_of_an_out_of_range_value(doc, path, message):

@@ -204,8 +204,9 @@ def test_semantic_validation_still_runs_after_parsing():
             ],
         },
     }
-    with pytest.raises(InvalidModelError, match="cycle-detected"):
+    with pytest.raises(InvalidModelError, match="cycle-detected") as caught:
         model_from_dict(doc)
+    assert caught.value.doc == "$" and str(caught.value).startswith("$: cycle-detected at A, B: ")
 
 
 def test_duplicate_variable_names_are_a_semantic_error():
