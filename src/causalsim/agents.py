@@ -22,12 +22,13 @@ engine reads, and take and return the beliefs or the values. The
 experiment engine runs each policy for a whole block of replications
 at once through :class:`BatchPolicy`, whose three implementations keep
 their state in arrays with a leading replication axis, bind once to
-their rows of the engine's buffers, and are tested against the scalar
-functions. A batched policy only proposes its greedy actions and
-learns; exploration is the engine's: each round it replaces a
-replication's greedy action by a uniformly drawn one at the policy's
-``epsilon`` rate, for every agent of the block in one step (the random
-policy is the one whose rate is 1).
+their rows of the engine's action, outcome and reward buffers, and are
+tested against the scalar functions. The engine pays every reward; the
+Q-learning policy reads neither the truth nor the utility. A batched
+policy only proposes its greedy actions and learns; exploration is the
+engine's: each round it replaces a replication's greedy action by a
+uniformly drawn one at the policy's ``epsilon`` rate, for every agent
+of the block in one step (the random policy's rate is 1).
 """
 
 from __future__ import annotations
@@ -104,18 +105,19 @@ def random_choose(actions: Sequence[Action], rng: np.random.Generator) -> int:
 class BatchPolicy(Protocol):
     """One policy run for n replications at once.
 
-    The constructor takes ``(env, cfg, n)``, and ``bind(actions, x)`` the
-    rows, once: (n,) intp actions and (n, variables) state codes in the
-    truth's declaration order. Each round, ``greedy()`` writes each
-    replication's action from the current state alone; ``learn()`` then
-    folds in, in place, the actions taken and the outcomes in the rows.
+    The constructor takes ``(env, cfg, n)``, and ``bind(actions, x,
+    rewards)`` the rows, once: (n,) intp actions, (n, variables) state
+    codes in the truth's declaration order and (n,) float rewards. Each
+    round, ``greedy()`` writes each replication's action from the current
+    state alone; ``learn()`` then folds in, in place, the actions taken
+    and the outcomes or the rewards in the rows, as the policy needs.
     ``epsilon`` is the rate at which the engine replaces the greedy action
     by a uniformly drawn one; policies never explore themselves.
     """
 
     epsilon: float
 
-    def bind(self, actions: np.ndarray, x: np.ndarray) -> None: ...
+    def bind(self, actions: np.ndarray, x: np.ndarray, rewards: np.ndarray) -> None: ...
 
     def greedy(self) -> None: ...
 
@@ -160,7 +162,7 @@ class CausalBatch:
         self._scoring = [call for k, q in enumerate(queries) for call in q.bind(self.beliefs.means, self.mass[:, k], buffers)]
         self._scoring += _expected_utilities(list(columns), env._payoff.tolist(), self.eu)
 
-    def bind(self, actions: np.ndarray, x: np.ndarray) -> None:
+    def bind(self, actions: np.ndarray, x: np.ndarray, rewards: np.ndarray) -> None:
         self._round = [*self._scoring, (self.eu.argmax, (0, actions))]
         self._actions, self._x = actions, x
 
@@ -175,27 +177,25 @@ class CausalBatch:
 
 class QBatch:
     """Stateless Q-learning: an (n, actions) value array, chosen from
-    like :func:`q_choose` and updated like :func:`q_learn`."""
+    like :func:`q_choose` and updated like :func:`q_learn` from the bound
+    rewards alone. Of ``env`` it reads only the action menu."""
 
     def __init__(self, env: Environment, cfg: QLearningConfig, n: int):
         self.q = np.full((n, len(env.actions)), float(cfg.q0))
         self.alpha = np.array(cfg.alpha)  # 0-d: its product with an array skips a scalar conversion
         self.epsilon = cfg.epsilon
-        self.payoff = env._payoff
-        self.target = env.truth.graph._positions[env.target]
         self._flat, self._base = self.q.reshape(-1), np.arange(n) * len(env.actions)
 
-    def bind(self, actions: np.ndarray, x: np.ndarray) -> None:
-        self._actions, self._reached = actions, x[:, self.target]
+    def bind(self, actions: np.ndarray, x: np.ndarray, rewards: np.ndarray) -> None:
+        self._actions, self._rewards = actions, rewards
 
     def greedy(self) -> None:
         self.q.argmax(1, self._actions)
 
     def learn(self) -> None:
-        reward = self.payoff[self._reached]
         index = self._base + self._actions
         q = self._flat[index]
-        self._flat[index] = q + self.alpha * (reward - q)
+        self._flat[index] = q + self.alpha * (self._rewards - q)
 
 
 class RandomBatch:

@@ -284,14 +284,8 @@ def _kahn_order(graph: CausalGraph) -> tuple[list[str], list[ValidationIssue]]:
     reported separately by :func:`validate_graph`.
     """
     declared = set(graph.names)
-    remaining: dict[str, set[str]] = {
-        v.name: {p for p in graph.parents_of(v.name) if p in declared and p != v.name}
-        for v in graph.variables
-    }
-    # Self-loops are cycles; keep them so the vertex never becomes ready.
-    for v in graph.variables:
-        if v.name in graph.parents_of(v.name):
-            remaining[v.name].add(v.name)
+    # A self-loop is kept, so its vertex never becomes ready.
+    remaining = {v.name: {p for p in graph.parents_of(v.name) if p in declared} for v in graph.variables}
     order: list[str] = []
     placed: set[str] = set()
     while True:
@@ -477,14 +471,12 @@ class _Plan:
             codes.update((name, vmap[name].state_index[state]) for name, state in assignment.items())
         return [table(pos) if axes is None else table(pos)[(..., *[codes[a] for a in axes])] for pos, axes in self.factors]
 
-    def run(self, operands: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-        """Contract ``operands``, as :meth:`operands` gives them; the
-        last step writes the answer into ``out`` when it is given."""
+    def run(self, operands: list[np.ndarray]) -> np.ndarray:
+        """Contract ``operands``, as :meth:`operands` gives them."""
         slots = list(operands)
-        for used, subscripts in self.steps[:-1]:
+        for used, subscripts in self.steps:
             slots.append(_einsum(subscripts, *[slots[i] for i in used]))
-        used, subscripts = self.steps[-1]
-        return _einsum(subscripts, *[slots[i] for i in used], out=out)
+        return slots[-1]
 
 
 def _plan(graph: CausalGraph, forced: frozenset[str], evidence: frozenset[str], targets: tuple[str, ...]) -> _Plan:

@@ -13,27 +13,30 @@ A round is one step for the whole roster, on rows that each policy
 (:func:`~causalsim.environment.draw`) bind once per block: each policy
 writes its greedy actions into its rows, one ``np.copyto`` writes the
 explored actions over them, one draw gives every row its outcome under
-its own action, each policy learns from its rows, and one gather pays
-every reward. Exploration belongs to the engine: the schedule, where
-each row explores and what it takes, comes from the choice uniforms and
-each policy's ``epsilon`` in one place, :func:`_exploration`, once per
-chunk of rounds. Rows never read each other, so sharing the draw is
-equivalent to stepping the agents one after another.
+its own action, one gather pays every row the utility of its target
+state, and each policy learns from its rows. Exploration belongs to the
+engine: the schedule, where each row explores and what it takes, comes
+from the choice uniforms and each policy's ``epsilon`` in one place,
+:func:`_exploration`, once per chunk of rounds. Rows never read each
+other, so sharing the draw is equivalent to stepping the agents one
+after another.
 
 Randomness is carved into streams keyed by (master seed, block index,
 agent label). Each stream is read replication-major, as if drawn as
 one array of uniforms of shape (replications in the block, rounds,
 2 + variables), but as many rounds at a time as fit in a fixed byte
-budget, so a block's memory grows neither with the number of rounds nor
+budget, so a block's uniforms grow neither with the number of rounds nor
 with the width of the model; see
 :func:`_uniform_chunks` and :func:`_run_block` for how the columns are
 used. A replication's trajectory therefore depends neither on roster
 order, nor on whether blocks run serially or in worker processes, nor
-on how many replications the run has in total. The trial log keeps
-every agent's action indices and rewards as (replications, rounds)
-arrays. Aggregation averages rewards per round across replications and
-also reports the running cumulative mean, which is what the
-convergence check and the reports consume.
+on how many replications the run has in total. A block logs each
+round as one row of its (rounds, agents * replications) action and
+reward arrays; :func:`run_experiment` transposes them as it copies them
+into the trial log, which keeps every agent's action indices and
+rewards as (replications, rounds) arrays. Aggregation averages rewards
+per round across replications and also reports the running cumulative
+mean, which is what the convergence check and the reports consume.
 """
 
 from __future__ import annotations
@@ -323,53 +326,45 @@ def _exploration(u: np.ndarray, epsilon: float | np.ndarray, n_actions: int) -> 
     return u[..., 0] < epsilon, uniform.astype(np.min_scalar_type(n_actions - 1))
 
 
-def _trial_arrays(env: Environment, cfg: ExperimentConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uninitialized (actions, rewards) arrays, each (agents, n, rounds)."""
-    shape = (len(cfg.agents), n, cfg.rounds)
-    return np.empty(shape, np.min_scalar_type(len(env.actions) - 1)), np.empty(shape)
-
-
 def _run_block(env: Environment, cfg: ExperimentConfig, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every agent's (actions, rewards), each (agents, replications,
-    rounds), for the replications of one block.
+    """Every agent's (actions, rewards) for the replications of one block,
+    each (rounds, agents * replications): one row per round, agent-major.
 
     All agents advance in lockstep on one row per (agent, replication),
-    agent-major, in one action and one outcome buffer, to whose rows each
-    policy and the draw bind once. Per round: each policy writes its
-    greedy actions into its rows, one ``np.copyto`` puts the explored
-    ones over them, one draw writes every row's outcome from its own
-    uniforms, one per variable in the truth's topological order, and each
-    policy learns from its rows. Each round's actions and target states
-    go to one row of a chunk buffer, copied into the trial log per chunk.
+    agent-major, in one action, one outcome and one reward buffer, to
+    whose rows each policy, the draw and the payoff gather bind once. Per
+    round: each policy writes its greedy actions into its rows, one
+    ``np.copyto`` puts the explored ones over them, one draw writes every
+    row's outcome from its own uniforms, one per variable in the truth's
+    topological order, one gather pays every row the utility of its
+    target state, each policy learns from its rows, and the round's
+    actions and rewards become one row of the block's log.
     """
     n = min(BLOCK_SIZE, cfg.replications - block * BLOCK_SIZE)
     k = len(cfg.agents)
     policies = [getattr(agents, _AGENTS[label][1])(env, acfg, n) for label, acfg in cfg.agents.items()]
     epsilon = np.repeat([p.epsilon for p in policies], n)
-    a, x = np.empty(k * n, np.intp), np.empty((k * n, len(env.truth.graph.variables)), np.intp)
+    a, x, r = np.empty(k * n, np.intp), np.empty((k * n, len(env.truth.graph.variables)), np.intp), np.empty(k * n)
     for i, p in enumerate(policies):
-        p.bind(a[i * n : (i + 1) * n], x[i * n : (i + 1) * n])
-    sample, y = _drawer(env, a, x), x[:, env.truth.graph._positions[env.target]]
-    actions, rewards = _trial_arrays(env, cfg, n)
-    width = CHOICE_DRAWS + x.shape[1]
-    chunk = _chunk_rounds(cfg, n, width)
-    taken = np.empty((chunk, k * n), actions.dtype)
-    reached = np.empty(taken.shape, np.min_scalar_type(len(env._payoff) - 1))
-    for j, u in enumerate(_uniform_chunks(cfg, block, n, width)):
+        p.bind(*(rows[i * n : (i + 1) * n] for rows in (a, x, r)))
+    sample, y, payoff = _drawer(env, a, x), x[:, env.truth.graph._positions[env.target]], env._payoff
+    actions = np.empty((cfg.rounds, k * n), np.min_scalar_type(len(env.actions) - 1))
+    rewards = np.empty(actions.shape)
+    width, t = CHOICE_DRAWS + x.shape[1], 0
+    for u in _uniform_chunks(cfg, block, n, width):
         u = u.swapaxes(0, 1)  # round-major: round c of the chunk is [c]
         explore, uniform = _exploration(u[..., :CHOICE_DRAWS], epsilon, len(env.actions))
         draws = u[..., CHOICE_DRAWS:]
-        for c in range(m := len(u)):
+        for c in range(len(u)):
             for policy in policies:
                 policy.greedy()
             np.copyto(a, uniform[c], where=explore[c])
             sample(draws[c])
+            r[...] = payoff[y]
             for policy in policies:
                 policy.learn()
-            taken[c], reached[c] = a, y
-        rounds = slice(j * chunk, j * chunk + m)
-        actions[:, :, rounds] = taken[:m].reshape(m, k, n).transpose(1, 2, 0)
-        rewards[:, :, rounds] = env._payoff[reached[:m].reshape(m, k, n).transpose(1, 2, 0)]
+            actions[t + c], rewards[t + c] = a, r
+        t += len(u)
     return actions, rewards
 
 
@@ -387,7 +382,8 @@ def run_experiment(
     if workers is not None and not (_whole(workers) and workers >= 1):
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     blocks = range(-(-cfg.replications // BLOCK_SIZE))
-    actions, rewards = _trial_arrays(env, cfg, cfg.replications)
+    shape = (len(cfg.agents), cfg.replications, cfg.rounds)
+    actions, rewards = np.empty(shape, np.min_scalar_type(len(env.actions) - 1)), np.empty(shape)
     # Refuse what would overflow: a sum of rewards over the replications or the rounds, or twice one.
     top, n = max(abs(float(u)) for u in env.utility.values()), max(cfg.replications, cfg.rounds)
     if not np.isfinite(top * 2.0 * n):
@@ -399,8 +395,9 @@ def run_experiment(
         pool = ProcessPoolExecutor(min(workers, len(blocks)))
     with pool as executor:
         for b, (a, r) in enumerate((executor.map if executor else map)(partial(_run_block, env, cfg), blocks)):
-            rows = slice(b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)
-            actions[:, rows], rewards[:, rows] = a, r
+            # A block's log is round-major: transposed, it splits into (agents, replications, rounds) as a view.
+            rows, split = slice(b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE), (len(cfg.agents), -1, cfg.rounds)
+            actions[:, rows], rewards[:, rows] = a.T.reshape(split), r.T.reshape(split)
     log = TrialLog(
         tuple(a.label for a in env.actions),
         dict(zip(cfg.agents, actions)),

@@ -1,6 +1,7 @@
 """Decision policies: expected utility, greedy choice, Q-learning, random."""
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -235,16 +236,16 @@ def _realized(graph, codes):
 
 def _greedy(policy, n):
     """The policy's greedy actions, written into fresh rows it is bound to
-    (with medic-wide outcome rows, which no greedy step reads)."""
+    (with medic-wide outcome rows and reward rows, which no greedy step reads)."""
     out = np.zeros(n, np.intp)
-    policy.bind(out, np.zeros((n, 3), np.intp))
+    policy.bind(out, np.zeros((n, 3), np.intp), np.zeros(n))
     policy.greedy()
     return out
 
 
-def _learn(policy, actions, x):
-    """Fold in the outcomes ``x`` of ``actions``, through rows bound to both."""
-    policy.bind(np.array(actions, np.intp), x)
+def _learn(policy, actions, x, rewards):
+    """Fold in the outcomes ``x`` of ``actions`` and their ``rewards``, through rows bound to all three."""
+    policy.bind(np.array(actions, np.intp), x, np.array(rewards, float))
     policy.learn()
 
 
@@ -276,7 +277,7 @@ def test_batched_causal_agent_matches_causal_choose_and_causal_learn():
             assert _greedy(batch, 6).tolist() == [causal_choose(env, b) for b in scalar]
             taken = rng.integers(len(actions), size=6)
             x = draw(env, taken, rng.random((6, len(model.graph.variables))))
-            _learn(batch, taken, x)
+            _learn(batch, taken, x, np.full(6, np.nan))  # the causal policy reads no reward
             scalar = [causal_learn(env, b, env.actions[a], _realized(model.graph, c)) for b, a, c in zip(scalar, taken, x)]
             for r, b in enumerate(scalar):
                 for pos, counts in enumerate(_count_arrays(b)):
@@ -310,10 +311,27 @@ def test_batched_q_learner_matches_q_choose_and_q_learn(medic_env):
         assert _greedy(batch, n).tolist() == [q_choose(cfg, q, rng) for q in scalar]
         taken = rng.integers(len(medic_env.actions), size=n)
         x = draw(medic_env, taken, rng.random((n, 3)))
-        _learn(batch, taken, x)
         graph = medic_env.truth.graph
         rewards = [medic_env.utility[_realized(graph, c)["Y"]] for c in x]
+        _learn(batch, taken, x, rewards)
         scalar = [q_learn(cfg, q, int(a), r) for q, a, r in zip(scalar, taken, rewards)]
+        assert batch.q.tolist() == [list(q) for q in scalar]
+
+
+def test_a_q_learner_needs_only_the_menu_and_learns_from_the_bound_rewards(medic_env):
+    # Built from an object that has nothing but an action menu, the batched
+    # Q-learner takes the rewards bound to its rows, whatever they are, and
+    # folds them in as q_learn does; it reads no outcome and no utility.
+    rng = np.random.default_rng(78)
+    n = 8
+    cfg = QLearningConfig(alpha=0.3, epsilon=0.0, q0=0.5)
+    batch = QBatch(SimpleNamespace(actions=medic_env.actions), cfg, n)
+    scalar = [(cfg.q0,) * len(medic_env.actions)] * n
+    for _ in range(40):
+        assert _greedy(batch, n).tolist() == [q_choose(cfg, q, rng) for q in scalar]
+        taken, rewards = rng.integers(len(medic_env.actions), size=n), rng.normal(size=n) * 3.0
+        _learn(batch, taken, np.empty((n, 0), np.intp), rewards)
+        scalar = [q_learn(cfg, q, int(a), float(r)) for q, a, r in zip(scalar, taken, rewards)]
         assert batch.q.tolist() == [list(q) for q in scalar]
 
 
@@ -329,9 +347,9 @@ def test_greedy_writes_the_former_choices_into_the_given_rows(medic_env):
         counts[...] = rng.integers(1, 4, size=counts.shape)
     q = QBatch(medic_env, QLearningConfig(), n)
     q.q[...] = rng.integers(0, 3, size=q.q.shape) / 2
-    a, x = np.full(3 * n, 7, np.intp), np.zeros((3 * n, 3), np.intp)  # 7 is no action index
+    a, x, r = np.full(3 * n, 7, np.intp), np.zeros((3 * n, 3), np.intp), np.zeros(3 * n)  # 7 is no action index
     for i, policy in enumerate((causal, q, RandomBatch(medic_env, None, n))):
-        policy.bind(a[i * n : (i + 1) * n], x[i * n : (i + 1) * n])
+        policy.bind(a[i * n : (i + 1) * n], x[i * n : (i + 1) * n], r[i * n : (i + 1) * n])
         policy.greedy()
     assert np.array_equal(a[:n], reference.expected_utilities(causal.mass, medic_env._payoff).argmax(axis=1))
     assert np.array_equal(a[n : 2 * n], q.q.argmax(axis=1))
@@ -422,7 +440,7 @@ def test_batched_updates_never_touch_the_forced_variable(medic_env):
     rng = np.random.default_rng(20240817)
     for k in range(2_500):
         taken = np.full(4, k % 2)
-        _learn(batch, taken, draw(medic_env, taken, rng.random((4, 3))))
+        _learn(batch, taken, draw(medic_env, taken, rng.random((4, 3))), np.full(4, np.nan))
     t = truth.graph._positions["T"]
     assert np.array_equal(batch.beliefs.counts[t], prior[t])
     added = sum((c - p).sum() for c, p in zip(batch.beliefs.counts, prior))

@@ -221,7 +221,8 @@ def test_each_bound_stage_of_a_round_keeps_the_bits_of_its_reference(medic_env, 
     # output is compared with the unbound code it replaced, bit for bit:
     # the posterior means, each action's mass (the plan run on the means),
     # the expected utilities and their argmax, the draw, and the counts
-    # after the update (the per-buffer code that took the free mask twice).
+    # after the update (the per-buffer code that took the free mask twice),
+    # and the rewards the engine's one payoff gather writes into the bound rows.
     if menu == "chain64":
         # do(X40=1) contracts the chain from X40 on, one step per variable.
         actions = (Action("low", {"X62": "0"}), Action("high", {"X62": "1"}), Action("far", {"X40": "1"}))
@@ -231,9 +232,9 @@ def test_each_bound_stage_of_a_round_keeps_the_bits_of_its_reference(medic_env, 
     env, graph, rng = _payoff_env(env, payoff), env.truth.graph, np.random.default_rng(n)
     cfg = CausalAgentConfig(prior_alpha=0.5)
     batch, twin = CausalBatch(env, cfg, n), CausalBatch(env, cfg, n)
-    a, x = np.zeros(n, np.intp), np.zeros((n, len(graph.variables)), np.intp)
-    batch.bind(a, x)
-    sample = _drawer(env, a, x)
+    a, x, r = np.zeros(n, np.intp), np.zeros((n, len(graph.variables)), np.intp), np.zeros(n)
+    batch.bind(a, x, r)
+    sample, y, states = _drawer(env, a, x), x[:, graph._positions[env.target]], graph.variable_map[env.target].states
     plans = [graph._plan_for(action.intervention, {}, (env.target,)) for action in env.actions]
     free = np.array([[float(v.name not in action.intervention) for v in graph.variables] for action in env.actions])
     for _ in range(6):
@@ -249,6 +250,8 @@ def test_each_bound_stage_of_a_round_keeps_the_bits_of_its_reference(medic_env, 
         u = rng.random((n, len(graph.variables)))
         sample(u)
         assert np.array_equal(x, reference.draw(env, a, u))
+        r[...] = env._payoff[y]  # the engine's payoff gather
+        assert r.tobytes() == np.array([env.utility[states[c]] for c in y]).tobytes()
         batch.learn()
         reference.update_count_buffers(twin.beliefs, x, free[a])
         for got, want in zip(batch.beliefs.counts, twin.beliefs.counts):
