@@ -23,12 +23,14 @@ experiment engine runs each policy for a whole block of replications
 at once through :class:`BatchPolicy`, whose three implementations keep
 their state in arrays with a leading replication axis, bind once to
 their rows of the engine's action, outcome and reward buffers, and are
-tested against the scalar functions. The engine pays every reward; the
-Q-learning policy reads neither the truth nor the utility. A batched
-policy only proposes its greedy actions and learns; exploration is the
-engine's: each round it replaces a replication's greedy action by a
-uniformly drawn one at the policy's ``epsilon`` rate, for every agent
-of the block in one step (the random policy's rate is 1).
+tested against the scalar functions; the causal one binds the
+elimination plans that :func:`expected_utility` runs. The engine pays
+every reward; the Q-learning policy reads neither the truth nor the
+utility. A batched policy only proposes its greedy actions and learns;
+exploration is the engine's: each round it replaces a replication's
+greedy action by a uniformly drawn one at the policy's ``epsilon``
+rate, for every agent of the block in one step (the random policy's
+rate is 1).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
 import numpy as np
 
 from .beliefs import BeliefState, CountBeliefs, _summed, posterior_mean, update
-from .cgm import Assignment, ReplicatedQuery
+from .cgm import Assignment
 from .environment import Action, UtilityFunction, best_action, expected_utility
 
 if TYPE_CHECKING:
@@ -144,22 +146,26 @@ class CausalBatch:
 
     Per replication: Dirichlet counts over the truth's graph, updated
     like :func:`causal_learn` and scored each round like
-    :func:`causal_choose`: each action's query, bound once to the
-    posterior means, writes its column of one (n, actions, target
-    cardinality) array, then scored in buffers bound once. It refuses a
-    truth whose scoring would build a factor of over ``MAX_FACTOR_STATES``.
+    :func:`causal_choose`: each action's cached plan, the one
+    :func:`expected_utility` runs, bound once to the posterior means
+    (:meth:`~causalsim.cgm._Plan.bind`), writes its column of one (n,
+    actions, target cardinality) array, then scored in buffers bound
+    once. It refuses a truth whose scoring would build a factor of over
+    ``MAX_FACTOR_STATES``.
     """
 
     def __init__(self, env: Environment, cfg: CausalAgentConfig, n: int):
         graph = env.truth.graph
         # Raises factor too large before any counts are allocated.
-        queries = [ReplicatedQuery(graph, a.intervention, env.target) for a in env.actions]
-        scored = sorted({p for q in queries for p, _ in q.plan.factors})
+        plans = [graph._plan_for(a.intervention, {}, (env.target,)) for a in env.actions]
+        scored = sorted({p for plan in plans for p, _ in plan.factors})
         self.beliefs = CountBeliefs(graph, cfg.prior_alpha, n, scored, [a.intervention for a in env.actions])
         self.epsilon = cfg.epsilon
-        columns, buffers = np.empty((len(env._payoff), len(queries), n)), {}
+        columns, buffers = np.empty((len(env._payoff), len(plans), n)), {}
         self.mass, self.eu = columns.T, np.empty(columns.shape[1:])
-        self._scoring = [call for k, q in enumerate(queries) for call in q.bind(self.beliefs.means, self.mass[:, k], buffers)]
+        self._scoring = []
+        for k, (a, plan) in enumerate(zip(env.actions, plans)):
+            self._scoring += plan.bind(graph, (a.intervention,), self.beliefs.means, self.mass[:, k], buffers)
         self._scoring += _expected_utilities(list(columns), env._payoff.tolist(), self.eu)
 
     def bind(self, actions: np.ndarray, x: np.ndarray, rewards: np.ndarray) -> None:

@@ -21,8 +21,8 @@ dropped, since they sum to one; the rest are contracted with
 elimination plan depends only on the graph and on which variables are
 forced, evidenced and targeted, so it is cached on the graph object and
 shared by every model built on it. One plan runner executes it for
-the scalar queries; :class:`ReplicatedQuery`, which is how a batch of
-belief states scores its actions at once, binds its steps once to tables
+the scalar queries; for a batch of belief states, which scores its
+actions at once, :meth:`_Plan.bind` binds the same steps once to tables
 with a leading replication axis. The one cap is on the work: building a
 plan refuses a query whose elimination would create a factor of more
 than ``MAX_FACTOR_STATES`` states, before the plan is cached or any
@@ -35,11 +35,11 @@ fully pinned plan builds only scalars.
 Sampling is ancestral and has no cap. A variable's state is drawn by
 inverse CDF from its cumulative table (:func:`cumulative`): the state
 is the number of cumulative entries at or below a uniform draw.
-:func:`sample` (on one model) and the batched
-:func:`~causalsim.environment.draw` (on a truth under a menu of
-interventions) read the tables of one builder, :func:`_sampling_tables`,
-which builds no surgered model: forcing a variable only makes its table
-a point mass, whose inverse CDF is the forced state. So ``draw`` looks
+:func:`sample` (on one model) and the batched draw, :func:`_drawer`
+(on a truth under a menu of interventions, one row per replication),
+read the tables of one builder, :func:`_sampling_tables`, which builds
+no surgered model: forcing a variable only makes its table a point
+mass, whose inverse CDF is the forced state. So the batched draw looks
 up a variable every action forces, and draws the rest from the truth's
 rows or, for one only some actions force, from a block of rows per
 action: the truth's, or the forced state's point mass.
@@ -83,7 +83,6 @@ __all__ = [
     "interventional_marginal",
     "sample",
     "cumulative",
-    "ReplicatedQuery",
 ]
 
 # A CPT row must sum to 1 within this tolerance to count as normalized.
@@ -478,6 +477,25 @@ class _Plan:
             slots.append(_einsum(subscripts, *[slots[i] for i in used]))
         return slots[-1]
 
+    def bind(
+        self, graph: CausalGraph, pins: tuple[Assignment, ...], tables: list[np.ndarray], out: np.ndarray, buffers: dict
+    ) -> list[tuple[Callable, tuple]]:
+        """:meth:`run` on a batch's ``tables``, (n, parent cardinalities...,
+        cardinality) per position, pinned to ``pins``, as (function, arguments)
+        calls on views fixed here, in row slices that keep every factor under
+        ``MAX_FACTOR_STATES`` with the replication axis: the last step into
+        ``out``, each other into a buffer of ``buffers``, which plans run one
+        by one may share."""
+        step, last, calls = max(1, MAX_FACTOR_STATES // self.largest), len(self.steps) - 1, []
+        for r in range(0, len(out), step):
+            slots = self.operands(graph, pins, lambda pos: tables[pos][r : r + step])
+            for i, (used, subscripts) in enumerate(self.steps):
+                args = (subscripts, *[slots[j] for j in used])
+                like = _einsum(*args) if i < last else out[r : r + step]  # a step before the last sums a variable out
+                slots.append(buffers.setdefault((i, like.shape, like.strides), like) if i < last else like)
+                calls.append((partial(_einsum, out=slots[-1]), args))
+        return calls
+
 
 def _plan(graph: CausalGraph, forced: frozenset[str], evidence: frozenset[str], targets: tuple[str, ...]) -> _Plan:
     pinned = forced | evidence
@@ -710,6 +728,35 @@ def _sampling_tables(truth: CausalModel, interventions: Sequence[Intervention]) 
     return tuple(tables)
 
 
+def _drawer(graph: CausalGraph, tables: tuple, actions: np.ndarray, x: np.ndarray) -> Callable[[np.ndarray], None]:
+    """The batched draw from ``tables``, the :func:`_sampling_tables` of a
+    truth on ``graph`` under a menu, bound to ``actions``, one intp action
+    index per row, and to ``x``, (n, variables) intp: a function of ``u``,
+    one uniform per row and variable in topological order, that writes
+    the rows' state codes into ``x``, columns in declaration order. Given
+    the same uniforms, a row draws what :func:`sample` draws on the truth
+    surgered by its action. A variable every action forces is looked up
+    by action, its uniform unread; any other takes the number of entries
+    at or below its uniform in row ``sum(parent code * stride)`` of its
+    cumulative rows, within its action's block if only some force it."""
+    index, plan = np.empty(len(x), np.intp), []
+    for k, (pos, parents, _, step, cum) in enumerate(tables):
+        # The row by Horner's rule, index = index * cardinality + code, over the action's block, then each parent.
+        codes, calls = [actions] * (step != 0) + [x[:, p] for p in parents], []
+        for column, card in zip(codes[1:], graph._layout[pos][2][-len(codes) : -1]):
+            calls += [(np.multiply, (index if calls else codes[0], np.array(card), index)), (np.add, (index, column, index))]
+        plan.append((calls, cum, index if calls else codes[0] if codes else None, None if step is None else k, x[:, pos]))
+
+    def run(u: np.ndarray) -> None:
+        for calls, cum, rows, k, column in plan:
+            for f, args in calls:
+                f(*args)
+            entries = cum if rows is None else cum[rows]
+            column[...] = entries if k is None else (entries <= u[:, k, None]).sum(axis=1) if cum.ndim > 1 else entries <= u[:, k]
+
+    return run
+
+
 def sample(model: CausalModel, rng: np.random.Generator) -> dict[str, str]:
     """Draw one full assignment by ancestral sampling.
 
@@ -726,36 +773,3 @@ def sample(model: CausalModel, rng: np.random.Generator) -> dict[str, str]:
         codes[pos] = int(entries <= u) if cum.ndim == 1 else int((entries <= u).sum())
     variables = model.graph.variables
     return {variables[pos].name: variables[pos].states[codes[pos]] for pos, *_ in model._sampler}
-
-
-class ReplicatedQuery:
-    """The unnormalized interventional marginal of one target for a
-    batch: the :func:`interventional_marginal` kernel, run with one
-    extra leading replication axis on every table.
-
-    Built once per (graph, intervention, target) from the cached plan,
-    so it refuses, at construction, the graphs the queries refuse: those
-    whose elimination would build a factor of more than
-    ``MAX_FACTOR_STATES`` states. :meth:`bind` pins a batch's tables
-    once, in row slices, so no factor exceeds the cap with the
-    replication axis included either.
-    """
-
-    def __init__(self, graph: CausalGraph, intervention: Intervention, target: str):
-        self.plan = graph._plan_for(intervention, {}, (target,))
-        self._operands = partial(self.plan.operands, graph, (intervention,))
-
-    def bind(self, tables: list[np.ndarray], out: np.ndarray, buffers: dict) -> list[tuple[Callable, tuple]]:
-        """The plan's contractions of ``tables``, (n, parent cardinalities...,
-        cardinality) per position, as (function, arguments) calls on views
-        pinned here once: the last into ``out``, every other one into a
-        buffer of ``buffers``, which queries run one by one may share."""
-        step, last, calls = max(1, MAX_FACTOR_STATES // self.plan.largest), len(self.plan.steps) - 1, []
-        for r in range(0, len(out), step):
-            slots = self._operands(lambda pos: tables[pos][r : r + step])
-            for i, (used, subscripts) in enumerate(self.plan.steps):
-                args = (subscripts, *[slots[j] for j in used])
-                like = _einsum(*args) if i < last else out[r : r + step]  # a step before the last sums a variable out
-                slots.append(buffers.setdefault((i, like.shape, like.strides), like) if i < last else like)
-                calls.append((partial(_einsum, out=slots[-1]), args))
-        return calls

@@ -12,12 +12,12 @@ truth (``causalsim best-action``) runs neither ``agents`` nor
 An action acts on the truth only by ``do``, the truncated
 factorization. :func:`step`, the scalar reference, samples the
 action's surgered truth (:func:`~causalsim.cgm.intervene`), built on
-first use, and pays the utility of the realized target state.
-:func:`draw` is the batched step: one outcome per replication, each
-under its own action, from tables that the builder behind
-:func:`~causalsim.cgm.sample` makes from the truth and the menu alone.
-Only a variable some actions force and others do not gets rows per
-action. The engine binds it to its buffers once per block (:func:`_drawer`).
+first use, and pays the utility of the realized target state. For
+the batched step, the environment keeps sampling tables that the
+builder behind :func:`~causalsim.cgm.sample` makes from the truth and
+the menu alone; only a variable some actions force and others do not
+gets rows per action. The engine binds the batched draw,
+:func:`~causalsim.cgm._drawer`, to them once per block.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "Environment",
     "StepRecord",
     "step",
-    "draw",
     "environment_from_dict",
     "load_environment",
     "environment_block_to_dict",
@@ -163,49 +162,6 @@ def step(env: Environment, action: Action, rng: np.random.Generator) -> StepReco
         raise ValueError(f"unknown-action: {action.label!r} is not in this environment")
     realized = sample(env._surgered[env.actions.index(action)], rng)
     return StepRecord(action.label, realized, env.utility[realized[env.target]])
-
-
-def draw(env: Environment, actions: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Batched step: one full outcome per replication, as state codes.
-
-    ``actions`` holds one action index per replication; ``u`` has shape
-    (replications, variables) and supplies, per replication, one
-    uniform per variable in the truth's topological order. Returns an
-    (replications, variables) intp array of state codes, columns in the
-    truth's declaration order, written into ``out`` when given. Given
-    the same uniform for each variable, a replication's outcome is the
-    one :func:`step` draws for the same action.
-
-    A variable every action forces is looked up by action; its uniform
-    goes unread. Any other takes the number of entries at or below its
-    uniform in the row ``sum(parent code * stride)``
-    (``CausalGraph._layout``) of the truth's cumulative rows, or, if
-    only some actions force it, in the block of rows of its action.
-    """
-    x = np.empty(u.shape, np.intp) if out is None else out
-    _drawer(env, np.asarray(actions, np.intp), x)(u)
-    return x
-
-
-def _drawer(env: Environment, actions: np.ndarray, x: np.ndarray) -> Callable[[np.ndarray], None]:
-    """:func:`draw` bound to ``actions`` and ``x``: a function of ``u`` on
-    each variable's column views, row-index calls and buffers, fixed here."""
-    index, plan = np.empty(len(x), np.intp), []
-    for k, (pos, parents, _, step, cum) in enumerate(env._sampler):
-        # The row by Horner's rule, index = index * cardinality + code, over the action's block, then each parent.
-        codes, calls = [actions] * (step != 0) + [x[:, p] for p in parents], []
-        for column, card in zip(codes[1:], env.truth.graph._layout[pos][2][-len(codes) : -1]):
-            calls += [(np.multiply, (index if calls else codes[0], np.array(card), index)), (np.add, (index, column, index))]
-        plan.append((calls, cum, index if calls else codes[0] if codes else None, None if step is None else k, x[:, pos]))
-
-    def run(u: np.ndarray) -> None:
-        for calls, cum, rows, k, column in plan:
-            for f, args in calls:
-                f(*args)
-            entries = cum if rows is None else cum[rows]
-            column[...] = entries if k is None else (entries <= u[:, k, None]).sum(axis=1) if cum.ndim > 1 else entries <= u[:, k]
-
-    return run
 
 
 def _check_keys(data: dict, doc: str) -> None:

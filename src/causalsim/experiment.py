@@ -10,16 +10,16 @@ The engine runs replications in blocks of ``BLOCK_SIZE`` and advances
 every agent of a block in lockstep, one row per (agent, replication).
 A round is one step for the whole roster, on rows that each policy
 (:class:`~causalsim.agents.BatchPolicy`) and the batched ancestral draw
-(:func:`~causalsim.environment.draw`) bind once per block: each policy
-writes its greedy actions into its rows, one ``np.copyto`` writes the
-explored actions over them, one draw gives every row its outcome under
-its own action, one gather pays every row the utility of its target
-state, and each policy learns from its rows. Exploration belongs to the
-engine: the schedule, where each row explores and what it takes, comes
-from the choice uniforms and each policy's ``epsilon`` in one place,
-:func:`_exploration`, once per chunk of rounds. Rows never read each
-other, so sharing the draw is equivalent to stepping the agents one
-after another.
+(:func:`~causalsim.cgm._drawer`, on the environment's sampling tables)
+bind once per block: each policy writes its greedy actions into its
+rows, one ``np.copyto`` writes the explored actions over them, one draw
+gives every row its outcome under its own action, one gather pays every
+row the utility of its target state, and each policy learns from its
+rows. Exploration belongs to the engine: the schedule, where each row
+explores and what it takes, comes from the choice uniforms and each
+policy's ``epsilon`` in one place, :func:`_exploration`, once per chunk
+of rounds. Rows never read each other, so sharing the draw is
+equivalent to stepping the agents one after another.
 
 Randomness is carved into streams keyed by (master seed, block index,
 agent label). Each stream is read replication-major, as if drawn as
@@ -49,8 +49,8 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .cgm import _FieldError, _check_prior
-from .environment import Environment, _check_keys, _drawer
+from .cgm import _FieldError, _check_prior, _drawer
+from .environment import Environment, _check_keys
 from . import agents, model_io
 from .model_io import _checked, _expect
 
@@ -347,7 +347,7 @@ def _run_block(env: Environment, cfg: ExperimentConfig, block: int) -> tuple[np.
     a, x, r = np.empty(k * n, np.intp), np.empty((k * n, len(env.truth.graph.variables)), np.intp), np.empty(k * n)
     for i, p in enumerate(policies):
         p.bind(*(rows[i * n : (i + 1) * n] for rows in (a, x, r)))
-    sample, y, payoff = _drawer(env, a, x), x[:, env.truth.graph._positions[env.target]], env._payoff
+    sample, y, payoff = _drawer(env.truth.graph, env._sampler, a, x), x[:, env.truth.graph._positions[env.target]], env._payoff
     actions = np.empty((cfg.rounds, k * n), np.min_scalar_type(len(env.actions) - 1))
     rewards = np.empty(actions.shape)
     width, t = CHOICE_DRAWS + x.shape[1], 0

@@ -118,7 +118,8 @@ def write_svg(series: Sequence[RoundSeries], path: str) -> None:
         v = lo + (hi - lo) * i / 4.0
         y = ypix(v)
         line(_MARGIN_LEFT - 5, f"{y:.1f}", _MARGIN_LEFT, f"{y:.1f}")
-        text(_MARGIN_LEFT - 9, f"{y + 4:.1f}", f"{v:.3f}", "12", "end")
+        # Fixed-point below 1e9; beyond, a general format keeps the label within the left margin.
+        text(_MARGIN_LEFT - 9, f"{y + 4:.1f}", f"{v:.3f}" if abs(v) < 1e9 else f"{v:.12g}", "12", "end")
 
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]

@@ -14,6 +14,9 @@ exactly the same codes, counts, elimination plans, means and expected
 utilities. ``write_csv`` writes one line at a time and ``write_svg``
 builds, indents and serializes an ElementTree; the tests require the
 library's writers to give exactly the same bytes.
+
+``bound_draw`` is no reference: it is how the tests run the library's
+batched draw, the one the engine binds once per block.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from causalsim import Action, Environment, RoundSeries
-from causalsim.cgm import CausalGraph, CausalModel, Cpt, VariableSpec, cumulative
+from causalsim.cgm import CausalGraph, CausalModel, Cpt, VariableSpec, _drawer, cumulative
 from causalsim.reporting import (
     _HEIGHT,
     _MARGIN_BOTTOM,
@@ -60,6 +63,16 @@ def draw(env, actions: np.ndarray, u: np.ndarray) -> np.ndarray:
     for k, (pos, parents, cum) in enumerate(sampler):
         rows = cum[(actions, *[x[:, p] for p in parents])]
         x[:, pos] = (rows > u[:, k, None]).argmax(axis=1)
+    return x
+
+
+def bound_draw(env, actions: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The library's batched draw on ``env``'s sampling tables, bound to
+    ``actions`` and ``out`` (a new intp array if None) and run once on
+    ``u``: a row of state codes per entry of ``actions``, columns in
+    declaration order."""
+    x = np.empty(u.shape, np.intp) if out is None else out
+    _drawer(env.truth.graph, env._sampler, np.asarray(actions, np.intp), x)(u)
     return x
 
 
@@ -246,7 +259,7 @@ def write_svg(series: Sequence[RoundSeries], path: str) -> None:
         v = lo + (hi - lo) * i / 4.0
         y = ypix(v)
         line(_MARGIN_LEFT - 5, f"{y:.1f}", _MARGIN_LEFT, f"{y:.1f}")
-        text(_MARGIN_LEFT - 9, f"{y + 4:.1f}", f"{v:.3f}", "12", "end")
+        text(_MARGIN_LEFT - 9, f"{y + 4:.1f}", f"{v:.3f}" if abs(v) < 1e9 else f"{v:.12g}", "12", "end")
 
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]

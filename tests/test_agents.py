@@ -27,7 +27,6 @@ from causalsim import (
 )
 from causalsim.agents import CausalBatch, QBatch, RandomBatch, _expected_utilities
 from causalsim.beliefs import CountBeliefs
-from causalsim.environment import draw
 from causalsim.experiment import CHOICE_DRAWS, _exploration
 
 import oracle
@@ -276,7 +275,7 @@ def test_batched_causal_agent_matches_causal_choose_and_causal_learn():
         for _ in range(10):
             assert _greedy(batch, 6).tolist() == [causal_choose(env, b) for b in scalar]
             taken = rng.integers(len(actions), size=6)
-            x = draw(env, taken, rng.random((6, len(model.graph.variables))))
+            x = reference.bound_draw(env, taken, rng.random((6, len(model.graph.variables))))
             _learn(batch, taken, x, np.full(6, np.nan))  # the causal policy reads no reward
             scalar = [causal_learn(env, b, env.actions[a], _realized(model.graph, c)) for b, a, c in zip(scalar, taken, x)]
             for r, b in enumerate(scalar):
@@ -310,7 +309,7 @@ def test_batched_q_learner_matches_q_choose_and_q_learn(medic_env):
     for _ in range(40):
         assert _greedy(batch, n).tolist() == [q_choose(cfg, q, rng) for q in scalar]
         taken = rng.integers(len(medic_env.actions), size=n)
-        x = draw(medic_env, taken, rng.random((n, 3)))
+        x = reference.bound_draw(medic_env, taken, rng.random((n, 3)))
         graph = medic_env.truth.graph
         rewards = [medic_env.utility[_realized(graph, c)["Y"]] for c in x]
         _learn(batch, taken, x, rewards)
@@ -440,7 +439,7 @@ def test_batched_updates_never_touch_the_forced_variable(medic_env):
     rng = np.random.default_rng(20240817)
     for k in range(2_500):
         taken = np.full(4, k % 2)
-        _learn(batch, taken, draw(medic_env, taken, rng.random((4, 3))), np.full(4, np.nan))
+        _learn(batch, taken, reference.bound_draw(medic_env, taken, rng.random((4, 3))), np.full(4, np.nan))
     t = truth.graph._positions["T"]
     assert np.array_equal(batch.beliefs.counts[t], prior[t])
     added = sum((c - p).sum() for c, p in zip(batch.beliefs.counts, prior))

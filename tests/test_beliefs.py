@@ -19,7 +19,6 @@ from causalsim import (
     update,
 )
 from causalsim.beliefs import CountBeliefs
-from causalsim.environment import draw
 
 import oracle
 import reference
@@ -238,7 +237,7 @@ def test_flat_count_update_matches_the_per_variable_increment(n):
         counts = reference.count_arrays(graph, alpha, n)
         for _ in range(4):
             a = rng.integers(len(env.actions), size=n)
-            x = draw(env, a, rng.random((n, len(graph.variables))))
+            x = reference.bound_draw(env, a, rng.random((n, len(graph.variables))))
             beliefs.update(x, a)
             reference.update_counts(counts, graph, x, free[a])
         means = beliefs.posterior()

@@ -29,8 +29,6 @@ from causalsim import (
 from causalsim import Action, Environment, load_model, model_from_dict
 from causalsim.beliefs import init_uniform, posterior_mean, update
 from causalsim import cgm
-from causalsim.cgm import ReplicatedQuery
-from causalsim.environment import draw
 
 import oracle
 import reference
@@ -275,7 +273,7 @@ def test_joint_probability_has_no_joint_size_cap():
     with pytest.raises(ValueError, match="factor too large"):
         interventional_marginal(model, {"G0_0": "1"}, "G13_13")
     with pytest.raises(ValueError, match="factor too large"):
-        ReplicatedQuery(graph, {"G0_0": "1"}, "G13_13")
+        graph._plan_for({"G0_0": "1"}, {}, ("G13_13",))
 
 
 def test_factor_cap_admits_a_factor_of_exactly_the_cap():
@@ -669,7 +667,8 @@ def test_posterior_models_share_their_graphs_plan(medic_model):
             interventional_marginal(posterior_mean(beliefs), {"T": t}, "Y")
     # The batched query of the same shape runs the same plan.
     mean = posterior_mean(beliefs)
-    ReplicatedQuery(graph, {"T": "0"}, "Y").bind([mean.table(pos)[None] for pos in range(3)], np.empty((1, 2)), {})
+    plan = graph._plan_for({"T": "0"}, {}, ("Y",))
+    plan.bind(graph, ({"T": "0"},), [mean.table(pos)[None] for pos in range(3)], np.empty((1, 2)), {})
     assert len(graph._plans) == 1
 
 
@@ -710,7 +709,7 @@ def test_batched_draw_matches_scalar_sampling_on_the_same_uniforms(data):
     u[3:6] = 1.0 - 2.0**-53
     a = np.arange(len(u)) % len(actions)
     rng.shuffle(a[6:])
-    x = draw(env, a, u)
+    x = reference.bound_draw(env, a, u)
     cuts = [intervene(model, action.intervention) for action in actions]
     for row, k, codes in zip(u, a, x):
         cut = cuts[k]
@@ -731,11 +730,33 @@ def test_replicated_query_matches_interventional_marginal(data):
     positions = range(len(model.graph.variables))
     tables = [np.stack([m.table(pos) for m in models]) for pos in positions]
     mass = np.empty((len(models), len(model.graph.variable_map[variable].states)))
-    scorer = ReplicatedQuery(model.graph, forced, variable)
-    for f, args in scorer.bind(tables, mass, {}):
+    plan = model.graph._plan_for(forced, {}, (variable,))
+    for f, args in plan.bind(model.graph, (forced,), tables, mass, {}):
         f(*args)
     for got, m in zip(mass, models):
         assert tuple(got / got.sum()) == pytest.approx(interventional_marginal(m, forced, variable), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "forced, evidence, targets",
+    [({"T": "1"}, {}, ("D", "Y")), ({"T": "1"}, {"D": "0"}, ("Y",)), ({}, {"Y": "1"}, ("T", "D"))],
+)
+def test_a_bound_plan_gives_each_replication_the_bits_of_its_own_run(medic_model, monkeypatch, forced, evidence, targets):
+    # Five replications' tables, with the cap lowered so that the bound
+    # calls run in row slices of two: each replication's mass, over
+    # every target, is the plan run on its own tables alone.
+    graph, rng = medic_model.graph, np.random.default_rng(5)
+    plan = graph._plan_for(forced, evidence, targets)
+    tables = [rng.dirichlet(np.ones(shape[-1]), (5, *shape[:-1])) for _, _, shape, _ in graph._layout]
+    out = np.empty((5, *(len(graph.variable_map[t].states) for t in targets)))
+    monkeypatch.setattr(cgm, "MAX_FACTOR_STATES", 2 * plan.largest)
+    calls = plan.bind(graph, (forced, evidence), tables, out, {})
+    assert len(calls) == 3 * len(plan.steps)
+    for f, args in calls:
+        f(*args)
+    for i in range(5):
+        want = plan.run(plan.operands(graph, (forced, evidence), lambda pos: tables[pos][i]))
+        assert out[i].tobytes() == want.tobytes()
 
 
 def test_min_fill_keeps_the_plans_of_a_full_search_at_every_step(chain64_model, monkeypatch):

@@ -4,6 +4,7 @@ import argparse
 import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -740,6 +741,15 @@ def test_every_public_name_resolves_to_its_home_module():
         from causalsim import no_such_name  # noqa: F401
 
 
+def test_every_name_in_a_submodules_all_exists():
+    # The package's names are checked above; a stale entry in a
+    # submodule's own __all__ would break only its star import.
+    for module in causalsim._EXPORTS:
+        home = importlib.import_module(f"causalsim.{module}")
+        assert [name for name in home.__all__ if not hasattr(home, name)] == [], module
+        exec(f"from causalsim.{module} import *", {})
+
+
 def test_module_entry_point_matches_cli(capsys):
     import causalsim.__main__  # noqa: F401  (import must not run anything)
 
@@ -758,3 +768,16 @@ def test_the_shipped_experiment_writes_its_pinned_csv_and_svg(capsys, tmp_path, 
     assert code == 0
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == "e97ee21eb3ba805d83957d8acc4ef2e3b6a6457da8154918f0ca4071b2f98579"
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == "36670322218ba2de021ed2ef2e2dfb101ed4c8f95c2c7d1db1e3199b74f3b16b"
+
+
+@pytest.mark.parametrize("workers", [(), ("--workers", "2")])
+def test_the_wide_model_run_writes_its_pinned_csv_and_svg(capsys, tmp_path, workers):
+    # 50 rounds x 512 replications on the 64-variable chain: two blocks,
+    # each of several chunks of uniforms, so the bound draw and the
+    # scoring cross chunk and block boundaries.
+    csv, svg = tmp_path / "run.csv", tmp_path / "run.svg"
+    argv = ["--model", CHAIN64, "--experiment", str(SAMPLE_DIR / "chain64_experiment.json"), "--reps", "512", "--rounds", "50"]
+    code, _, _ = run_cli(capsys, "simulate", *argv, "--out", str(csv), "--svg", str(svg), *workers)
+    assert code == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == "ea629dd8955c5a5c06a5c3c5ae5c1bc3cf65b076ee8fb0bc2f4af0155bd60aec"
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == "f4807b2d66949649644db8cbfbfaa94ab4cdb6f3c06399877678c3c58f315d7a"

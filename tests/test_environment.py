@@ -33,7 +33,7 @@ from causalsim import (
 )
 import causalsim
 from causalsim.agents import CausalBatch
-from causalsim.environment import _drawer, draw
+from causalsim.cgm import _drawer
 from causalsim.experiment import _run_block
 
 import reference
@@ -142,9 +142,9 @@ def test_batched_draw_falls_back_to_the_last_state_with_mass():
     # must not land on the zero-mass last state.
     u = np.array([[0.9999999999, 0.25]])
     env = _one_row_env((0.5, 0.4999999995, 0.0))
-    assert draw(env, np.array([0]), u).tolist() == [[1, 1]]
+    assert reference.bound_draw(env, np.array([0]), u).tolist() == [[1, 1]]
     positive = _one_row_env((0.5, 0.2499999995, 0.25))
-    assert draw(positive, np.array([0]), u).tolist() == [[2, 1]]
+    assert reference.bound_draw(positive, np.array([0]), u).tolist() == [[2, 1]]
 
 
 @pytest.mark.parametrize("n", [1, 300])
@@ -159,7 +159,7 @@ def test_flat_row_draw_gives_the_codes_of_the_per_variable_gather(n):
         u[rng.random(n) < 0.1] = 0.0
         u[rng.random(n) < 0.1] = 1.0 - 2.0**-53
         a = rng.integers(len(env.actions), size=n)
-        assert np.array_equal(draw(env, a, u), reference.draw(env, a, u))
+        assert np.array_equal(reference.bound_draw(env, a, u), reference.draw(env, a, u))
 
 
 def _mixed_menu_env(medic_env):
@@ -204,7 +204,7 @@ def test_each_kind_of_draw_gives_the_codes_of_the_per_variable_gather(medic_env,
             u[rng.random(n) < 0.1] = 0.0
             u[rng.random(n) < 0.1] = 1.0 - 2.0**-53
             a = rng.integers(len(env.actions), size=n)
-            assert np.array_equal(draw(env, a, u), reference.draw(env, a, u))
+            assert np.array_equal(reference.bound_draw(env, a, u), reference.draw(env, a, u))
 
 
 def _payoff_env(env, payoff):
@@ -234,7 +234,7 @@ def test_each_bound_stage_of_a_round_keeps_the_bits_of_its_reference(medic_env, 
     batch, twin = CausalBatch(env, cfg, n), CausalBatch(env, cfg, n)
     a, x, r = np.zeros(n, np.intp), np.zeros((n, len(graph.variables)), np.intp), np.zeros(n)
     batch.bind(a, x, r)
-    sample, y, states = _drawer(env, a, x), x[:, graph._positions[env.target]], graph.variable_map[env.target].states
+    sample, y, states = _drawer(graph, env._sampler, a, x), x[:, graph._positions[env.target]], graph.variable_map[env.target].states
     plans = [graph._plan_for(action.intervention, {}, (env.target,)) for action in env.actions]
     free = np.array([[float(v.name not in action.intervention) for v in graph.variables] for action in env.actions])
     for _ in range(6):
@@ -295,8 +295,8 @@ def test_draw_into_a_given_buffer_equals_a_fresh_draw():
         buffer = rng.integers(0, 4, size=(3 * n, width)).astype(np.intp)
         before, out = buffer.copy(), buffer[n : 2 * n]
         a, u = rng.integers(len(env.actions), size=n), rng.random((n, width))
-        assert draw(env, a, u, out) is out
-        assert np.array_equal(out, draw(env, a, u))
+        assert reference.bound_draw(env, a, u, out) is out
+        assert np.array_equal(out, reference.bound_draw(env, a, u))
         assert np.array_equal(buffer[:n], before[:n]) and np.array_equal(buffer[2 * n :], before[2 * n :])
 
 
@@ -304,7 +304,7 @@ def test_draw_builds_no_sampling_tables_on_the_truth():
     # The environment takes only the visiting order from the truth's graph;
     # the truth's own cumulative tables serve ``sample`` and ``step`` alone.
     env = load_environment(str(SAMPLE_DIR / "medic_model.json"), str(SAMPLE_DIR / "medic_experiment.json"))
-    draw(env, np.array([0, 1]), np.full((2, 3), 0.5))
+    reference.bound_draw(env, np.array([0, 1]), np.full((2, 3), 0.5))
     assert "_sampler" not in env.truth.__dict__
 
 
@@ -314,7 +314,7 @@ def test_no_surgered_truth_is_built_until_a_step():
     # surgered truth.
     env = load_environment(str(SAMPLE_DIR / "medic_model.json"), str(SAMPLE_DIR / "medic_experiment.json"))
     assert "_surgered" not in env.__dict__
-    draw(env, np.array([0, 1]), np.full((2, 3), 0.5))
+    reference.bound_draw(env, np.array([0, 1]), np.full((2, 3), 0.5))
     assert "_surgered" not in env.__dict__
     run_experiment(env, ExperimentConfig(rounds=3, replications=2))
     assert "_surgered" not in env.__dict__
@@ -335,7 +335,7 @@ def test_batched_draw_frequencies_match_the_interventional_marginals(medic_env):
     for env in envs:
         variables = env.truth.graph.variables
         for i, action in enumerate(env.actions):
-            x = draw(env, np.full(n, i), rng.random((n, len(variables))))
+            x = reference.bound_draw(env, np.full(n, i), rng.random((n, len(variables))))
             for pos, v in enumerate(variables):
                 freq = np.bincount(x[:, pos], minlength=len(v.states)) / n
                 if v.name in action.intervention:

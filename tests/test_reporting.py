@@ -122,6 +122,19 @@ def test_svg_handles_single_round(tmp_path):
     assert len(pts) == 1
 
 
+@pytest.mark.parametrize("values", [(1e305, 1e305), (-1e305, -1e305), (-1e305, 1e305), (0.0, 1e305)])
+def test_svg_tick_labels_fit_the_margin_at_extreme_values(values, tmp_path):
+    # Right-anchored at the 70-px left margin, a y-tick label of a value
+    # near 1e305 in fixed point would run to over 300 characters.
+    path = tmp_path / "huge.svg"
+    cumulative = tuple(total / (t + 1) for t, total in enumerate(itertools.accumulate(values)))
+    write_svg((RoundSeries("causal", values, cumulative),), str(path))
+    ticks = [t.text for t in ET.parse(str(path)).getroot().iter(f"{SVG_NS}text") if t.get("text-anchor") == "end"]
+    assert len(ticks) == 5
+    assert all(len(t) <= 20 for t in ticks), ticks
+    assert float(ticks[0]) <= min(values) and float(ticks[-1]) >= max(values)
+
+
 def test_svg_from_a_real_run_parses(medic_env, tmp_path):
     result = run_experiment(medic_env, ExperimentConfig(rounds=30, replications=4, seed=11))
     path = tmp_path / "run.svg"
