@@ -20,22 +20,22 @@ The scalar functions are references for one replication: they read the
 :class:`~causalsim.environment.Environment` and the agent config the
 engine reads, and take and return the beliefs or the values. The
 experiment engine runs each policy for a whole block of replications
-at once through :class:`BatchPolicy`, whose three implementations keep
-their state in arrays with a leading replication axis, bind once to
-their rows of the engine's action, outcome and reward buffers, and are
-tested against the scalar functions; the causal one binds the
+at once through :class:`BatchPolicy`, whose three implementations are
+each built on their rows of the engine's action, outcome and reward
+buffers, keep their state in arrays with a leading replication axis,
+and are tested against the scalar functions; the causal one binds the
 elimination plans that :func:`expected_utility` runs. The engine pays
 every reward; the Q-learning policy reads neither the truth nor the
 utility. A batched policy only proposes its greedy actions and learns;
 exploration is the engine's: each round it replaces a replication's
-greedy action by a uniformly drawn one at the policy's ``epsilon``
-rate, for every agent of the block in one step (the random policy's
-rate is 1).
+greedy action by a uniformly drawn one at the rate its agent's config
+gives (``epsilon``; the random agent's is the constant 1), for every
+agent of the block in one step.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .environment import Action, UtilityFunction, best_action, expected_utility
 
 if TYPE_CHECKING:
     from .environment import Environment
-    from .experiment import CausalAgentConfig, QLearningConfig
+    from .experiment import CausalAgentConfig, QLearningConfig, RandomConfig
 
 __all__ = [
     "causal_choose",
@@ -105,21 +105,18 @@ def random_choose(actions: Sequence[Action], rng: np.random.Generator) -> int:
 
 
 class BatchPolicy(Protocol):
-    """One policy run for n replications at once.
+    """One policy run for n replications at once, built on its rows.
 
-    The constructor takes ``(env, cfg, n)``, and ``bind(actions, x,
-    rewards)`` the rows, once: (n,) intp actions, (n, variables) state
-    codes in the truth's declaration order and (n,) float rewards. Each
-    round, ``greedy()`` writes each replication's action from the current
-    state alone; ``learn()`` then folds in, in place, the actions taken
-    and the outcomes or the rewards in the rows, as the policy needs.
-    ``epsilon`` is the rate at which the engine replaces the greedy action
-    by a uniformly drawn one; policies never explore themselves.
+    The constructor takes ``(env, cfg, actions, x, rewards)``: the
+    agent's config and its rows of the engine's buffers, (n,) intp
+    actions, (n, variables) state codes in the truth's declaration order
+    and (n,) float rewards, with n = ``len(actions)``. Each round,
+    ``greedy()`` writes each replication's action from the current state
+    alone; ``learn()`` then folds in, in place, the actions taken and the
+    outcomes or the rewards in the rows, as the policy needs. Policies
+    never explore: the engine replaces greedy actions by uniformly drawn
+    ones at the config's ``epsilon`` rate.
     """
-
-    epsilon: float
-
-    def bind(self, actions: np.ndarray, x: np.ndarray, rewards: np.ndarray) -> None: ...
 
     def greedy(self) -> None: ...
 
@@ -147,29 +144,26 @@ class CausalBatch:
     Per replication: Dirichlet counts over the truth's graph, updated
     like :func:`causal_learn` and scored each round like
     :func:`causal_choose`: each action's cached plan, the one
-    :func:`expected_utility` runs, bound once to the posterior means
+    :func:`expected_utility` runs, bound to the posterior means
     (:meth:`~causalsim.cgm._Plan.bind`), writes its column of one (n,
-    actions, target cardinality) array, then scored in buffers bound
-    once. It refuses a truth whose scoring would build a factor of over
+    actions, target cardinality) array, then scored, and the argmax
+    written into the action rows; the constructor binds the whole round.
+    It refuses a truth whose scoring would build a factor of over
     ``MAX_FACTOR_STATES``.
     """
 
-    def __init__(self, env: Environment, cfg: CausalAgentConfig, n: int):
-        graph = env.truth.graph
+    def __init__(self, env: Environment, cfg: CausalAgentConfig, actions: np.ndarray, x: np.ndarray, rewards: np.ndarray):
+        graph, n = env.truth.graph, len(actions)
         # Raises factor too large before any counts are allocated.
         plans = [graph._plan_for(a.intervention, {}, (env.target,)) for a in env.actions]
         scored = sorted({p for plan in plans for p, _ in plan.factors})
         self.beliefs = CountBeliefs(graph, cfg.prior_alpha, n, scored, [a.intervention for a in env.actions])
-        self.epsilon = cfg.epsilon
         columns, buffers = np.empty((len(env._payoff), len(plans), n)), {}
         self.mass, self.eu = columns.T, np.empty(columns.shape[1:])
-        self._scoring = []
+        self._round = []
         for k, (a, plan) in enumerate(zip(env.actions, plans)):
-            self._scoring += plan.bind(graph, (a.intervention,), self.beliefs.means, self.mass[:, k], buffers)
-        self._scoring += _expected_utilities(list(columns), env._payoff.tolist(), self.eu)
-
-    def bind(self, actions: np.ndarray, x: np.ndarray, rewards: np.ndarray) -> None:
-        self._round = [*self._scoring, (self.eu.argmax, (0, actions))]
+            self._round += plan.bind(graph, (a.intervention,), self.beliefs.means, self.mass[:, k], buffers)
+        self._round += [*_expected_utilities(list(columns), env._payoff.tolist(), self.eu), (self.eu.argmax, (0, actions))]
         self._actions, self._x = actions, x
 
     def greedy(self) -> None:
@@ -183,16 +177,13 @@ class CausalBatch:
 
 class QBatch:
     """Stateless Q-learning: an (n, actions) value array, chosen from
-    like :func:`q_choose` and updated like :func:`q_learn` from the bound
-    rewards alone. Of ``env`` it reads only the action menu."""
+    like :func:`q_choose` and updated like :func:`q_learn` from its reward
+    rows alone. Of ``env`` it reads only the action menu."""
 
-    def __init__(self, env: Environment, cfg: QLearningConfig, n: int):
-        self.q = np.full((n, len(env.actions)), float(cfg.q0))
+    def __init__(self, env: Environment, cfg: QLearningConfig, actions: np.ndarray, x: np.ndarray, rewards: np.ndarray):
+        self.q = np.full((len(actions), len(env.actions)), float(cfg.q0))
         self.alpha = np.array(cfg.alpha)  # 0-d: its product with an array skips a scalar conversion
-        self.epsilon = cfg.epsilon
-        self._flat, self._base = self.q.reshape(-1), np.arange(n) * len(env.actions)
-
-    def bind(self, actions: np.ndarray, x: np.ndarray, rewards: np.ndarray) -> None:
+        self._flat, self._base = self.q.reshape(-1), np.arange(len(actions)) * len(env.actions)
         self._actions, self._rewards = actions, rewards
 
     def greedy(self) -> None:
@@ -205,14 +196,12 @@ class QBatch:
 
 
 class RandomBatch:
-    """Uniform choice over the action menu: always explores, learns nothing."""
+    """Uniform choice over the action menu: at its config's rate of 1 the engine overwrites every row; learns nothing."""
 
-    epsilon = 1.0
-
-    def __init__(self, env: Environment, cfg: Any, n: int):
+    def __init__(self, env: Environment, cfg: RandomConfig, *rows: np.ndarray):
         pass
 
-    def bind(self, *rows: np.ndarray) -> None:
-        pass  # at rate 1 the engine overwrites every row of ``actions``, and nothing is learned
+    def greedy(self) -> None:
+        pass
 
-    greedy = learn = bind
+    learn = greedy

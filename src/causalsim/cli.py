@@ -134,8 +134,8 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         written.append(cfg.out_svg)
 
     for s in result.series:
-        overall = sum(s.values) / len(s.values)
-        print(f"{s.label}: overall mean reward {overall:.4f}, final round mean {s.values[-1]:.4f}")
+        overall, final = (f"{m:.4f}" if abs(m) < 1e9 else f"{m:.12g}" for m in (sum(s.values) / len(s.values), s.values[-1]))
+        print(f"{s.label}: overall mean reward {overall}, final round mean {final}")
     labels = {s.label for s in result.series}
     if {"causal", "qlearning"} <= labels:
         n = experiment.convergence_index(

@@ -9,17 +9,17 @@ Nothing is shared between agents or between replications.
 The engine runs replications in blocks of ``BLOCK_SIZE`` and advances
 every agent of a block in lockstep, one row per (agent, replication).
 A round is one step for the whole roster, on rows that each policy
-(:class:`~causalsim.agents.BatchPolicy`) and the batched ancestral draw
-(:func:`~causalsim.cgm._drawer`, on the environment's sampling tables)
-bind once per block: each policy writes its greedy actions into its
-rows, one ``np.copyto`` writes the explored actions over them, one draw
-gives every row its outcome under its own action, one gather pays every
-row the utility of its target state, and each policy learns from its
-rows. Exploration belongs to the engine: the schedule, where each row
-explores and what it takes, comes from the choice uniforms and each
-policy's ``epsilon`` in one place, :func:`_exploration`, once per chunk
-of rounds. Rows never read each other, so sharing the draw is
-equivalent to stepping the agents one after another.
+(:class:`~causalsim.agents.BatchPolicy`) is built on and the batched
+ancestral draw (:func:`~causalsim.cgm._drawer`, on the environment's
+sampling tables) binds, once per block: each policy writes its greedy
+actions into its rows, one ``np.copyto`` writes the explored actions
+over them, one draw gives every row its outcome under its own action,
+one gather pays every row the utility of its target state, and each
+policy learns from its rows. Exploration belongs to the engine: the
+schedule, where each row explores and what it takes, comes from the
+choice uniforms and each agent config's ``epsilon`` in :func:`_exploration`,
+once per chunk of rounds. Rows never read each other, so sharing the
+draw is equivalent to stepping the agents one after another.
 
 Randomness is carved into streams keyed by (master seed, block index,
 agent label). Each stream is read replication-major, as if drawn as
@@ -112,7 +112,10 @@ class QLearningConfig:
 
 @dataclass(frozen=True)
 class RandomConfig:
-    """Uniform-random baseline; nothing to configure."""
+    """Uniform-random baseline; nothing to configure. Its exploration
+    rate is the class constant 1, not a field, so no file can set it."""
+
+    epsilon = 1.0
 
 
 AgentConfig = CausalAgentConfig | QLearningConfig | RandomConfig
@@ -331,22 +334,21 @@ def _run_block(env: Environment, cfg: ExperimentConfig, block: int) -> tuple[np.
     each (rounds, agents * replications): one row per round, agent-major.
 
     All agents advance in lockstep on one row per (agent, replication),
-    agent-major, in one action, one outcome and one reward buffer, to
-    whose rows each policy, the draw and the payoff gather bind once. Per
-    round: each policy writes its greedy actions into its rows, one
-    ``np.copyto`` puts the explored ones over them, one draw writes every
-    row's outcome from its own uniforms, one per variable in the truth's
-    topological order, one gather pays every row the utility of its
-    target state, each policy learns from its rows, and the round's
-    actions and rewards become one row of the block's log.
+    agent-major, in one action, one outcome and one reward buffer: each
+    policy is built on its rows, and the draw and the payoff gather bind
+    them once. Per round: each policy writes its greedy actions into its
+    rows, one ``np.copyto`` puts the explored ones over them, one draw
+    writes every row's outcome from its own uniforms, one per variable in
+    the truth's topological order, one gather pays every row the utility
+    of its target state, each policy learns from its rows, and the
+    round's actions and rewards become one row of the block's log.
     """
     n = min(BLOCK_SIZE, cfg.replications - block * BLOCK_SIZE)
     k = len(cfg.agents)
-    policies = [getattr(agents, _AGENTS[label][1])(env, acfg, n) for label, acfg in cfg.agents.items()]
-    epsilon = np.repeat([p.epsilon for p in policies], n)
     a, x, r = np.empty(k * n, np.intp), np.empty((k * n, len(env.truth.graph.variables)), np.intp), np.empty(k * n)
-    for i, p in enumerate(policies):
-        p.bind(*(rows[i * n : (i + 1) * n] for rows in (a, x, r)))
+    rows = zip(a.reshape(k, n), x.reshape(k, n, -1), r.reshape(k, n))  # each agent's n rows, as views
+    policies = [getattr(agents, _AGENTS[label][1])(env, acfg, *own) for (label, acfg), own in zip(cfg.agents.items(), rows)]
+    epsilon = np.repeat([acfg.epsilon for acfg in cfg.agents.values()], n)
     sample, y, payoff = _drawer(env.truth.graph, env._sampler, a, x), x[:, env.truth.graph._positions[env.target]], env._payoff
     actions = np.empty((cfg.rounds, k * n), np.min_scalar_type(len(env.actions) - 1))
     rewards = np.empty(actions.shape)

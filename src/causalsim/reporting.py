@@ -65,9 +65,9 @@ def write_svg(series: Sequence[RoundSeries], path: str) -> None:
     lo = min(min(s.values) for s in series)
     hi = max(max(s.values) for s in series)
     if hi - lo < 1e-12:
-        # Flat data still deserves a visible horizontal line; from 2**39 on,
-        # the margin grows with the value, so that it cannot round away.
-        margin = max(0.5, abs(lo) * 2.0**-40)
+        # Flat data still deserves a visible horizontal line; from 2**29 on, the margin grows
+        # with the value, so that it cannot round away and the 12-digit tick labels differ.
+        margin = max(0.5, abs(lo) * 2.0**-30)
         lo, hi = lo - margin, hi + margin
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad

@@ -206,7 +206,7 @@ def write_svg(series: Sequence[RoundSeries], path: str) -> None:
     hi = max(max(s.values) for s in series)
     if hi - lo < 1e-12:
         # Flat data still deserves a visible horizontal line.
-        lo, hi = lo - max(0.5, abs(lo) * 2.0**-40), hi + max(0.5, abs(lo) * 2.0**-40)
+        lo, hi = lo - max(0.5, abs(lo) * 2.0**-30), hi + max(0.5, abs(lo) * 2.0**-30)
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
 

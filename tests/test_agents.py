@@ -14,6 +14,7 @@ from causalsim import (
     CausalAgentConfig,
     Environment,
     QLearningConfig,
+    RandomConfig,
     best_action,
     causal_choose,
     causal_learn,
@@ -233,19 +234,33 @@ def _realized(graph, codes):
     return {v.name: v.states[c] for v, c in zip(graph.variables, codes)}
 
 
-def _greedy(policy, n):
-    """The policy's greedy actions, written into fresh rows it is bound to
-    (with medic-wide outcome rows and reward rows, which no greedy step reads)."""
-    out = np.zeros(n, np.intp)
-    policy.bind(out, np.zeros((n, 3), np.intp), np.zeros(n))
+def _built(cls, env, cfg, n, width=3):
+    """A ``cls`` policy built on fresh rows of its own, and those rows: (n,)
+    actions, (n, width) outcomes (medic's three variables by default) and (n,) rewards."""
+    rows = np.zeros(n, np.intp), np.zeros((n, width), np.intp), np.zeros(n)
+    return cls(env, cfg, *rows), rows
+
+
+def _greedy(policy, rows):
+    """The policy's greedy actions, as written into the action rows it was built on."""
     policy.greedy()
-    return out
+    return rows[0].copy()
 
 
-def _learn(policy, actions, x, rewards):
-    """Fold in the outcomes ``x`` of ``actions`` and their ``rewards``, through rows bound to all three."""
-    policy.bind(np.array(actions, np.intp), x, np.array(rewards, float))
+def _learn(policy, rows, actions, x, rewards):
+    """Fold in the outcomes ``x`` of ``actions`` and their ``rewards``, written into the rows the policy was built on."""
+    for row, value in zip(rows, (actions, x, rewards)):
+        row[...] = value
     policy.learn()
+
+
+def _on_shared_rows(env, kinds, n):
+    """One policy per (class, config) of ``kinds``, built as the engine builds
+    a block's roster: on consecutive n-row slices of one shared action,
+    (medic-wide) outcome and reward buffer; and those buffers."""
+    a, x, r = np.zeros(len(kinds) * n, np.intp), np.zeros((len(kinds) * n, 3), np.intp), np.zeros(len(kinds) * n)
+    policies = [cls(env, cfg, *(rows[i * n : (i + 1) * n] for rows in (a, x, r))) for i, (cls, cfg) in enumerate(kinds)]
+    return policies, (a, x, r)
 
 
 def _eu(mass, payoff):
@@ -270,13 +285,13 @@ def test_batched_causal_agent_matches_causal_choose_and_causal_learn():
         env = Environment(model, actions, target, utility)
         alpha = rnd.choice((1.0, 0.5, 2.0))
         cfg = CausalAgentConfig(prior_alpha=alpha)
-        batch = CausalBatch(env, cfg, 6)
+        batch, rows = _built(CausalBatch, env, cfg, 6, len(model.graph.variables))
         scalar = [init_uniform(env.truth.graph, cfg.prior_alpha)] * 6
         for _ in range(10):
-            assert _greedy(batch, 6).tolist() == [causal_choose(env, b) for b in scalar]
+            assert _greedy(batch, rows).tolist() == [causal_choose(env, b) for b in scalar]
             taken = rng.integers(len(actions), size=6)
             x = reference.bound_draw(env, taken, rng.random((6, len(model.graph.variables))))
-            _learn(batch, taken, x, np.full(6, np.nan))  # the causal policy reads no reward
+            _learn(batch, rows, taken, x, np.full(6, np.nan))  # the causal policy reads no reward
             scalar = [causal_learn(env, b, env.actions[a], _realized(model.graph, c)) for b, a, c in zip(scalar, taken, x)]
             for r, b in enumerate(scalar):
                 for pos, counts in enumerate(_count_arrays(b)):
@@ -285,11 +300,11 @@ def test_batched_causal_agent_matches_causal_choose_and_causal_learn():
 
 def test_batched_causal_choice_equals_best_action_on_the_posterior_mean(medic_env):
     rng = np.random.default_rng(5)
-    batch = CausalBatch(medic_env, CausalAgentConfig(), 40)
+    batch, own = _built(CausalBatch, medic_env, CausalAgentConfig(), 40)
     # Small integer counts make near and exact ties between the arms common.
     for counts in batch.beliefs.counts:
         counts[...] = rng.integers(1, 4, size=counts.shape)
-    chosen = _greedy(batch, 40)
+    chosen = _greedy(batch, own)
     for r in range(40):
         beliefs = init_uniform(medic_env.truth.graph)
         rows = {
@@ -304,15 +319,15 @@ def test_batched_q_learner_matches_q_choose_and_q_learn(medic_env):
     rng = np.random.default_rng(77)
     n = 8
     cfg = QLearningConfig(alpha=0.3, epsilon=0.0, q0=0.5)
-    batch = QBatch(medic_env, cfg, n)
+    batch, rows = _built(QBatch, medic_env, cfg, n)
     scalar = [(cfg.q0,) * len(medic_env.actions)] * n
     for _ in range(40):
-        assert _greedy(batch, n).tolist() == [q_choose(cfg, q, rng) for q in scalar]
+        assert _greedy(batch, rows).tolist() == [q_choose(cfg, q, rng) for q in scalar]
         taken = rng.integers(len(medic_env.actions), size=n)
         x = reference.bound_draw(medic_env, taken, rng.random((n, 3)))
         graph = medic_env.truth.graph
         rewards = [medic_env.utility[_realized(graph, c)["Y"]] for c in x]
-        _learn(batch, taken, x, rewards)
+        _learn(batch, rows, taken, x, rewards)
         scalar = [q_learn(cfg, q, int(a), r) for q, a, r in zip(scalar, taken, rewards)]
         assert batch.q.tolist() == [list(q) for q in scalar]
 
@@ -324,12 +339,12 @@ def test_a_q_learner_needs_only_the_menu_and_learns_from_the_bound_rewards(medic
     rng = np.random.default_rng(78)
     n = 8
     cfg = QLearningConfig(alpha=0.3, epsilon=0.0, q0=0.5)
-    batch = QBatch(SimpleNamespace(actions=medic_env.actions), cfg, n)
+    batch, rows = _built(QBatch, SimpleNamespace(actions=medic_env.actions), cfg, n, 0)
     scalar = [(cfg.q0,) * len(medic_env.actions)] * n
     for _ in range(40):
-        assert _greedy(batch, n).tolist() == [q_choose(cfg, q, rng) for q in scalar]
+        assert _greedy(batch, rows).tolist() == [q_choose(cfg, q, rng) for q in scalar]
         taken, rewards = rng.integers(len(medic_env.actions), size=n), rng.normal(size=n) * 3.0
-        _learn(batch, taken, np.empty((n, 0), np.intp), rewards)
+        _learn(batch, rows, taken, np.empty((n, 0), np.intp), rewards)
         scalar = [q_learn(cfg, q, int(a), float(r)) for q, a, r in zip(scalar, taken, rewards)]
         assert batch.q.tolist() == [list(q) for q in scalar]
 
@@ -341,18 +356,43 @@ def test_greedy_writes_the_former_choices_into_the_given_rows(medic_env):
     # engine overwrites every row of an agent that always explores.
     rng = np.random.default_rng(8)
     n = 32
-    causal = CausalBatch(medic_env, CausalAgentConfig(), n)
+    kinds = ((CausalBatch, CausalAgentConfig()), (QBatch, QLearningConfig()), (RandomBatch, RandomConfig()))
+    (causal, q, rand), (a, x, r) = _on_shared_rows(medic_env, kinds, n)
     for counts in causal.beliefs.counts:
         counts[...] = rng.integers(1, 4, size=counts.shape)
-    q = QBatch(medic_env, QLearningConfig(), n)
     q.q[...] = rng.integers(0, 3, size=q.q.shape) / 2
-    a, x, r = np.full(3 * n, 7, np.intp), np.zeros((3 * n, 3), np.intp), np.zeros(3 * n)  # 7 is no action index
-    for i, policy in enumerate((causal, q, RandomBatch(medic_env, None, n))):
-        policy.bind(a[i * n : (i + 1) * n], x[i * n : (i + 1) * n], r[i * n : (i + 1) * n])
+    a[...] = 7  # no action index
+    for policy in (causal, q, rand):
         policy.greedy()
     assert np.array_equal(a[:n], reference.expected_utilities(causal.mass, medic_env._payoff).argmax(axis=1))
     assert np.array_equal(a[n : 2 * n], q.q.argmax(axis=1))
     assert (a[2 * n :] == 7).all()
+
+
+def test_learn_reads_only_the_policys_own_rows(medic_env):
+    # The engine's layout: three policies on slices of one shared action,
+    # outcome and reward buffer. Every row holds its own action, outcome and
+    # reward, so a policy that read another agent's rows would move its
+    # counts or values; each learns exactly as a twin on private rows does.
+    rng = np.random.default_rng(18)
+    n = 32
+    kinds = ((CausalBatch, CausalAgentConfig()), (QBatch, QLearningConfig(alpha=0.5)), (RandomBatch, RandomConfig()))
+    policies, (a, x, r) = _on_shared_rows(medic_env, kinds, n)
+    twins = [_built(cls, medic_env, cfg, n) for cls, cfg in kinds]
+    (causal, q, _), ((causal_twin, _), (q_twin, _), _) = policies, twins
+    for _ in range(20):
+        a[...] = rng.integers(len(medic_env.actions), size=len(a))
+        x[...] = reference.bound_draw(medic_env, a, rng.random(x.shape))
+        r[...] = rng.normal(size=len(r)) * 3.0
+        before = [rows.copy() for rows in (a, x, r)]
+        for i, (policy, (twin, rows)) in enumerate(zip(policies, twins)):
+            own = slice(i * n, (i + 1) * n)
+            policy.learn()
+            _learn(twin, rows, a[own], x[own], r[own])
+        assert all(np.array_equal(got, want) for got, want in zip((a, x, r), before))
+        for got, want in zip(causal.beliefs.counts, causal_twin.beliefs.counts):
+            assert np.array_equal(got, want)
+        assert np.array_equal(q.q, q_twin.q)
 
 
 @pytest.mark.parametrize("n", [1, 4, 256])
@@ -413,20 +453,19 @@ def test_batched_exploration_is_uniform_over_the_menu(medic_env):
     u = np.random.default_rng(3).random((20_000, CHOICE_DRAWS))
     n_actions = len(medic_env.actions)
 
-    def choose(policy):
-        explore, uniform = _exploration(u, policy.epsilon, n_actions)
-        return np.where(explore, uniform, _greedy(policy, len(u)))
+    def choose(cls, cfg):
+        explore, uniform = _exploration(u, cfg.epsilon, n_actions)
+        return np.where(explore, uniform, _greedy(*_built(cls, medic_env, cfg, len(u))))
 
-    for policy in (
-        CausalBatch(medic_env, CausalAgentConfig(epsilon=1.0), len(u)),
-        QBatch(medic_env, QLearningConfig(epsilon=1.0), len(u)),
-        RandomBatch(medic_env, None, len(u)),
+    for cls, cfg in (
+        (CausalBatch, CausalAgentConfig(epsilon=1.0)),
+        (QBatch, QLearningConfig(epsilon=1.0)),
+        (RandomBatch, RandomConfig()),
     ):
-        chosen = choose(policy)
+        chosen = choose(cls, cfg)
         assert chosen.mean() == pytest.approx(0.5, abs=0.02)
     # Exploring exactly where u[:, 0] < epsilon.
-    q = QBatch(medic_env, QLearningConfig(epsilon=0.25, q0=1.0), len(u))
-    explored = choose(q) != 0
+    explored = choose(QBatch, QLearningConfig(epsilon=0.25, q0=1.0)) != 0
     assert np.array_equal(explored, (u[:, 0] < 0.25) & (u[:, 1] >= 0.5))
 
 
@@ -434,12 +473,12 @@ def test_batched_updates_never_touch_the_forced_variable(medic_env):
     # Gate criterion 6's property for the engine's beliefs: round-robin
     # treatment and no-treatment outcomes, T's counts stay at the prior.
     truth = medic_env.truth
-    batch = CausalBatch(medic_env, CausalAgentConfig(), 4)
+    batch, rows = _built(CausalBatch, medic_env, CausalAgentConfig(), 4)
     prior = [c.copy() for c in batch.beliefs.counts]
     rng = np.random.default_rng(20240817)
     for k in range(2_500):
         taken = np.full(4, k % 2)
-        _learn(batch, taken, reference.bound_draw(medic_env, taken, rng.random((4, 3))), np.full(4, np.nan))
+        _learn(batch, rows, taken, reference.bound_draw(medic_env, taken, rng.random((4, 3))), np.full(4, np.nan))
     t = truth.graph._positions["T"]
     assert np.array_equal(batch.beliefs.counts[t], prior[t])
     added = sum((c - p).sum() for c, p in zip(batch.beliefs.counts, prior))
@@ -457,4 +496,4 @@ def test_count_beliefs_reject_nonpositive_prior(medic_model):
 def test_a_causal_agent_whose_prior_rows_overflow_is_refused(medic_env):
     # 1e308 per state sums to inf over Y's two states; every EU would be nan.
     with pytest.raises(ValueError, match="infinite-row-sum: 2 pseudo-counts of 1e[+]308"):
-        CausalBatch(medic_env, CausalAgentConfig(prior_alpha=1e308), 4)
+        _built(CausalBatch, medic_env, CausalAgentConfig(prior_alpha=1e308), 4)

@@ -305,6 +305,9 @@ def test_a_utility_whose_means_overflow_is_refused_before_the_run(tmp_path):
     done, csv, svg = _simulate_with_utility(tmp_path, 1e305, "--reps", "4", "--rounds", "3")
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+    # Every line but the last, which echoes the paths given, is short.
+    *summary, wrote = done.stdout.splitlines()
+    assert wrote == f"wrote {csv}, {svg}" and all(len(line) <= 100 for line in summary), done.stdout
     rows = [line.split(",") for line in csv.read_text(encoding="utf-8").splitlines()[1:]]
     assert len(rows) == 3 * 3 and all(math.isfinite(float(v)) for row in rows for v in row[2:])
     assert all(map(math.isfinite, _svg_coordinates(svg)))

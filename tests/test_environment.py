@@ -231,9 +231,8 @@ def test_each_bound_stage_of_a_round_keeps_the_bits_of_its_reference(medic_env, 
         env = {"medic": medic_env, "mixed": _mixed_menu_env(medic_env), "three-state": _three_state_forced_env()}[menu]
     env, graph, rng = _payoff_env(env, payoff), env.truth.graph, np.random.default_rng(n)
     cfg = CausalAgentConfig(prior_alpha=0.5)
-    batch, twin = CausalBatch(env, cfg, n), CausalBatch(env, cfg, n)
     a, x, r = np.zeros(n, np.intp), np.zeros((n, len(graph.variables)), np.intp), np.zeros(n)
-    batch.bind(a, x, r)
+    batch, twin = CausalBatch(env, cfg, a, x, r), CausalBatch(env, cfg, *(np.zeros_like(rows) for rows in (a, x, r)))
     sample, y, states = _drawer(graph, env._sampler, a, x), x[:, graph._positions[env.target]], graph.variable_map[env.target].states
     plans = [graph._plan_for(action.intervention, {}, (env.target,)) for action in env.actions]
     free = np.array([[float(v.name not in action.intervention) for v in graph.variables] for action in env.actions])

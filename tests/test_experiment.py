@@ -170,6 +170,7 @@ def test_config_from_dict_rejects_garbage():
         ({"agents": {"causal": {"prior_alpha": 0}}}, "$.agents.causal.prior_alpha", "nonpositive-alpha"),
         ({"agents": {"causal": {"epsilon": 2}}}, "$.agents.causal.epsilon", "exploration rate must lie in [0, 1]"),
         ({"agents": {"qlearning": {"epsilon": -1}}}, "$.agents.qlearning.epsilon", "exploration rate must lie"),
+        ({"agents": {"random": {"epsilon": 0.5}}}, "$.agents.random", "unknown keys: epsilon"),
         ({"agents": {"causal": {"prior_alpha": float("inf")}}}, "$.agents.causal.prior_alpha", "nonpositive-alpha"),
         ({"agents": {"bandit": {}}}, "$.agents.bandit", "unknown agent 'bandit'; known: causal, qlearning, random"),
     ],

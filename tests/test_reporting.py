@@ -122,7 +122,7 @@ def test_svg_handles_single_round(tmp_path):
     assert len(pts) == 1
 
 
-@pytest.mark.parametrize("values", [(1e305, 1e305), (-1e305, -1e305), (-1e305, 1e305), (0.0, 1e305)])
+@pytest.mark.parametrize("values", [(1e305, 1e305), (-1e305, -1e305), (-1e305, 1e305), (0.0, 1e305), (1e12, 1e12)])
 def test_svg_tick_labels_fit_the_margin_at_extreme_values(values, tmp_path):
     # Right-anchored at the 70-px left margin, a y-tick label of a value
     # near 1e305 in fixed point would run to over 300 characters.
@@ -132,6 +132,7 @@ def test_svg_tick_labels_fit_the_margin_at_extreme_values(values, tmp_path):
     ticks = [t.text for t in ET.parse(str(path)).getroot().iter(f"{SVG_NS}text") if t.get("text-anchor") == "end"]
     assert len(ticks) == 5
     assert all(len(t) <= 20 for t in ticks), ticks
+    assert len(set(ticks)) == 5, ticks
     assert float(ticks[0]) <= min(values) and float(ticks[-1]) >= max(values)
 
 
