@@ -141,15 +141,14 @@ def _expected_utilities(columns: Sequence[np.ndarray], payoff: Sequence[float], 
 class CausalBatch:
     """The greedy causal policy.
 
-    Per replication: Dirichlet counts over the truth's graph, updated
-    like :func:`causal_learn` and scored each round like
-    :func:`causal_choose`: each action's cached plan, the one
-    :func:`expected_utility` runs, bound to the posterior means
-    (:meth:`~causalsim.cgm._Plan.bind`), writes its column of one (n,
-    actions, target cardinality) array, then scored, and the argmax
-    written into the action rows; the constructor binds the whole round.
-    It refuses a truth whose scoring would build a factor of over
-    ``MAX_FACTOR_STATES``.
+    Per replication: Dirichlet counts over the truth's graph, updated like
+    :func:`causal_learn` and scored each round like :func:`causal_choose`:
+    each action's cached plan, the one :func:`expected_utility` runs, bound
+    to the posterior means (:meth:`~causalsim.cgm._Plan.bind`), writes its
+    column of one (n, actions, target cardinality) array, then scored, and
+    the argmax written into the action rows. The constructor binds the whole
+    round and runs none of it; it refuses a truth whose scoring would build
+    a factor of over ``MAX_FACTOR_STATES``.
     """
 
     def __init__(self, env: Environment, cfg: CausalAgentConfig, actions: np.ndarray, x: np.ndarray, rewards: np.ndarray):

@@ -20,17 +20,17 @@ dropped, since they sum to one; the rest are contracted with
 ``np.einsum``, one variable at a time in min-fill order. The
 elimination plan depends only on the graph and on which variables are
 forced, evidenced and targeted, so it is cached on the graph object and
-shared by every model built on it. One plan runner executes it for
-the scalar queries; for a batch of belief states, which scores its
-actions at once, :meth:`_Plan.bind` binds the same steps once to tables
-with a leading replication axis. The one cap is on the work: building a
-plan refuses a query whose elimination would create a factor of more
-than ``MAX_FACTOR_STATES`` states, before the plan is cached or any
-table is contracted. What a query may cost thus follows the induced
-width of its elimination order, not the size of the joint: a
-64-variable chain has a 2^64-state joint and no factor of more than
-four entries. :func:`joint_probability` is no special case, since a
-fully pinned plan builds only scalars.
+shared by every model built on it. One plan runner executes it for the
+scalar queries; for a batch of belief states, which scores its actions
+at once, :meth:`_Plan.bind` binds the same steps once to tables with a
+leading replication axis, into buffers of the shapes the plan records.
+The one cap is on the work: building a plan refuses a query whose
+elimination would create a factor of more than ``MAX_FACTOR_STATES``
+states, before the plan is cached or any table is contracted. What a
+query may cost thus follows the induced width of its elimination order,
+not the size of the joint: a 64-variable chain has a 2^64-state joint
+and no factor of more than four entries. :func:`joint_probability` is no
+special case, since a fully pinned plan builds only scalars.
 
 Sampling is ancestral and has no cap. A variable's state is drawn by
 inverse CDF from its cumulative table (:func:`cumulative`): the state
@@ -452,13 +452,13 @@ class _Plan:
     or None for a free axis; or None in place of the tuple when no axis
     is pinned). ``steps`` are einsum contractions; each consumes the
     slots it names and appends its result as a new slot. The last step
-    builds the answer, target axes in target order; ``largest`` is the
-    most states of any factor a step builds.
+    builds the answer, target axes in target order; ``shapes`` are the
+    shapes of the factors the steps build, one per step.
     """
 
     factors: tuple[tuple[int, tuple[str | None, ...] | None], ...]
     steps: tuple[tuple[tuple[int, ...], str], ...]
-    largest: int
+    shapes: tuple[tuple[int, ...], ...]
 
     def operands(self, graph: CausalGraph, pins: tuple[Assignment, ...], table: Callable[[int], np.ndarray]) -> list[np.ndarray]:
         """The factors' tables in plan order, read with ``table`` and
@@ -485,15 +485,16 @@ class _Plan:
         calls on views fixed here, in row slices that keep every factor under
         ``MAX_FACTOR_STATES`` with the replication axis: the last step into
         ``out``, each other into a buffer of ``buffers``, which plans run one
-        by one may share."""
-        step, last, calls = max(1, MAX_FACTOR_STATES // self.largest), len(self.steps) - 1, []
+        by one may share, made from the step's recorded shape with the
+        replication axis fastest in memory, as in the tables. Contracts nothing."""
+        step, last, calls = max(1, MAX_FACTOR_STATES // max(map(math.prod, self.shapes))), len(self.steps) - 1, []
         for r in range(0, len(out), step):
-            slots = self.operands(graph, pins, lambda pos: tables[pos][r : r + step])
-            for i, (used, subscripts) in enumerate(self.steps):
-                args = (subscripts, *[slots[j] for j in used])
-                like = _einsum(*args) if i < last else out[r : r + step]  # a step before the last sums a variable out
-                slots.append(buffers.setdefault((i, like.shape, like.strides), like) if i < last else like)
-                calls.append((partial(_einsum, out=slots[-1]), args))
+            slots, rows = self.operands(graph, pins, lambda pos: tables[pos][r : r + step]), len(out[r : r + step])
+            for i, ((used, subscripts), shape) in enumerate(zip(self.steps, self.shapes)):
+                if i < last and (i, rows, shape) not in buffers:
+                    buffers[i, rows, shape] = np.moveaxis(np.empty((*shape, rows)), -1, 0)
+                slots.append(buffers[i, rows, shape] if i < last else out[r : r + step])
+                calls.append((partial(_einsum, out=slots[-1]), (subscripts, *[slots[j] for j in used])))
         return calls
 
 
@@ -518,7 +519,7 @@ def _plan(graph: CausalGraph, forced: frozenset[str], evidence: frozenset[str], 
             scopes.append(tuple(a for a in axes if a not in pinned))
 
     cards = {v.name: len(v.states) for v in graph.variables}
-    steps = []
+    steps, shapes = [], []
 
     def contract(used: list[int], out: tuple[str, ...], what: str) -> None:
         # Append steps that contract the slots ``used`` into one new last
@@ -527,8 +528,8 @@ def _plan(graph: CausalGraph, forced: frozenset[str], evidence: frozenset[str], 
         while True:
             batch, used = used[:_MAX_OPERANDS], used[_MAX_OPERANDS:]
             scope = tuple(dict.fromkeys(a for i in batch for a in scopes[i])) if used else out
-            size = math.prod(cards[a] for a in scope)
-            if size > MAX_FACTOR_STATES:
+            shapes.append(tuple(cards[a] for a in scope))
+            if (size := math.prod(shapes[-1])) > MAX_FACTOR_STATES:
                 raise ValueError(f"factor too large: {what} builds {size} states, over the cap of {MAX_FACTOR_STATES}")
             steps.append((tuple(batch), _subscripts([scopes[i] for i in batch], scope)))
             scopes.append(scope)
@@ -544,7 +545,7 @@ def _plan(graph: CausalGraph, forced: frozenset[str], evidence: frozenset[str], 
         live = [i for i in live if i not in used] + [len(scopes) - 1]
     if len(live) > 1 or scopes[live[0]] != targets or not steps:
         contract(live, targets, f"the answer over {', '.join(targets)}")
-    return _Plan(tuple(factors), tuple(steps), max(math.prod(cards[a] for a in s) for s in scopes[len(factors) :]))
+    return _Plan(tuple(factors), tuple(steps), tuple(shapes))
 
 
 def _min_fill(

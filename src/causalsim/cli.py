@@ -126,12 +126,14 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     )
     if cfg.out_svg and os.path.realpath(cfg.out_svg) == os.path.realpath(cfg.out_csv):
         raise ValueError(f"same-output: the CSV and the SVG would both be written to {cfg.out_csv}")
+    written = [path for path in (cfg.out_csv, cfg.out_svg) if path]
+    for out in written:
+        if same := [p for p in (ns.model, ns.experiment) if os.path.realpath(p) == os.path.realpath(out)]:
+            raise ValueError(f"same-output: {out} would overwrite the input file {same[0]}")
     result = experiment.run_experiment(env, cfg, workers=ns.workers)
     reporting.write_csv(result.series, cfg.out_csv)
-    written = [cfg.out_csv]
     if cfg.out_svg:
         reporting.write_svg(result.series, cfg.out_svg)
-        written.append(cfg.out_svg)
 
     for s in result.series:
         overall, final = (f"{m:.4f}" if abs(m) < 1e9 else f"{m:.12g}" for m in (sum(s.values) / len(s.values), s.values[-1]))

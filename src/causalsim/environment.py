@@ -164,12 +164,6 @@ def step(env: Environment, action: Action, rng: np.random.Generator) -> StepReco
     return StepRecord(action.label, realized, env.utility[realized[env.target]])
 
 
-def _check_keys(data: dict, doc: str) -> None:
-    """Refuse a key that neither half of an experiment file knows: the environment's four, or ExperimentConfig's fields."""
-    known = {"target", "desired", "actions", "utility", *experiment.ExperimentConfig.__dataclass_fields__}
-    _expect(set(data) <= known, doc, f"unknown keys: {', '.join(sorted(set(data) - known))}")
-
-
 def environment_from_dict(truth: CausalModel, data: Any, *, doc: str = "$") -> Environment:
     """Assemble an environment from a truth model and the environment
     half of a parsed experiment document; ``doc`` starts error paths.
@@ -183,7 +177,7 @@ def environment_from_dict(truth: CausalModel, data: Any, *, doc: str = "$") -> E
     The run-shape keys are parsed by :func:`~causalsim.experiment.config_from_dict`.
     """
     _expect(isinstance(data, dict), doc, "expected an object")
-    _check_keys(data, doc)
+    experiment._check_keys(data, doc)
     target = data.get("target")
     _expect(isinstance(target, str), f"{doc}.target", "expected a string")
 

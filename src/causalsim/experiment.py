@@ -45,14 +45,16 @@ import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .cgm import _FieldError, _check_prior, _drawer
-from .environment import Environment, _check_keys
 from . import agents, model_io
 from .model_io import _checked, _expect
+
+if TYPE_CHECKING:
+    from .environment import Environment
 
 __all__ = [
     "CausalAgentConfig",
@@ -216,6 +218,12 @@ class ExperimentResult:
             if s.label == label:
                 return s
         raise KeyError(label)
+
+
+def _check_keys(data: dict, doc: str) -> None:
+    """Refuse a key that neither half of an experiment file knows: the environment's four, or ExperimentConfig's fields."""
+    known = {"target", "desired", "actions", "utility", *ExperimentConfig.__dataclass_fields__}
+    _expect(set(data) <= known, doc, f"unknown keys: {', '.join(sorted(set(data) - known))}")
 
 
 def config_from_dict(data: Any, *, doc: str = "$") -> ExperimentConfig:

@@ -1,6 +1,7 @@
 """Decision policies: expected utility, greedy choice, Q-learning, random."""
 
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +27,7 @@ from causalsim import (
     random_choose,
     update,
 )
+from causalsim import cgm
 from causalsim.agents import CausalBatch, QBatch, RandomBatch, _expected_utilities
 from causalsim.beliefs import CountBeliefs
 from causalsim.experiment import CHOICE_DRAWS, _exploration
@@ -497,3 +499,37 @@ def test_a_causal_agent_whose_prior_rows_overflow_is_refused(medic_env):
     # 1e308 per state sums to inf over Y's two states; every EU would be nan.
     with pytest.raises(ValueError, match="infinite-row-sum: 2 pseudo-counts of 1e[+]308"):
         _built(CausalBatch, medic_env, CausalAgentConfig(prior_alpha=1e308), 4)
+
+
+def _grid13_menu():
+    """Two actions on the 13 x 13 grid's corner, whose widest scoring factor
+    has MAX_FACTOR_STATES states, with both plans already cached."""
+    actions = (Action("low", {"G0_0": "0"}), Action("high", {"G0_0": "1"}))
+    env = Environment(oracle.grid_model(13), actions, "G12_12", WIN)
+    for action in actions:
+        env.truth.graph._plan_for(action.intervention, {}, (env.target,))
+    return env
+
+
+def test_building_the_causal_agent_contracts_nothing(monkeypatch):
+    # Binding allocates each buffer from the shape its plan recorded; no
+    # step runs until the first round.
+    env, calls = _grid13_menu(), []
+    monkeypatch.setattr(cgm, "_einsum", lambda *args, **kwargs: calls.append(args))
+    _built(CausalBatch, env, CausalAgentConfig(), 8, len(env.truth.graph.variables))
+    assert calls == []
+
+
+def test_building_the_causal_agent_allocates_only_what_it_keeps():
+    # A factor of the cap is 8 MiB. At its peak the build holds at most
+    # 1 MiB besides what the built agent keeps, so no factor is built and
+    # thrown away.
+    env = _grid13_menu()
+    tracemalloc.start()
+    try:
+        built = _built(CausalBatch, env, CausalAgentConfig(), 8, len(env.truth.graph.variables))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built[0].mass.shape == (8, 2, 2)
+    assert peak - held <= 2**20

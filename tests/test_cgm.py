@@ -1,8 +1,10 @@
 """Core model behavior: validation, exact inference, surgery, sampling."""
 
 import itertools
+import math
 import random
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -730,11 +732,18 @@ def test_replicated_query_matches_interventional_marginal(data):
     positions = range(len(model.graph.variables))
     tables = [np.stack([m.table(pos) for m in models]) for pos in positions]
     mass = np.empty((len(models), len(model.graph.variable_map[variable].states)))
-    plan = model.graph._plan_for(forced, {}, (variable,))
-    for f, args in plan.bind(model.graph, (forced,), tables, mass, {}):
+    plan, buffers = model.graph._plan_for(forced, {}, (variable,)), {}
+    for f, args in plan.bind(model.graph, (forced,), tables, mass, buffers):
         f(*args)
     for got, m in zip(mass, models):
         assert tuple(got / got.sum()) == pytest.approx(interventional_marginal(m, forced, variable), abs=1e-12)
+    # Each step builds the shape its plan records, and each bound buffer
+    # keeps the replication axis fastest in memory.
+    built, einsum = [], cgm._einsum
+    with mock.patch.object(cgm, "_einsum", lambda *args: built.append(einsum(*args)) or built[-1]):
+        plan.run(plan.operands(model.graph, (forced,), model.table))
+    assert [b.shape for b in built] == list(plan.shapes)
+    assert all(b.strides[0] == b.itemsize for b in buffers.values())
 
 
 @pytest.mark.parametrize(
@@ -749,7 +758,7 @@ def test_a_bound_plan_gives_each_replication_the_bits_of_its_own_run(medic_model
     plan = graph._plan_for(forced, evidence, targets)
     tables = [rng.dirichlet(np.ones(shape[-1]), (5, *shape[:-1])) for _, _, shape, _ in graph._layout]
     out = np.empty((5, *(len(graph.variable_map[t].states) for t in targets)))
-    monkeypatch.setattr(cgm, "MAX_FACTOR_STATES", 2 * plan.largest)
+    monkeypatch.setattr(cgm, "MAX_FACTOR_STATES", 2 * max(map(math.prod, plan.shapes)))
     calls = plan.bind(graph, (forced, evidence), tables, out, {})
     assert len(calls) == 3 * len(plan.steps)
     for f, args in calls:

@@ -578,6 +578,26 @@ def test_simulate_refuses_an_svg_path_that_is_the_csv_path(capsys, tmp_path, via
     assert out.read_bytes() == b"kept"
 
 
+@pytest.mark.parametrize("flag, clobbered", [("--out", "model"), ("--svg", "experiment")])
+def test_simulate_refuses_an_output_path_that_is_one_of_its_inputs(capsys, tmp_path, flag, clobbered):
+    # Written, the output would replace a file the run has just read, and
+    # every later run would fail to parse it. The same file spelled another
+    # way is refused too, before the run, and the input keeps its bytes.
+    inputs = {"model": tmp_path / "model.json", "experiment": tmp_path / "exp.json"}
+    shutil.copy(MODEL, inputs["model"])
+    shutil.copy(EXPERIMENT, inputs["experiment"])
+    (tmp_path / "sub").mkdir()
+    spelled = str(tmp_path / "sub" / ".." / inputs[clobbered].name)
+    outputs = {"--out": str(tmp_path / "x.csv"), "--svg": str(tmp_path / "x.svg"), flag: spelled}
+    argv = ["simulate", "--model", str(inputs["model"]), "--experiment", str(inputs["experiment"]), "--reps", "4", "--rounds", "3"]
+    code, stdout, err = run_cli(capsys, *argv, *(arg for pair in outputs.items() for arg in pair))
+    assert code == 2
+    assert err == f"causalsim: error: same-output: {spelled} would overwrite the input file {inputs[clobbered]}\n"
+    assert stdout == ""
+    assert inputs[clobbered].read_bytes() == Path(MODEL if clobbered == "model" else EXPERIMENT).read_bytes()
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.svg").exists()
+
+
 def test_simulate_in_worker_processes_writes_the_serial_bytes(capsys, tmp_path):
     # 300 replications span two blocks, so --workers 2 starts two processes.
     args = ["simulate", "--model", MODEL, "--experiment", EXPERIMENT, "--rounds", "5", "--reps", "300"]
@@ -662,6 +682,13 @@ def test_best_action_runs_only_the_decision_problem():
         "causalsim", "causalsim.cgm", "causalsim.cli", "causalsim.environment", "causalsim.experiment", "causalsim.model_io",
     }  # fmt: skip
     assert "xml.etree" not in loaded
+
+
+def test_reading_a_run_shape_leaves_the_environment_lazy():
+    # experiment names the Environment only in annotations, so reading the
+    # run half of an experiment file never runs the environment module.
+    modules, _ = _modules_after(f"import causalsim; causalsim.load_experiment_config({EXPERIMENT!r})")
+    assert {n for n, ran in modules.items() if ran} == {"causalsim", "causalsim.cgm", "causalsim.experiment", "causalsim.model_io"}
 
 
 def test_loading_an_experiment_validates_the_model_once(monkeypatch):
