@@ -20,7 +20,7 @@ The scalar functions are references for one replication: they read the
 :class:`~causalsim.environment.Environment` and the agent config the
 engine reads, and take and return the beliefs or the values. The
 experiment engine runs each policy for a whole block of replications
-at once through :class:`BatchPolicy`, whose three implementations are
+at once through :class:`BatchPolicy`, whose two implementations are
 each built on their rows of the engine's action, outcome and reward
 buffers, keep their state in arrays with a leading replication axis,
 and are tested against the scalar functions; the causal one binds the
@@ -29,12 +29,13 @@ every reward; the Q-learning policy reads neither the truth nor the
 utility. A batched policy only proposes its greedy actions and learns;
 exploration is the engine's: each round it replaces a replication's
 greedy action by a uniformly drawn one at the rate its agent's config
-gives (``epsilon``; the random agent's is the constant 1), for every
-agent of the block in one step.
+gives (``epsilon``; the random agent's is the constant 1, so it has no
+policy), for every agent of the block in one step.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
@@ -45,7 +46,7 @@ from .environment import Action, UtilityFunction, best_action, expected_utility
 
 if TYPE_CHECKING:
     from .environment import Environment
-    from .experiment import CausalAgentConfig, QLearningConfig, RandomConfig
+    from .experiment import CausalAgentConfig, QLearningConfig
 
 __all__ = [
     "causal_choose",
@@ -56,7 +57,6 @@ __all__ = [
     "BatchPolicy",
     "CausalBatch",
     "QBatch",
-    "RandomBatch",
 ]
 
 
@@ -110,17 +110,17 @@ class BatchPolicy(Protocol):
     The constructor takes ``(env, cfg, actions, x, rewards)``: the
     agent's config and its rows of the engine's buffers, (n,) intp
     actions, (n, variables) state codes in the truth's declaration order
-    and (n,) float rewards, with n = ``len(actions)``. Each round,
-    ``greedy()`` writes each replication's action from the current state
-    alone; ``learn()`` then folds in, in place, the actions taken and the
-    outcomes or the rewards in the rows, as the policy needs. Policies
+    and (n,) float rewards, with n = ``len(actions)``. ``greedy`` and
+    ``learn`` are callables of no argument bound at construction. Each
+    round, ``greedy()`` writes each replication's action from the current
+    state alone; ``learn()`` then folds in, in place, the actions taken and
+    the outcomes or the rewards in the rows, as the policy needs. Policies
     never explore: the engine replaces greedy actions by uniformly drawn
     ones at the config's ``epsilon`` rate.
     """
 
-    def greedy(self) -> None: ...
-
-    def learn(self) -> None: ...
+    greedy: Callable[[], object]
+    learn: Callable[[], object]
 
 
 def _expected_utilities(columns: Sequence[np.ndarray], payoff: Sequence[float], out: np.ndarray) -> list[tuple[Callable, tuple]]:
@@ -142,13 +142,13 @@ class CausalBatch:
     """The greedy causal policy.
 
     Per replication: Dirichlet counts over the truth's graph, updated like
-    :func:`causal_learn` and scored each round like :func:`causal_choose`:
-    each action's cached plan, the one :func:`expected_utility` runs, bound
-    to the posterior means (:meth:`~causalsim.cgm._Plan.bind`), writes its
-    column of one (n, actions, target cardinality) array, then scored, and
-    the argmax written into the action rows. The constructor binds the whole
-    round and runs none of it; it refuses a truth whose scoring would build
-    a factor of over ``MAX_FACTOR_STATES``.
+    :func:`causal_learn` by ``learn``, the bound count update, and scored
+    each round like :func:`causal_choose` by ``greedy``, one list of bound
+    calls: ``CountBeliefs.refresh``, then each action's cached plan
+    (:meth:`~causalsim.cgm._Plan.bind`) into its column of one (n, actions,
+    target cardinality) array, the scores and their argmax into the action
+    rows. The constructor runs none of it; it refuses a truth whose scoring
+    would build a factor of over ``MAX_FACTOR_STATES``.
     """
 
     def __init__(self, env: Environment, cfg: CausalAgentConfig, actions: np.ndarray, x: np.ndarray, rewards: np.ndarray):
@@ -159,48 +159,31 @@ class CausalBatch:
         self.beliefs = CountBeliefs(graph, cfg.prior_alpha, n, scored, [a.intervention for a in env.actions])
         columns, buffers = np.empty((len(env._payoff), len(plans), n)), {}
         self.mass, self.eu = columns.T, np.empty(columns.shape[1:])
-        self._round = []
+        self._round = [*self.beliefs.refresh]
         for k, (a, plan) in enumerate(zip(env.actions, plans)):
             self._round += plan.bind(graph, (a.intervention,), self.beliefs.means, self.mass[:, k], buffers)
         self._round += [*_expected_utilities(list(columns), env._payoff.tolist(), self.eu), (self.eu.argmax, (0, actions))]
-        self._actions, self._x = actions, x
+        self.learn = partial(self.beliefs.update, x, actions)
 
     def greedy(self) -> None:
-        self.beliefs.posterior()
         for f, args in self._round:
             f(*args)
 
-    def learn(self) -> None:
-        self.beliefs.update(self._x, self._actions)
-
 
 class QBatch:
-    """Stateless Q-learning: an (n, actions) value array, chosen from
-    like :func:`q_choose` and updated like :func:`q_learn` from its reward
-    rows alone. Of ``env`` it reads only the action menu."""
+    """Stateless Q-learning: an (n, actions) value array, chosen from by a
+    bound argmax like :func:`q_choose` and updated like :func:`q_learn` from
+    its reward rows alone. Of ``env`` it reads only the action menu."""
 
     def __init__(self, env: Environment, cfg: QLearningConfig, actions: np.ndarray, x: np.ndarray, rewards: np.ndarray):
         self.q = np.full((len(actions), len(env.actions)), float(cfg.q0))
         self.alpha = np.array(cfg.alpha)  # 0-d: its product with an array skips a scalar conversion
         self._flat, self._base = self.q.reshape(-1), np.arange(len(actions)) * len(env.actions)
         self._actions, self._rewards = actions, rewards
-
-    def greedy(self) -> None:
-        self.q.argmax(1, self._actions)
+        self.greedy = partial(self.q.argmax, 1, actions)
 
     def learn(self) -> None:
         index = self._base + self._actions
         q = self._flat[index]
         self._flat[index] = q + self.alpha * (self._rewards - q)
 
-
-class RandomBatch:
-    """Uniform choice over the action menu: at its config's rate of 1 the engine overwrites every row; learns nothing."""
-
-    def __init__(self, env: Environment, cfg: RandomConfig, *rows: np.ndarray):
-        pass
-
-    def greedy(self) -> None:
-        pass
-
-    learn = greedy

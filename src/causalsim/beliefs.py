@@ -15,10 +15,10 @@ which downstream decision code treats as if it were the truth.
 :class:`CountBeliefs` holds the same pseudo-counts for a batch of
 replications as views, one per CPT, shaped like the compiled tables of
 :meth:`~causalsim.cgm.CausalModel.table` behind a replication axis. Its
-posterior mean is a sum and a division per buffer, bound once, and its
-update one indexed increment per buffer. The dict-based
-:class:`BeliefState` stays the document form and the reference the
-arrays are tested against.
+posterior mean is a sum and a division per buffer, bound once as the
+calls ``refresh`` lists, and its update one indexed increment per buffer.
+The dict-based :class:`BeliefState` stays the document form and the
+reference the arrays are tested against.
 """
 
 from __future__ import annotations
@@ -145,7 +145,10 @@ class CountBeliefs:
     one run. ``counts[i]`` views the variable at position i as (n, parent
     cardinalities..., cardinality), so ``counts[i][r]`` is replication r's
     table of rows; ``means[i]``, for a scored variable, views its posterior
-    mean. An update leaves alone the counts its intervention in ``menu`` forces.
+    mean, which the (function, arguments) calls in ``refresh`` write: per
+    buffer, one division by the sum of its state columns in order (for fewer
+    than 8 states, ``sum``'s bits). An update leaves alone the counts its
+    intervention in ``menu`` forces.
     """
 
     def __init__(self, graph: CausalGraph, alpha0: float, n: int, scored: Sequence[int] = (), menu: Sequence[Intervention] = ({},)):
@@ -153,7 +156,7 @@ class CountBeliefs:
         order = [*scored, *(i for i in range(len(graph.variables)) if i not in scored)]
         # free[a, i]: 1.0 unless intervention a of the menu forces the variable at position i.
         free = np.array([[float(v.name not in i) for v in graph.variables] for i in menu])
-        self.counts, self.means, self._buffers, self._posterior = [None] * len(order), [None] * len(order), [], []
+        self.counts, self.means, self._buffers, self.refresh = [None] * len(order), [None] * len(order), [], []
         for card in dict.fromkeys(graph._layout[i][2][-1] for i in order):
             group = [i for i in order if graph._layout[i][2][-1] == card]
             starts = np.cumsum([0] + [np.prod(graph._layout[i][2][:-1], dtype=int) for i in group])
@@ -168,15 +171,8 @@ class CountBeliefs:
                 matrix[[*parents, i], k] = [*np.multiply(strides, n), counts[0].size]
             base = np.arange(n)[:, None] + starts[:-1] * float(n)  # float, as the product is
             columns, total = counts[:, : means.shape[1]].reshape(card, -1), np.empty(means[0].size)
-            self._posterior += [*_summed(columns, total), (np.divide, (columns, total, means.reshape(card, -1)))]
+            self.refresh += [*_summed(columns, total), (np.divide, (columns, total, means.reshape(card, -1)))]
             self._buffers.append((counts.reshape(-1), matrix, base, np.array(group), free[:, group]))
-
-    def posterior(self) -> list[np.ndarray | None]:
-        """Refresh :attr:`means`: per buffer, one division by the sum of its
-        state columns in order (for fewer than 8 states, ``sum``'s bits)."""
-        for f, args in self._posterior:
-            f(*args)
-        return self.means
 
     def update(self, x: np.ndarray, actions: np.ndarray) -> None:
         """Fold in one outcome per replication: state codes ``x``, (n,
@@ -196,9 +192,6 @@ def beliefs_from_dict(data: Any) -> BeliefState:
     """Inverse of :func:`beliefs_to_dict`; counts must be positive and
     finite, and so must each row's sum."""
     graph, counts = model_io.tables_from_dict(data, value_key="counts", normalize=False)
-    issues = validate_graph(graph)
-    if issues:
-        raise InvalidModelError(issues)
     for name, rows in counts.items():
         for row in rows.values():
             if any(not 0.0 < c < np.inf for c in row):

@@ -123,12 +123,12 @@ class RandomConfig:
 AgentConfig = CausalAgentConfig | QLearningConfig | RandomConfig
 
 # Every agent label, with its config class and the name of its batch
-# policy class in ``agents`` (a BatchPolicy). The name is looked up only
-# when a block runs, so parsing a config never runs ``agents``.
-_AGENTS: dict[str, tuple[type, str]] = {
+# policy class in ``agents`` (a BatchPolicy), or None if it always explores.
+# The name is looked up when a block runs: parsing a config never runs ``agents``.
+_AGENTS: dict[str, tuple[type, str | None]] = {
     "causal": (CausalAgentConfig, "CausalBatch"),
     "qlearning": (QLearningConfig, "QBatch"),
-    "random": (RandomConfig, "RandomBatch"),
+    "random": (RandomConfig, None),
 }
 
 
@@ -345,17 +345,18 @@ def _run_block(env: Environment, cfg: ExperimentConfig, block: int) -> tuple[np.
     agent-major, in one action, one outcome and one reward buffer: each
     policy is built on its rows, and the draw and the payoff gather bind
     them once. Per round: each policy writes its greedy actions into its
-    rows, one ``np.copyto`` puts the explored ones over them, one draw
-    writes every row's outcome from its own uniforms, one per variable in
-    the truth's topological order, one gather pays every row the utility
-    of its target state, each policy learns from its rows, and the
-    round's actions and rewards become one row of the block's log.
+    rows, one ``np.copyto`` puts the explored ones over them (all the random
+    agent's, which has none), one draw writes every row's outcome from its
+    own uniforms, one per variable in the truth's topological order, one
+    gather pays every row the utility of its target state, each policy
+    learns from its rows, and the round's actions and rewards become one row
+    of the block's log.
     """
     n = min(BLOCK_SIZE, cfg.replications - block * BLOCK_SIZE)
     k = len(cfg.agents)
     a, x, r = np.empty(k * n, np.intp), np.empty((k * n, len(env.truth.graph.variables)), np.intp), np.empty(k * n)
     rows = zip(a.reshape(k, n), x.reshape(k, n, -1), r.reshape(k, n))  # each agent's n rows, as views
-    policies = [getattr(agents, _AGENTS[label][1])(env, acfg, *own) for (label, acfg), own in zip(cfg.agents.items(), rows)]
+    policies = [getattr(agents, kind)(env, acfg, *own) for (label, acfg), own in zip(cfg.agents.items(), rows) if (kind := _AGENTS[label][1])]
     epsilon = np.repeat([acfg.epsilon for acfg in cfg.agents.values()], n)
     sample, y, payoff = _drawer(env.truth.graph, env._sampler, a, x), x[:, env.truth.graph._positions[env.target]], env._payoff
     actions = np.empty((cfg.rounds, k * n), np.min_scalar_type(len(env.actions) - 1))

@@ -26,7 +26,8 @@ with a path such as ``model.json.cpts.Y[2].p`` (the file, or ``$`` for a
 document in memory, then its ``.key`` and ``[i]`` steps); so do numbers
 beyond float range, such as a 400-digit integer. Row sums within
 ``ROW_SUM_TOL`` of one are renormalized on load; rows further out are
-rejected. After parsing, the assembled model is validated semantically;
+rejected; so is a key repeated in one object, as a ``parse-error``. The
+graph is validated before any row is read, the model after parsing;
 violations raise :class:`~causalsim.cgm.InvalidModelError` after the file.
 """
 
@@ -40,10 +41,12 @@ from .cgm import (
     CausalGraph,
     CausalModel,
     Cpt,
+    InvalidModelError,
     VariableSpec,
     _FieldError,
     ensure_valid,
     parent_configurations,
+    validate_graph,
 )
 
 __all__ = [
@@ -66,13 +69,21 @@ class FormatError(ValueError):
         super().__init__(f"{path}: {detail}")
 
 
+def _members(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """One JSON object's members; a repeated key raises ValueError rather than letting the last one win."""
+    if len(members := dict(pairs)) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {next(key for i, key in enumerate(keys) if key in keys[:i])!r}")
+    return members
+
+
 def read_json(path: str) -> Any:
     """Load a JSON file, reporting unreadable input, bytes that are not
-    UTF-8, invalid JSON and nesting too deep to parse as
-    :class:`FormatError` under the ``parse-error`` banner."""
+    UTF-8, invalid JSON, a key repeated within one object and nesting too
+    deep to parse as :class:`FormatError` under the ``parse-error`` banner."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            return json.load(f, object_pairs_hook=_members)
     except (OSError, ValueError, RecursionError) as e:
         raise FormatError(path, f"parse-error: {e}") from e
 
@@ -212,9 +223,9 @@ def _parse_rows(
 def tables_from_dict(
     data: Any, *, value_key: str, normalize: bool, doc: str = "$"
 ) -> tuple[CausalGraph, dict[str, dict[tuple[str, ...], tuple[float, ...]]]]:
-    """Parse a CPT-shaped document: its graph, and each variable's rows
-    keyed by parent configuration, with ``value_key`` naming the row
-    vector. Structure only; the caller validates the semantics."""
+    """Parse a CPT-shaped document: its graph, validated before any row is
+    read, and each variable's rows keyed by parent configuration, with
+    ``value_key`` naming the row vector. The caller validates the rest."""
     graph = graph_from_dict(data, doc=doc)
     _expect(set(data) <= {"variables", "parents", "cpts"}, doc, "unknown top-level keys present")
     _expect("cpts" in data, doc, "missing key 'cpts'")
@@ -222,6 +233,8 @@ def tables_from_dict(
     _expect(isinstance(raw_cpts, dict), f"{doc}.cpts", "expected an object")
     for name in raw_cpts:
         _expect(name in graph.variable_map, f"{doc}.cpts.{name}", "table for an undeclared variable")
+    if issues := validate_graph(graph):
+        raise InvalidModelError(issues, doc)
     tables = {}
     for v in graph.variables:
         _expect(v.name in raw_cpts, f"{doc}.cpts", f"missing table for {v.name}")

@@ -15,8 +15,9 @@ utilities. ``write_csv`` writes one line at a time and ``write_svg``
 builds, indents and serializes an ElementTree; the tests require the
 library's writers to give exactly the same bytes.
 
-``bound_draw`` is no reference: it is how the tests run the library's
-batched draw, the one the engine binds once per block.
+``bound_draw`` and ``refreshed`` are no references: they are how the
+tests run the library's batched draw, the one the engine binds once per
+block, and the posterior means that ``CountBeliefs`` binds.
 """
 
 from __future__ import annotations
@@ -74,6 +75,14 @@ def bound_draw(env, actions: np.ndarray, u: np.ndarray, out: np.ndarray | None =
     x = np.empty(u.shape, np.intp) if out is None else out
     _drawer(env.truth.graph, env._sampler, np.asarray(actions, np.intp), x)(u)
     return x
+
+
+def refreshed(beliefs) -> list[np.ndarray | None]:
+    """Run the calls of ``beliefs.refresh`` and return its posterior means,
+    one view per variable (None for a variable that is not scored)."""
+    for f, args in beliefs.refresh:
+        f(*args)
+    return beliefs.means
 
 
 def count_arrays(graph: CausalGraph, alpha0: float, n: int) -> list[np.ndarray]:

@@ -28,7 +28,7 @@ from causalsim import (
     update,
 )
 from causalsim import cgm
-from causalsim.agents import CausalBatch, QBatch, RandomBatch, _expected_utilities
+from causalsim.agents import CausalBatch, QBatch, _expected_utilities
 from causalsim.beliefs import CountBeliefs
 from causalsim.experiment import CHOICE_DRAWS, _exploration
 
@@ -256,11 +256,12 @@ def _learn(policy, rows, actions, x, rewards):
     policy.learn()
 
 
-def _on_shared_rows(env, kinds, n):
+def _on_shared_rows(env, kinds, n, agents):
     """One policy per (class, config) of ``kinds``, built as the engine builds
     a block's roster: on consecutive n-row slices of one shared action,
-    (medic-wide) outcome and reward buffer; and those buffers."""
-    a, x, r = np.zeros(len(kinds) * n, np.intp), np.zeros((len(kinds) * n, 3), np.intp), np.zeros(len(kinds) * n)
+    (medic-wide) outcome and reward buffer with a slice for each of
+    ``agents`` agents, those after ``kinds`` with no policy; and those buffers."""
+    a, x, r = np.zeros(agents * n, np.intp), np.zeros((agents * n, 3), np.intp), np.zeros(agents * n)
     policies = [cls(env, cfg, *(rows[i * n : (i + 1) * n] for rows in (a, x, r))) for i, (cls, cfg) in enumerate(kinds)]
     return policies, (a, x, r)
 
@@ -354,17 +355,18 @@ def test_a_q_learner_needs_only_the_menu_and_learns_from_the_bound_rewards(medic
 def test_greedy_writes_the_former_choices_into_the_given_rows(medic_env):
     # Each policy writes into its own rows of one shared action buffer and
     # nowhere else: the causal and Q policies the argmax of their former
-    # expressions, ties included, and the random policy nothing, since the
-    # engine overwrites every row of an agent that always explores.
+    # expressions, ties included. The third slice, the random agent's, has
+    # no policy, since the engine overwrites every row of an agent that
+    # always explores, so nothing writes it.
     rng = np.random.default_rng(8)
     n = 32
-    kinds = ((CausalBatch, CausalAgentConfig()), (QBatch, QLearningConfig()), (RandomBatch, RandomConfig()))
-    (causal, q, rand), (a, x, r) = _on_shared_rows(medic_env, kinds, n)
+    kinds = ((CausalBatch, CausalAgentConfig()), (QBatch, QLearningConfig()))
+    (causal, q), (a, x, r) = _on_shared_rows(medic_env, kinds, n, 3)
     for counts in causal.beliefs.counts:
         counts[...] = rng.integers(1, 4, size=counts.shape)
     q.q[...] = rng.integers(0, 3, size=q.q.shape) / 2
     a[...] = 7  # no action index
-    for policy in (causal, q, rand):
+    for policy in (causal, q):
         policy.greedy()
     assert np.array_equal(a[:n], reference.expected_utilities(causal.mass, medic_env._payoff).argmax(axis=1))
     assert np.array_equal(a[n : 2 * n], q.q.argmax(axis=1))
@@ -372,16 +374,18 @@ def test_greedy_writes_the_former_choices_into_the_given_rows(medic_env):
 
 
 def test_learn_reads_only_the_policys_own_rows(medic_env):
-    # The engine's layout: three policies on slices of one shared action,
-    # outcome and reward buffer. Every row holds its own action, outcome and
+    # The engine's layout: two policies on slices of one shared action,
+    # outcome and reward buffer of three agents, the third (the random
+    # agent) with no policy. Every row holds its own action, outcome and
     # reward, so a policy that read another agent's rows would move its
-    # counts or values; each learns exactly as a twin on private rows does.
+    # counts or values; each learns exactly as a twin on private rows does,
+    # and none writes a row.
     rng = np.random.default_rng(18)
     n = 32
-    kinds = ((CausalBatch, CausalAgentConfig()), (QBatch, QLearningConfig(alpha=0.5)), (RandomBatch, RandomConfig()))
-    policies, (a, x, r) = _on_shared_rows(medic_env, kinds, n)
+    kinds = ((CausalBatch, CausalAgentConfig()), (QBatch, QLearningConfig(alpha=0.5)))
+    policies, (a, x, r) = _on_shared_rows(medic_env, kinds, n, 3)
     twins = [_built(cls, medic_env, cfg, n) for cls, cfg in kinds]
-    (causal, q, _), ((causal_twin, _), (q_twin, _), _) = policies, twins
+    (causal, q), ((causal_twin, _), (q_twin, _)) = policies, twins
     for _ in range(20):
         a[...] = rng.integers(len(medic_env.actions), size=len(a))
         x[...] = reference.bound_draw(medic_env, a, rng.random(x.shape))
@@ -457,12 +461,15 @@ def test_batched_exploration_is_uniform_over_the_menu(medic_env):
 
     def choose(cls, cfg):
         explore, uniform = _exploration(u, cfg.epsilon, n_actions)
+        if cls is None:  # the random agent has no policy: every row explores
+            assert explore.all()
+            return uniform
         return np.where(explore, uniform, _greedy(*_built(cls, medic_env, cfg, len(u))))
 
     for cls, cfg in (
         (CausalBatch, CausalAgentConfig(epsilon=1.0)),
         (QBatch, QLearningConfig(epsilon=1.0)),
-        (RandomBatch, RandomConfig()),
+        (None, RandomConfig()),
     ):
         chosen = choose(cls, cfg)
         assert chosen.mean() == pytest.approx(0.5, abs=0.02)
@@ -487,7 +494,7 @@ def test_batched_updates_never_touch_the_forced_variable(medic_env):
     assert added == 4 * 2_500 * 2  # variables minus forced, per update
     for name in ("D", "Y"):
         pos = truth.graph._positions[name]
-        assert np.abs(batch.beliefs.posterior()[pos] - truth.table(pos)).max() <= 0.05
+        assert np.abs(reference.refreshed(batch.beliefs)[pos] - truth.table(pos)).max() <= 0.05
 
 
 def test_count_beliefs_reject_nonpositive_prior(medic_model):

@@ -93,7 +93,11 @@ def test_each_input_file_is_read_once(capsys, monkeypatch, tmp_path, command):
     assert paths == [MODEL, EXPERIMENT]
 
 
-@pytest.mark.parametrize("content", [b'{"target": "\xff"}', b"[" * 100_000], ids=["not-utf-8", "too-deep"])
+@pytest.mark.parametrize(
+    "content",
+    [b'{"target": "\xff"}', b"[" * 100_000, b'{"desired": "1", "desired": "0"}'],
+    ids=["not-utf-8", "too-deep", "repeated-key"],
+)
 @pytest.mark.parametrize("flag", ["--model", "--experiment"])
 def test_an_unparseable_file_is_an_input_error(capsys, tmp_path, content, flag):
     bad = tmp_path / "bad.json"

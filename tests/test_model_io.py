@@ -8,8 +8,11 @@ import pytest
 from causalsim import (
     FormatError,
     InvalidModelError,
+    beliefs_from_dict,
+    beliefs_to_dict,
     graph_from_dict,
     graph_to_dict,
+    init_uniform,
     load_environment,
     load_experiment_config,
     load_model,
@@ -219,6 +222,37 @@ def test_duplicate_variable_names_are_a_semantic_error():
     }
     with pytest.raises(InvalidModelError, match="duplicate-variable"):
         model_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["parents"].update(T=["D", "D"]), "duplicate-parent at T: parent list repeats a variable"),
+        (lambda doc: doc["variables"][0].update(states=["0", "0"]), "duplicate-state at D: state labels must be unique"),
+    ],
+    ids=["parent", "state"],
+)
+@pytest.mark.parametrize("loader", ["model", "beliefs"])
+def test_a_graph_fault_is_reported_before_any_row(medic_model, loader, edit, message):
+    # Without the graph check first, a row would fail on the repeated
+    # parent or state, with an error no document could meet.
+    doc = model_to_dict(medic_model) if loader == "model" else beliefs_to_dict(init_uniform(medic_model.graph))
+    edit(doc)
+    load = {"model": lambda d: model_from_dict(d, doc="m.json"), "beliefs": beliefs_from_dict}[loader]
+    with pytest.raises(InvalidModelError) as caught:
+        load(doc)
+    assert str(caught.value) == f"{'m.json' if loader == 'model' else '$'}: {message}"
+
+
+def test_a_model_file_that_repeats_a_table_is_a_parse_error(medic_model, tmp_path):
+    # A second table for D would replace the first without a word.
+    text = json.dumps(medic_doc(medic_model)).replace('"cpts": {', '"cpts": {"D": [{"p": [0.5, 0.5]}], ', 1)
+    bad = tmp_path / "m.json"
+    bad.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        load_model(str(bad))
+    assert err.value.path == str(bad)
+    assert str(err.value) == f"{bad}: parse-error: duplicate key 'D'"
 
 
 def test_load_reports_unreadable_file(tmp_path):
