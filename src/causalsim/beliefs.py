@@ -12,35 +12,28 @@ the observation therefore says nothing about them.
 The posterior mean of the rows assembles into an ordinary causal model,
 which downstream decision code treats as if it were the truth.
 
-:class:`CountBeliefs` holds the same pseudo-counts for a batch of
-replications as views, one per CPT, shaped like the compiled tables of
-:meth:`~causalsim.cgm.CausalModel.table` behind a replication axis. Its
-posterior mean is a sum and a division per buffer, bound once as the
-calls ``refresh`` lists, and its update one indexed increment per buffer.
-The dict-based :class:`BeliefState` stays the document form and the
-reference the arrays are tested against.
+:class:`BeliefState` holds one array of pseudo-counts per CPT, in the
+layout of the model's tables, :attr:`~causalsim.cgm.CausalModel.tables`:
+an update is one increment per unforced variable, and the posterior mean
+one division per table by its row sums, the states added in order.
+:class:`CountBeliefs` holds the counts of a batch of replications in the
+same layout behind a replication axis, so its ``counts[i][r]`` is
+replication r's table. Its posterior mean is a sum and a division per
+buffer, bound once as the calls ``refresh`` lists, and its update one
+indexed increment per buffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cgm import (
-    Assignment,
-    CausalGraph,
-    CausalModel,
-    Cpt,
-    InvalidModelError,
-    Intervention,
-    _check_intervention,
-    _check_prior,
-    check_assignment,
-    parent_configurations,
-    validate_graph,
-)
+from .cgm import Assignment, CausalGraph, CausalModel, InvalidModelError, Intervention, _Tables, check_assignment
+from .cgm import _check_intervention, _check_prior, _row_sums
 from . import model_io
 
 __all__ = [
@@ -58,16 +51,22 @@ __all__ = [
 DirichletRow = tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class BeliefState:
+@dataclass(frozen=True, eq=False)
+class BeliefState(_Tables):
     """Per-row Dirichlet pseudo-counts over a fixed graph.
 
-    ``counts`` has one inner mapping per variable, keyed exactly like
-    the corresponding CPT rows: parent configuration tuple to row.
+    ``tables`` holds one array of counts per variable, in declaration order
+    and in the layout of the model's tables; ``counts`` views them read-only
+    by variable name, each keyed like the CPT rows: parent configuration
+    tuple to row.
     """
 
     graph: CausalGraph
-    counts: Mapping[str, Mapping[tuple[str, ...], DirichletRow]]
+    tables: Sequence[np.ndarray]
+
+    @cached_property
+    def counts(self) -> Mapping[str, Mapping[tuple[str, ...], DirichletRow]]:
+        return MappingProxyType(self._rows())
 
 
 def init_uniform(graph: CausalGraph, alpha0: float = 1.0) -> BeliefState:
@@ -77,27 +76,14 @@ def init_uniform(graph: CausalGraph, alpha0: float = 1.0) -> BeliefState:
     weight must be positive, and finite even times a row's state count.
     """
     _check_prior(alpha0, graph)
-    issues = validate_graph(graph)
-    if issues:
+    if issues := graph._issues:
         raise InvalidModelError(issues)
-    alpha0 = float(alpha0)
-    counts: dict[str, dict[tuple[str, ...], DirichletRow]] = {}
-    for v in graph.variables:
-        row = (alpha0,) * len(v.states)
-        counts[v.name] = {config: row for config in parent_configurations(graph, v.name)}
-    return BeliefState(graph, counts)
+    return BeliefState(graph, tuple(np.full(shape, float(alpha0)) for _, _, shape, _ in graph._layout))
 
 
 def posterior_mean(beliefs: BeliefState) -> CausalModel:
     """The model whose CPT rows are the normalized pseudo-counts."""
-    cpts = {}
-    for name, rows in beliefs.counts.items():
-        table = {}
-        for config, row in rows.items():
-            total = sum(row)
-            table[config] = tuple(c / total for c in row)
-        cpts[name] = Cpt(name, table)
-    return CausalModel(beliefs.graph, cpts)
+    return CausalModel._of(beliefs.graph, [t / _row_sums(t)[..., None] for t in beliefs.tables])
 
 
 def update(beliefs: BeliefState, intervention: Intervention, observed: Assignment) -> BeliefState:
@@ -110,26 +96,17 @@ def update(beliefs: BeliefState, intervention: Intervention, observed: Assignmen
     graph = beliefs.graph
     _check_intervention(graph, intervention)
     check_assignment(graph, observed, "observation")
-    missing = [n for n in graph.names if n not in observed]
-    if missing:
+    if missing := [n for n in graph.names if n not in observed]:
         raise ValueError(f"partial-observation: missing {', '.join(missing)}")
-    clash = sorted(n for n, s in intervention.items() if observed[n] != s)
-    if clash:
-        raise ValueError(
-            f"inconsistent-with-intervention: {', '.join(clash)} observed away from the forced state"
-        )
-
-    new_counts: dict[str, Mapping[tuple[str, ...], DirichletRow]] = dict(beliefs.counts)
-    for v in graph.variables:
-        if v.name in intervention:
-            continue
-        config = tuple(observed[p] for p in graph.parents_of(v.name))
-        rows = dict(new_counts[v.name])
-        row = rows[config]
-        i = v.state_index[observed[v.name]]
-        rows[config] = row[:i] + (row[i] + 1.0,) + row[i + 1 :]
-        new_counts[v.name] = rows
-    return BeliefState(graph, new_counts)
+    if clash := sorted(n for n, s in intervention.items() if observed[n] != s):
+        raise ValueError(f"inconsistent-with-intervention: {', '.join(clash)} observed away from the forced state")
+    codes = [v.state_index[observed[v.name]] for v in graph.variables]
+    tables = list(beliefs.tables)
+    for pos, (parents, *_) in enumerate(graph._layout):
+        if graph.names[pos] not in intervention:
+            tables[pos] = tables[pos].copy()
+            tables[pos][(*map(codes.__getitem__, parents), codes[pos])] += 1.0
+    return BeliefState(graph, tuple(tables))
 
 
 def _summed(columns: Sequence[np.ndarray], out: np.ndarray) -> list[tuple[Callable, tuple]]:
@@ -185,20 +162,16 @@ class CountBeliefs:
 
 def beliefs_to_dict(beliefs: BeliefState) -> dict[str, Any]:
     """Document form: the model JSON layout with "counts" rows."""
-    return model_io.tables_to_dict(beliefs.graph, beliefs.counts, "counts")
+    return model_io.tables_to_dict(beliefs.graph, beliefs.tables, "counts")
 
 
 def beliefs_from_dict(data: Any) -> BeliefState:
     """Inverse of :func:`beliefs_to_dict`; counts must be positive and
-    finite, and so must each row's sum."""
-    graph, counts = model_io.tables_from_dict(data, value_key="counts", normalize=False)
-    for name, rows in counts.items():
-        for row in rows.values():
-            if any(not 0.0 < c < np.inf for c in row):
-                raise model_io.FormatError(
-                    f"$.cpts.{name}", "pseudo-counts must be positive and finite in every entry"
-                )
-            # posterior_mean divides by the row total, which must be finite too.
-            if not sum(row) < np.inf:
-                raise model_io.FormatError(f"$.cpts.{name}", "pseudo-counts must have a finite sum in every row")
-    return BeliefState(graph, counts)
+    finite, and so must each row's sum, which a posterior mean divides by."""
+    graph, tables = model_io.tables_from_dict(data, value_key="counts", normalize=False)
+    for name, table in zip(graph.names, tables):
+        if not np.all((0.0 < table) & (table < np.inf)):
+            raise model_io.FormatError(f"$.cpts.{name}", "pseudo-counts must be positive and finite in every entry")
+        if not np.all(_row_sums(table) < np.inf):
+            raise model_io.FormatError(f"$.cpts.{name}", "pseudo-counts must have a finite sum in every row")
+    return BeliefState(graph, tables)

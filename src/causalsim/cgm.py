@@ -9,10 +9,10 @@ Interventional queries are then ordinary conditional queries against the
 mutilated model, which makes forcing a variable observably different
 from conditioning on it whenever confounding is present.
 
-Inference is exact variable elimination on a compiled array form of the
-model: one ndarray per CPT, with one axis per parent and a last axis for
-the variable itself, indexed by the state codes of
-:attr:`VariableSpec.state_index`. Every query goes through one
+A model is one float array per variable, its CPT, with one axis per
+parent and a last axis for the variable itself, indexed by the state
+codes of :attr:`VariableSpec.state_index`. Inference is exact variable
+elimination on those arrays. Every query goes through one
 sum-product kernel. Forced variables drop their own factors and, like
 evidence, have their axes pinned (the truncated factorization); factors
 of variables that are not ancestors of the targets or the evidence are
@@ -44,18 +44,21 @@ up a variable every action forces, and draws the rest from the truth's
 rows or, for one only some actions force, from a block of rows per
 action: the truth's, or the forced state's point mass.
 
-Models are plain dataclasses. Construction is permissive so that
-:func:`validate` can report every problem in one pass; the query and
-sampling operations assume a model that passes validation.
+A model built in code from :class:`Cpt` rows refuses nothing, so that
+:func:`validate` reports every problem in one pass; the query and
+sampling operations assume a model that passes. One that the parser,
+:func:`intervene` or a posterior mean builds is valid as built.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Iterator, Mapping, Sequence
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property, partial, reduce
+from types import MappingProxyType
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -127,7 +130,7 @@ class CausalGraph:
     ``parents`` maps a variable name to the ordered tuple of its parent
     names; variables absent from the mapping have no parents. The
     declared variable order is significant: it fixes the order of the
-    compiled tables, tie-breaking in the topological and elimination
+    model tables, tie-breaking in the topological and elimination
     orders, and serialization order.
     """
 
@@ -174,6 +177,11 @@ class CausalGraph:
         return tuple(layout)
 
     @cached_property
+    def _issues(self) -> tuple[ValidationIssue, ...]:
+        # validate_graph's issues, found once per graph.
+        return tuple(validate_graph(self))
+
+    @cached_property
     def _plans(self) -> dict[tuple[frozenset[str], frozenset[str], tuple[str, ...]], _Plan | str]:
         # Plans by (forced, evidenced, targeted) variables, or a refusal message.
         return {}
@@ -205,30 +213,72 @@ class Cpt:
     rows: Mapping[tuple[str, ...], tuple[float, ...]]
 
 
-@dataclass(frozen=True)
-class CausalModel:
-    """A causal graph plus one CPT per variable, keyed by variable name."""
+class _Rows(Mapping):
+    """A read-only view of a table: each of its parent configurations, in
+    row order, to its row as a tuple of floats."""
+
+    def __init__(self, table: np.ndarray, configs: Sequence[tuple[str, ...]]):
+        self._table, self._codes = table, dict(zip(configs, itertools.product(*map(range, table.shape[:-1]))))
+
+    def __getitem__(self, config: tuple[str, ...]) -> tuple[float, ...]:
+        return tuple(self._table[self._codes[config]].tolist())
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        return iter(self._codes)
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+
+class _Tables:
+    """One array per variable of ``graph``, in declaration order, shaped as
+    :attr:`CausalModel.tables` describes; equal to another of its type on an
+    equal graph with equal arrays."""
 
     graph: CausalGraph
-    cpts: Mapping[str, Cpt]
+    tables: Sequence[np.ndarray]
+
+    def __eq__(self, other: object) -> bool:
+        same = type(other) is type(self) and self.graph == other.graph
+        return same and all(map(np.array_equal, self.tables, other.tables))
+
+    def __getstate__(self) -> dict:
+        # A mapping proxy does not pickle; the views are rebuilt on use.
+        return {k: v for k, v in self.__dict__.items() if not isinstance(v, MappingProxyType)}
+
+    def _rows(self) -> dict[str, _Rows]:
+        # Each table placed: an invalid model built in code shows what it holds.
+        return {v: _Rows(t, parent_configurations(self.graph, v)) for v, t in zip(self.graph.names, self.tables) if t is not None}
+
+
+class CausalModel(_Tables):
+    """A causal graph plus one CPT per variable: ``tables[i]`` is the CPT of
+    the variable at position i in declaration order, shaped (parent
+    cardinalities..., own cardinality), axes in parent-list order, states
+    in declared order; ``cpts`` views them read-only as :class:`Cpt` rows
+    by variable name.
+
+    ``CausalModel(graph, cpts)`` writes the rows of each :class:`Cpt`
+    into its array. A table or row it cannot place is kept for
+    :func:`validate`, and such a row is left uniform.
+    """
+
+    def __init__(self, graph: CausalGraph, cpts: Mapping[str, Cpt]):
+        self.graph = graph
+        self.tables, self._misplaced = _placed(graph, cpts)
+
+    @classmethod
+    def _of(cls, graph: CausalGraph, tables: Sequence[np.ndarray]) -> CausalModel:
+        # A model valid as built, on read-only ``tables``: it is never validated.
+        model = cls.__new__(cls)
+        model.graph, model.tables, model._misplaced, model._valid = graph, tuple(tables), (), True
+        for table in model.tables:
+            table.flags.writeable = False
+        return model
 
     @cached_property
-    def _compiled(self) -> dict[int, np.ndarray]:
-        # Compiled CPTs by variable position, filled in by :meth:`table`.
-        return {}
-
-    def table(self, position: int) -> np.ndarray:
-        """The compiled CPT of the variable at ``position`` in declaration
-        order: shape (parent cardinalities..., own cardinality), axes in
-        parent-list order, states in declared order. Built on first use,
-        once per model; the model must be valid."""
-        table = self._compiled.get(position)
-        if table is None:
-            _, _, shape, configs = self.graph._layout[position]
-            rows = self.cpts[self.graph.names[position]].rows
-            entries = itertools.chain.from_iterable(map(rows.__getitem__, configs))
-            table = self._compiled[position] = np.fromiter(entries, float, math.prod(shape)).reshape(shape)
-        return table
+    def cpts(self) -> Mapping[str, Cpt]:
+        return MappingProxyType({name: Cpt(name, rows) for name, rows in self._rows().items()})
 
     @cached_property
     def _valid(self) -> bool:
@@ -276,25 +326,30 @@ class _FieldError(ValueError):
 
 
 def _kahn_order(graph: CausalGraph) -> tuple[list[str], list[ValidationIssue]]:
-    """Kahn topological sort. Returns (ordered names, the one
-    ``cycle-detected`` issue naming the variables left over, or nothing).
+    """Kahn topological sort, level by level: the names sorted by the length
+    of the longest path that reaches them, then by declaration order.
+    Returns (ordered names, the one ``cycle-detected`` issue naming the
+    variables left over, in declaration order, or nothing).
 
     Parent references to undeclared variables are ignored here; they are
     reported separately by :func:`validate_graph`.
     """
-    declared = set(graph.names)
     # A self-loop is kept, so its vertex never becomes ready.
-    remaining = {v.name: {p for p in graph.parents_of(v.name) if p in declared} for v in graph.variables}
-    order: list[str] = []
-    placed: set[str] = set()
-    while True:
-        ready = [n for n in graph.names if n not in placed and not (remaining[n] - placed)]
-        if not ready:
-            break
-        for n in ready:
-            order.append(n)
-            placed.add(n)
-    leftover = ", ".join(n for n in graph.names if n not in placed)
+    parents = {name: set(graph.parents_of(name)) & graph.variable_map.keys() for name in graph.names}
+    children: dict[str, list[str]] = {name: [] for name in parents}
+    for name, ps in parents.items():
+        for p in ps:
+            children[p].append(name)
+    waiting, depth = {name: len(ps) for name, ps in parents.items()}, dict.fromkeys(parents, 0)
+    ready = [name for name, k in waiting.items() if not k]
+    for name in ready:  # a queue: the loop visits what it appends
+        for child in children[name]:
+            depth[child] = max(depth[child], depth[name] + 1)
+            waiting[child] -= 1
+            if not waiting[child]:
+                ready.append(child)
+    order = sorted((name for name in graph.names if not waiting[name]), key=depth.__getitem__)
+    leftover = ", ".join(name for name in graph.names if waiting[name])
     detail = "these variables lie on or depend on a directed cycle"
     return order, [ValidationIssue("cycle-detected", leftover, detail)] if leftover else []
 
@@ -344,61 +399,71 @@ def validate_graph(graph: CausalGraph) -> list[ValidationIssue]:
     return issues
 
 
+def _row_sums(table: np.ndarray) -> np.ndarray:
+    """Each row's sum, its states added in order, as Python's ``sum`` adds
+    them; a sum beyond float range is inf, and one of inf and -inf nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return reduce(np.add, np.moveaxis(table, -1, 0))
+
+
+def _placed(graph: CausalGraph, cpts: Mapping[str, Cpt]) -> tuple[tuple[np.ndarray | None, ...], list[ValidationIssue]]:
+    """The rows of ``cpts`` written into one read-only array per variable,
+    and an issue per table or row without a place, whose row is left
+    uniform. A variable that the graph's issues name gets None and no row
+    check, which avoids cascading noise."""
+    broken, vmap = {i.where for i in graph._issues}, graph.variable_map
+    issues = [ValidationIssue("unexpected-cpt-table", n, "table for an undeclared variable") for n in cpts if n not in vmap]
+    tables: list[np.ndarray | None] = []
+    for v in graph.variables:
+        if v.name in broken or v.name not in cpts:
+            issues += [ValidationIssue("missing-cpt-table", v.name, "no table for this variable")] * (v.name not in broken)
+            tables.append(None)
+            continue
+        given, parents = cpts[v.name].rows, graph.parents_of(v.name)
+        key = partial(_row_key, v.name, parents=parents)
+        rows = dict.fromkeys(parent_configurations(graph, v.name), (1.0 / len(v.states),) * len(v.states))
+        for config in sorted(rows.keys() - given.keys()):
+            issues.append(ValidationIssue("missing-cpt-row", key(config), "no row for this parent configuration"))
+        for config, row in given.items():
+            if config not in rows:
+                issues.append(ValidationIssue("unexpected-cpt-row", key(config), "no such parent configuration"))
+            elif len(row) != len(v.states):
+                issues.append(ValidationIssue("bad-row-length", key(config), f"{len(row)} entries for {len(v.states)} states"))
+            else:
+                rows[config] = row
+        tables.append(np.array(list(rows.values()), float).reshape([len(vmap[p].states) for p in (*parents, v.name)]))
+        tables[-1].flags.writeable = False
+    return tuple(tables), issues
+
+
 def validate(model: CausalModel) -> list[ValidationIssue]:
     """Check the whole model contract; an empty list means valid.
 
     Every violation is reported, so one pass suffices to see all
-    problems. CPT row checks are skipped for variables whose parent
-    lists are already broken, which avoids cascading noise.
+    problems: the graph's, each table or row that the constructor could
+    not place, and each row with an entry outside [0, 1] or a sum away
+    from one.
     """
-    issues = validate_graph(model.graph)
     graph = model.graph
-    broken = {i.where for i in issues}
-    declared = set(graph.names)
-    for name in model.cpts:
-        if name not in declared:
-            issues.append(ValidationIssue("unexpected-cpt-table", name, "table for an undeclared variable"))
-    for v in graph.variables:
-        if v.name in broken:
+    issues = [*graph._issues, *model._misplaced]
+    for v, table in zip(graph.variables, model.tables):
+        if table is None:
             continue
-        cpt = model.cpts.get(v.name)
-        if cpt is None:
-            issues.append(ValidationIssue("missing-cpt-table", v.name, "no table for this variable"))
-            continue
-        parents = graph.parents_of(v.name)
-        expected = set(parent_configurations(graph, v.name))
-        for config in sorted(expected - set(cpt.rows)):
-            issues.append(
-                ValidationIssue("missing-cpt-row", _row_key(v.name, config, parents), "no row for this parent configuration")
-            )
-        for config in cpt.rows:
-            where = _row_key(v.name, config, parents)
-            if config not in expected:
-                issues.append(ValidationIssue("unexpected-cpt-row", where, "no such parent configuration"))
-                continue
-            row = cpt.rows[config]
-            if len(row) != len(v.states):
-                issues.append(
-                    ValidationIssue("bad-row-length", where, f"{len(row)} entries for {len(v.states)} states")
-                )
-                continue
-            if any(not (0.0 <= p <= 1.0) or not math.isfinite(p) for p in row):
+        rows = table.reshape(-1, len(v.states))
+        sums, out = _row_sums(rows), ~((0.0 <= rows) & (rows <= 1.0)).all(axis=1)
+        for r in np.flatnonzero(out | (np.abs(sums - 1.0) > ROW_SUM_TOL)):
+            where = _row_key(v.name, list(parent_configurations(graph, v.name))[r], graph.parents_of(v.name))
+            if out[r]:
                 issues.append(ValidationIssue("entry-out-of-range", where, "entries must lie in [0, 1]"))
-                continue
-            if abs(sum(row) - 1.0) > ROW_SUM_TOL:
-                issues.append(
-                    ValidationIssue("row-not-normalized", where, f"row sums to {sum(row):.12g}")
-                )
+            else:
+                issues.append(ValidationIssue("row-not-normalized", where, f"row sums to {sums[r]:.12g}"))
     return issues
 
 
-def ensure_valid(model: CausalModel, doc: str | None = None) -> None:
-    """Raise :class:`InvalidModelError` listing every violation, if any, after
-    ``doc``, the document read, if given; a model that passed is not checked again."""
-    try:
-        model._valid
-    except InvalidModelError as e:
-        raise InvalidModelError(e.issues, doc) from None
+def ensure_valid(model: CausalModel) -> None:
+    """Raise :class:`InvalidModelError` listing every violation, if any; a
+    model that passed, or is valid as built, is not checked again."""
+    model._valid  # raises each time while the model is invalid
 
 
 def joint_size(model: CausalModel) -> int:
@@ -587,7 +652,7 @@ def _contract(model: CausalModel, forced: Assignment, evidence: Assignment, targ
     """Unnormalized mass over the target axes, in target order, of the
     truncated factorization under ``forced`` restricted to ``evidence``."""
     plan = model.graph._plan_for(forced, evidence, targets)
-    return plan.run(plan.operands(model.graph, (forced, evidence), model.table))
+    return plan.run(plan.operands(model.graph, (forced, evidence), model.tables.__getitem__))
 
 
 def _total(mass: list[float]) -> float:
@@ -639,24 +704,18 @@ def intervene(model: CausalModel, intervention: Intervention) -> CausalModel:
     """Graph surgery: force each intervened variable to one state.
 
     Returns a new model in which every intervened variable has no
-    parents and a point-mass CPT on its forced state; everything else is
-    shared with the input, which is left untouched, compiled tables
-    included (so the input must be valid). Applying the same
+    parents and a point-mass CPT on its forced state; every other table
+    is the input's own array, and the input is left untouched (so it must
+    be valid). Applying the same
     intervention twice is a no-op, and a later surgery on the same
     variable simply replaces the earlier one.
     """
     _check_intervention(model.graph, intervention)
-    new_parents = dict(model.graph.parents)
-    new_cpts = dict(model.cpts)
+    graph, tables = model.graph, list(model.tables)
     for name, state in intervention.items():
-        spec = model.graph.variable_map[name]
-        new_parents[name] = ()
-        row = tuple(1.0 if s == state else 0.0 for s in spec.states)
-        new_cpts[name] = Cpt(name, {(): row})
-    surgered = CausalModel(CausalGraph(model.graph.variables, new_parents), new_cpts)
-    forced = {model.graph._positions[name] for name in intervention}
-    surgered._compiled.update((i, model.table(i)) for i in range(len(model.graph.variables)) if i not in forced)
-    return surgered
+        spec = graph.variable_map[name]
+        tables[graph._positions[name]] = np.eye(len(spec.states))[spec.state_index[state]]
+    return CausalModel._of(CausalGraph(graph.variables, {**graph.parents, **dict.fromkeys(intervention, ())}), tables)
 
 
 def interventional_query(model: CausalModel, intervention: Intervention, target: Assignment) -> float:
@@ -722,7 +781,7 @@ def _sampling_tables(truth: CausalModel, interventions: Sequence[Intervention]) 
             tables.append((pos, (), (), None, np.array([spec.state_index[s] for s in forced], np.intp)))
             continue
         forced = [None] if set(forced) == {None} else forced
-        blocks = [truth.table(pos) if s is None else np.eye(shape[-1])[spec.state_index[s]] for s in forced]
+        blocks = [truth.tables[pos] if s is None else np.eye(shape[-1])[spec.state_index[s]] for s in forced]
         cum = cumulative(np.stack([np.broadcast_to(t, shape) for t in blocks])).reshape(-1, shape[-1])
         cum = np.ascontiguousarray(cum[:, 0 if shape[-1] == 2 else slice(-1)])
         tables.append((pos, parents, strides, len(cum) // len(blocks) if len(blocks) > 1 else 0, cum))

@@ -27,27 +27,19 @@ document in memory, then its ``.key`` and ``[i]`` steps); so do numbers
 beyond float range, such as a 400-digit integer. Row sums within
 ``ROW_SUM_TOL`` of one are renormalized on load; rows further out are
 rejected; so is a key repeated in one object, as a ``parse-error``. The
-graph is validated before any row is read, the model after parsing;
-violations raise :class:`~causalsim.cgm.InvalidModelError` after the file.
+graph is validated once, before any row is read; its violations raise
+:class:`~causalsim.cgm.InvalidModelError` after the file. Each row is
+checked as it is written into its table, so a parsed model is valid.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
-from .cgm import (
-    ROW_SUM_TOL,
-    CausalGraph,
-    CausalModel,
-    Cpt,
-    InvalidModelError,
-    VariableSpec,
-    _FieldError,
-    ensure_valid,
-    parent_configurations,
-    validate_graph,
-)
+import numpy as np
+
+from .cgm import ROW_SUM_TOL, CausalGraph, CausalModel, InvalidModelError, VariableSpec, _FieldError
 
 __all__ = [
     "FormatError",
@@ -156,76 +148,56 @@ def number(value: Any, path: str) -> float:
         raise FormatError(path, "number beyond float range") from None
 
 
-def _parse_rows(
-    raw_rows: Any, graph: CausalGraph, name: str, *, value_key: str, normalize: bool, doc: str
-) -> dict[tuple[str, ...], tuple[float, ...]]:
-    """Parse one variable's row list under ``<doc>.cpts.<name>``.
+def _parse_rows(raw_rows: Any, graph: CausalGraph, pos: int, *, value_key: str, normalize: bool, doc: str) -> np.ndarray:
+    """Parse the row list of the variable at ``pos`` under ``<doc>.cpts.<name>``
+    into its table. Each row goes to the index that its parent codes and
+    the strides give, so an index already taken is a repeated row, and one
+    never taken a missing row.
 
     ``value_key`` selects the per-row vector ("p" for probabilities,
     "counts" for pseudo-counts); only probability rows are normalized.
     """
-    where = f"{doc}.cpts.{name}"
-    spec = graph.variable_map[name]
-    parents = graph.parents_of(name)
+    spec, (_, strides, shape, configs) = graph.variables[pos], graph._layout[pos]
+    where, parents = f"{doc}.cpts.{spec.name}", graph.parents_of(spec.name)
     _expect(isinstance(raw_rows, list), where, "expected a list of rows")
-    rows: dict[tuple[str, ...], tuple[float, ...]] = {}
+    rows: list[list[float] | None] = [None] * len(configs)
     for i, item in enumerate(raw_rows):
         rw = f"{where}[{i}]"
         _expect(isinstance(item, dict), rw, "expected an object")
         _expect(set(item) <= {"given", value_key}, rw, "unknown keys present")
         given = item.get("given", {})
         _expect(isinstance(given, dict), f"{rw}.given", "expected an object")
-        _expect(
-            set(given) == set(parents),
-            f"{rw}.given",
-            f"expected exactly the parents of {name}: {', '.join(parents) or '(none)'}",
-        )
-        config = []
-        for p in parents:
+        expected = f"expected exactly the parents of {spec.name}: {', '.join(parents) or '(none)'}"
+        _expect(set(given) == set(parents), f"{rw}.given", expected)
+        row = 0
+        for p, stride in zip(parents, strides):
             s = given[p]
             _expect(isinstance(s, str), f"{rw}.given.{p}", "expected a string")
-            _expect(
-                s in graph.variable_map[p].state_index,
-                f"{rw}.given.{p}",
-                f"{s!r} is not a state of {p}",
-            )
-            config.append(s)
-        key = tuple(config)
-        _expect(key not in rows, f"{rw}.given", "duplicate parent configuration")
+            _expect(s in graph.variable_map[p].state_index, f"{rw}.given.{p}", f"{s!r} is not a state of {p}")
+            row += graph.variable_map[p].state_index[s] * stride
+        _expect(rows[row] is None, f"{rw}.given", "duplicate parent configuration")
         vec = item.get(value_key)
         _expect(isinstance(vec, list), f"{rw}.{value_key}", "expected a list of numbers")
-        _expect(
-            len(vec) == len(spec.states),
-            f"{rw}.{value_key}",
-            f"{len(vec)} entries for {len(spec.states)} states",
-        )
+        _expect(len(vec) == len(spec.states), f"{rw}.{value_key}", f"{len(vec)} entries for {len(spec.states)} states")
         values = [number(x, f"{rw}.{value_key}[{j}]") for j, x in enumerate(vec)]
         if normalize:
             for j, x in enumerate(values):
                 _expect(0.0 <= x <= 1.0, f"{rw}.{value_key}[{j}]", "probabilities must lie in [0, 1]")
             total = sum(values)
-            _expect(
-                abs(total - 1.0) <= ROW_SUM_TOL,
-                f"{rw}.{value_key}",
-                f"row sums to {total:.12g}, beyond tolerance {ROW_SUM_TOL:g}",
-            )
+            detail = f"row sums to {total:.12g}, beyond tolerance {ROW_SUM_TOL:g}"
+            _expect(abs(total - 1.0) <= ROW_SUM_TOL, f"{rw}.{value_key}", detail)
             values = [x / total for x in values]
-        rows[key] = tuple(values)
-
-    expected = set(parent_configurations(graph, name))
-    missing = sorted(expected - set(rows))
-    if missing:
-        shown = ", ".join("(" + ", ".join(c) + ")" for c in missing[:3])
+        rows[row] = values
+    if None in rows:
+        shown = ", ".join("(" + ", ".join(c) + ")" for c in sorted(c for c, r in zip(configs, rows) if r is None)[:3])
         raise FormatError(where, f"missing parent configurations: {shown}")
-    return rows
+    return np.array(rows).reshape(shape)
 
 
-def tables_from_dict(
-    data: Any, *, value_key: str, normalize: bool, doc: str = "$"
-) -> tuple[CausalGraph, dict[str, dict[tuple[str, ...], tuple[float, ...]]]]:
+def tables_from_dict(data: Any, *, value_key: str, normalize: bool, doc: str = "$") -> tuple[CausalGraph, tuple[np.ndarray, ...]]:
     """Parse a CPT-shaped document: its graph, validated before any row is
-    read, and each variable's rows keyed by parent configuration, with
-    ``value_key`` naming the row vector. The caller validates the rest."""
+    read, and each variable's table, in declaration order, with
+    ``value_key`` naming the row vector."""
     graph = graph_from_dict(data, doc=doc)
     _expect(set(data) <= {"variables", "parents", "cpts"}, doc, "unknown top-level keys present")
     _expect("cpts" in data, doc, "missing key 'cpts'")
@@ -233,45 +205,37 @@ def tables_from_dict(
     _expect(isinstance(raw_cpts, dict), f"{doc}.cpts", "expected an object")
     for name in raw_cpts:
         _expect(name in graph.variable_map, f"{doc}.cpts.{name}", "table for an undeclared variable")
-    if issues := validate_graph(graph):
+    if issues := graph._issues:
         raise InvalidModelError(issues, doc)
-    tables = {}
-    for v in graph.variables:
+    tables = []
+    for pos, v in enumerate(graph.variables):
         _expect(v.name in raw_cpts, f"{doc}.cpts", f"missing table for {v.name}")
-        tables[v.name] = _parse_rows(raw_cpts[v.name], graph, v.name, value_key=value_key, normalize=normalize, doc=doc)
-    return graph, tables
+        tables.append(_parse_rows(raw_cpts[v.name], graph, pos, value_key=value_key, normalize=normalize, doc=doc))
+    return graph, tuple(tables)
 
 
-def tables_to_dict(
-    graph: CausalGraph, tables: Mapping[str, Mapping[tuple[str, ...], Sequence[float]]], value_key: str
-) -> dict[str, Any]:
-    """Document form of a graph and its rows; inverse of :func:`tables_from_dict`.
-    Rows come in cross-product order; "given" is omitted for parentless variables."""
+def tables_to_dict(graph: CausalGraph, tables: Sequence[np.ndarray], value_key: str) -> dict[str, Any]:
+    """Document form of a graph and its tables; inverse of :func:`tables_from_dict`.
+    Rows come in row order; "given" is omitted for parentless variables."""
     out = graph_to_dict(graph)
-    cpts: dict[str, Any] = {}
-    for v in graph.variables:
-        parents = graph.parents_of(v.name)
-        rows = []
-        for config in parent_configurations(graph, v.name):
-            entry: dict[str, Any] = {"given": dict(zip(parents, config))} if parents else {}
-            entry[value_key] = list(tables[v.name][config])
-            rows.append(entry)
-        cpts[v.name] = rows
-    out["cpts"] = cpts
+    out["cpts"] = {
+        v.name: [
+            {"given": dict(zip(graph.parents_of(v.name), config)), value_key: row} if config else {value_key: row}
+            for config, row in zip(configs, table.reshape(-1, shape[-1]).tolist())
+        ]
+        for v, table, (_, _, shape, configs) in zip(graph.variables, tables, graph._layout)
+    }
     return out
 
 
 def model_from_dict(data: Any, *, doc: str = "$") -> CausalModel:
-    """Assemble and validate a model from its document form; ``doc`` starts error paths."""
-    graph, tables = tables_from_dict(data, value_key="p", normalize=True, doc=doc)
-    model = CausalModel(graph, {name: Cpt(name, rows) for name, rows in tables.items()})
-    ensure_valid(model, doc)
-    return model
+    """Assemble a model from its document form, checked as it is parsed; ``doc`` starts error paths."""
+    return CausalModel._of(*tables_from_dict(data, value_key="p", normalize=True, doc=doc))
 
 
 def model_to_dict(model: CausalModel) -> dict[str, Any]:
     """Document form of a model; inverse of :func:`model_from_dict`."""
-    return tables_to_dict(model.graph, {name: cpt.rows for name, cpt in model.cpts.items()}, "p")
+    return tables_to_dict(model.graph, model.tables, "p")
 
 
 def load_model(path: str) -> CausalModel:

@@ -23,16 +23,22 @@ def _positions(model: CausalModel) -> tuple[list[str], dict[str, int], list[tupl
     return names, pos, state_sets
 
 
+def _rows(model: CausalModel) -> dict[str, dict[tuple[str, ...], tuple[float, ...]]]:
+    """Each variable's CPT rows, read once from the model into plain dicts."""
+    return {v.name: dict(model.cpts[v.name].rows) for v in model.graph.variables}
+
+
 def joint_table(model: CausalModel) -> dict[tuple[str, ...], float]:
     """Every full assignment (states in declared variable order) mapped
     to its probability by direct factor multiplication."""
     _, pos, state_sets = _positions(model)
+    rows = _rows(model)
     table = {}
     for combo in itertools.product(*state_sets):
         p = 1.0
         for v in model.graph.variables:
             parents = model.graph.parents.get(v.name, ())
-            row = model.cpts[v.name].rows[tuple(combo[pos[q]] for q in parents)]
+            row = rows[v.name][tuple(combo[pos[q]] for q in parents)]
             p *= row[v.states.index(combo[pos[v.name]])]
         table[combo] = p
     return table
@@ -42,6 +48,7 @@ def do_table(model: CausalModel, intervention: dict[str, str]) -> dict[tuple[str
     """Joint table under an intervention via truncated factorization:
     intervened factors are dropped, off-intervention cells get zero."""
     _, pos, state_sets = _positions(model)
+    rows = _rows(model)
     table = {}
     for combo in itertools.product(*state_sets):
         if any(combo[pos[n]] != s for n, s in intervention.items()):
@@ -52,7 +59,7 @@ def do_table(model: CausalModel, intervention: dict[str, str]) -> dict[tuple[str
             if v.name in intervention:
                 continue
             parents = model.graph.parents.get(v.name, ())
-            row = model.cpts[v.name].rows[tuple(combo[pos[q]] for q in parents)]
+            row = rows[v.name][tuple(combo[pos[q]] for q in parents)]
             p *= row[v.states.index(combo[pos[v.name]])]
         table[combo] = p
     return table

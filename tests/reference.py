@@ -1,7 +1,8 @@
 """The library's earlier round kernels, kept as references for the flat
 row layout and the column-wise normalizations that replaced them, plus
 a generator of models with zero-mass entries for comparing the two, and
-the earlier CSV and SVG writers.
+the earlier CSV and SVG writers, topological sort, and dict-based belief
+state.
 
 Each function keeps the arithmetic of the code it stands for: ``draw``
 gathers every variable's cumulative rows with one multi-array index
@@ -13,7 +14,13 @@ over the state axis with ``sum``. The tests require the library to give
 exactly the same codes, counts, elimination plans, means and expected
 utilities. ``write_csv`` writes one line at a time and ``write_svg``
 builds, indents and serializes an ElementTree; the tests require the
-library's writers to give exactly the same bytes.
+library's writers to give exactly the same bytes. ``kahn_order`` rescans
+every variable once per topological level, and the tests require the
+library's sort to give the same order and the same cycle issue.
+``dict_init_uniform``, ``dict_update`` and ``dict_posterior_mean`` keep
+the pseudo-counts as rows in dicts, keyed by parent configuration, and
+sum each row with Python's ``sum``; the tests require the array belief
+state to give the same bits.
 
 ``bound_draw`` and ``refreshed`` are no references: they are how the
 tests run the library's batched draw, the one the engine binds once per
@@ -31,7 +38,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from causalsim import Action, Environment, RoundSeries
-from causalsim.cgm import CausalGraph, CausalModel, Cpt, VariableSpec, _drawer, cumulative
+from causalsim.cgm import CausalGraph, CausalModel, Cpt, ValidationIssue, VariableSpec, _drawer, cumulative, parent_configurations
 from causalsim.reporting import (
     _HEIGHT,
     _MARGIN_BOTTOM,
@@ -56,9 +63,9 @@ def draw(env, actions: np.ndarray, u: np.ndarray) -> np.ndarray:
     above the uniform."""
     sampler = []
     for pos, parents in _sampling_order(env.truth.graph):
-        stacked = np.empty((len(env._surgered), *env.truth.table(pos).shape))
+        stacked = np.empty((len(env._surgered), *env.truth.tables[pos].shape))
         for k, m in enumerate(env._surgered):
-            stacked[k] = m.table(pos)
+            stacked[k] = m.tables[pos]
         sampler.append((pos, parents, cumulative(stacked)))
     x = np.empty(u.shape, np.intp)
     for k, (pos, parents, cum) in enumerate(sampler):
@@ -150,6 +157,67 @@ def min_fill_order(
         scopes = [s for s in scopes if var not in s] + [merged]
         hidden.discard(var)
         yield var
+
+
+def kahn_order(graph: CausalGraph) -> tuple[list[str], list[ValidationIssue]]:
+    """Kahn topological sort. Returns (ordered names, the one
+    ``cycle-detected`` issue naming the variables left over, or nothing).
+
+    Parent references to undeclared variables are ignored here; they are
+    reported separately by :func:`validate_graph`.
+    """
+    declared = set(graph.names)
+    # A self-loop is kept, so its vertex never becomes ready.
+    remaining = {v.name: {p for p in graph.parents_of(v.name) if p in declared} for v in graph.variables}
+    order: list[str] = []
+    placed: set[str] = set()
+    while True:
+        ready = [n for n in graph.names if n not in placed and not (remaining[n] - placed)]
+        if not ready:
+            break
+        for n in ready:
+            order.append(n)
+            placed.add(n)
+    leftover = ", ".join(n for n in graph.names if n not in placed)
+    detail = "these variables lie on or depend on a directed cycle"
+    return order, [ValidationIssue("cycle-detected", leftover, detail)] if leftover else []
+
+
+def dict_init_uniform(graph: CausalGraph, alpha0: float = 1.0) -> dict[str, dict[tuple[str, ...], tuple[float, ...]]]:
+    """Symmetric prior: every pseudo-count in every row is ``alpha0``."""
+    alpha0 = float(alpha0)
+    counts: dict[str, dict[tuple[str, ...], tuple[float, ...]]] = {}
+    for v in graph.variables:
+        row = (alpha0,) * len(v.states)
+        counts[v.name] = {config: row for config in parent_configurations(graph, v.name)}
+    return counts
+
+
+def dict_posterior_mean(counts: Mapping[str, Mapping[tuple[str, ...], tuple[float, ...]]]) -> dict[str, Cpt]:
+    """The CPTs whose rows are the normalized pseudo-counts."""
+    cpts = {}
+    for name, rows in counts.items():
+        table = {}
+        for config, row in rows.items():
+            total = sum(row)
+            table[config] = tuple(c / total for c in row)
+        cpts[name] = Cpt(name, table)
+    return cpts
+
+
+def dict_update(graph: CausalGraph, counts: Mapping, intervention: Mapping[str, str], observed: Mapping[str, str]) -> dict:
+    """Fold one intervention outcome into the counts; the input is never touched."""
+    new_counts = dict(counts)
+    for v in graph.variables:
+        if v.name in intervention:
+            continue
+        config = tuple(observed[p] for p in graph.parents_of(v.name))
+        rows = dict(new_counts[v.name])
+        row = rows[config]
+        i = v.state_index[observed[v.name]]
+        rows[config] = row[:i] + (row[i] + 1.0,) + row[i + 1 :]
+        new_counts[v.name] = rows
+    return new_counts
 
 
 def sparse_environment(rnd: random.Random) -> tuple[Environment, np.ndarray]:

@@ -309,12 +309,7 @@ def test_batched_causal_choice_equals_best_action_on_the_posterior_mean(medic_en
         counts[...] = rng.integers(1, 4, size=counts.shape)
     chosen = _greedy(batch, own)
     for r in range(40):
-        beliefs = init_uniform(medic_env.truth.graph)
-        rows = {
-            name: dict(zip(configs, map(tuple, batch.beliefs.counts[pos][r].reshape(-1, shape[-1]).tolist())))
-            for pos, (name, (_, _, shape, configs)) in enumerate(zip(beliefs.graph.names, beliefs.graph._layout))
-        }
-        model = posterior_mean(BeliefState(beliefs.graph, rows))
+        model = posterior_mean(BeliefState(medic_env.truth.graph, [counts[r] for counts in batch.beliefs.counts]))
         assert chosen[r] == best_action(model, medic_env.actions, medic_env.target, medic_env.utility)
 
 
@@ -494,7 +489,7 @@ def test_batched_updates_never_touch_the_forced_variable(medic_env):
     assert added == 4 * 2_500 * 2  # variables minus forced, per update
     for name in ("D", "Y"):
         pos = truth.graph._positions[name]
-        assert np.abs(reference.refreshed(batch.beliefs)[pos] - truth.table(pos)).max() <= 0.05
+        assert np.abs(reference.refreshed(batch.beliefs)[pos] - truth.tables[pos]).max() <= 0.05
 
 
 def test_count_beliefs_reject_nonpositive_prior(medic_model):

@@ -220,6 +220,57 @@ def test_posterior_mean_rows_normalize_on_random_graphs():
                 assert len(set(row)) == 1  # symmetric prior stays uniform
 
 
+def _random_outcome(rnd, graph, intervention):
+    outcome = {v.name: rnd.choice(v.states) for v in graph.variables}
+    return {**outcome, **intervention}
+
+
+@pytest.mark.parametrize("card", range(2, 10))
+def test_array_beliefs_have_the_bits_of_the_dict_rows(card):
+    # Counts at a fractional prior, so each row's sum rounds; from 8 states
+    # on, numpy's own sum would add pairwise, and Python's adds in order.
+    rnd = random.Random(card)
+    graph = _chain_of_cardinalities((card, 3, card, 2))
+    graph = CausalGraph(graph.variables, {**graph.parents, "V3": ("V0", "V2")})
+    alpha = rnd.uniform(0.1, 3.0)
+    beliefs, rows = init_uniform(graph, alpha), reference.dict_init_uniform(graph, alpha)
+    assert beliefs.counts == rows
+    for _ in range(60):
+        forced = rnd.choice([{"V1": "2"}, {"V0": str(rnd.randrange(card)), "V2": "0"}])
+        outcome = _random_outcome(rnd, graph, forced)
+        beliefs, rows = update(beliefs, forced, outcome), reference.dict_update(graph, rows, forced, outcome)
+        assert beliefs.counts == rows
+        assert posterior_mean(beliefs).cpts == reference.dict_posterior_mean(rows)
+
+
+def test_row_views_are_read_only_and_read_the_arrays(medic_model):
+    beliefs = update(init_uniform(medic_model.graph), {"T": "1"}, {"D": "1", "T": "1", "Y": "0"})
+    for views, name in ((medic_model.cpts, "D"), (beliefs.counts, "D")):
+        with pytest.raises(TypeError):
+            views[name] = views[name]
+        with pytest.raises(TypeError):
+            del views[name]
+    with pytest.raises(TypeError):
+        medic_model.cpts["D"].rows[()] = (0.5, 0.5)
+    with pytest.raises(TypeError):
+        beliefs.counts["D"][()] = (1.0, 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        medic_model.tables[0][0] = 0.5
+    # A view reads its array each time, so it cannot drift from it.
+    counts = beliefs.counts["Y"]
+    beliefs.tables[2][1, 1] = (7.0, 9.0)
+    assert counts[("1", "1")] == (7.0, 9.0)
+    assert beliefs.counts["Y"] == dict(counts)
+
+
+def test_belief_states_compare_by_value(medic_model):
+    b = init_uniform(medic_model.graph)
+    assert b == init_uniform(medic_model.graph)
+    assert b != update(b, {"T": "1"}, {"D": "1", "T": "1", "Y": "0"})
+    assert b != init_uniform(medic_model.graph, alpha0=2.0)
+    assert posterior_mean(b) == posterior_mean(init_uniform(medic_model.graph))
+
+
 @pytest.mark.parametrize("n", [1, 300])
 def test_flat_count_update_matches_the_per_variable_increment(n):
     # Outcomes drawn under actions that force one or two variables, on

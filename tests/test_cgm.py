@@ -27,6 +27,7 @@ from causalsim import (
     query,
     sample,
     validate,
+    validate_graph,
 )
 from causalsim import Action, Environment, load_model, model_from_dict
 from causalsim.beliefs import init_uniform, posterior_mean, update
@@ -130,6 +131,14 @@ def test_validate_reports_what_the_loader_refuses_before_it():
     ]
 
 
+def test_an_invalid_model_views_the_rows_it_placed():
+    graph = CausalGraph(tuple(VariableSpec(n, ("0", "1")) for n in "AB"), {"B": ("A",)})
+    rows = {("0",): (0.6, 0.6), ("1",): (0.5, 0.5)}
+    model = CausalModel(graph, {"B": Cpt("B", rows)})
+    assert [i.code for i in validate(model)] == ["missing-cpt-table", "row-not-normalized"]
+    assert model.cpts == {"B": Cpt("B", rows)}
+
+
 def test_ensure_valid_validates_a_valid_model_once_and_an_invalid_one_every_time(monkeypatch, medic_model):
     calls = []
     monkeypatch.setattr(cgm, "validate", lambda model: calls.append(model) or validate(model))
@@ -161,6 +170,56 @@ def test_topological_order_sorts_shuffled_declarations():
         for v in model.graph.variables:
             for p in model.graph.parents_of(v.name):
                 assert position[p] < position[v.name]
+
+
+def _graph_with_faults(rnd: random.Random) -> CausalGraph:
+    """A random model's graph, often with an edge added against the
+    topological order, a self-loop, a repeated or undeclared parent, or a
+    variable declared twice."""
+    graph = oracle.random_model(rnd, max_vars=8).graph
+    variables, parents = list(graph.variables), {n: list(graph.parents_of(n)) for n in graph.names}
+    order = graph.topological_order
+    for _ in range(rnd.randint(0, 2)):
+        fault = rnd.randrange(6)
+        early, late = sorted(rnd.sample(range(len(order)), 2))
+        if fault <= 2:  # a back edge: an earlier variable gets a later one as its parent
+            parents[order[early]].append(order[late])
+        elif fault == 3:
+            parents[order[late]].append(order[late])
+        elif fault == 4:
+            parents[order[late]] += rnd.choice([[order[early]], ["Q"]])
+        else:
+            variables.insert(rnd.randrange(len(variables) + 1), rnd.choice(variables))
+    return CausalGraph(tuple(variables), {n: tuple(ps) for n, ps in parents.items()})
+
+
+def test_topological_sort_gives_the_level_by_level_order_and_cycle_issue():
+    # The sort fixes each variable's uniform column in every draw, so its
+    # order must be the earlier level-by-level scan's, cycles included.
+    rnd = random.Random(3000)
+    for _ in range(600):
+        graph = _graph_with_faults(rnd)
+        assert cgm._kahn_order(graph) == reference.kahn_order(graph)
+    names = [f"X{i}" for i in range(1024)]
+    chain = CausalGraph(tuple(VariableSpec(n, ("0", "1")) for n in names), {n: tuple(names[i - 1 : i]) for i, n in enumerate(names)})
+    assert list(chain.topological_order) == names
+
+
+def test_a_cycle_is_reported_with_its_variables_in_declaration_order(medic_model):
+    graph = CausalGraph(medic_model.graph.variables, {**medic_model.graph.parents, "D": ("Y",)})
+    assert [str(i) for i in validate_graph(graph)] == [
+        "cycle-detected at D, T, Y: these variables lie on or depend on a directed cycle"
+    ]
+
+
+def test_a_graph_is_checked_once_however_often_it_is_asked(monkeypatch, medic_model):
+    calls = []
+    monkeypatch.setattr(cgm, "validate_graph", lambda graph, check=cgm.validate_graph: calls.append(graph) or check(graph))
+    graph = CausalGraph(medic_model.graph.variables, dict(medic_model.graph.parents))
+    model = CausalModel(graph, medic_model.cpts)
+    assert validate(model) == validate(model) == []
+    init_uniform(graph)
+    assert calls == [graph]
 
 
 # joint probability
@@ -334,7 +393,7 @@ def test_intervene_on_root_replaces_only_that_table(chain_model):
     cut = intervene(chain_model, {"A": "1"})
     assert cut.cpts["A"].rows[()] == (0.0, 1.0)
     assert cut.graph.parents_of("A") == ()
-    assert cut.cpts["Y"] is chain_model.cpts["Y"]
+    assert cut.tables[1] is chain_model.tables[1]
 
 
 def test_intervene_medic_structure(medic_model):
@@ -342,8 +401,8 @@ def test_intervene_medic_structure(medic_model):
     assert cut.graph.parents_of("T") == ()
     assert cut.cpts["T"].rows == {(): (0.0, 1.0)}
     assert cut.graph.parents_of("Y") == ("D", "T")
-    assert cut.cpts["Y"] is medic_model.cpts["Y"]
-    assert cut.cpts["D"] is medic_model.cpts["D"]
+    assert cut.tables[2] is medic_model.tables[2]
+    assert cut.tables[0] is medic_model.tables[0]
 
 
 def test_intervene_leaves_input_untouched(medic_model):
@@ -354,16 +413,16 @@ def test_intervene_leaves_input_untouched(medic_model):
 
 
 def test_intervene_shares_the_compiled_tables_of_unforced_variables(chain_model):
-    medic = load_model(str(SAMPLE_DIR / "medic_model.json"))  # fresh, so nothing is compiled yet
+    medic = load_model(str(SAMPLE_DIR / "medic_model.json"))
     for model, do in ((chain_model, {"A": "1"}), (medic, {"T": "1"}), (medic, {"T": "0", "D": "1"})):
         cut = intervene(model, do)
         forced = {model.graph._positions[name] for name in do}
         for pos in range(len(model.graph.variables)):
             if pos in forced:
-                assert cut.table(pos) is not model.table(pos)
-                assert cut.table(pos).tolist() == list(cut.cpts[model.graph.names[pos]].rows[()])
+                assert cut.tables[pos] is not model.tables[pos]
+                assert cut.tables[pos].tolist() == list(cut.cpts[model.graph.names[pos]].rows[()])
             else:
-                assert cut.table(pos) is model.table(pos)
+                assert cut.tables[pos] is model.tables[pos]
 
 
 def test_intervene_is_idempotent(medic_model):
@@ -670,7 +729,7 @@ def test_posterior_models_share_their_graphs_plan(medic_model):
     # The batched query of the same shape runs the same plan.
     mean = posterior_mean(beliefs)
     plan = graph._plan_for({"T": "0"}, {}, ("Y",))
-    plan.bind(graph, ({"T": "0"},), [mean.table(pos)[None] for pos in range(3)], np.empty((1, 2)), {})
+    plan.bind(graph, ({"T": "0"},), [mean.tables[pos][None] for pos in range(3)], np.empty((1, 2)), {})
     assert len(graph._plans) == 1
 
 
@@ -730,7 +789,7 @@ def test_replicated_query_matches_interventional_marginal(data):
     flat = posterior_mean(init_uniform(model.graph))
     models = (model, flat, model)
     positions = range(len(model.graph.variables))
-    tables = [np.stack([m.table(pos) for m in models]) for pos in positions]
+    tables = [np.stack([m.tables[pos] for m in models]) for pos in positions]
     mass = np.empty((len(models), len(model.graph.variable_map[variable].states)))
     plan, buffers = model.graph._plan_for(forced, {}, (variable,)), {}
     for f, args in plan.bind(model.graph, (forced,), tables, mass, buffers):
@@ -741,7 +800,7 @@ def test_replicated_query_matches_interventional_marginal(data):
     # keeps the replication axis fastest in memory.
     built, einsum = [], cgm._einsum
     with mock.patch.object(cgm, "_einsum", lambda *args: built.append(einsum(*args)) or built[-1]):
-        plan.run(plan.operands(model.graph, (forced,), model.table))
+        plan.run(plan.operands(model.graph, (forced,), model.tables.__getitem__))
     assert [b.shape for b in built] == list(plan.shapes)
     assert all(b.strides[0] == b.itemsize for b in buffers.values())
 

@@ -696,14 +696,16 @@ def test_reading_a_run_shape_leaves_the_environment_lazy():
 
 
 def test_loading_an_experiment_validates_the_model_once(monkeypatch):
-    # model_io validates the truth at load; the Environment built on it
-    # then finds it already checked.
+    # model_io checks the graph once and each row as it parses it, so the
+    # truth is valid as built: the Environment on it validates nothing.
     from causalsim import cgm, cli
 
-    calls = []
+    calls, graphs = [], []
     monkeypatch.setattr(cgm, "validate", lambda model, check=cgm.validate: calls.append(model) or check(model))
+    monkeypatch.setattr(cgm, "validate_graph", lambda graph, check=cgm.validate_graph: graphs.append(graph) or check(graph))
     env, _ = cli._load_experiment(argparse.Namespace(model=MODEL, experiment=EXPERIMENT))
-    assert calls == [env.truth]
+    assert calls == []
+    assert [graph is env.truth.graph for graph in graphs] == [True]
 
 
 def test_the_decision_problem_is_one_object_under_both_modules():

@@ -1,15 +1,19 @@
 """JSON document parsing and emission for causal models."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from causalsim import (
+    CausalModel,
+    Cpt,
     FormatError,
     InvalidModelError,
     beliefs_from_dict,
     beliefs_to_dict,
+    ensure_valid,
     graph_from_dict,
     graph_to_dict,
     init_uniform,
@@ -21,6 +25,8 @@ from causalsim import (
     save_model,
 )
 
+import oracle
+
 
 def medic_doc(medic_model):
     return model_to_dict(medic_model)
@@ -30,6 +36,35 @@ def test_save_then_load_round_trips_exactly(medic_model, tmp_path):
     path = tmp_path / "m.json"
     save_model(medic_model, str(path))
     assert load_model(str(path)) == medic_model
+
+
+def test_model_documents_round_trip_through_the_arrays():
+    # The writer gives each row as the model holds it; the loader divides
+    # each row by its sum, added in order, as Python's sum adds it.
+    rnd = random.Random(50)
+    for _ in range(50):
+        model = oracle.random_model(rnd)
+        doc = json.loads(json.dumps(model_to_dict(model)))
+        assert {name: [row["p"] for row in rows] for name, rows in doc["cpts"].items()} == {
+            name: [list(row) for row in cpt.rows.values()] for name, cpt in model.cpts.items()
+        }
+        rows = {name: {c: tuple(x / sum(row) for x in row) for c, row in cpt.rows.items()} for name, cpt in model.cpts.items()}
+        loaded, want = model_from_dict(doc), CausalModel(model.graph, {name: Cpt(name, r) for name, r in rows.items()})
+        assert loaded.cpts == want.cpts == {name: Cpt(name, r) for name, r in rows.items()}
+        assert [t.tobytes() for t in loaded.tables] == [t.tobytes() for t in want.tables]
+        assert [t.tobytes() for t in CausalModel(model.graph, model.cpts).tables] == [t.tobytes() for t in model.tables]
+
+
+def test_loading_a_model_checks_its_graph_once_and_validates_nothing(monkeypatch):
+    from causalsim import cgm
+
+    graphs, models = [], []
+    monkeypatch.setattr(cgm, "validate_graph", lambda graph, check=cgm.validate_graph: graphs.append(graph) or check(graph))
+    monkeypatch.setattr(cgm, "validate", lambda model, check=cgm.validate: models.append(model) or check(model))
+    model = load_model(str(SAMPLE_DIR / "chain64_model.json"))
+    ensure_valid(model)
+    assert [graph is model.graph for graph in graphs] == [True]
+    assert models == []
 
 
 def test_saving_twice_is_byte_identical(medic_model, tmp_path):
