@@ -32,7 +32,6 @@ _EXPORTS = {
         "InvalidModelError",
         "ValidationIssue",
         "VariableSpec",
-        "ensure_valid",
         "intervene",
         "interventional_marginal",
         "interventional_query",
@@ -41,7 +40,6 @@ _EXPORTS = {
         "parent_configurations",
         "query",
         "sample",
-        "validate",
         "validate_graph",
     ),
     "model_io": (

@@ -15,7 +15,8 @@ which downstream decision code treats as if it were the truth.
 :class:`BeliefState` holds one array of pseudo-counts per CPT, in the
 layout of the model's tables, :attr:`~causalsim.cgm.CausalModel.tables`:
 an update is one increment per unforced variable, and the posterior mean
-one division per table by its row sums, the states added in order.
+one division per table by its row sums, the states added in order. Its
+counts are checked when it is built, so its posterior mean is valid.
 :class:`CountBeliefs` holds the counts of a batch of replications in the
 same layout behind a replication axis, so its ``counts[i][r]`` is
 replication r's table. Its posterior mean is a sum and a division per
@@ -33,7 +34,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .cgm import Assignment, CausalGraph, CausalModel, InvalidModelError, Intervention, _Tables, check_assignment
-from .cgm import _check_intervention, _check_prior, _row_sums
+from .cgm import _check_intervention, _check_prior, _FieldError, _row_sums
 from . import model_io
 
 __all__ = [
@@ -59,10 +60,25 @@ class BeliefState(_Tables):
     and in the layout of the model's tables; ``counts`` views them read-only
     by variable name, each keyed like the CPT rows: parent configuration
     tuple to row.
+
+    Building one checks it: a graph with issues raises :class:`~causalsim.cgm.InvalidModelError`,
+    tables not in the layout's shapes are a fault at ``cpts``, and a count or
+    row sum that is not positive and finite one at ``cpts.<name>``.
     """
 
     graph: CausalGraph
     tables: Sequence[np.ndarray]
+
+    def __post_init__(self) -> None:
+        if issues := self.graph._issues:
+            raise InvalidModelError(issues)
+        if [getattr(t, "shape", None) for t in self.tables] != [layout[2] for layout in self.graph._layout]:
+            raise _FieldError("cpts", "expected one array per variable, in the shape of its table")
+        for name, table in zip(self.graph.names, self.tables):
+            if not ((0.0 < table) & (table < np.inf)).all():
+                raise _FieldError(f"cpts.{name}", "pseudo-counts must be positive and finite in every entry")
+            if not (_row_sums(table) < np.inf).all():
+                raise _FieldError(f"cpts.{name}", "pseudo-counts must have a finite sum in every row")
 
     @cached_property
     def counts(self) -> Mapping[str, Mapping[tuple[str, ...], DirichletRow]]:
@@ -106,7 +122,10 @@ def update(beliefs: BeliefState, intervention: Intervention, observed: Assignmen
         if graph.names[pos] not in intervention:
             tables[pos] = tables[pos].copy()
             tables[pos][(*map(codes.__getitem__, parents), codes[pos])] += 1.0
-    return BeliefState(graph, tuple(tables))
+    # A valid state whose counts each grow by one stays valid, so the new one is built past the check.
+    new = object.__new__(BeliefState)
+    new.__dict__.update(graph=graph, tables=tuple(tables))
+    return new
 
 
 def _summed(columns: Sequence[np.ndarray], out: np.ndarray) -> list[tuple[Callable, tuple]]:
@@ -124,8 +143,8 @@ class CountBeliefs:
     table of rows; ``means[i]``, for a scored variable, views its posterior
     mean, which the (function, arguments) calls in ``refresh`` write: per
     buffer, one division by the sum of its state columns in order (for fewer
-    than 8 states, ``sum``'s bits). An update leaves alone the counts its
-    intervention in ``menu`` forces.
+    than 8 states, the bits of numpy's pairwise ``sum``). An update leaves
+    alone the counts its intervention in ``menu`` forces.
     """
 
     def __init__(self, graph: CausalGraph, alpha0: float, n: int, scored: Sequence[int] = (), menu: Sequence[Intervention] = ({},)):
@@ -166,12 +185,6 @@ def beliefs_to_dict(beliefs: BeliefState) -> dict[str, Any]:
 
 
 def beliefs_from_dict(data: Any) -> BeliefState:
-    """Inverse of :func:`beliefs_to_dict`; counts must be positive and
-    finite, and so must each row's sum, which a posterior mean divides by."""
-    graph, tables = model_io.tables_from_dict(data, value_key="counts", normalize=False)
-    for name, table in zip(graph.names, tables):
-        if not np.all((0.0 < table) & (table < np.inf)):
-            raise model_io.FormatError(f"$.cpts.{name}", "pseudo-counts must be positive and finite in every entry")
-        if not np.all(_row_sums(table) < np.inf):
-            raise model_io.FormatError(f"$.cpts.{name}", "pseudo-counts must have a finite sum in every row")
-    return BeliefState(graph, tables)
+    """Inverse of :func:`beliefs_to_dict`; a fault that :class:`BeliefState`
+    finds in the counts is a FormatError at ``$.cpts.<name>``."""
+    return model_io._checked("$", BeliefState, *model_io.tables_from_dict(data, value_key="counts"))

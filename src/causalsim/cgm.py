@@ -44,21 +44,22 @@ up a variable every action forces, and draws the rest from the truth's
 rows or, for one only some actions force, from a block of rows per
 action: the truth's, or the forced state's point mass.
 
-A model built in code from :class:`Cpt` rows refuses nothing, so that
-:func:`validate` reports every problem in one pass; the query and
-sampling operations assume a model that passes. One that the parser,
-:func:`intervene` or a posterior mean builds is valid as built.
+A model that exists is valid: building one from :class:`Cpt` rows raises
+:class:`InvalidModelError` listing every problem at once. The parser,
+:func:`intervene` and a posterior mean build theirs from checked inputs,
+and no query or draw checks a table again.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from types import MappingProxyType
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,10 +74,8 @@ __all__ = [
     "CausalModel",
     "ValidationIssue",
     "InvalidModelError",
-    "validate",
     "validate_graph",
     "check_assignment",
-    "ensure_valid",
     "parent_configurations",
     "joint_size",
     "joint_probability",
@@ -247,8 +246,7 @@ class _Tables:
         return {k: v for k, v in self.__dict__.items() if not isinstance(v, MappingProxyType)}
 
     def _rows(self) -> dict[str, _Rows]:
-        # Each table placed: an invalid model built in code shows what it holds.
-        return {v: _Rows(t, parent_configurations(self.graph, v)) for v, t in zip(self.graph.names, self.tables) if t is not None}
+        return {v: _Rows(t, parent_configurations(self.graph, v)) for v, t in zip(self.graph.names, self.tables)}
 
 
 class CausalModel(_Tables):
@@ -258,20 +256,18 @@ class CausalModel(_Tables):
     in declared order; ``cpts`` views them read-only as :class:`Cpt` rows
     by variable name.
 
-    ``CausalModel(graph, cpts)`` writes the rows of each :class:`Cpt`
-    into its array. A table or row it cannot place is kept for
-    :func:`validate`, and such a row is left uniform.
+    ``CausalModel(graph, cpts)`` writes each :class:`Cpt`'s rows into its
+    array, or raises :class:`InvalidModelError` with every issue (:func:`_placed`).
     """
 
     def __init__(self, graph: CausalGraph, cpts: Mapping[str, Cpt]):
-        self.graph = graph
-        self.tables, self._misplaced = _placed(graph, cpts)
+        self.graph, self.tables = graph, _placed(graph, cpts)
 
     @classmethod
     def _of(cls, graph: CausalGraph, tables: Sequence[np.ndarray]) -> CausalModel:
-        # A model valid as built, on read-only ``tables``: it is never validated.
+        # A model on a valid graph whose ``tables`` hold valid rows, made read-only, checked by no one.
         model = cls.__new__(cls)
-        model.graph, model.tables, model._misplaced, model._valid = graph, tuple(tables), (), True
+        model.graph, model.tables = graph, tuple(tables)
         for table in model.tables:
             table.flags.writeable = False
         return model
@@ -281,13 +277,6 @@ class CausalModel(_Tables):
         return MappingProxyType({name: Cpt(name, rows) for name, rows in self._rows().items()})
 
     @cached_property
-    def _valid(self) -> bool:
-        # ensure_valid's check, kept once it passes; a failure raises each time.
-        if issues := validate(self):
-            raise InvalidModelError(issues)
-        return True
-
-    @cached_property
     def _sampler(self) -> tuple:
         # The model's own sampling tables: every variable takes its rows.
         return _sampling_tables(self, ({},))
@@ -295,7 +284,7 @@ class CausalModel(_Tables):
 
 @dataclass(frozen=True)
 class ValidationIssue:
-    """One violation found by :func:`validate`."""
+    """One violation of the model contract, found where a graph or model is built."""
 
     code: str
     where: str
@@ -399,25 +388,27 @@ def validate_graph(graph: CausalGraph) -> list[ValidationIssue]:
     return issues
 
 
+def _added(values: Iterable[float]) -> float:
+    """``values`` added in order from 0.0, on every Python (``sum`` compensates since 3.12)."""
+    return reduce(operator.add, values, 0.0)
+
+
 def _row_sums(table: np.ndarray) -> np.ndarray:
-    """Each row's sum, its states added in order, as Python's ``sum`` adds
-    them; a sum beyond float range is inf, and one of inf and -inf nan."""
+    """Each row's sum, its states added in order: inf beyond float range, nan for inf and -inf."""
     with np.errstate(over="ignore", invalid="ignore"):
         return reduce(np.add, np.moveaxis(table, -1, 0))
 
 
-def _placed(graph: CausalGraph, cpts: Mapping[str, Cpt]) -> tuple[tuple[np.ndarray | None, ...], list[ValidationIssue]]:
-    """The rows of ``cpts`` written into one read-only array per variable,
-    and an issue per table or row without a place, whose row is left
-    uniform. A variable that the graph's issues name gets None and no row
-    check, which avoids cascading noise."""
+def _placed(graph: CausalGraph, cpts: Mapping[str, Cpt]) -> tuple[np.ndarray, ...]:
+    """The rows of ``cpts`` in one read-only array per variable, or :class:`InvalidModelError`
+    with the graph's issues, each table or row without a place, then each row with an entry
+    outside [0, 1] or a sum away from one; a variable the graph's issues name is not placed."""
     broken, vmap = {i.where for i in graph._issues}, graph.variable_map
     issues = [ValidationIssue("unexpected-cpt-table", n, "table for an undeclared variable") for n in cpts if n not in vmap]
-    tables: list[np.ndarray | None] = []
+    tables, values = [], []
     for v in graph.variables:
         if v.name in broken or v.name not in cpts:
             issues += [ValidationIssue("missing-cpt-table", v.name, "no table for this variable")] * (v.name not in broken)
-            tables.append(None)
             continue
         given, parents = cpts[v.name].rows, graph.parents_of(v.name)
         key = partial(_row_key, v.name, parents=parents)
@@ -431,39 +422,18 @@ def _placed(graph: CausalGraph, cpts: Mapping[str, Cpt]) -> tuple[tuple[np.ndarr
                 issues.append(ValidationIssue("bad-row-length", key(config), f"{len(row)} entries for {len(v.states)} states"))
             else:
                 rows[config] = row
-        tables.append(np.array(list(rows.values()), float).reshape([len(vmap[p].states) for p in (*parents, v.name)]))
-        tables[-1].flags.writeable = False
-    return tuple(tables), issues
-
-
-def validate(model: CausalModel) -> list[ValidationIssue]:
-    """Check the whole model contract; an empty list means valid.
-
-    Every violation is reported, so one pass suffices to see all
-    problems: the graph's, each table or row that the constructor could
-    not place, and each row with an entry outside [0, 1] or a sum away
-    from one.
-    """
-    graph = model.graph
-    issues = [*graph._issues, *model._misplaced]
-    for v, table in zip(graph.variables, model.tables):
-        if table is None:
-            continue
-        rows = table.reshape(-1, len(v.states))
-        sums, out = _row_sums(rows), ~((0.0 <= rows) & (rows <= 1.0)).all(axis=1)
+        table = np.array(list(rows.values()), float)
+        sums, out = _row_sums(table), ~((0.0 <= table) & (table <= 1.0)).all(axis=1)
         for r in np.flatnonzero(out | (np.abs(sums - 1.0) > ROW_SUM_TOL)):
-            where = _row_key(v.name, list(parent_configurations(graph, v.name))[r], graph.parents_of(v.name))
             if out[r]:
-                issues.append(ValidationIssue("entry-out-of-range", where, "entries must lie in [0, 1]"))
+                values.append(ValidationIssue("entry-out-of-range", key(list(rows)[r]), "entries must lie in [0, 1]"))
             else:
-                issues.append(ValidationIssue("row-not-normalized", where, f"row sums to {sums[r]:.12g}"))
-    return issues
-
-
-def ensure_valid(model: CausalModel) -> None:
-    """Raise :class:`InvalidModelError` listing every violation, if any; a
-    model that passed, or is valid as built, is not checked again."""
-    model._valid  # raises each time while the model is invalid
+                values.append(ValidationIssue("row-not-normalized", key(list(rows)[r]), f"row sums to {sums[r]:.12g}"))
+        tables.append(table.reshape([len(vmap[p].states) for p in (*parents, v.name)]))
+        tables[-1].flags.writeable = False
+    if issues := [*graph._issues, *issues, *values]:
+        raise InvalidModelError(issues)
+    return tuple(tables)
 
 
 def joint_size(model: CausalModel) -> int:
@@ -656,7 +626,7 @@ def _contract(model: CausalModel, forced: Assignment, evidence: Assignment, targ
 
 
 def _total(mass: list[float]) -> float:
-    total = sum(mass)
+    total = _added(mass)
     if total <= 0.0:
         raise ValueError("zero-probability-evidence: the evidence has probability zero")
     return total

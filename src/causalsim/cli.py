@@ -34,7 +34,7 @@ import sys
 from typing import Callable, Sequence
 
 from . import environment, experiment, model_io, reporting
-from .cgm import InvalidModelError, _check_prior, interventional_query
+from .cgm import InvalidModelError, _added, _check_prior, interventional_query
 from .model_io import FormatError, _checked, load_model
 
 __all__ = ["cli_main", "main"]
@@ -136,7 +136,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         reporting.write_svg(result.series, cfg.out_svg)
 
     for s in result.series:
-        overall, final = (f"{m:.4f}" if abs(m) < 1e9 else f"{m:.12g}" for m in (sum(s.values) / len(s.values), s.values[-1]))
+        overall, final = (f"{m:.4f}" if abs(m) < 1e9 else f"{m:.12g}" for m in (_added(s.values) / len(s.values), s.values[-1]))
         print(f"{s.label}: overall mean reward {overall}, final round mean {final}")
     labels = {s.label for s in result.series}
     if {"causal", "qlearning"} <= labels:

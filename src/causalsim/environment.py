@@ -29,7 +29,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .cgm import CausalModel, _FieldError, _check_forces, _sampling_tables, check_assignment, ensure_valid
+from .cgm import CausalModel, _added, _FieldError, _check_forces, _sampling_tables, check_assignment
 from .cgm import intervene, interventional_marginal, sample
 from . import experiment, model_io
 from .model_io import _checked, _expect
@@ -82,12 +82,12 @@ def expected_utility(
     """Expected utility of the target under the action's intervention.
 
     Sums utility(state) times P(target = state | do(intervention)) over
-    the target's states on the given model.
+    the target's states on the given model, in state order.
     """
     dist = interventional_marginal(model, action.intervention, target)
     states = model.graph.variable_map[target].states
     _check_utility(utility, states, target)
-    return sum(utility[s] * p for s, p in zip(states, dist))
+    return _added(utility[s] * p for s, p in zip(states, dist))
 
 
 def best_action(
@@ -115,7 +115,7 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Environment:
-    """An immutable world: truth model, action menu, target, utility."""
+    """An immutable world: truth model, action menu, target, utility, checked against the truth."""
 
     truth: CausalModel
     actions: tuple[Action, ...]
@@ -123,7 +123,6 @@ class Environment:
     utility: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        ensure_valid(self.truth)
         spec = self.truth.graph.variable_map.get(self.target)
         if spec is None:
             raise _FieldError("target", f"unknown-target: {self.target!r} is not in the model")

@@ -24,12 +24,12 @@ is read by :func:`number`.
 Structural problems raise :class:`FormatError` at the first violation,
 with a path such as ``model.json.cpts.Y[2].p`` (the file, or ``$`` for a
 document in memory, then its ``.key`` and ``[i]`` steps); so do numbers
-beyond float range, such as a 400-digit integer. Row sums within
-``ROW_SUM_TOL`` of one are renormalized on load; rows further out are
-rejected; so is a key repeated in one object, as a ``parse-error``. The
-graph is validated once, before any row is read; its violations raise
-:class:`~causalsim.cgm.InvalidModelError` after the file. Each row is
-checked as it is written into its table, so a parsed model is valid.
+beyond float range, such as a 400-digit integer. Row sums (entries added
+in order) within ``ROW_SUM_TOL`` of one are renormalized on load; rows
+further out are rejected; so is a key repeated in one object, as a
+``parse-error``. The graph is validated once, before any row is read, its
+violations raising :class:`~causalsim.cgm.InvalidModelError` after the
+file; each row is checked as it is written, so a parsed model is valid.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .cgm import ROW_SUM_TOL, CausalGraph, CausalModel, InvalidModelError, VariableSpec, _FieldError
+from .cgm import ROW_SUM_TOL, CausalGraph, CausalModel, InvalidModelError, VariableSpec, _added, _FieldError
 
 __all__ = [
     "FormatError",
@@ -148,14 +148,14 @@ def number(value: Any, path: str) -> float:
         raise FormatError(path, "number beyond float range") from None
 
 
-def _parse_rows(raw_rows: Any, graph: CausalGraph, pos: int, *, value_key: str, normalize: bool, doc: str) -> np.ndarray:
+def _parse_rows(raw_rows: Any, graph: CausalGraph, pos: int, *, value_key: str, doc: str) -> np.ndarray:
     """Parse the row list of the variable at ``pos`` under ``<doc>.cpts.<name>``
     into its table. Each row goes to the index that its parent codes and
     the strides give, so an index already taken is a repeated row, and one
     never taken a missing row.
 
     ``value_key`` selects the per-row vector ("p" for probabilities,
-    "counts" for pseudo-counts); only probability rows are normalized.
+    "counts" for pseudo-counts); only probability rows are checked and normalized.
     """
     spec, (_, strides, shape, configs) = graph.variables[pos], graph._layout[pos]
     where, parents = f"{doc}.cpts.{spec.name}", graph.parents_of(spec.name)
@@ -180,10 +180,10 @@ def _parse_rows(raw_rows: Any, graph: CausalGraph, pos: int, *, value_key: str, 
         _expect(isinstance(vec, list), f"{rw}.{value_key}", "expected a list of numbers")
         _expect(len(vec) == len(spec.states), f"{rw}.{value_key}", f"{len(vec)} entries for {len(spec.states)} states")
         values = [number(x, f"{rw}.{value_key}[{j}]") for j, x in enumerate(vec)]
-        if normalize:
+        if value_key == "p":
             for j, x in enumerate(values):
                 _expect(0.0 <= x <= 1.0, f"{rw}.{value_key}[{j}]", "probabilities must lie in [0, 1]")
-            total = sum(values)
+            total = _added(values)
             detail = f"row sums to {total:.12g}, beyond tolerance {ROW_SUM_TOL:g}"
             _expect(abs(total - 1.0) <= ROW_SUM_TOL, f"{rw}.{value_key}", detail)
             values = [x / total for x in values]
@@ -194,7 +194,7 @@ def _parse_rows(raw_rows: Any, graph: CausalGraph, pos: int, *, value_key: str, 
     return np.array(rows).reshape(shape)
 
 
-def tables_from_dict(data: Any, *, value_key: str, normalize: bool, doc: str = "$") -> tuple[CausalGraph, tuple[np.ndarray, ...]]:
+def tables_from_dict(data: Any, *, value_key: str, doc: str = "$") -> tuple[CausalGraph, tuple[np.ndarray, ...]]:
     """Parse a CPT-shaped document: its graph, validated before any row is
     read, and each variable's table, in declaration order, with
     ``value_key`` naming the row vector."""
@@ -210,7 +210,7 @@ def tables_from_dict(data: Any, *, value_key: str, normalize: bool, doc: str = "
     tables = []
     for pos, v in enumerate(graph.variables):
         _expect(v.name in raw_cpts, f"{doc}.cpts", f"missing table for {v.name}")
-        tables.append(_parse_rows(raw_cpts[v.name], graph, pos, value_key=value_key, normalize=normalize, doc=doc))
+        tables.append(_parse_rows(raw_cpts[v.name], graph, pos, value_key=value_key, doc=doc))
     return graph, tuple(tables)
 
 
@@ -230,7 +230,7 @@ def tables_to_dict(graph: CausalGraph, tables: Sequence[np.ndarray], value_key: 
 
 def model_from_dict(data: Any, *, doc: str = "$") -> CausalModel:
     """Assemble a model from its document form, checked as it is parsed; ``doc`` starts error paths."""
-    return CausalModel._of(*tables_from_dict(data, value_key="p", normalize=True, doc=doc))
+    return CausalModel._of(*tables_from_dict(data, value_key="p", doc=doc))
 
 
 def model_to_dict(model: CausalModel) -> dict[str, Any]:

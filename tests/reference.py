@@ -10,7 +10,7 @@ per variable, ``update_counts`` increments one per-variable count array
 at a time, ``update_count_buffers`` takes the free mask per replication
 and then per buffer, ``min_fill`` recomputes every fill-in count at each
 elimination step, and ``posterior`` and ``expected_utilities`` reduce
-over the state axis with ``sum``. The tests require the library to give
+over the state axis with numpy's ``sum``. The tests require the library to give
 exactly the same codes, counts, elimination plans, means and expected
 utilities. ``write_csv`` writes one line at a time and ``write_svg``
 builds, indents and serializes an ElementTree; the tests require the
@@ -19,8 +19,8 @@ every variable once per topological level, and the tests require the
 library's sort to give the same order and the same cycle issue.
 ``dict_init_uniform``, ``dict_update`` and ``dict_posterior_mean`` keep
 the pseudo-counts as rows in dicts, keyed by parent configuration, and
-sum each row with Python's ``sum``; the tests require the array belief
-state to give the same bits.
+add each row's counts one by one, in state order; the tests require the
+array belief state to give the same bits.
 
 ``bound_draw`` and ``refreshed`` are no references: they are how the
 tests run the library's batched draw, the one the engine binds once per
@@ -199,7 +199,9 @@ def dict_posterior_mean(counts: Mapping[str, Mapping[tuple[str, ...], tuple[floa
     for name, rows in counts.items():
         table = {}
         for config, row in rows.items():
-            total = sum(row)
+            total = 0.0
+            for c in row:
+                total += c
             table[config] = tuple(c / total for c in row)
         cpts[name] = Cpt(name, table)
     return cpts

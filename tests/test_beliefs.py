@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from causalsim import (
+    BeliefState,
     CausalGraph,
     FormatError,
     InvalidModelError,
@@ -193,6 +194,30 @@ def test_beliefs_from_dict_rejects_rows_whose_sum_overflows(medic_model):
     assert caught.value.path == "$.cpts.D"
 
 
+def test_no_posterior_mean_runs_on_negative_counts(medic_model):
+    # A belief state is checked as it is built, so no posterior mean can
+    # give a negative probability.
+    tables = list(init_uniform(medic_model.graph).tables)
+    tables[0] = np.array([-1.0, 3.0])
+    with pytest.raises(ValueError, match="pseudo-counts must be positive and finite") as caught:
+        posterior_mean(BeliefState(medic_model.graph, tuple(tables)))
+    assert caught.value.field == "cpts.D"
+
+
+def test_a_belief_state_is_refused_for_tables_of_the_wrong_shape(medic_model):
+    tables = init_uniform(medic_model.graph).tables
+    for wrong in ((*tables[:2], tables[2][0]), tables[:2], (*tables[:2], tables[2].tolist())):
+        with pytest.raises(ValueError, match="expected one array per variable, in the shape of its table") as caught:
+            BeliefState(medic_model.graph, wrong)
+        assert caught.value.field == "cpts"
+
+
+def test_a_belief_state_is_refused_on_a_cyclic_graph(medic_model):
+    graph = CausalGraph(medic_model.graph.variables, {**medic_model.graph.parents, "D": ("Y",)})
+    with pytest.raises(InvalidModelError, match="cycle-detected at D, T, Y"):
+        BeliefState(graph, init_uniform(medic_model.graph).tables)
+
+
 def test_beliefs_from_dict_rejects_missing_rows(medic_model):
     doc = beliefs_to_dict(init_uniform(medic_model.graph))
     del doc["cpts"]["Y"]
@@ -228,7 +253,8 @@ def _random_outcome(rnd, graph, intervention):
 @pytest.mark.parametrize("card", range(2, 10))
 def test_array_beliefs_have_the_bits_of_the_dict_rows(card):
     # Counts at a fractional prior, so each row's sum rounds; from 8 states
-    # on, numpy's own sum would add pairwise, and Python's adds in order.
+    # on, numpy's own sum would add pairwise, and since Python 3.12 sum()
+    # compensates, but the reference adds in order.
     rnd = random.Random(card)
     graph = _chain_of_cardinalities((card, 3, card, 2))
     graph = CausalGraph(graph.variables, {**graph.parents, "V3": ("V0", "V2")})

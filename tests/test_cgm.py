@@ -18,7 +18,6 @@ from causalsim import (
     Cpt,
     InvalidModelError,
     VariableSpec,
-    ensure_valid,
     intervene,
     interventional_marginal,
     interventional_query,
@@ -26,7 +25,6 @@ from causalsim import (
     joint_size,
     query,
     sample,
-    validate,
     validate_graph,
 )
 from causalsim import Action, Environment, load_model, model_from_dict
@@ -39,41 +37,43 @@ import reference
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample"
 
 
-def test_validate_accepts_independent_fair_pair(fair_pair_model):
-    assert validate(fair_pair_model) == []
+def _issue_codes(graph: CausalGraph, cpts: dict) -> list[str]:
+    """The codes of the issues that refuse ``CausalModel(graph, cpts)``, in order."""
+    with pytest.raises(InvalidModelError) as err:
+        CausalModel(graph, cpts)
+    return [i.code for i in err.value.issues]
 
 
-def test_validate_reports_unnormalized_row():
+def test_a_valid_model_builds_from_its_own_rows(fair_pair_model):
+    assert CausalModel(fair_pair_model.graph, fair_pair_model.cpts) == fair_pair_model
+
+
+def test_building_a_model_reports_unnormalized_row():
     graph = CausalGraph((VariableSpec("A", ("0", "1")),), {"A": ()})
-    model = CausalModel(graph, {"A": Cpt("A", {(): (0.7, 0.2)})})
-    issues = validate(model)
-    assert [i.code for i in issues] == ["row-not-normalized"]
-    assert "A" in issues[0].where
+    with pytest.raises(InvalidModelError) as err:
+        CausalModel(graph, {"A": Cpt("A", {(): (0.7, 0.2)})})
+    assert [i.code for i in err.value.issues] == ["row-not-normalized"]
+    assert "A" in err.value.issues[0].where
 
 
-def test_validate_reports_cycle():
+def test_building_a_model_reports_cycle():
     graph = CausalGraph(
         (VariableSpec("A", ("0", "1")), VariableSpec("B", ("0", "1"))),
         {"A": ("B",), "B": ("A",)},
     )
-    model = CausalModel(
-        graph,
-        {
-            "A": Cpt("A", {("0",): (0.5, 0.5), ("1",): (0.5, 0.5)}),
-            "B": Cpt("B", {("0",): (0.5, 0.5), ("1",): (0.5, 0.5)}),
-        },
-    )
-    codes = {i.code for i in validate(model)}
-    assert "cycle-detected" in codes
+    cpts = {
+        "A": Cpt("A", {("0",): (0.5, 0.5), ("1",): (0.5, 0.5)}),
+        "B": Cpt("B", {("0",): (0.5, 0.5), ("1",): (0.5, 0.5)}),
+    }
+    assert _issue_codes(graph, cpts) == ["cycle-detected"]
 
 
-def test_validate_reports_self_loop_as_cycle():
+def test_building_a_model_reports_self_loop_as_cycle():
     graph = CausalGraph((VariableSpec("A", ("0", "1")),), {"A": ("A",)})
-    model = CausalModel(graph, {"A": Cpt("A", {("0",): (1.0, 0.0), ("1",): (1.0, 0.0)})})
-    assert "cycle-detected" in {i.code for i in validate(model)}
+    assert _issue_codes(graph, {"A": Cpt("A", {("0",): (1.0, 0.0), ("1",): (1.0, 0.0)})}) == ["cycle-detected"]
 
 
-def test_validate_lists_every_problem_at_once():
+def test_building_a_model_lists_every_problem_at_once():
     graph = CausalGraph(
         (
             VariableSpec("A", ("0",)),  # too few states
@@ -82,83 +82,74 @@ def test_validate_lists_every_problem_at_once():
         ),
         {"B": ("Z", "B"), "C": ("B",)},  # unknown parent, self-loop
     )
-    model = CausalModel(
-        graph,
-        {
-            "B": Cpt("B", {(): (0.5, 0.5)}),
-            "C": Cpt("C", {("0",): (0.6, 0.41)}),  # missing row + bad sum
-        },
-    )
-    codes = {i.code for i in validate(model)}
+    cpts = {
+        "B": Cpt("B", {(): (0.5, 0.5)}),
+        "C": Cpt("C", {("0",): (0.6, 0.41)}),  # missing row + bad sum
+    }
     # Table checks for A and B are suppressed because those variables are
-    # already structurally broken; C's table is still checked in full.
-    assert codes == {
+    # already structurally broken; C's table is still checked in full. The
+    # graph's issues come first, then the rows without a place, then the
+    # row values.
+    assert _issue_codes(graph, cpts) == [
         "too-few-states",
         "unknown-parent",
         "cycle-detected",
         "missing-cpt-row",
         "row-not-normalized",
-    }
-
-
-def test_validate_reports_missing_table():
-    graph = CausalGraph((VariableSpec("A", ("0", "1")),), {"A": ()})
-    model = CausalModel(graph, {})
-    assert [i.code for i in validate(model)] == ["missing-cpt-table"]
-
-
-def test_validate_reports_missing_row_and_extras(medic_model):
-    rows = dict(medic_model.cpts["Y"].rows)
-    del rows[("0", "0")]
-    rows[("0", "bogus")] = (0.5, 0.5)
-    broken = CausalModel(medic_model.graph, {**medic_model.cpts, "Y": Cpt("Y", rows)})
-    codes = {i.code for i in validate(broken)}
-    assert codes == {"missing-cpt-row", "unexpected-cpt-row"}
-
-
-def test_validate_reports_what_the_loader_refuses_before_it():
-    # model_io refuses each of these documents itself, so only a model
-    # built in code reaches these branches of validate.
-    graph = CausalGraph(tuple(VariableSpec(n, ("0", "1")) for n in "ABC"), {"B": ("A", "A"), "Z": ("A",)})
-    tables = {"A": {(): (0.5, 0.3, 0.2)}, "B": {}, "C": {(): (1.5, -0.5)}, "Q": {}}
-    model = CausalModel(graph, {n: Cpt(n, rows) for n, rows in tables.items()})
-    assert sorted(i.code for i in validate(model)) == [
-        "bad-row-length",
-        "duplicate-parent",
-        "entry-out-of-range",
-        "unexpected-cpt-table",
-        "unknown-variable",
     ]
 
 
-def test_an_invalid_model_views_the_rows_it_placed():
-    graph = CausalGraph(tuple(VariableSpec(n, ("0", "1")) for n in "AB"), {"B": ("A",)})
-    rows = {("0",): (0.6, 0.6), ("1",): (0.5, 0.5)}
-    model = CausalModel(graph, {"B": Cpt("B", rows)})
-    assert [i.code for i in validate(model)] == ["missing-cpt-table", "row-not-normalized"]
-    assert model.cpts == {"B": Cpt("B", rows)}
+def test_building_a_model_reports_missing_table():
+    graph = CausalGraph((VariableSpec("A", ("0", "1")),), {"A": ()})
+    assert _issue_codes(graph, {}) == ["missing-cpt-table"]
 
 
-def test_ensure_valid_validates_a_valid_model_once_and_an_invalid_one_every_time(monkeypatch, medic_model):
-    calls = []
-    monkeypatch.setattr(cgm, "validate", lambda model: calls.append(model) or validate(model))
-    fresh = CausalModel(medic_model.graph, dict(medic_model.cpts))
-    broken = CausalModel(medic_model.graph, {**medic_model.cpts, "D": Cpt("D", {(): (0.9, 0.2)})})
-    for _ in range(3):
-        ensure_valid(fresh)
-        with pytest.raises(InvalidModelError, match="row-not-normalized"):
-            ensure_valid(broken)
-        with pytest.raises(InvalidModelError, match="row-not-normalized"):
-            Environment(broken, (Action("treat", {"T": "1"}),), "Y", {"0": 0.0, "1": 1.0})
-    assert [m is fresh for m in calls] == [True] + [False] * 6
+def test_building_a_model_reports_missing_row_and_extras(medic_model):
+    rows = dict(medic_model.cpts["Y"].rows)
+    del rows[("0", "0")]
+    rows[("0", "bogus")] = (0.5, 0.5)
+    assert _issue_codes(medic_model.graph, {**medic_model.cpts, "Y": Cpt("Y", rows)}) == ["missing-cpt-row", "unexpected-cpt-row"]
 
 
-def test_ensure_valid_raises_with_issue_list(medic_model):
-    broken = CausalModel(medic_model.graph, {**medic_model.cpts, "D": Cpt("D", {(): (0.9, 0.2)})})
+def test_building_a_model_reports_what_the_loader_refuses_before_it():
+    # model_io refuses each of these documents itself, so only a model
+    # built in code reaches these branches of the constructor's check.
+    graph = CausalGraph(tuple(VariableSpec(n, ("0", "1")) for n in "ABC"), {"B": ("A", "A"), "Z": ("A",)})
+    tables = {"A": {(): (0.5, 0.3, 0.2)}, "B": {}, "C": {(): (1.5, -0.5)}, "Q": {}}
+    assert _issue_codes(graph, {n: Cpt(n, rows) for n, rows in tables.items()}) == [
+        "duplicate-parent",
+        "unknown-variable",
+        "unexpected-cpt-table",
+        "bad-row-length",
+        "entry-out-of-range",
+    ]
+
+
+def test_building_an_invalid_model_raises_with_issue_list(medic_model):
     with pytest.raises(InvalidModelError) as err:
-        ensure_valid(broken)
+        CausalModel(medic_model.graph, {**medic_model.cpts, "D": Cpt("D", {(): (0.9, 0.2)})})
     assert err.value.issues
     assert "row-not-normalized" in str(err.value)
+
+
+def _out_of_range_model() -> tuple[CausalGraph, dict[str, Cpt]]:
+    """A graph A -> B and tables whose row for A=1 has an entry outside [0, 1]."""
+    graph = CausalGraph((VariableSpec("A", ("0", "1")), VariableSpec("B", ("0", "1"))), {"B": ("A",)})
+    return graph, {"A": Cpt("A", {(): (0.5, 0.5)}), "B": Cpt("B", {("0",): (0.5, 0.5), ("1",): (1.5, -0.5)})}
+
+
+def test_a_query_never_runs_on_a_model_with_an_entry_out_of_range():
+    # The model is refused as it is built, before a query could give a
+    # negative probability.
+    with pytest.raises(InvalidModelError, match="entry-out-of-range at B\\[A=1\\]"):
+        query(CausalModel(*_out_of_range_model()), {"B": "1"})
+
+
+def test_no_environment_runs_on_the_surgery_of_an_invalid_model():
+    # Surgery keeps every table it does not force, so its input must be
+    # valid; no invalid one can be built to pass it.
+    with pytest.raises(InvalidModelError, match="entry-out-of-range"):
+        Environment(intervene(CausalModel(*_out_of_range_model()), {"A": "1"}), (Action("a", {"A": "1"}),), "B", {"0": 0.0, "1": 1.0})
 
 
 def test_topological_order_sorts_shuffled_declarations():
@@ -216,8 +207,7 @@ def test_a_graph_is_checked_once_however_often_it_is_asked(monkeypatch, medic_mo
     calls = []
     monkeypatch.setattr(cgm, "validate_graph", lambda graph, check=cgm.validate_graph: calls.append(graph) or check(graph))
     graph = CausalGraph(medic_model.graph.variables, dict(medic_model.graph.parents))
-    model = CausalModel(graph, medic_model.cpts)
-    assert validate(model) == validate(model) == []
+    assert CausalModel(graph, medic_model.cpts) == CausalModel(graph, medic_model.cpts)
     init_uniform(graph)
     assert calls == [graph]
 
@@ -613,11 +603,10 @@ def test_sampler_visits_parents_first_even_when_declared_backwards():
 
 
 def test_sample_falls_back_to_the_last_state_with_mass():
-    # The row sums to 1 - 5e-10, within tolerance; a draw above that sum
-    # must not land on the zero-mass last state.
+    # The row sums to 1 - 5e-10, within tolerance, so the model builds; a
+    # draw above that sum must not land on the zero-mass last state.
     graph = CausalGraph((VariableSpec("A", ("x", "y", "z")),), {"A": ()})
     model = CausalModel(graph, {"A": Cpt("A", {(): (0.5, 0.4999999995, 0.0)})})
-    assert validate(model) == []
 
     class Draw:
         def random(self):
@@ -653,9 +642,7 @@ def _models(draw) -> CausalModel:
             rows[config] = tuple(w / sum(weights) for w in weights)
         cpts[v] = Cpt(v, rows)
     declared = draw(st.permutations(names))
-    model = CausalModel(CausalGraph(tuple(VariableSpec(v, states[v]) for v in declared), parents), cpts)
-    assert validate(model) == []
-    return model
+    return CausalModel(CausalGraph(tuple(VariableSpec(v, states[v]) for v in declared), parents), cpts)
 
 
 def _pick(draw, model: CausalModel, names: list[str]) -> dict[str, str]:

@@ -697,11 +697,11 @@ def test_reading_a_run_shape_leaves_the_environment_lazy():
 
 def test_loading_an_experiment_validates_the_model_once(monkeypatch):
     # model_io checks the graph once and each row as it parses it, so the
-    # truth is valid as built: the Environment on it validates nothing.
+    # truth is valid as built: the Environment on it checks no row again.
     from causalsim import cgm, cli
 
     calls, graphs = [], []
-    monkeypatch.setattr(cgm, "validate", lambda model, check=cgm.validate: calls.append(model) or check(model))
+    monkeypatch.setattr(cgm, "_placed", lambda graph, cpts, check=cgm._placed: calls.append(graph) or check(graph, cpts))
     monkeypatch.setattr(cgm, "validate_graph", lambda graph, check=cgm.validate_graph: graphs.append(graph) or check(graph))
     env, _ = cli._load_experiment(argparse.Namespace(model=MODEL, experiment=EXPERIMENT))
     assert calls == []

@@ -1,7 +1,9 @@
 """JSON document parsing and emission for causal models."""
 
 import json
+import operator
 import random
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -13,10 +15,10 @@ from causalsim import (
     InvalidModelError,
     beliefs_from_dict,
     beliefs_to_dict,
-    ensure_valid,
     graph_from_dict,
     graph_to_dict,
     init_uniform,
+    interventional_marginal,
     load_environment,
     load_experiment_config,
     load_model,
@@ -40,7 +42,7 @@ def test_save_then_load_round_trips_exactly(medic_model, tmp_path):
 
 def test_model_documents_round_trip_through_the_arrays():
     # The writer gives each row as the model holds it; the loader divides
-    # each row by its sum, added in order, as Python's sum adds it.
+    # each row by its sum, its entries added in order from 0.0.
     rnd = random.Random(50)
     for _ in range(50):
         model = oracle.random_model(rnd)
@@ -48,7 +50,7 @@ def test_model_documents_round_trip_through_the_arrays():
         assert {name: [row["p"] for row in rows] for name, rows in doc["cpts"].items()} == {
             name: [list(row) for row in cpt.rows.values()] for name, cpt in model.cpts.items()
         }
-        rows = {name: {c: tuple(x / sum(row) for x in row) for c, row in cpt.rows.items()} for name, cpt in model.cpts.items()}
+        rows = {name: {c: tuple(x / reduce(operator.add, row, 0.0) for x in row) for c, row in cpt.rows.items()} for name, cpt in model.cpts.items()}
         loaded, want = model_from_dict(doc), CausalModel(model.graph, {name: Cpt(name, r) for name, r in rows.items()})
         assert loaded.cpts == want.cpts == {name: Cpt(name, r) for name, r in rows.items()}
         assert [t.tobytes() for t in loaded.tables] == [t.tobytes() for t in want.tables]
@@ -58,13 +60,22 @@ def test_model_documents_round_trip_through_the_arrays():
 def test_loading_a_model_checks_its_graph_once_and_validates_nothing(monkeypatch):
     from causalsim import cgm
 
-    graphs, models = [], []
+    # The parser checks each row as it reads it, so it never runs the
+    # check of a model built in code from Cpt rows.
+    graphs, placed = [], []
     monkeypatch.setattr(cgm, "validate_graph", lambda graph, check=cgm.validate_graph: graphs.append(graph) or check(graph))
-    monkeypatch.setattr(cgm, "validate", lambda model, check=cgm.validate: models.append(model) or check(model))
+    monkeypatch.setattr(cgm, "_placed", lambda graph, cpts, check=cgm._placed: placed.append(graph) or check(graph, cpts))
     model = load_model(str(SAMPLE_DIR / "chain64_model.json"))
-    ensure_valid(model)
     assert [graph is model.graph for graph in graphs] == [True]
-    assert models == []
+    assert placed == []
+
+
+def test_a_row_is_divided_by_its_sum_added_in_order_on_every_python():
+    # Since Python 3.12, sum() compensates for rounding and gives exactly
+    # 1.0 for this row; added in order, it sums to 0.9999999999999999.
+    model = model_from_dict({"variables": [{"name": "A", "states": ["a", "b", "c"]}], "cpts": {"A": [{"p": [0.7, 0.2, 0.1]}]}})
+    assert model.tables[0].tolist() == [0.7000000000000001, 0.20000000000000004, 0.10000000000000002]
+    assert interventional_marginal(model, {}, "A") == (0.7, 0.19999999999999998, 0.09999999999999999)
 
 
 def test_saving_twice_is_byte_identical(medic_model, tmp_path):
