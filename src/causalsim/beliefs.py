@@ -16,7 +16,8 @@ which downstream decision code treats as if it were the truth.
 layout of the model's tables, :attr:`~causalsim.cgm.CausalModel.tables`:
 an update is one increment per unforced variable, and the posterior mean
 one division per table by its row sums, the states added in order. Its
-counts are checked when it is built, so its posterior mean is valid.
+counts are checked and made read-only when it is built, so its
+posterior mean is valid.
 :class:`CountBeliefs` holds the counts of a batch of replications in the
 same layout behind a replication axis, so its ``counts[i][r]`` is
 replication r's table. Its posterior mean is a sum and a division per
@@ -63,13 +64,15 @@ class BeliefState(_Tables):
 
     Building one checks it: a graph with issues raises :class:`~causalsim.cgm.InvalidModelError`,
     tables not in the layout's shapes are a fault at ``cpts``, and a count or
-    row sum that is not positive and finite one at ``cpts.<name>``.
+    row sum that is not positive and finite one at ``cpts.<name>``; the
+    arrays it keeps, in a tuple, are made read-only.
     """
 
     graph: CausalGraph
     tables: Sequence[np.ndarray]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "tables", tuple(self.tables))
         if issues := self.graph._issues:
             raise InvalidModelError(issues)
         if [getattr(t, "shape", None) for t in self.tables] != [layout[2] for layout in self.graph._layout]:
@@ -79,6 +82,7 @@ class BeliefState(_Tables):
                 raise _FieldError(f"cpts.{name}", "pseudo-counts must be positive and finite in every entry")
             if not (_row_sums(table) < np.inf).all():
                 raise _FieldError(f"cpts.{name}", "pseudo-counts must have a finite sum in every row")
+            table.flags.writeable = False
 
     @cached_property
     def counts(self) -> Mapping[str, Mapping[tuple[str, ...], DirichletRow]]:
@@ -122,10 +126,7 @@ def update(beliefs: BeliefState, intervention: Intervention, observed: Assignmen
         if graph.names[pos] not in intervention:
             tables[pos] = tables[pos].copy()
             tables[pos][(*map(codes.__getitem__, parents), codes[pos])] += 1.0
-    # A valid state whose counts each grow by one stays valid, so the new one is built past the check.
-    new = object.__new__(BeliefState)
-    new.__dict__.update(graph=graph, tables=tuple(tables))
-    return new
+    return BeliefState(graph, tuple(tables))
 
 
 def _summed(columns: Sequence[np.ndarray], out: np.ndarray) -> list[tuple[Callable, tuple]]:

@@ -422,7 +422,7 @@ def _placed(graph: CausalGraph, cpts: Mapping[str, Cpt]) -> tuple[np.ndarray, ..
                 issues.append(ValidationIssue("bad-row-length", key(config), f"{len(row)} entries for {len(v.states)} states"))
             else:
                 rows[config] = row
-        table = np.array(list(rows.values()), float)
+        table = np.array(list(rows.values()), float).reshape(-1, len(v.states))  # 2-D with no rows too
         sums, out = _row_sums(table), ~((0.0 <= table) & (table <= 1.0)).all(axis=1)
         for r in np.flatnonzero(out | (np.abs(sums - 1.0) > ROW_SUM_TOL)):
             if out[r]:

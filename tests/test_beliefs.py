@@ -282,11 +282,15 @@ def test_row_views_are_read_only_and_read_the_arrays(medic_model):
         beliefs.counts["D"][()] = (1.0, 1.0)
     with pytest.raises(ValueError, match="read-only"):
         medic_model.tables[0][0] = 0.5
-    # A view reads its array each time, so it cannot drift from it.
-    counts = beliefs.counts["Y"]
-    beliefs.tables[2][1, 1] = (7.0, 9.0)
-    assert counts[("1", "1")] == (7.0, 9.0)
-    assert beliefs.counts["Y"] == dict(counts)
+    # A built state's arrays are read-only, so no write can make it invalid.
+    with pytest.raises(ValueError, match="read-only"):
+        beliefs.tables[2][1, 1] = (-1.0, 9.0)
+    # A view reads the arrays of its own state.
+    tables = [table.copy() for table in beliefs.tables]
+    tables[2][1, 1] = (7.0, 9.0)
+    changed = BeliefState(beliefs.graph, tables)
+    assert changed.counts["Y"] == {**beliefs.counts["Y"], ("1", "1"): (7.0, 9.0)}
+    assert isinstance(changed.tables, tuple) and not changed.tables[2].flags.writeable
 
 
 def test_belief_states_compare_by_value(medic_model):

@@ -99,6 +99,14 @@ def test_building_a_model_lists_every_problem_at_once():
     ]
 
 
+def test_building_a_model_checks_the_child_of_a_parent_without_states():
+    # P is named by its own issue, so its table is not checked; C's is,
+    # and with no parent configuration it has no rows, only the extra one.
+    graph = CausalGraph((VariableSpec("P", ()), VariableSpec("C", ("0", "1"))), {"C": ("P",)})
+    assert _issue_codes(graph, {"C": Cpt("C", {})}) == ["too-few-states"]
+    assert _issue_codes(graph, {"C": Cpt("C", {("x",): (0.5, 0.5)})}) == ["too-few-states", "unexpected-cpt-row"]
+
+
 def test_building_a_model_reports_missing_table():
     graph = CausalGraph((VariableSpec("A", ("0", "1")),), {"A": ()})
     assert _issue_codes(graph, {}) == ["missing-cpt-table"]
@@ -132,24 +140,13 @@ def test_building_an_invalid_model_raises_with_issue_list(medic_model):
     assert "row-not-normalized" in str(err.value)
 
 
-def _out_of_range_model() -> tuple[CausalGraph, dict[str, Cpt]]:
-    """A graph A -> B and tables whose row for A=1 has an entry outside [0, 1]."""
-    graph = CausalGraph((VariableSpec("A", ("0", "1")), VariableSpec("B", ("0", "1"))), {"B": ("A",)})
-    return graph, {"A": Cpt("A", {(): (0.5, 0.5)}), "B": Cpt("B", {("0",): (0.5, 0.5), ("1",): (1.5, -0.5)})}
-
-
 def test_a_query_never_runs_on_a_model_with_an_entry_out_of_range():
     # The model is refused as it is built, before a query could give a
-    # negative probability.
+    # negative probability or surgery could pass its tables to an Environment.
+    graph = CausalGraph((VariableSpec("A", ("0", "1")), VariableSpec("B", ("0", "1"))), {"B": ("A",)})
+    cpts = {"A": Cpt("A", {(): (0.5, 0.5)}), "B": Cpt("B", {("0",): (0.5, 0.5), ("1",): (1.5, -0.5)})}
     with pytest.raises(InvalidModelError, match="entry-out-of-range at B\\[A=1\\]"):
-        query(CausalModel(*_out_of_range_model()), {"B": "1"})
-
-
-def test_no_environment_runs_on_the_surgery_of_an_invalid_model():
-    # Surgery keeps every table it does not force, so its input must be
-    # valid; no invalid one can be built to pass it.
-    with pytest.raises(InvalidModelError, match="entry-out-of-range"):
-        Environment(intervene(CausalModel(*_out_of_range_model()), {"A": "1"}), (Action("a", {"A": "1"}),), "B", {"0": 0.0, "1": 1.0})
+        CausalModel(graph, cpts)
 
 
 def test_topological_order_sorts_shuffled_declarations():
