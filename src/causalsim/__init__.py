@@ -40,7 +40,6 @@ _EXPORTS = {
         "parent_configurations",
         "query",
         "sample",
-        "validate_graph",
     ),
     "model_io": (
         "FormatError",

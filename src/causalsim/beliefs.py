@@ -16,8 +16,8 @@ which downstream decision code treats as if it were the truth.
 layout of the model's tables, :attr:`~causalsim.cgm.CausalModel.tables`:
 an update is one increment per unforced variable, and the posterior mean
 one division per table by its row sums, the states added in order. Its
-counts are checked and made read-only when it is built, so its
-posterior mean is valid.
+graph checked itself when it was built; its counts are checked and made
+read-only when it is built, so its posterior mean is valid.
 :class:`CountBeliefs` holds the counts of a batch of replications in the
 same layout behind a replication axis, so its ``counts[i][r]`` is
 replication r's table. Its posterior mean is a sum and a division per
@@ -34,7 +34,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cgm import Assignment, CausalGraph, CausalModel, InvalidModelError, Intervention, _Tables, check_assignment
+from .cgm import Assignment, CausalGraph, CausalModel, Intervention, _Tables, check_assignment
 from .cgm import _check_intervention, _check_prior, _FieldError, _row_sums
 from . import model_io
 
@@ -62,10 +62,10 @@ class BeliefState(_Tables):
     by variable name, each keyed like the CPT rows: parent configuration
     tuple to row.
 
-    Building one checks it: a graph with issues raises :class:`~causalsim.cgm.InvalidModelError`,
-    tables not in the layout's shapes are a fault at ``cpts``, and a count or
-    row sum that is not positive and finite one at ``cpts.<name>``; the
-    arrays it keeps, in a tuple, are made read-only.
+    Building one checks its counts on the graph, valid as it exists: tables
+    not in the layout's shapes are a fault at ``cpts``, and a count or row
+    sum that is not positive and finite one at ``cpts.<name>``; the arrays
+    it keeps, in a tuple, are made read-only.
     """
 
     graph: CausalGraph
@@ -73,8 +73,6 @@ class BeliefState(_Tables):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tables", tuple(self.tables))
-        if issues := self.graph._issues:
-            raise InvalidModelError(issues)
         if [getattr(t, "shape", None) for t in self.tables] != [layout[2] for layout in self.graph._layout]:
             raise _FieldError("cpts", "expected one array per variable, in the shape of its table")
         for name, table in zip(self.graph.names, self.tables):
@@ -92,12 +90,10 @@ class BeliefState(_Tables):
 def init_uniform(graph: CausalGraph, alpha0: float = 1.0) -> BeliefState:
     """Symmetric prior: every pseudo-count in every row is ``alpha0``.
 
-    The graph must be well formed (acyclic, known parents); the prior
-    weight must be positive, and finite even times a row's state count.
+    The prior weight must be positive, and finite even times a row's
+    state count.
     """
     _check_prior(alpha0, graph)
-    if issues := graph._issues:
-        raise InvalidModelError(issues)
     return BeliefState(graph, tuple(np.full(shape, float(alpha0)) for _, _, shape, _ in graph._layout))
 
 

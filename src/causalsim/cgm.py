@@ -44,10 +44,10 @@ up a variable every action forces, and draws the rest from the truth's
 rows or, for one only some actions force, from a block of rows per
 action: the truth's, or the forced state's point mass.
 
-A model that exists is valid: building one from :class:`Cpt` rows raises
-:class:`InvalidModelError` listing every problem at once. The parser,
-:func:`intervene` and a posterior mean build theirs from checked inputs,
-and no query or draw checks a table again.
+A graph or model that exists is valid: building a :class:`CausalGraph`,
+or a model from :class:`Cpt` rows, raises :class:`InvalidModelError`
+listing every problem at once. The parser, :func:`intervene` and a
+posterior mean build theirs from checked inputs, and nothing checks again.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import itertools
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Sequence
@@ -74,7 +74,6 @@ __all__ = [
     "CausalModel",
     "ValidationIssue",
     "InvalidModelError",
-    "validate_graph",
     "check_assignment",
     "parent_configurations",
     "joint_size",
@@ -131,10 +130,17 @@ class CausalGraph:
     declared variable order is significant: it fixes the order of the
     model tables, tie-breaking in the topological and elimination
     orders, and serialization order.
+
+    Building one checks it once, by :func:`_checked_order`, whose pass
+    also gives ``topological_order``, the names as :func:`_kahn_order` sorts them.
     """
 
     variables: tuple[VariableSpec, ...]
     parents: Mapping[str, tuple[str, ...]]
+    topological_order: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "topological_order", _checked_order(self))
 
     def parents_of(self, name: str) -> tuple[str, ...]:
         return self.parents.get(name, ())
@@ -146,15 +152,6 @@ class CausalGraph:
     @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
-
-    @cached_property
-    def topological_order(self) -> tuple[str, ...]:
-        """Variable names, parents before children, declaration order as
-        the tie-break. Raises :class:`InvalidModelError` on a cycle."""
-        order, cycles = _kahn_order(self)
-        if cycles:
-            raise InvalidModelError(cycles)
-        return tuple(order)
 
     @cached_property
     def _positions(self) -> dict[str, int]:
@@ -174,11 +171,6 @@ class CausalGraph:
             configs = tuple(parent_configurations(self, v.name))
             layout.append((tuple(map(self._positions.get, parents)), strides, shape, configs))
         return tuple(layout)
-
-    @cached_property
-    def _issues(self) -> tuple[ValidationIssue, ...]:
-        # validate_graph's issues, found once per graph.
-        return tuple(validate_graph(self))
 
     @cached_property
     def _plans(self) -> dict[tuple[frozenset[str], frozenset[str], tuple[str, ...]], _Plan | str]:
@@ -321,7 +313,7 @@ def _kahn_order(graph: CausalGraph) -> tuple[list[str], list[ValidationIssue]]:
     variables left over, in declaration order, or nothing).
 
     Parent references to undeclared variables are ignored here; they are
-    reported separately by :func:`validate_graph`.
+    reported separately by :func:`_checked_order`.
     """
     # A self-loop is kept, so its vertex never becomes ready.
     parents = {name: set(graph.parents_of(name)) & graph.variable_map.keys() for name in graph.names}
@@ -358,12 +350,11 @@ def _row_key(where_var: str, config: tuple[str, ...], parents: tuple[str, ...]) 
     return f"{where_var}[{inside}]"
 
 
-def validate_graph(graph: CausalGraph) -> list[ValidationIssue]:
-    """Check the graph portion of the model contract.
-
-    Reports duplicate or underspecified variables, unknown or duplicate
-    parents, and cycles (a self-loop counts as a cycle).
-    """
+def _checked_order(graph: CausalGraph) -> tuple[str, ...]:
+    """The graph's topological order by :func:`_kahn_order`, or
+    :class:`InvalidModelError` listing duplicate or underspecified
+    variables, unknown or duplicate parents, and cycles (a self-loop
+    counts as a cycle), in that order."""
     issues: list[ValidationIssue] = []
     seen: set[str] = set()
     for v in graph.variables:
@@ -384,8 +375,10 @@ def validate_graph(graph: CausalGraph) -> list[ValidationIssue]:
                 issues.append(ValidationIssue("unknown-parent", name, f"parent {p!r} is not a declared variable"))
         if len(set(plist)) != len(plist):
             issues.append(ValidationIssue("duplicate-parent", name, "parent list repeats a variable"))
-    issues.extend(_kahn_order(graph)[1])
-    return issues
+    order, cycles = _kahn_order(graph)
+    if issues := issues + cycles:
+        raise InvalidModelError(issues)
+    return tuple(order)
 
 
 def _added(values: Iterable[float]) -> float:
@@ -400,15 +393,15 @@ def _row_sums(table: np.ndarray) -> np.ndarray:
 
 
 def _placed(graph: CausalGraph, cpts: Mapping[str, Cpt]) -> tuple[np.ndarray, ...]:
-    """The rows of ``cpts`` in one read-only array per variable, or :class:`InvalidModelError`
-    with the graph's issues, each table or row without a place, then each row with an entry
-    outside [0, 1] or a sum away from one; a variable the graph's issues name is not placed."""
-    broken, vmap = {i.where for i in graph._issues}, graph.variable_map
+    """The rows of ``cpts`` in one read-only array per variable of the valid ``graph``, or
+    :class:`InvalidModelError` with each table or row without a place, then each row with an
+    entry outside [0, 1] or a sum away from one."""
+    vmap = graph.variable_map
     issues = [ValidationIssue("unexpected-cpt-table", n, "table for an undeclared variable") for n in cpts if n not in vmap]
     tables, values = [], []
     for v in graph.variables:
-        if v.name in broken or v.name not in cpts:
-            issues += [ValidationIssue("missing-cpt-table", v.name, "no table for this variable")] * (v.name not in broken)
+        if v.name not in cpts:
+            issues.append(ValidationIssue("missing-cpt-table", v.name, "no table for this variable"))
             continue
         given, parents = cpts[v.name].rows, graph.parents_of(v.name)
         key = partial(_row_key, v.name, parents=parents)
@@ -431,7 +424,7 @@ def _placed(graph: CausalGraph, cpts: Mapping[str, Cpt]) -> tuple[np.ndarray, ..
                 values.append(ValidationIssue("row-not-normalized", key(list(rows)[r]), f"row sums to {sums[r]:.12g}"))
         tables.append(table.reshape([len(vmap[p].states) for p in (*parents, v.name)]))
         tables[-1].flags.writeable = False
-    if issues := [*graph._issues, *issues, *values]:
+    if issues := issues + values:
         raise InvalidModelError(issues)
     return tuple(tables)
 

@@ -27,9 +27,10 @@ document in memory, then its ``.key`` and ``[i]`` steps); so do numbers
 beyond float range, such as a 400-digit integer. Row sums (entries added
 in order) within ``ROW_SUM_TOL`` of one are renormalized on load; rows
 further out are rejected; so is a key repeated in one object, as a
-``parse-error``. The graph is validated once, before any row is read, its
-violations raising :class:`~causalsim.cgm.InvalidModelError` after the
-file; each row is checked as it is written, so a parsed model is valid.
+``parse-error``. The graph is checked once, as it is built, before any
+other key is read: its violations raise
+:class:`~causalsim.cgm.InvalidModelError` after the file. Each row is
+checked as it is written, so a parsed model is valid.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ def _string_list(value: Any, path: str) -> tuple[str, ...]:
 
 
 def graph_from_dict(data: Any, *, doc: str = "$") -> CausalGraph:
-    """Parse the "variables" and "parents" sections into a graph."""
+    """Parse the "variables" and "parents" sections into a graph; the
+    :class:`~causalsim.cgm.InvalidModelError` of building it names ``doc``."""
     _expect(isinstance(data, dict), doc, "expected an object")
     _expect("variables" in data, doc, "missing key 'variables'")
     raw_vars = data["variables"]
@@ -128,7 +130,10 @@ def graph_from_dict(data: Any, *, doc: str = "$") -> CausalGraph:
         for j, p in enumerate(entries):
             _expect(p in declared, f"{where}[{j}]", f"parent {p!r} is not a declared variable")
         parents[name] = entries
-    return CausalGraph(tuple(specs), parents)
+    try:
+        return CausalGraph(tuple(specs), parents)
+    except InvalidModelError as e:
+        raise InvalidModelError(e.issues, doc) from None
 
 
 def graph_to_dict(graph: CausalGraph) -> dict[str, Any]:
@@ -167,8 +172,8 @@ def _parse_rows(raw_rows: Any, graph: CausalGraph, pos: int, *, value_key: str, 
         _expect(set(item) <= {"given", value_key}, rw, "unknown keys present")
         given = item.get("given", {})
         _expect(isinstance(given, dict), f"{rw}.given", "expected an object")
-        expected = f"expected exactly the parents of {spec.name}: {', '.join(parents) or '(none)'}"
-        _expect(set(given) == set(parents), f"{rw}.given", expected)
+        if set(given) != set(parents):
+            raise FormatError(f"{rw}.given", f"expected exactly the parents of {spec.name}: {', '.join(parents) or '(none)'}")
         row = 0
         for p, stride in zip(parents, strides):
             s = given[p]
@@ -181,11 +186,11 @@ def _parse_rows(raw_rows: Any, graph: CausalGraph, pos: int, *, value_key: str, 
         _expect(len(vec) == len(spec.states), f"{rw}.{value_key}", f"{len(vec)} entries for {len(spec.states)} states")
         values = [number(x, f"{rw}.{value_key}[{j}]") for j, x in enumerate(vec)]
         if value_key == "p":
-            for j, x in enumerate(values):
-                _expect(0.0 <= x <= 1.0, f"{rw}.{value_key}[{j}]", "probabilities must lie in [0, 1]")
+            if out := [j for j, x in enumerate(values) if not 0.0 <= x <= 1.0]:
+                raise FormatError(f"{rw}.{value_key}[{out[0]}]", "probabilities must lie in [0, 1]")
             total = _added(values)
-            detail = f"row sums to {total:.12g}, beyond tolerance {ROW_SUM_TOL:g}"
-            _expect(abs(total - 1.0) <= ROW_SUM_TOL, f"{rw}.{value_key}", detail)
+            if not abs(total - 1.0) <= ROW_SUM_TOL:
+                raise FormatError(f"{rw}.{value_key}", f"row sums to {total:.12g}, beyond tolerance {ROW_SUM_TOL:g}")
             values = [x / total for x in values]
         rows[row] = values
     if None in rows:
@@ -195,9 +200,9 @@ def _parse_rows(raw_rows: Any, graph: CausalGraph, pos: int, *, value_key: str, 
 
 
 def tables_from_dict(data: Any, *, value_key: str, doc: str = "$") -> tuple[CausalGraph, tuple[np.ndarray, ...]]:
-    """Parse a CPT-shaped document: its graph, validated before any row is
-    read, and each variable's table, in declaration order, with
-    ``value_key`` naming the row vector."""
+    """Parse a CPT-shaped document: its graph, checked as it is built,
+    before any other key is read, and each variable's table, in
+    declaration order, with ``value_key`` naming the row vector."""
     graph = graph_from_dict(data, doc=doc)
     _expect(set(data) <= {"variables", "parents", "cpts"}, doc, "unknown top-level keys present")
     _expect("cpts" in data, doc, "missing key 'cpts'")
@@ -205,8 +210,6 @@ def tables_from_dict(data: Any, *, value_key: str, doc: str = "$") -> tuple[Caus
     _expect(isinstance(raw_cpts, dict), f"{doc}.cpts", "expected an object")
     for name in raw_cpts:
         _expect(name in graph.variable_map, f"{doc}.cpts.{name}", "table for an undeclared variable")
-    if issues := graph._issues:
-        raise InvalidModelError(issues, doc)
     tables = []
     for pos, v in enumerate(graph.variables):
         _expect(v.name in raw_cpts, f"{doc}.cpts", f"missing table for {v.name}")

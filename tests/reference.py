@@ -17,6 +17,11 @@ builds, indents and serializes an ElementTree; the tests require the
 library's writers to give exactly the same bytes. ``kahn_order`` rescans
 every variable once per topological level, and the tests require the
 library's sort to give the same order and the same cycle issue.
+``validate_graph`` is the graph check the library ran on demand before a
+graph checked itself as it was built; it reads a :class:`Declared`, a
+graph's declarations left unchecked, and the tests require the library
+to refuse a graph with exactly its issues, in its order, and to build
+every graph it passes.
 ``dict_init_uniform``, ``dict_update`` and ``dict_posterior_mean`` keep
 the pseudo-counts as rows in dicts, keyed by parent configuration, and
 add each row's counts one by one, in state order; the tests require the
@@ -33,6 +38,7 @@ import itertools
 import math
 import random
 import xml.etree.ElementTree as ET
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -159,7 +165,57 @@ def min_fill_order(
         yield var
 
 
-def kahn_order(graph: CausalGraph) -> tuple[list[str], list[ValidationIssue]]:
+@dataclass(frozen=True)
+class Declared:
+    """A graph's variables and parent lists, unchecked, read as a
+    :class:`CausalGraph` reads them."""
+
+    variables: tuple[VariableSpec, ...]
+    parents: Mapping[str, tuple[str, ...]]
+
+    def parents_of(self, name: str) -> tuple[str, ...]:
+        return self.parents.get(name, ())
+
+    @property
+    def variable_map(self) -> dict[str, VariableSpec]:
+        return {v.name: v for v in self.variables}
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(v.name for v in self.variables)
+
+
+def validate_graph(graph: Declared) -> list[ValidationIssue]:
+    """Check the graph portion of the model contract.
+
+    Reports duplicate or underspecified variables, unknown or duplicate
+    parents, and cycles (a self-loop counts as a cycle).
+    """
+    issues: list[ValidationIssue] = []
+    seen: set[str] = set()
+    for v in graph.variables:
+        if v.name in seen:
+            issues.append(ValidationIssue("duplicate-variable", v.name, "declared more than once"))
+        seen.add(v.name)
+        if len(v.states) < 2:
+            issues.append(ValidationIssue("too-few-states", v.name, "a variable needs at least two states"))
+        if len(set(v.states)) != len(v.states):
+            issues.append(ValidationIssue("duplicate-state", v.name, "state labels must be unique"))
+    declared = set(graph.names)
+    for name, plist in graph.parents.items():
+        if name not in declared:
+            issues.append(ValidationIssue("unknown-variable", name, "parent list for an undeclared variable"))
+            continue
+        for p in plist:
+            if p not in declared:
+                issues.append(ValidationIssue("unknown-parent", name, f"parent {p!r} is not a declared variable"))
+        if len(set(plist)) != len(plist):
+            issues.append(ValidationIssue("duplicate-parent", name, "parent list repeats a variable"))
+    issues.extend(kahn_order(graph)[1])
+    return issues
+
+
+def kahn_order(graph: CausalGraph | Declared) -> tuple[list[str], list[ValidationIssue]]:
     """Kahn topological sort. Returns (ordered names, the one
     ``cycle-detected`` issue naming the variables left over, or nothing).
 

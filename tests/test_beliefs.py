@@ -47,9 +47,10 @@ def test_init_uniform_respects_alpha(medic_model):
 def test_init_uniform_rejects_bad_input(medic_model):
     with pytest.raises(ValueError, match="nonpositive-alpha"):
         init_uniform(medic_model.graph, alpha0=0.0)
-    loop = CausalGraph((VariableSpec("A", ("0", "1")),), {"A": ("A",)})
-    with pytest.raises(InvalidModelError, match="cycle-detected"):
-        init_uniform(loop)
+    # A graph with a cycle is refused as it is built, before init_uniform could see it.
+    with pytest.raises(InvalidModelError, match="cycle-detected") as err:
+        CausalGraph((VariableSpec("A", ("0", "1")),), {"A": ("A",)})
+    assert [i.code for i in err.value.issues] == ["cycle-detected"]
 
 
 def test_posterior_mean_of_uniform_prior_is_uniform(medic_model):
@@ -213,9 +214,10 @@ def test_a_belief_state_is_refused_for_tables_of_the_wrong_shape(medic_model):
 
 
 def test_a_belief_state_is_refused_on_a_cyclic_graph(medic_model):
-    graph = CausalGraph(medic_model.graph.variables, {**medic_model.graph.parents, "D": ("Y",)})
-    with pytest.raises(InvalidModelError, match="cycle-detected at D, T, Y"):
-        BeliefState(graph, init_uniform(medic_model.graph).tables)
+    # The graph is refused as it is built, so no belief state can be built on it.
+    with pytest.raises(InvalidModelError, match="cycle-detected at D, T, Y") as err:
+        CausalGraph(medic_model.graph.variables, {**medic_model.graph.parents, "D": ("Y",)})
+    assert [i.code for i in err.value.issues] == ["cycle-detected"]
 
 
 def test_beliefs_from_dict_rejects_missing_rows(medic_model):

@@ -25,7 +25,6 @@ from causalsim import (
     joint_size,
     query,
     sample,
-    validate_graph,
 )
 from causalsim import Action, Environment, load_model, model_from_dict
 from causalsim.beliefs import init_uniform, posterior_mean, update
@@ -44,6 +43,13 @@ def _issue_codes(graph: CausalGraph, cpts: dict) -> list[str]:
     return [i.code for i in err.value.issues]
 
 
+def _graph_issues(variables: tuple[VariableSpec, ...], parents: dict) -> list:
+    """The issues that refuse ``CausalGraph(variables, parents)``, in order."""
+    with pytest.raises(InvalidModelError) as err:
+        CausalGraph(variables, parents)
+    return list(err.value.issues)
+
+
 def test_a_valid_model_builds_from_its_own_rows(fair_pair_model):
     assert CausalModel(fair_pair_model.graph, fair_pair_model.cpts) == fair_pair_model
 
@@ -56,55 +62,47 @@ def test_building_a_model_reports_unnormalized_row():
     assert "A" in err.value.issues[0].where
 
 
+def _codes_on_unnormalized_rows(parents: dict) -> list[str]:
+    """The codes that refuse a model over binary A and B on ``parents``,
+    each variable given the rows of one parent, each row summing to 0.9."""
+    rows = {("0",): (0.7, 0.2), ("1",): (0.7, 0.2)}
+    with pytest.raises(InvalidModelError) as err:
+        CausalModel(CausalGraph((VariableSpec("A", ("0", "1")), VariableSpec("B", ("0", "1"))), parents), {n: Cpt(n, rows) for n in "AB"})
+    return [i.code for i in err.value.issues]
+
+
 def test_building_a_model_reports_cycle():
-    graph = CausalGraph(
-        (VariableSpec("A", ("0", "1")), VariableSpec("B", ("0", "1"))),
-        {"A": ("B",), "B": ("A",)},
-    )
-    cpts = {
-        "A": Cpt("A", {("0",): (0.5, 0.5), ("1",): (0.5, 0.5)}),
-        "B": Cpt("B", {("0",): (0.5, 0.5), ("1",): (0.5, 0.5)}),
-    }
-    assert _issue_codes(graph, cpts) == ["cycle-detected"]
+    # The graph is refused as it is built, so its rows are never read:
+    # a two-cycle reports no row issue, as a self-loop does not.
+    assert _codes_on_unnormalized_rows({"A": ("B",), "B": ("A",)}) == ["cycle-detected"]
 
 
 def test_building_a_model_reports_self_loop_as_cycle():
-    graph = CausalGraph((VariableSpec("A", ("0", "1")),), {"A": ("A",)})
-    assert _issue_codes(graph, {"A": Cpt("A", {("0",): (1.0, 0.0), ("1",): (1.0, 0.0)})}) == ["cycle-detected"]
+    assert _codes_on_unnormalized_rows({"A": ("A",), "B": ("A",)}) == ["cycle-detected"]
 
 
 def test_building_a_model_lists_every_problem_at_once():
-    graph = CausalGraph(
-        (
-            VariableSpec("A", ("0",)),  # too few states
-            VariableSpec("B", ("0", "1")),
-            VariableSpec("C", ("0", "1")),
-        ),
-        {"B": ("Z", "B"), "C": ("B",)},  # unknown parent, self-loop
+    # The graph lists every issue of its own, and a model on a valid
+    # graph every issue of its rows: those without a place, then the values.
+    variables = (
+        VariableSpec("A", ("0",)),  # too few states
+        VariableSpec("B", ("0", "1")),
+        VariableSpec("C", ("0", "1")),
     )
+    parents = {"B": ("Z", "B"), "C": ("B",)}  # unknown parent, self-loop
+    assert [i.code for i in _graph_issues(variables, parents)] == ["too-few-states", "unknown-parent", "cycle-detected"]
+    graph = CausalGraph((VariableSpec("A", ("0", "1")), *variables[1:]), {"C": ("B",)})
     cpts = {
+        "A": Cpt("A", {(): (0.5, 0.5)}),
         "B": Cpt("B", {(): (0.5, 0.5)}),
         "C": Cpt("C", {("0",): (0.6, 0.41)}),  # missing row + bad sum
     }
-    # Table checks for A and B are suppressed because those variables are
-    # already structurally broken; C's table is still checked in full. The
-    # graph's issues come first, then the rows without a place, then the
-    # row values.
-    assert _issue_codes(graph, cpts) == [
-        "too-few-states",
-        "unknown-parent",
-        "cycle-detected",
-        "missing-cpt-row",
-        "row-not-normalized",
-    ]
+    assert _issue_codes(graph, cpts) == ["missing-cpt-row", "row-not-normalized"]
 
 
 def test_building_a_model_checks_the_child_of_a_parent_without_states():
-    # P is named by its own issue, so its table is not checked; C's is,
-    # and with no parent configuration it has no rows, only the extra one.
-    graph = CausalGraph((VariableSpec("P", ()), VariableSpec("C", ("0", "1"))), {"C": ("P",)})
-    assert _issue_codes(graph, {"C": Cpt("C", {})}) == ["too-few-states"]
-    assert _issue_codes(graph, {"C": Cpt("C", {("x",): (0.5, 0.5)})}) == ["too-few-states", "unexpected-cpt-row"]
+    # P's own issue refuses the graph, so no table of C is ever read.
+    assert [i.code for i in _graph_issues((VariableSpec("P", ()), VariableSpec("C", ("0", "1"))), {"C": ("P",)})] == ["too-few-states"]
 
 
 def test_building_a_model_reports_missing_table():
@@ -120,13 +118,12 @@ def test_building_a_model_reports_missing_row_and_extras(medic_model):
 
 
 def test_building_a_model_reports_what_the_loader_refuses_before_it():
-    # model_io refuses each of these documents itself, so only a model
-    # built in code reaches these branches of the constructor's check.
-    graph = CausalGraph(tuple(VariableSpec(n, ("0", "1")) for n in "ABC"), {"B": ("A", "A"), "Z": ("A",)})
-    tables = {"A": {(): (0.5, 0.3, 0.2)}, "B": {}, "C": {(): (1.5, -0.5)}, "Q": {}}
-    assert _issue_codes(graph, {n: Cpt(n, rows) for n, rows in tables.items()}) == [
-        "duplicate-parent",
-        "unknown-variable",
+    # model_io refuses each of these documents itself, so only a graph or
+    # model built in code reaches these branches of the constructors' checks.
+    variables = tuple(VariableSpec(n, ("0", "1")) for n in "ABC")
+    assert [i.code for i in _graph_issues(variables, {"B": ("A", "A"), "Z": ("A",)})] == ["duplicate-parent", "unknown-variable"]
+    tables = {"A": {(): (0.5, 0.3, 0.2)}, "B": {(): (0.5, 0.5)}, "C": {(): (1.5, -0.5)}, "Q": {}}
+    assert _issue_codes(CausalGraph(variables, {}), {n: Cpt(n, rows) for n, rows in tables.items()}) == [
         "unexpected-cpt-table",
         "bad-row-length",
         "entry-out-of-range",
@@ -160,10 +157,10 @@ def test_topological_order_sorts_shuffled_declarations():
                 assert position[p] < position[v.name]
 
 
-def _graph_with_faults(rnd: random.Random) -> CausalGraph:
-    """A random model's graph, often with an edge added against the
-    topological order, a self-loop, a repeated or undeclared parent, or a
-    variable declared twice."""
+def _graph_with_faults(rnd: random.Random) -> tuple[tuple[VariableSpec, ...], dict[str, tuple[str, ...]]]:
+    """The declarations of a random model's graph, often with an edge added
+    against the topological order, a self-loop, a repeated or undeclared
+    parent, or a variable declared twice."""
     graph = oracle.random_model(rnd, max_vars=8).graph
     variables, parents = list(graph.variables), {n: list(graph.parents_of(n)) for n in graph.names}
     order = graph.topological_order
@@ -178,34 +175,49 @@ def _graph_with_faults(rnd: random.Random) -> CausalGraph:
             parents[order[late]] += rnd.choice([[order[early]], ["Q"]])
         else:
             variables.insert(rnd.randrange(len(variables) + 1), rnd.choice(variables))
-    return CausalGraph(tuple(variables), {n: tuple(ps) for n, ps in parents.items()})
+    return tuple(variables), {n: tuple(ps) for n, ps in parents.items()}
 
 
 def test_topological_sort_gives_the_level_by_level_order_and_cycle_issue():
     # The sort fixes each variable's uniform column in every draw, so its
-    # order must be the earlier level-by-level scan's, cycles included.
-    rnd = random.Random(3000)
-    for _ in range(600):
-        graph = _graph_with_faults(rnd)
-        assert cgm._kahn_order(graph) == reference.kahn_order(graph)
-    names = [f"X{i}" for i in range(1024)]
-    chain = CausalGraph(tuple(VariableSpec(n, ("0", "1")) for n in names), {n: tuple(names[i - 1 : i]) for i, n in enumerate(names)})
-    assert list(chain.topological_order) == names
+    # order must be the earlier level-by-level scan's; a graph is refused
+    # with the issues the earlier graph check listed, cycles included.
+    rnd, names, refused = random.Random(3000), [f"X{i}" for i in range(1024)], 0
+    chain = tuple(VariableSpec(n, ("0", "1")) for n in names), {n: tuple(names[i - 1 : i]) for i, n in enumerate(names)}
+    for variables, parents in [*(_graph_with_faults(rnd) for _ in range(600)), chain]:
+        declared = reference.Declared(variables, parents)
+        assert cgm._kahn_order(declared) == reference.kahn_order(declared)
+        if issues := reference.validate_graph(declared):
+            assert _graph_issues(variables, parents) == issues
+            refused += 1
+        else:
+            assert list(CausalGraph(variables, parents).topological_order) == reference.kahn_order(declared)[0]
+    assert 100 < refused < 500
+    assert list(CausalGraph(*chain).topological_order) == names
 
 
 def test_a_cycle_is_reported_with_its_variables_in_declaration_order(medic_model):
-    graph = CausalGraph(medic_model.graph.variables, {**medic_model.graph.parents, "D": ("Y",)})
-    assert [str(i) for i in validate_graph(graph)] == [
+    assert [str(i) for i in _graph_issues(medic_model.graph.variables, {**medic_model.graph.parents, "D": ("Y",)})] == [
         "cycle-detected at D, T, Y: these variables lie on or depend on a directed cycle"
     ]
 
 
 def test_a_graph_is_checked_once_however_often_it_is_asked(monkeypatch, medic_model):
     calls = []
-    monkeypatch.setattr(cgm, "validate_graph", lambda graph, check=cgm.validate_graph: calls.append(graph) or check(graph))
+    monkeypatch.setattr(cgm, "_checked_order", lambda graph, check=cgm._checked_order: calls.append(graph) or check(graph))
     graph = CausalGraph(medic_model.graph.variables, dict(medic_model.graph.parents))
     assert CausalModel(graph, medic_model.cpts) == CausalModel(graph, medic_model.cpts)
     init_uniform(graph)
+    assert calls == [graph]
+
+
+def test_one_kahn_pass_gives_a_graph_its_check_and_its_order(monkeypatch, medic_model):
+    calls = []
+    monkeypatch.setattr(cgm, "_kahn_order", lambda graph, sort=cgm._kahn_order: calls.append(graph) or sort(graph))
+    graph = CausalGraph(medic_model.graph.variables, dict(medic_model.graph.parents))
+    assert graph.topological_order == ("D", "T", "Y")
+    assert len(graph._layout) == 3
+    assert graph._plan_for({"T": "1"}, {}, ("Y",)).steps
     assert calls == [graph]
 
 

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import shutil
 import subprocess
@@ -702,10 +703,25 @@ def test_loading_an_experiment_validates_the_model_once(monkeypatch):
 
     calls, graphs = [], []
     monkeypatch.setattr(cgm, "_placed", lambda graph, cpts, check=cgm._placed: calls.append(graph) or check(graph, cpts))
-    monkeypatch.setattr(cgm, "validate_graph", lambda graph, check=cgm.validate_graph: graphs.append(graph) or check(graph))
+    monkeypatch.setattr(cgm, "_checked_order", lambda graph, check=cgm._checked_order: graphs.append(graph) or check(graph))
     env, _ = cli._load_experiment(argparse.Namespace(model=MODEL, experiment=EXPERIMENT))
     assert calls == []
     assert [graph is env.truth.graph for graph in graphs] == [True]
+
+
+def test_an_environment_shipped_to_a_worker_checks_no_graph_again(monkeypatch):
+    # --workers pickles the environment into each worker process; the
+    # graphs it carries come back as they were, without a second check.
+    from causalsim import cgm, cli
+
+    env, _ = cli._load_experiment(argparse.Namespace(model=MODEL, experiment=EXPERIMENT))
+    graphs = []
+    monkeypatch.setattr(cgm, "_checked_order", lambda graph, check=cgm._checked_order: graphs.append(graph) or check(graph))
+    graph = cgm.CausalGraph(env.truth.graph.variables, env.truth.graph.parents)
+    assert graphs == [graph]
+    shipped = pickle.loads(pickle.dumps(env))
+    assert graphs == [graph]
+    assert shipped.truth == env.truth and shipped.truth.graph.topological_order == env.truth.graph.topological_order
 
 
 def test_the_decision_problem_is_one_object_under_both_modules():

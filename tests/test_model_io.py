@@ -61,9 +61,9 @@ def test_loading_a_model_checks_its_graph_once_and_validates_nothing(monkeypatch
     from causalsim import cgm
 
     # The parser checks each row as it reads it, so it never runs the
-    # check of a model built in code from Cpt rows.
+    # check of a model built in code from Cpt rows; the graph checks itself once, as it is built.
     graphs, placed = [], []
-    monkeypatch.setattr(cgm, "validate_graph", lambda graph, check=cgm.validate_graph: graphs.append(graph) or check(graph))
+    monkeypatch.setattr(cgm, "_checked_order", lambda graph, check=cgm._checked_order: graphs.append(graph) or check(graph))
     monkeypatch.setattr(cgm, "_placed", lambda graph, cpts, check=cgm._placed: placed.append(graph) or check(graph, cpts))
     model = load_model(str(SAMPLE_DIR / "chain64_model.json"))
     assert [graph is model.graph for graph in graphs] == [True]
@@ -275,13 +275,15 @@ def test_duplicate_variable_names_are_a_semantic_error():
     [
         (lambda doc: doc["parents"].update(T=["D", "D"]), "duplicate-parent at T: parent list repeats a variable"),
         (lambda doc: doc["variables"][0].update(states=["0", "0"]), "duplicate-state at D: state labels must be unique"),
+        (lambda doc: doc.update(parents={**doc["parents"], "T": ["D", "D"]}, cpts=[], bogus=1), "duplicate-parent at T: parent list repeats a variable"),
     ],
-    ids=["parent", "state"],
+    ids=["parent", "state", "parent-and-keys"],
 )
 @pytest.mark.parametrize("loader", ["model", "beliefs"])
 def test_a_graph_fault_is_reported_before_any_row(medic_model, loader, edit, message):
     # Without the graph check first, a row would fail on the repeated
-    # parent or state, with an error no document could meet.
+    # parent or state, with an error no document could meet. The graph
+    # checks itself as it is built, before the top-level keys and cpts are read.
     doc = model_to_dict(medic_model) if loader == "model" else beliefs_to_dict(init_uniform(medic_model.graph))
     edit(doc)
     load = {"model": lambda d: model_from_dict(d, doc="m.json"), "beliefs": beliefs_from_dict}[loader]
