@@ -58,9 +58,9 @@ class BeliefState(_Tables):
     """Per-row Dirichlet pseudo-counts over a fixed graph.
 
     ``tables`` holds one array of counts per variable, in declaration order
-    and in the layout of the model's tables; ``counts`` views them read-only
+    and in the layout of the model's tables; ``counts`` gives them read-only
     by variable name, each keyed like the CPT rows: parent configuration
-    tuple to row.
+    tuple to row, read once from the read-only arrays when first used.
 
     Building one checks its counts on the graph, valid as it exists: tables
     not in the layout's shapes are a fault at ``cpts``, and a count or row

@@ -204,23 +204,6 @@ class Cpt:
     rows: Mapping[tuple[str, ...], tuple[float, ...]]
 
 
-class _Rows(Mapping):
-    """A read-only view of a table: each of its parent configurations, in
-    row order, to its row as a tuple of floats."""
-
-    def __init__(self, table: np.ndarray, configs: Sequence[tuple[str, ...]]):
-        self._table, self._codes = table, dict(zip(configs, itertools.product(*map(range, table.shape[:-1]))))
-
-    def __getitem__(self, config: tuple[str, ...]) -> tuple[float, ...]:
-        return tuple(self._table[self._codes[config]].tolist())
-
-    def __iter__(self) -> Iterator[tuple[str, ...]]:
-        return iter(self._codes)
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-
 class _Tables:
     """One array per variable of ``graph``, in declaration order, shaped as
     :attr:`CausalModel.tables` describes; equal to another of its type on an
@@ -234,19 +217,23 @@ class _Tables:
         return same and all(map(np.array_equal, self.tables, other.tables))
 
     def __getstate__(self) -> dict:
-        # A mapping proxy does not pickle; the views are rebuilt on use.
+        # A mapping proxy does not pickle: a copy drops the cached rows and reads them again from its arrays.
         return {k: v for k, v in self.__dict__.items() if not isinstance(v, MappingProxyType)}
 
-    def _rows(self) -> dict[str, _Rows]:
-        return {v: _Rows(t, parent_configurations(self.graph, v)) for v, t in zip(self.graph.names, self.tables)}
+    def _rows(self) -> dict[str, Mapping[tuple[str, ...], tuple[float, ...]]]:
+        # Per variable, read-only: each configuration of ``_layout`` to its row as a tuple of floats.
+        rows = {}
+        for name, table, (*_, configs) in zip(self.graph.names, self.tables, self.graph._layout):
+            rows[name] = MappingProxyType(dict(zip(configs, map(tuple, table.reshape(len(configs), -1).tolist()))))
+        return rows
 
 
 class CausalModel(_Tables):
     """A causal graph plus one CPT per variable: ``tables[i]`` is the CPT of
     the variable at position i in declaration order, shaped (parent
     cardinalities..., own cardinality), axes in parent-list order, states
-    in declared order; ``cpts`` views them read-only as :class:`Cpt` rows
-    by variable name.
+    in declared order. ``cpts`` gives them read-only as :class:`Cpt` rows
+    by variable name, read once from the read-only arrays when first used.
 
     ``CausalModel(graph, cpts)`` writes each :class:`Cpt`'s rows into its
     array, or raises :class:`InvalidModelError` with every issue (:func:`_placed`).
@@ -396,33 +383,32 @@ def _placed(graph: CausalGraph, cpts: Mapping[str, Cpt]) -> tuple[np.ndarray, ..
     """The rows of ``cpts`` in one read-only array per variable of the valid ``graph``, or
     :class:`InvalidModelError` with each table or row without a place, then each row with an
     entry outside [0, 1] or a sum away from one."""
-    vmap = graph.variable_map
-    issues = [ValidationIssue("unexpected-cpt-table", n, "table for an undeclared variable") for n in cpts if n not in vmap]
+    issues = [ValidationIssue("unexpected-cpt-table", n, "table for an undeclared variable") for n in cpts if n not in graph._positions]
     tables, values = [], []
-    for v in graph.variables:
-        if v.name not in cpts:
-            issues.append(ValidationIssue("missing-cpt-table", v.name, "no table for this variable"))
+    for name, (_, _, shape, configs) in zip(graph.names, graph._layout):
+        if name not in cpts:
+            issues.append(ValidationIssue("missing-cpt-table", name, "no table for this variable"))
             continue
-        given, parents = cpts[v.name].rows, graph.parents_of(v.name)
-        key = partial(_row_key, v.name, parents=parents)
-        rows = dict.fromkeys(parent_configurations(graph, v.name), (1.0 / len(v.states),) * len(v.states))
+        given, card = cpts[name].rows, shape[-1]
+        key = partial(_row_key, name, parents=graph.parents_of(name))
+        rows = dict.fromkeys(configs, (1.0 / card,) * card)
         for config in sorted(rows.keys() - given.keys()):
             issues.append(ValidationIssue("missing-cpt-row", key(config), "no row for this parent configuration"))
         for config, row in given.items():
             if config not in rows:
                 issues.append(ValidationIssue("unexpected-cpt-row", key(config), "no such parent configuration"))
-            elif len(row) != len(v.states):
-                issues.append(ValidationIssue("bad-row-length", key(config), f"{len(row)} entries for {len(v.states)} states"))
+            elif len(row) != card:
+                issues.append(ValidationIssue("bad-row-length", key(config), f"{len(row)} entries for {card} states"))
             else:
                 rows[config] = row
-        table = np.array(list(rows.values()), float).reshape(-1, len(v.states))  # 2-D with no rows too
+        table = np.array(list(rows.values()), float).reshape(-1, card)  # 2-D with no rows too
         sums, out = _row_sums(table), ~((0.0 <= table) & (table <= 1.0)).all(axis=1)
         for r in np.flatnonzero(out | (np.abs(sums - 1.0) > ROW_SUM_TOL)):
             if out[r]:
-                values.append(ValidationIssue("entry-out-of-range", key(list(rows)[r]), "entries must lie in [0, 1]"))
+                values.append(ValidationIssue("entry-out-of-range", key(configs[r]), "entries must lie in [0, 1]"))
             else:
-                values.append(ValidationIssue("row-not-normalized", key(list(rows)[r]), f"row sums to {sums[r]:.12g}"))
-        tables.append(table.reshape([len(vmap[p].states) for p in (*parents, v.name)]))
+                values.append(ValidationIssue("row-not-normalized", key(configs[r]), f"row sums to {sums[r]:.12g}"))
+        tables.append(table.reshape(shape))
         tables[-1].flags.writeable = False
     if issues := issues + values:
         raise InvalidModelError(issues)
@@ -731,23 +717,24 @@ def cumulative(table: np.ndarray) -> np.ndarray:
 
 def _sampling_tables(truth: CausalModel, interventions: Sequence[Intervention]) -> tuple:
     """Per variable in topological order: (position, parent positions,
-    strides, step, table). If every intervention forces it: None and each
-    one's state code. Else :func:`cumulative` rows as (blocks x rows,
-    states - 1), 1-D if binary, less the last, +inf column: if none forces
-    it, 0 and the truth's rows; else the rows per block and a block per
-    intervention, the truth's rows or the forced state's point mass."""
+    step, table), its strides and shape left to ``graph._layout``. If every
+    intervention forces it: no parents, None and each one's state code.
+    Else :func:`cumulative` rows as (blocks x rows, states - 1), 1-D if
+    binary, less the last, +inf column: if none forces it, 0 and the
+    truth's rows; else the rows per block and a block per intervention,
+    the truth's rows or the forced state's point mass."""
     graph, tables = truth.graph, []
     for pos in map(graph._positions.get, graph.topological_order):
-        spec, (parents, strides, shape, _) = graph.variables[pos], graph._layout[pos]
+        spec, (parents, _, shape, _) = graph.variables[pos], graph._layout[pos]
         forced = [i.get(spec.name) for i in interventions]
         if None not in forced:
-            tables.append((pos, (), (), None, np.array([spec.state_index[s] for s in forced], np.intp)))
+            tables.append((pos, (), None, np.array([spec.state_index[s] for s in forced], np.intp)))
             continue
         forced = [None] if set(forced) == {None} else forced
         blocks = [truth.tables[pos] if s is None else np.eye(shape[-1])[spec.state_index[s]] for s in forced]
         cum = cumulative(np.stack([np.broadcast_to(t, shape) for t in blocks])).reshape(-1, shape[-1])
         cum = np.ascontiguousarray(cum[:, 0 if shape[-1] == 2 else slice(-1)])
-        tables.append((pos, parents, strides, len(cum) // len(blocks) if len(blocks) > 1 else 0, cum))
+        tables.append((pos, parents, len(cum) // len(blocks) if len(blocks) > 1 else 0, cum))
     return tuple(tables)
 
 
@@ -760,10 +747,11 @@ def _drawer(graph: CausalGraph, tables: tuple, actions: np.ndarray, x: np.ndarra
     the same uniforms, a row draws what :func:`sample` draws on the truth
     surgered by its action. A variable every action forces is looked up
     by action, its uniform unread; any other takes the number of entries
-    at or below its uniform in row ``sum(parent code * stride)`` of its
-    cumulative rows, within its action's block if only some force it."""
+    at or below its uniform in the row its parents' codes pick, by Horner's
+    rule over the cardinalities of its ``graph._layout`` shape, within its
+    action's block if only some force it."""
     index, plan = np.empty(len(x), np.intp), []
-    for k, (pos, parents, _, step, cum) in enumerate(tables):
+    for k, (pos, parents, step, cum) in enumerate(tables):
         # The row by Horner's rule, index = index * cardinality + code, over the action's block, then each parent.
         codes, calls = [actions] * (step != 0) + [x[:, p] for p in parents], []
         for column, card in zip(codes[1:], graph._layout[pos][2][-len(codes) : -1]):
@@ -784,14 +772,15 @@ def sample(model: CausalModel, rng: np.random.Generator) -> dict[str, str]:
     """Draw one full assignment by ancestral sampling.
 
     Variables are visited in the cached topological order; each is drawn
-    from its CPT row given the already-sampled parents, with one
-    ``rng.random()`` per variable. All randomness comes from ``rng``, so
+    from its CPT row given the already-sampled parents, the row
+    ``sum(parent code * stride)`` with the strides of ``graph._layout``,
+    with one ``rng.random()`` per variable. All randomness comes from ``rng``, so
     a given generator state fixes the draw. A forced variable of a
     surgered model still takes its uniform.
     """
-    codes = [0] * len(model.graph.variables)
-    for pos, parents, strides, _, cum in model._sampler:
-        entries = cum[sum(codes[p] * stride for p, stride in zip(parents, strides))]
+    codes, layout = [0] * len(model.graph.variables), model.graph._layout
+    for pos, parents, _, cum in model._sampler:
+        entries = cum[sum(codes[p] * stride for p, stride in zip(parents, layout[pos][1]))]
         u = rng.random()
         codes[pos] = int(entries <= u) if cum.ndim == 1 else int((entries <= u).sum())
     variables = model.graph.variables

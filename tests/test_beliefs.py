@@ -1,5 +1,6 @@
 """Dirichlet pseudo-count bookkeeping and its posterior-mean model."""
 
+import pickle
 import random
 
 import numpy as np
@@ -293,6 +294,31 @@ def test_row_views_are_read_only_and_read_the_arrays(medic_model):
     changed = BeliefState(beliefs.graph, tables)
     assert changed.counts["Y"] == {**beliefs.counts["Y"], ("1", "1"): (7.0, 9.0)}
     assert isinstance(changed.tables, tuple) and not changed.tables[2].flags.writeable
+    # Each row is its array's row, in the graph's row order, on tables of three
+    # states and on a surgered model, whose forced table is 1-D.
+    rnd = random.Random(5)
+    models = [oracle.random_model(rnd, max_vars=4, max_card=3) for _ in range(6)]
+    models.append(intervene(models[0], {models[0].graph.names[0]: "s1"}))
+    assert any(len(v.states) == 3 for m in models for v in m.graph.variables) and models[-1].tables[0].ndim == 1
+    for model in models + [medic_model]:
+        for name, table, (*_, configs) in zip(model.graph.names, model.tables, model.graph._layout):
+            rows = model.cpts[name].rows
+            assert list(rows) == list(configs)
+            assert [rows[c] for c in configs] == [tuple(table[i].tolist()) for i in np.ndindex(table.shape[:-1])]
+            with pytest.raises(TypeError):
+                rows[configs[0]] = rows[configs[0]]
+
+
+def test_a_pickled_model_or_belief_state_reads_the_rows_of_the_original(medic_model):
+    # Reading the rows caches read-only mappings, which do not pickle; the copy
+    # leaves them out and reads its own from its arrays.
+    beliefs = update(init_uniform(medic_model.graph), {"T": "1"}, {"D": "1", "T": "1", "Y": "0"})
+    model_rows = {n: dict(cpt.rows) for n, cpt in medic_model.cpts.items()}
+    copy = pickle.loads(pickle.dumps(medic_model))
+    assert copy == medic_model and {n: dict(cpt.rows) for n, cpt in copy.cpts.items()} == model_rows
+    belief_rows = {n: dict(rows) for n, rows in beliefs.counts.items()}
+    copy = pickle.loads(pickle.dumps(beliefs))
+    assert copy == beliefs and {n: dict(rows) for n, rows in copy.counts.items()} == belief_rows
 
 
 def test_belief_states_compare_by_value(medic_model):

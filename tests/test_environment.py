@@ -184,7 +184,7 @@ def _draw_kinds(env):
     # does, and "per-action" if it draws from one block of rows per action.
     names = env.truth.graph.names
     kinds = {None: "forced", 0: "truth"}
-    return {names[pos]: kinds.get(step, "per-action") for pos, _, _, step, _ in env._sampler}
+    return {names[pos]: kinds.get(step, "per-action") for pos, _, step, _ in env._sampler}
 
 
 @pytest.mark.parametrize("n", [1, 4, 256])
